@@ -295,7 +295,10 @@ def dist_subspace(U, Ustar, orth_tol=1e-8):
     """Spectral norm of U U^H - U* U*^H, i.e. the sine of the largest principal angle.
 
     Both inputs must have orthonormal columns (checked to orth_tol); computed
-    as sqrt(1 - sigma_min(U^H U*)^2), which never forms the n x n projectors.
+    as the spectral norm of the n x r residual U - U* (U*^H U), which never
+    forms the n x n projectors.  The residual keeps full relative accuracy at
+    small angles, where sqrt(1 - sigma_min(U^H U*)^2) cannot resolve a sine
+    below sqrt(eps) ~ 1.5e-8.
     """
     U = np.asarray(U)
     Ustar = np.asarray(Ustar)
@@ -310,9 +313,8 @@ def dist_subspace(U, Ustar, orth_tol=1e-8):
         err = np.linalg.norm(A.conj().T @ A - np.eye(r))
         if err > orth_tol:
             raise ValueError(f"{name} argument is not orthonormal: ||U^H U - I|| = {err:.3e}")
-    s = np.linalg.svd(U.conj().T @ Ustar, compute_uv=False)
-    smin = float(s[-1]) if len(s) else 0.0
-    return math.sqrt(max(0.0, 1.0 - min(1.0, smin) ** 2))
+    s = np.linalg.svd(U - Ustar @ (Ustar.conj().T @ U), compute_uv=False)
+    return min(1.0, float(s[0])) if len(s) else 0.0
 
 
 def dist_vector(x, xstar):

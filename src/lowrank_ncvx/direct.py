@@ -16,8 +16,11 @@ import numpy as np
 from .core import FactorPoint, Trace
 from .gd import dist_to_truth, incoherence_proxy
 from .problems import (
+    csr,
     estimate_rip,
+    group_by,
     loss_and_grad,
+    observed_entries,
     sensing_adjoint,
     sensing_measurements,
 )
@@ -198,28 +201,45 @@ def er_phase_retrieval(instance, x0, config=None):
 # Alternating least squares on completion
 # ---------------------------------------------------------------------------
 
-def _split_masks(mask, parts):
+@dataclass
+class _Groups:
+    """Observed entries grouped by the index of the factor row they solve
+    for: group k holds ``other[ptr[k]:ptr[k + 1]]``, the rows of the fixed
+    factor it sees (ascending), and the matching ``vals``."""
+
+    key: np.ndarray
+    other: np.ndarray
+    vals: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, key, other, vals, n):
+        order, ptr = group_by(key, n)
+        return cls(key[order], other[order], vals[order], ptr)
+
+    def sparse(self, data, n_other):
+        # len(ptr) - 1 by n_other matrix with ``data`` on the grouped entries
+        return csr(data, self.other, self.ptr, (self.ptr.shape[0] - 1, n_other))
+
+
+def _split_parts(rows, cols, vals, parts):
     # Round-robin over the observed positions in row-major order.
-    order = np.argwhere(mask)
-    out = []
-    for k in range(parts):
-        sub = np.zeros_like(mask)
-        pos = order[k::parts]
-        sub[pos[:, 0], pos[:, 1]] = True
-        out.append(sub)
-    return out
+    return [(rows[k::parts], cols[k::parts], vals[k::parts]) for k in range(parts)]
 
 
-def _decoupled_ls(basis, obs, mask, axis_name, r, rcond):
-    # Solve min ||P_mask(basis sol^T - obs)|| one column at a time; the
-    # observed rows of each column must pin down all r coefficients.
-    sol = np.empty((mask.shape[1], r))
-    for j in range(mask.shape[1]):
-        rows = mask[:, j]
-        if int(rows.sum()) < r:
+def _decoupled_ls(basis, groups, axis_name, r, rcond):
+    # Solve min ||P_Omega(basis sol^T - obs)|| one group at a time; the
+    # observed rows of each group must pin down all r coefficients.
+    ptr = groups.ptr.tolist()  # Python ints slice faster than NumPy scalars
+    other, vals = groups.other, groups.vals
+    sol = np.empty((len(ptr) - 1, r))
+    for j in range(sol.shape[0]):
+        lo, hi = ptr[j], ptr[j + 1]
+        if hi - lo < r:
             raise ValueError(
                 f"{axis_name} {j} has fewer than {r} observations")
-        fit, _, rank, _ = np.linalg.lstsq(basis[rows], obs[rows, j], rcond=rcond)
+        fit, _, rank, _ = np.linalg.lstsq(basis[other[lo:hi]], vals[lo:hi],
+                                          rcond=rcond)
         if rank < r:
             raise ValueError(
                 f"{axis_name} {j} normal equations are rank-deficient")
@@ -227,16 +247,17 @@ def _decoupled_ls(basis, obs, mask, axis_name, r, rcond):
     return sol
 
 
-def _ridge_descent(basis, obs, mask, start, lam, tol):
+def _ridge_descent(basis, groups, start, lam, tol):
     # Inner gradient descent for the regularized half-step: quadratic
     # objective, fixed 1/Lipschitz step, run to the gradient tolerance.
-    sol = np.zeros((mask.shape[1], basis.shape[1])) if start is None \
+    sol = np.zeros((groups.ptr.shape[0] - 1, basis.shape[1])) if start is None \
         else start.copy()
     step = 1.0 / (float(np.linalg.norm(basis, 2)) ** 2 + lam
                   + np.finfo(float).tiny)
     for _ in range(_INNER_CAP):
-        resid = np.where(mask, basis @ sol.T - obs, 0.0)
-        grad = resid.T @ basis + lam * sol
+        resid = np.einsum("ij,ij->i", basis[groups.other], sol[groups.key]) \
+            - groups.vals
+        grad = groups.sparse(resid, basis.shape[0]) @ basis + lam * sol
         if float(np.linalg.norm(grad)) <= tol * (1.0 + float(np.linalg.norm(sol))):
             break
         sol -= step * grad
@@ -257,31 +278,31 @@ def altmin_mc(instance, L0, config=None):
     if instance.family != "MatrixCompletionAsym":
         raise ValueError("alternating completion expects the asymmetric family")
     cfg = _resolve(config, AltMinConfig)
-    mask = instance.design["mask"]
-    n1, n2 = mask.shape
-    obs = np.zeros((n1, n2))
-    obs[mask] = instance.y
+    n1, n2 = instance.params["n1"], instance.params["n2"]
     L = np.array(L0, dtype=float)
     if L.ndim != 2 or L.shape[0] != n1:
         raise ValueError(f"initial left factor must be {n1} x r")
     r = L.shape[1]
-    parts = _split_masks(mask, cfg.splits) if cfg.variant == "sample_split" \
-        else [mask]
+    rows, cols = observed_entries(instance)
+    parts = _split_parts(rows, cols, instance.y,
+                         cfg.splits if cfg.variant == "sample_split" else 1)
+    # Column groups feed the R half-step, row groups the L half-step.
+    parts = [(_Groups.of(c, i, v, n2), _Groups.of(i, c, v, n1)) for i, c, v in parts]
     trace = Trace()
     trace.start_clock()
     trace.outcome = "max_iters"
     R = None
     for t in range(1, cfg.max_outer + 1):
-        sub = parts[(t - 1) % len(parts)]
+        by_col, by_row = parts[(t - 1) % len(parts)]
         if cfg.variant == "regularized":
-            R = _ridge_descent(L, obs, sub, R, cfg.lam, cfg.inner_tol)
+            R = _ridge_descent(L, by_col, R, cfg.lam, cfg.inner_tol)
         else:
-            R = _decoupled_ls(L, obs, sub, "column", r, cfg.inner_tol)
+            R = _decoupled_ls(L, by_col, "column", r, cfg.inner_tol)
         half, _ = loss_and_grad(instance, FactorPoint.asym(L, R))
         if cfg.variant == "regularized":
-            L = _ridge_descent(R, obs.T, sub.T, L, cfg.lam, cfg.inner_tol)
+            L = _ridge_descent(R, by_row, L, cfg.lam, cfg.inner_tol)
         else:
-            L = _decoupled_ls(R, obs.T, sub.T, "row", r, cfg.inner_tol)
+            L = _decoupled_ls(R, by_row, "row", r, cfg.inner_tol)
         point = FactorPoint.asym(L, R)
         val, grad = loss_and_grad(instance, point)
         trace.append(t, val, grad.norm(), dist_to_truth(instance, point),
@@ -324,9 +345,7 @@ def svp(instance, config):
                                  config.rip_seed).delta_hat
             eta = 1.0 / (1.0 + delta)
     if completion:
-        mask = instance.design["mask"]
-        obs = np.zeros((n1, n2))
-        obs[mask] = instance.y
+        idx = observed_entries(instance)
         scale = max(p["p"], np.finfo(float).tiny)
     fac = (np.zeros((n1, r)), np.zeros(r), np.zeros((r, n2)))
     Mstar = instance.truth["M"]
@@ -336,9 +355,10 @@ def svp(instance, config):
     for t in range(config.max_iters + 1):
         M = (fac[0] * fac[1]) @ fac[2]
         if completion:
-            resid = np.where(mask, M - obs, 0.0)
-            val = 0.5 * float(np.sum(resid * resid)) / scale
-            grad = resid / scale
+            e = M[idx] - instance.y
+            val = 0.5 * float(e @ e) / scale
+            grad = np.zeros((n1, n2))
+            grad[idx] = e / scale
         else:
             e = sensing_measurements(instance, M) - instance.y
             val = 0.5 * float(e @ e) / p["m"]
@@ -364,9 +384,13 @@ def svp(instance, config):
 # ---------------------------------------------------------------------------
 
 def _phase_project(v):
+    # Real and imaginary parts are divided by the modulus separately: complex
+    # division by a subnormal modulus overflows its reciprocal (5e-324j would
+    # map to nan+infj).
     mag = np.abs(v)
-    out = np.where(mag > 0.0, v / np.where(mag > 0.0, mag, 1.0), 1.0 + 0.0j)
-    return out.astype(complex)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    unit = np.real(v) / safe + 1j * (np.imag(v) / safe)
+    return np.where(mag > 0.0, unit, 1.0 + 0.0j).astype(complex)
 
 
 def _vertex_project(v, n, m):

@@ -25,7 +25,7 @@ from .core import (
     max_row_norm,
     procrustes,
 )
-from .problems import loss_and_grad
+from .problems import group_by, loss_and_grad, observed_csr, observed_entries
 from .spectral import hard_threshold
 
 _LOSS_TAGS = ("plain", "regularized", "amplitude")
@@ -49,7 +49,8 @@ class SolverConfig:
     relative loss plateau |loss_prev - loss| <= plateau_tol * max(|loss_prev|,
     tiny).  Whichever fires first ends the run with outcome "converged";
     otherwise the run ends at max_iters, or earlier with outcome "diverged"
-    once the loss exceeds 1e6 times its initial value or stops being finite.
+    once the loss stops being finite or rises above its initial value by
+    more than 1e6 times that value's magnitude.
 
     twf_thresholds = (alpha_lb, alpha_ub, alpha_h) and median_factor select
     the truncation rule in run_truncated_gd; batch_k turns run_gd into
@@ -373,9 +374,10 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     Per iteration: evaluate loss and gradient at the current point (with the
     variant's weights and loss parameters), record the trace row, test
     divergence and the stop rules, then take the projected step.  Divergence
-    is declared on a non-finite loss/gradient/iterate or once the loss
-    exceeds 1e6 times its initial value; the offending row is the last one
-    recorded.
+    is declared on a non-finite loss/gradient/iterate or once the loss rises
+    by more than 1e6 |initial loss| above the initial loss, a rule that holds
+    for negative losses too; a run starting at a loss of exactly 0 is flagged
+    by non-finite numbers only.  The offending row is the last one recorded.
     """
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
     if weights_fn is None and cfg.batch_k is not None:
@@ -384,7 +386,7 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     point = init.copy()
     trace = Trace()
     trace.start_clock()
-    div_threshold = math.inf
+    val0 = 0.0  # the initial loss; 0 disables the blow-up test
     prev_loss = math.inf
     for t in range(cfg.max_iters + 1):
         w = weights_fn(point) if weights_fn is not None else None
@@ -398,11 +400,11 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
             extra = _witness_terms(instance, point, grad, gnorm) if witness else {}
         trace.append(t, val, gnorm, d, incoherence_proxy(instance, point), **extra)
         if t == 0 and np.isfinite(val):
-            div_threshold = 1e6 * val
+            val0 = val
         if not (np.isfinite(val) and np.isfinite(gnorm) and point.isfinite()):
             trace.outcome = "diverged"
             break
-        if t > 0 and val > div_threshold:
+        if t > 0 and val0 != 0.0 and val - val0 > 1e6 * abs(val0):
             trace.outcome = "diverged"
             break
         if cfg.grad_tol is not None and gnorm <= cfg.grad_tol:
@@ -512,16 +514,16 @@ def run_rpca(instance, init, S_init, config=None):
     budget = cfg.c_thresh * p["alpha_out"] * p["p"]
     l_row = math.ceil(budget * p["n2"])
     l_col = math.ceil(budget * p["n1"])
-    mask, y = instance.design["mask"], instance.y
+    rows, cols = observed_entries(instance)
     shape = (p["n1"], p["n2"])
     state = {"S": np.zeros(shape) if S_init is None else np.array(S_init, dtype=float),
              "fresh": False}
 
     def refresh(point):
         if state["fresh"]:
-            model = point.X @ point.X.T if point.kind == "sym" else point.L @ point.R.T
+            A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
             resid = np.zeros(shape)
-            resid[mask] = y - model[mask]
+            resid[rows, cols] = instance.y - np.einsum("ij,ij->i", A[rows], B[cols])
             state["S"] = hard_threshold(resid, l_row, l_col)
         state["fresh"] = True
         return {"S": state["S"]}
@@ -556,21 +558,21 @@ def grassmann_step(instance, L, eta, form="auto"):
         raise ValueError(f"unknown form {form!r}")
     if form == "rank1" and r != 1:
         raise ValueError("the rank-1 form needs a single column")
-    mask, y = instance.design["mask"], instance.y
-    n2 = mask.shape[1]
-    obs = np.zeros(mask.shape)
-    obs[mask] = y
+    n2 = instance.params["n2"]
+    rows, cols = observed_entries(instance)
+    # Column-sorted entries: column j sees rows[ptr[j]:ptr[j + 1]], ascending.
+    order, ptr = group_by(cols, n2)
+    by_col, vals = rows[order], instance.y[order]
     R = np.zeros((n2, r))
     for j in range(n2):
-        rows = mask[:, j]
-        Lj = L[rows]
+        Lj = L[by_col[ptr[j]:ptr[j + 1]]]
         G = Lj.T @ Lj
         w = np.linalg.eigvalsh(G)
         if w[0] <= 1e-12 * max(w[-1], np.finfo(float).tiny):
             raise ValueError(f"least-squares normal matrix is singular at column {j}")
-        R[j] = np.linalg.solve(G, Lj.T @ obs[rows, j])
-    resid = np.where(mask, obs - L @ R.T, 0.0)
-    grad = -2.0 * (resid @ R)
+        R[j] = np.linalg.solve(G, Lj.T @ vals[ptr[j]:ptr[j + 1]])
+    resid = instance.y - np.einsum("ij,ij->i", L[rows], R[cols])
+    grad = -2.0 * (observed_csr(instance, resid) @ R)
     grad -= L @ (L.T @ grad)
     if form == "rank1" or (form == "auto" and r == 1):
         s = float(np.linalg.norm(grad))

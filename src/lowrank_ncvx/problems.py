@@ -57,7 +57,9 @@ class ProblemInstance:
     ``truth`` the planted factors (arrays), ``design`` the measurement
     operator (arrays plus a "kind" tag where relevant), and ``y`` the
     observations.  All fields are plain data so an instance can round-trip
-    through JSON without loss.
+    through JSON without loss.  Derived data, such as the observed-entry index
+    of a completion mask, is memoized as a private attribute outside the
+    fields, so it never reaches the JSON form.
     """
 
     family: str
@@ -117,12 +119,18 @@ def _sym_truth(rng, n, r, spectrum=None):
 
 
 def _asym_truth(rng, n1, n2, r, spectrum=None):
-    """Planted truth M = L R^T with balanced factors L^T L = R^T R = diag(sigma)."""
-    G = rng.standard_normal((n1, r)) @ rng.standard_normal((n2, r)).T
-    U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    sigma = s[:r] if spectrum is None else spectrum
-    L = U[:, :r] * np.sqrt(sigma)
-    R = Vt[:r].T * np.sqrt(sigma)
+    """Planted truth M = L R^T with balanced factors L^T L = R^T R = diag(sigma).
+
+    The singular triples of the Gaussian product G = A B^T come from thin QRs
+    of the two factors and an r x r SVD of R_A R_B^T, so G itself is never
+    formed: the cost is O((n1 + n2) r^2), not a dense n1 x n2 SVD.
+    """
+    QA, RA = np.linalg.qr(rng.standard_normal((n1, r)))
+    QB, RB = np.linalg.qr(rng.standard_normal((n2, r)))
+    Uc, s, Vct = np.linalg.svd(RA @ RB.T)
+    sigma = s if spectrum is None else spectrum
+    L = (QA @ Uc) * np.sqrt(sigma)
+    R = (QB @ Vct.T) * np.sqrt(sigma)
     return L, R, L @ R.T, np.asarray(sigma, dtype=float)
 
 
@@ -223,9 +231,11 @@ def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
 def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     """Bernoulli-sampled matrix completion.
 
-    Each entry lands in the observed set independently with probability p;
-    the boolean mask is part of the design, and y lists M on the mask in
-    row-major order.  p = 0 is legal and produces an empty observation set.
+    Each entry lands in the observed set independently with probability p.
+    The boolean mask is the stored form of the design (and of its JSON);
+    every computation reads the observed-entry index that observed_entries
+    derives from it, and y lists M on that index in row-major order.  p = 0
+    is legal and produces an empty observation set.
     """
     if not (1 <= r <= min(n1, n2)):
         raise ValueError("need 1 <= r <= min(n1, n2)")
@@ -310,7 +320,9 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
 
     S has round(alpha_out * n1 * n2) entries of size +-magnitude, placed so
     that no row holds more than ceil(alpha_out * n2) outliers and no column
-    more than ceil(alpha_out * n1).  Square instances plant a PSD truth.
+    more than ceil(alpha_out * n1).  Square instances plant a PSD truth.  As
+    in gen_matrix_completion, the boolean mask is the stored form and the
+    observed-entry index is derived from it.
     """
     if not (1 <= r <= min(n1, n2)):
         raise ValueError("need 1 <= r <= min(n1, n2)")
@@ -493,6 +505,61 @@ def corrupt_outliers(instance, alpha_out, seed):
 
 
 # ---------------------------------------------------------------------------
+# Observed-entry index of the sampled-entry families
+# ---------------------------------------------------------------------------
+
+def _observed_index(instance):
+    # (rows, cols, indptr) of the mask, memoized per mask object: replacing
+    # design["mask"] by assignment invalidates the memo, editing the stored
+    # array in place does not.
+    mask = instance.design["mask"]
+    memo = instance.__dict__.get("_observed")
+    if memo is None or memo[0] is not mask:
+        rows, cols = np.nonzero(mask)
+        memo = (mask, rows, cols, _offsets(rows, mask.shape[0]))
+        instance._observed = memo
+    return memo[1:]
+
+
+def observed_entries(instance):
+    """(rows, cols) of the observed entries of a completion or robust PCA
+    instance, in row-major order, which is the order of ``y``."""
+    rows, cols, _ = _observed_index(instance)
+    return rows, cols
+
+
+def _offsets(keys, n):
+    # Group offsets of integer keys in [0, n), as the keys sort them
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def group_by(keys, n):
+    """Stable permutation that groups entries by integer key in [0, n), and
+    the offsets: after ``order``, key k owns positions ptr[k]:ptr[k + 1]."""
+    return np.argsort(keys, kind="stable"), _offsets(keys, n)
+
+
+def csr(data, indices, indptr, shape):
+    """A scipy CSR array from its three arrays, with no sort.
+
+    scipy.sparse is imported here rather than at module level: it more than
+    doubles the resident size of a bare NumPy process, a cost that only the
+    sampled-entry paths should pay.
+    """
+    from scipy.sparse import csr_array
+    return csr_array((data, indices, indptr), shape=shape)
+
+
+def observed_csr(instance, values):
+    """The n1 x n2 sparse matrix holding ``values`` (in the order of ``y``)
+    on the observed entries of a completion or robust PCA instance."""
+    _, cols, indptr = _observed_index(instance)
+    return csr(values, cols, indptr, (instance.params["n1"], instance.params["n2"]))
+
+
+# ---------------------------------------------------------------------------
 # Forward models
 # ---------------------------------------------------------------------------
 
@@ -551,11 +618,12 @@ def forward_model(instance):
     if fam == "QuadraticSensing":
         return np.sum((d["A"] @ t["X"]) ** 2, axis=1)
     if fam in ("MatrixCompletionSym", "MatrixCompletionAsym"):
-        return t["M"][d["mask"]]
+        return t["M"][observed_entries(instance)]
     if fam == "BlindDeconv":
         return (d["B"] @ t["h"]) * (d["A"] @ np.conj(t["x"]))
     if fam == "RobustPCA":
-        return (t["M"] + t["S"])[d["mask"]]
+        idx = observed_entries(instance)
+        return t["M"][idx] + t["S"][idx]
     if fam == "PhaseSync":
         return np.outer(t["x"], np.conj(t["x"])) + p["sigma"] * d["W"]
     if fam == "JointAlignment":
@@ -582,11 +650,15 @@ def _expect_kind(point, kind, fam):
         raise ValueError(f"{fam} expects a {kind!r} point, got {point.kind!r}")
 
 
-def _masked_residual(mask, y, model):
-    # P_Omega(model - truth) as a dense matrix, zero off the mask.
-    resid = np.zeros(mask.shape, dtype=model.dtype)
-    resid[mask] = model[mask] - y
-    return resid
+def _entry_residual(instance, A, B, offset=None):
+    # (A B^T + offset)[rows, cols] - y over the observed entries, in the
+    # order of y: one r-term row dot per entry, never the n1 x n2 model.
+    rows, cols = observed_entries(instance)
+    # np.take gathers rows several times faster than A[rows]
+    model = np.einsum("ij,ij->i", np.take(A, rows, axis=0), np.take(B, cols, axis=0))
+    if offset is not None:
+        model += offset
+    return model - instance.y
 
 
 def _quartic_hinge(z, alpha):
@@ -717,11 +789,11 @@ def _completion_scale(params):
 def _loss_completion_sym(instance, point, loss, lp, weights):
     _expect_kind(point, "sym", instance.family)
     X = point.X
-    mask, y = instance.design["mask"], instance.y
     p = _completion_scale(instance.params)
-    resid = _masked_residual(mask, y, X @ X.T)
-    val = float(np.sum(resid * resid)) / (4.0 * p)
-    g = (resid + resid.T) @ X / (2.0 * p)
+    e = _entry_residual(instance, X, X)
+    val = float(e @ e) / (4.0 * p)
+    E = observed_csr(instance, e)
+    g = (E @ X + E.T @ X) / (2.0 * p)
     if loss == "regularized":
         # Row-norm hinge sum_i max(||X_i|| - alpha, 0)^4, discouraging spiky rows.
         lam = float(lp.get("lam", 1.0))
@@ -753,12 +825,12 @@ def _completion_reg_scales(instance, lp):
 def _loss_completion_asym(instance, point, loss, lp, weights):
     _expect_kind(point, "asym", instance.family)
     L, R = point.L, point.R
-    mask, y = instance.design["mask"], instance.y
     p = _completion_scale(instance.params)
-    resid = _masked_residual(mask, y, L @ R.T)
-    val = float(np.sum(resid * resid)) / (4.0 * p)
-    gL = resid @ R / (2.0 * p)
-    gR = resid.T @ L / (2.0 * p)
+    e = _entry_residual(instance, L, R)
+    val = float(e @ e) / (4.0 * p)
+    E = observed_csr(instance, e)
+    gL = E @ R / (2.0 * p)
+    gR = E.T @ L / (2.0 * p)
     if loss == "regularized":
         lam = float(lp.get("lam", 1.0))
         a1, a2, a3, a4 = _completion_reg_scales(instance, lp)
@@ -815,21 +887,22 @@ def _loss_blind_deconv(instance, point, loss, lp, weights):
 def _loss_rpca(instance, point, loss, lp, weights):
     if loss != "plain":
         raise ValueError("robust PCA defines only the plain loss")
-    mask, y = instance.design["mask"], instance.y
     p = _completion_scale(instance.params)
     S = lp.get("S")
-    S = np.zeros(mask.shape) if S is None else np.asarray(S, dtype=float)
+    if S is not None:
+        S = np.asarray(S, dtype=float)[observed_entries(instance)]
     if point.kind == "sym":
         X = point.X
-        resid = _masked_residual(mask, y, X @ X.T + S)
-        val = float(np.sum(resid * resid)) / (4.0 * p)
-        g = (resid + resid.T) @ X / (2.0 * p)
-        return val, FactorPoint("sym", (g,))
+        e = _entry_residual(instance, X, X, S)
+        E = observed_csr(instance, e)
+        g = (E @ X + E.T @ X) / (2.0 * p)
+        return float(e @ e) / (4.0 * p), FactorPoint("sym", (g,))
     _expect_kind(point, "asym", instance.family)
     L, R = point.L, point.R
-    resid = _masked_residual(mask, y, L @ R.T + S)
-    val = float(np.sum(resid * resid)) / (4.0 * p)
-    return val, FactorPoint("asym", (resid @ R / (2.0 * p), resid.T @ L / (2.0 * p)))
+    e = _entry_residual(instance, L, R, S)
+    E = observed_csr(instance, e)
+    val = float(e @ e) / (4.0 * p)
+    return val, FactorPoint("asym", (E @ R / (2.0 * p), E.T @ L / (2.0 * p)))
 
 
 def _loss_phase_sync(instance, point, loss, lp, weights):

@@ -13,16 +13,26 @@ PSD families symmetrize their surrogate, (Y + Y^T)/2, because the Bernoulli
 mask is sampled entrywise and need not be symmetric; the symmetrization is
 unbiased and exact when the observation set is complete.
 
-Decompositions here are dense.  Weighted surrogates can be indefinite with
+The eigensolver follows the surrogate's storage.  Completion and robust PCA
+surrogates are sparse (p^{-1} P_Omega(.) has only the observed entries), and a
+sparse surrogate goes to ARPACK for its top r + 1 pairs, the extra pair
+keeping the spectral gap; when r + 1 reaches the smaller dimension it is
+densified instead, since ARPACK cannot return that many.  ARPACK starts from a
+fixed vector, so a rerun reproduces the init bit for bit.  Every other
+surrogate is dense and goes to LAPACK: sensing and blind deconvolution
+surrogates are dense by construction, and the phase retrieval and quadratic
+sensing ones stay dense because weighted surrogates can be indefinite with
 norm dominated by a few hugely negative samples (the reciprocal in T* on a
-near-zero y), where shifted power iterations stall; at initialization sizes
-a full eigendecomposition is exact and cheap.
+near-zero y), where shifted power iterations stall; at their sizes a full
+eigendecomposition is exact and cheap.  scipy.sparse.linalg is imported only
+on the sparse path.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +42,52 @@ from .core import (
     SubspaceEstimate,
     cosine_sq,
     derive_seed,
+    make_rng,
 )
 from . import problems
 
 
+def _sparse(Y, k):
+    # True when Y is a scipy sparse array that ARPACK can take k pairs of.
+    # scipy.sparse is loaded before any sparse array exists, so it is looked
+    # up rather than imported, which keeps it out of dense-only processes.
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(Y) and k < min(Y.shape)
+
+
+def _densify(Y):
+    return Y.toarray() if hasattr(Y, "toarray") else Y
+
+
+def _start_vector(n):
+    # Fixed ARPACK start vector; a random one would change the result in
+    # round-off from run to run.
+    return make_rng(derive_seed(0, "arpack_v0")).standard_normal(n)
+
+
 def _eig_top(Y, r):
     """Leading r eigenpairs of a symmetric/Hermitian matrix, descending."""
-    vals, vecs = np.linalg.eigh(Y)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    if _sparse(Y, r + 1):
+        from scipy.sparse.linalg import eigsh
+        vals, vecs = eigsh(Y, k=r + 1, which="LA", v0=_start_vector(Y.shape[0]))
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+    else:
+        vals, vecs = np.linalg.eigh(_densify(Y))
+        vals, vecs = vals[::-1], vecs[:, ::-1]
     gap = float(vals[r - 1] - vals[r]) if r < vals.shape[0] else float(vals[r - 1])
     return SubspaceEstimate(basis=vecs[:, :r], values=vals[:r].copy(), gap=gap)
 
 
 def _svd_top(Y, r):
     """Leading r singular triples as a (left, right) pair of estimates."""
-    u, s, vt = np.linalg.svd(Y, full_matrices=False)
+    if _sparse(Y, r + 1):
+        from scipy.sparse.linalg import svds
+        u, s, vt = svds(Y, k=r + 1, v0=_start_vector(min(Y.shape)))
+        order = np.argsort(s)[::-1]
+        u, s, vt = u[:, order], s[order], vt[order]
+    else:
+        u, s, vt = np.linalg.svd(_densify(Y), full_matrices=False)
     gap = float(s[r - 1] - s[r]) if r < s.shape[0] else float(s[r - 1])
     left = SubspaceEstimate(basis=u[:, :r], values=s[:r].copy(), gap=gap)
     right = SubspaceEstimate(basis=vt[:r].conj().T, values=s[:r].copy(), gap=gap)
@@ -198,14 +239,16 @@ def surrogate_sensing(instance):
 
 
 def surrogate_completion(instance):
-    """Y = p^{-1} P_Omega(observed matrix); unbiased for the full matrix."""
+    """Y = p^{-1} P_Omega(observed matrix); unbiased for the full matrix.
+
+    Y is a sparse CSR array on the observed-entry index that
+    problems.observed_entries derives from the stored boolean mask, so
+    factors_from_surrogate sends it to ARPACK.
+    """
     if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym", "RobustPCA"):
         raise ValueError("completion surrogate applies to sampled-entry instances")
-    mask = instance.design["mask"]
     p = max(instance.params["p"], np.finfo(float).tiny)
-    Y = np.zeros(mask.shape)
-    Y[mask] = instance.y
-    return Y / p
+    return problems.observed_csr(instance, instance.y / p)
 
 
 def surrogate_quadratic(y, A, weights=None):
@@ -222,7 +265,9 @@ def surrogate_blind_deconv(instance):
     has expectation exactly h x^H, which is why no 1/m appears.
     """
     B, A = instance.design["B"], instance.design["A"]
-    return B.conj().T @ (instance.y[:, None] * A.conj())
+    # conj(B^T (conj(y) * A)) equals B^H (y * conj(A)) bit for bit, with one
+    # m x N temporary in place of three
+    return np.conj(B.T @ (np.conj(instance.y)[:, None] * A))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +275,8 @@ def surrogate_blind_deconv(instance):
 # ---------------------------------------------------------------------------
 
 def factors_from_surrogate(Y, r, symmetric):
-    """Leading-pair factors of an explicit surrogate.
+    """Leading-pair factors of an explicit surrogate, dense or scipy sparse
+    (the solver follows the storage, see the module docstring).
 
     Symmetric route: top-r eigenpairs, eigenvalues clipped at zero before the
     square root (noisy surrogates can dip negative).  Asymmetric route: top-r
@@ -390,14 +436,16 @@ def init_rpca(instance, r, c_thresh=3.0):
     p = instance.params
     if not (1 <= r <= min(p["n1"], p["n2"])):
         raise ValueError("r out of range for this instance")
-    mask = instance.design["mask"]
-    obs = np.zeros(mask.shape)
-    obs[mask] = instance.y
+    idx = problems.observed_entries(instance)
+    obs = np.zeros((p["n1"], p["n2"]))
+    obs[idx] = instance.y
     alpha, prob = p["alpha_out"], p["p"]
     l_row = math.ceil(c_thresh * alpha * prob * p["n2"])
     l_col = math.ceil(c_thresh * alpha * prob * p["n1"])
     S0 = hard_threshold(obs, l_row, l_col)
-    Y = (obs - S0) / max(prob, np.finfo(float).tiny)
+    # S0 is zero off the observed set, so the surrogate stays sparse
+    Y = problems.observed_csr(
+        instance, (instance.y - S0[idx]) / max(prob, np.finfo(float).tiny))
     symmetric = "X" in instance.truth
     if symmetric:
         if r >= p["n1"]:

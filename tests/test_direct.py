@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lowrank_ncvx.core import FactorPoint, derive_seed, dist_vector, make_rng
 from lowrank_ncvx.direct import (
@@ -384,6 +384,7 @@ def test_ppm_projection_zeros_and_ties():
 
 
 @given(st.lists(st.floats(-5, 5), min_size=24, max_size=24))
+@example([0.0] * 12 + [5e-324] + [0.0] * 11)
 @settings(max_examples=60, deadline=None)
 def test_ppm_sync_projection_feasible_idempotent(vals):
     inst = gen_phase_sync(12, 0.3, seed=4)

@@ -777,3 +777,18 @@ def test_minibatch_config_drives_the_engine():
     with pytest.raises(ValueError, match="per-sample"):
         run_gd(mc, FactorPoint.sym(np.ones((8, 2))),
                SolverConfig(eta=0.01, max_iters=3, batch_k=4))
+
+
+def test_negative_initial_loss_is_not_mistaken_for_divergence():
+    # The phase synchronization loss -Re x^H L x starts negative and falls;
+    # a rule comparing the loss with 1e6 times its initial value flagged
+    # this run as diverged at t = 1.
+    from lowrank_ncvx.spectral import init_phase_sync
+
+    inst = gen_phase_sync(40, 0.3, 1)
+    x0 = init_phase_sync(inst)
+    _, tr = run_gd(inst, x0, SolverConfig(eta=0.01, max_iters=20))
+    assert tr.loss[0] < 0.0
+    assert tr.outcome == "max_iters"
+    assert len(tr.loss) == 21
+    assert tr.loss[-1] < tr.loss[0]
