@@ -1,6 +1,7 @@
 """Shared numerical plumbing: seeded randomness, factor containers, subspace
-extraction by blocked iteration, and the distance metrics that quotient out the
-global ambiguities (sign, rotation, complex scaling) of factored estimates.
+extraction by blocked iteration, the distance metrics that quotient out the
+global ambiguities (sign, rotation, complex scaling) of factored estimates,
+and the iteration driver with its trace that every solver loop runs on.
 
 Everything here is pure and reentrant; workers own their Rng instances.
 """
@@ -84,30 +85,30 @@ class FactorPoint:
         return cls("pair", (np.asarray(h, dtype=complex), np.asarray(x, dtype=complex)))
 
     # Named accessors. Each is only valid for the kinds that carry it.
+    def _part(self, name, kinds, index):
+        if self.kind not in kinds:
+            raise ValueError(f"a {self.kind!r} point has no part {name}")
+        return self.parts[index]
+
     @property
     def X(self):
-        assert self.kind == "sym"
-        return self.parts[0]
+        return self._part("X", ("sym",), 0)
 
     @property
     def L(self):
-        assert self.kind == "asym"
-        return self.parts[0]
+        return self._part("L", ("asym",), 0)
 
     @property
     def R(self):
-        assert self.kind == "asym"
-        return self.parts[1]
+        return self._part("R", ("asym",), 1)
 
     @property
     def x(self):
-        assert self.kind in ("vector", "pair")
-        return self.parts[-1]
+        return self._part("x", ("vector", "pair"), -1)
 
     @property
     def h(self):
-        assert self.kind == "pair"
-        return self.parts[0]
+        return self._part("h", ("pair",), 0)
 
     def copy(self):
         return FactorPoint(self.kind, tuple(p.copy() for p in self.parts))
@@ -498,3 +499,48 @@ class Trace:
         with open(path, "w", newline="") as fh:
             fh.write(text)
         return path
+
+
+def iterate(start, evaluate, step, last, first=0, stop=None):
+    """Run a solver loop; return (the last recorded point, its trace).
+
+    Row t holds `start` after t steps; rows first..last are recorded and
+    earlier ones stepped through.  evaluate(t, point) returns (row, aux): the
+    keyword fields of Trace.append, and whatever step(t, point, aux) needs.
+    After each row the run ends "diverged" when the loss, the gradient norm
+    or the point is not finite, or when the loss exceeds the first row's
+    loss0 by more than 1e6 |loss0| (a loss0 of exactly 0 leaves only the
+    finiteness test); it ends "converged" when stop(trace, point) holds, and
+    "max_iters" at row `last`.  Evaluations run with NumPy's overflow and
+    invalid-value warnings off, since overflow on the way to a diverged label
+    is expected.
+    """
+    trace = Trace()
+    trace.start_clock()
+    point, aux = start, None
+    for t in range(last + 1):
+        if t > 0:
+            point = step(t - 1, point, aux)
+        if t < first:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            row, aux = evaluate(t, point)
+        trace.append(t, **row)
+        loss, loss0 = trace.loss[-1], trace.loss[0]
+        if not (math.isfinite(loss) and math.isfinite(trace.grad_norm[-1])
+                and point.isfinite()) or \
+                (loss0 != 0.0 and loss - loss0 > 1e6 * abs(loss0)):
+            trace.outcome = "diverged"
+            break
+        if stop is not None and stop(trace, point):
+            trace.outcome = "converged"
+            break
+    return point, trace
+
+
+def falls_to(column, tol):
+    """Stop predicate for iterate: the newest value of the trace column
+    (e.g. "loss") is at most tol.  None, meaning no rule, when tol is None."""
+    if tol is None:
+        return None
+    return lambda trace, point: getattr(trace, column)[-1] <= tol

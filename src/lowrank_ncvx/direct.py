@@ -3,9 +3,8 @@ alternating least squares for sensing and completion, Error Reduction for
 amplitude phase retrieval, singular value projection in full matrix space,
 and the projected power method on unit-modulus and one-hot constraint sets.
 
-Every solver shares the gradient solvers' Trace, so the harness treats the
-two families of methods uniformly.  The loss column always carries the
-family's plain empirical risk, whatever objective the half-steps optimize.
+The loss column always carries the family's plain empirical risk, whatever
+objective the half-steps optimize.
 """
 
 import math
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPoint, Trace
+from .core import FactorPoint, falls_to, iterate
 from .gd import dist_to_truth, incoherence_proxy
 from .problems import (
     csr,
@@ -37,7 +36,7 @@ class AltMinConfig:
     tolerance of the regularized variant's inner descent).  splits is the
     part count T of the sample_split variant; lam the ridge weight of the
     regularized variant.  tol, when set, stops a run once the recorded
-    loss falls to it.
+    loss falls to it; core.iterate owns the stop and divergence tests.
     """
 
     max_outer: int = 30
@@ -68,7 +67,8 @@ class SvpConfig:
 
     eta defaults per family: 1 for completion, 1/(1 + delta_hat_{2r}) for
     sensing with the isometry constant probed empirically (rip_trials
-    probes from rip_seed).
+    probes from rip_seed).  tol, when set, stops a run once the recorded
+    loss falls to it; core.iterate owns the stop and divergence tests.
     """
 
     r: int
@@ -93,6 +93,32 @@ class SvpConfig:
 
 def _resolve(config, cls):
     return cls() if config is None else config
+
+
+def _risk_row(instance, point, loss="plain", **extras):
+    val, grad = loss_and_grad(instance, point, loss=loss)
+    return {"loss": val, "grad_norm": grad.norm(),
+            "dist": dist_to_truth(instance, point),
+            "incoh": incoherence_proxy(instance, point), **extras}
+
+
+def _alternate(instance, L, R, cfg, right, left):
+    """AltMin rounds as rows 1..cfg.max_outer of core.iterate.  The round
+    after row t sets R = right(t, L, R), then L = left(t, R, L); the last
+    argument is the warm start.  Returns (L, R, trace), R None if no round ran.
+    """
+    half = None
+
+    def step(t, point, aux):
+        nonlocal half
+        R = right(t, point.L, point.R)
+        half, _ = loss_and_grad(instance, FactorPoint.asym(point.L, R))
+        return FactorPoint.asym(left(t, R, point.L), R)
+
+    point, trace = iterate(FactorPoint.asym(L, R),
+                           lambda t, point: (_risk_row(instance, point, half_loss=half), None),
+                           step, cfg.max_outer, first=1, stop=falls_to("loss", cfg.tol))
+    return point.L, (point.R if len(trace) else None), trace
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +164,18 @@ def altmin_sensing(instance, L0, config=None):
     if L.ndim != 2 or L.shape[0] != n1:
         raise ValueError(f"initial left factor must be {n1} x r")
     r = L.shape[1]
-    trace = Trace()
-    trace.start_clock()
-    trace.outcome = "max_iters"
-    for t in range(1, cfg.max_outer + 1):
+
+    def right(t, L, R):
         rows_R = np.tensordot(A, L, axes=([1], [0])).reshape(m, n2 * r)
-        R = _solve_full_rank(rows_R, y, cfg.inner_tol,
-                             "right half-step").reshape(n2, r)
-        half, _ = loss_and_grad(instance, FactorPoint.asym(L, R))
+        return _solve_full_rank(rows_R, y, cfg.inner_tol,
+                                "right half-step").reshape(n2, r)
+
+    def left(t, R, L):
         rows_L = np.tensordot(A, R, axes=([2], [0])).reshape(m, n1 * r)
-        L = _solve_full_rank(rows_L, y, cfg.inner_tol,
-                             "left half-step").reshape(n1, r)
-        point = FactorPoint.asym(L, R)
-        val, grad = loss_and_grad(instance, point)
-        trace.append(t, val, grad.norm(), dist_to_truth(instance, point),
-                     incoherence_proxy(instance, point), half_loss=half)
-        if cfg.tol is not None and val <= cfg.tol:
-            trace.outcome = "converged"
-            break
-    return L, R, trace
+        return _solve_full_rank(rows_L, y, cfg.inner_tol,
+                                "left half-step").reshape(n1, r)
+
+    return _alternate(instance, L, np.zeros((n2, r)), cfg, right, left)
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +193,16 @@ def er_phase_retrieval(instance, x0, config=None):
         raise ValueError("Error Reduction has no sampling variants")
     A, y = instance.design["A"], instance.y
     root = np.sqrt(y)
-    x = np.array(x0, dtype=float).ravel()
 
-    def record(t, vec):
-        point = FactorPoint.vector(vec)
-        val, grad = loss_and_grad(instance, point, loss="amplitude")
-        trace.append(t, val, grad.norm(), dist_to_truth(instance, point),
-                     incoherence_proxy(instance, point))
-        return val
+    def step(t, point, aux):
+        b = np.where(A @ point.x < 0.0, -1.0, 1.0)
+        return FactorPoint.vector(_solve_full_rank(A, b * root, cfg.inner_tol,
+                                                   "amplitude fit"))
 
-    trace = Trace()
-    trace.start_clock()
-    trace.outcome = "max_iters"
-    record(0, x)
-    for t in range(1, cfg.max_outer + 1):
-        b = np.where(A @ x < 0.0, -1.0, 1.0)
-        x = _solve_full_rank(A, b * root, cfg.inner_tol, "amplitude fit")
-        val = record(t, x)
-        if cfg.tol is not None and val <= cfg.tol:
-            trace.outcome = "converged"
-            break
-    return x, trace
+    point, trace = iterate(FactorPoint.vector(np.array(x0, dtype=float).ravel()),
+                           lambda t, point: (_risk_row(instance, point, "amplitude"), None),
+                           step, cfg.max_outer, stop=falls_to("loss", cfg.tol))
+    return point.x, trace
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +258,7 @@ def _decoupled_ls(basis, groups, axis_name, r, rcond):
 def _ridge_descent(basis, groups, start, lam, tol):
     # Inner gradient descent for the regularized half-step: quadratic
     # objective, fixed 1/Lipschitz step, run to the gradient tolerance.
-    sol = np.zeros((groups.ptr.shape[0] - 1, basis.shape[1])) if start is None \
-        else start.copy()
+    sol = start.copy()
     step = 1.0 / (float(np.linalg.norm(basis, 2)) ** 2 + lam
                   + np.finfo(float).tiny)
     for _ in range(_INNER_CAP):
@@ -286,31 +293,19 @@ def altmin_mc(instance, L0, config=None):
     rows, cols = observed_entries(instance)
     parts = _split_parts(rows, cols, instance.y,
                          cfg.splits if cfg.variant == "sample_split" else 1)
-    # Column groups feed the R half-step, row groups the L half-step.
     parts = [(_Groups.of(c, i, v, n2), _Groups.of(i, c, v, n1)) for i, c, v in parts]
-    trace = Trace()
-    trace.start_clock()
-    trace.outcome = "max_iters"
-    R = None
-    for t in range(1, cfg.max_outer + 1):
-        by_col, by_row = parts[(t - 1) % len(parts)]
+
+    def solve(basis, groups, warm, axis_name):
         if cfg.variant == "regularized":
-            R = _ridge_descent(L, by_col, R, cfg.lam, cfg.inner_tol)
-        else:
-            R = _decoupled_ls(L, by_col, "column", r, cfg.inner_tol)
-        half, _ = loss_and_grad(instance, FactorPoint.asym(L, R))
-        if cfg.variant == "regularized":
-            L = _ridge_descent(R, by_row, L, cfg.lam, cfg.inner_tol)
-        else:
-            L = _decoupled_ls(R, by_row, "row", r, cfg.inner_tol)
-        point = FactorPoint.asym(L, R)
-        val, grad = loss_and_grad(instance, point)
-        trace.append(t, val, grad.norm(), dist_to_truth(instance, point),
-                     incoherence_proxy(instance, point), half_loss=half)
-        if cfg.tol is not None and val <= cfg.tol:
-            trace.outcome = "converged"
-            break
-    return L, R, trace
+            return _ridge_descent(basis, groups, warm, cfg.lam, cfg.inner_tol)
+        return _decoupled_ls(basis, groups, axis_name, r, cfg.inner_tol)
+
+    # Round t + 1 uses part t mod T: column groups feed the R half-step, row
+    # groups the L half-step.
+    return _alternate(
+        instance, L, np.zeros((n2, r)), cfg,
+        lambda t, L, R: solve(L, parts[t % len(parts)][0], R, "column"),
+        lambda t, R, L: solve(R, parts[t % len(parts)][1], L, "row"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +316,9 @@ def svp(instance, config):
     """Projected gradient descent in full matrix space from M = 0.
 
     Each step moves along the family gradient and truncates back to rank r
-    through a dense SVD; the iterate lives as that truncated factorization,
-    so its rank stays at most r by construction (recorded per row in
-    extras["rank"]).  Returns (M, trace) with M materialized dense.
+    through a dense SVD; the iterate lives as that truncated factorization
+    (U_r s_r, V_r), so its rank stays at most r by construction (recorded per
+    row in extras["rank"]).  Returns (M, trace) with M materialized dense.
     """
     sensing = instance.family in ("MatrixSensingSym", "MatrixSensingAsym")
     completion = instance.family in ("MatrixCompletionSym",
@@ -347,13 +342,10 @@ def svp(instance, config):
     if completion:
         idx = observed_entries(instance)
         scale = max(p["p"], np.finfo(float).tiny)
-    fac = (np.zeros((n1, r)), np.zeros(r), np.zeros((r, n2)))
     Mstar = instance.truth["M"]
-    trace = Trace()
-    trace.start_clock()
-    trace.outcome = "max_iters"
-    for t in range(config.max_iters + 1):
-        M = (fac[0] * fac[1]) @ fac[2]
+
+    def evaluate(t, point):
+        M = point.L @ point.R.T
         if completion:
             e = M[idx] - instance.y
             val = 0.5 * float(e @ e) / scale
@@ -363,20 +355,20 @@ def svp(instance, config):
             e = sensing_measurements(instance, M) - instance.y
             val = 0.5 * float(e @ e) / p["m"]
             grad = sensing_adjoint(instance, e) / p["m"]
-        gnorm = float(np.linalg.norm(grad))
-        trace.append(t, val, gnorm, float(np.linalg.norm(M - Mstar)), 0.0,
-                     rank=int(np.count_nonzero(fac[1])))
-        if not (np.isfinite(val) and np.isfinite(gnorm)):
-            trace.outcome = "diverged"
-            break
-        if config.tol is not None and val <= config.tol:
-            trace.outcome = "converged"
-            break
-        if t == config.max_iters:
-            break
+        # U has unit columns, so column k of U_r s_r is zero exactly when s_k is.
+        return {"loss": val, "grad_norm": float(np.linalg.norm(grad)),
+                "dist": float(np.linalg.norm(M - Mstar)), "incoh": 0.0,
+                "rank": int(np.count_nonzero(np.any(point.L, axis=0)))}, (M, grad)
+
+    def step(t, point, aux):
+        M, grad = aux
         U, s, Vt = np.linalg.svd(M - eta * grad, full_matrices=False)
-        fac = (U[:, :r], s[:r], Vt[:r])
-    return M, trace
+        return FactorPoint.asym(U[:, :r] * s[:r], Vt[:r].T)
+
+    point, trace = iterate(FactorPoint.asym(np.zeros((n1, r)), np.zeros((n2, r))),
+                           evaluate, step, config.max_iters,
+                           stop=falls_to("loss", config.tol))
+    return point.L @ point.R.T, trace
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +378,16 @@ def svp(instance, config):
 def _phase_project(v):
     # Real and imaginary parts are divided by the modulus separately: complex
     # division by a subnormal modulus overflows its reciprocal (5e-324j would
-    # map to nan+infj).
+    # map to nan+infj).  A subnormal modulus has also lost most of its digits,
+    # so those entries are first divided by their larger part; others by 1.
+    re, im = np.real(v), np.imag(v)
     mag = np.abs(v)
+    sub = (mag > 0.0) & (mag < np.finfo(float).tiny)
+    scale = np.where(sub, np.maximum(np.abs(re), np.abs(im)), 1.0)
+    re, im = re / scale, im / scale
+    mag = np.where(sub, np.hypot(re, im), mag)
     safe = np.where(mag > 0.0, mag, 1.0)
-    unit = np.real(v) / safe + 1j * (np.imag(v) / safe)
+    unit = re / safe + 1j * (im / safe)
     return np.where(mag > 0.0, unit, 1.0 + 0.0j).astype(complex)
 
 
@@ -425,24 +423,17 @@ def ppm(instance, x0, eta=1.0, max_iters=100):
         n, m = instance.params["n"], instance.params["alphabet_m"]
         project = lambda v: _vertex_project(v, n, m)  # noqa: E731
 
-    x = project(np.asarray(x0).ravel())
+    prev = None  # the point the last step started from
 
-    def record(t, vec):
-        point = FactorPoint("vector", (vec,))
-        val, grad = loss_and_grad(instance, point)
-        trace.append(t, val, grad.norm(), dist_to_truth(instance, point),
-                     incoherence_proxy(instance, point))
+    def step(t, point, aux):
+        nonlocal prev
+        prev = point.x
+        return FactorPoint("vector", (project(eta * (L @ point.x)),))
 
-    trace = Trace()
-    trace.start_clock()
-    trace.outcome = "max_iters"
-    record(0, x)
-    for t in range(1, int(max_iters) + 1):
-        nxt = project(eta * (L @ x))
-        record(t, nxt)
-        if np.array_equal(nxt, x):
-            trace.outcome = "converged"
-            x = nxt
-            break
-        x = nxt
-    return x, trace
+    def stop(trace, point):
+        return prev is not None and np.array_equal(point.x, prev)
+
+    point, trace = iterate(FactorPoint("vector", (project(np.asarray(x0).ravel()),)),
+                           lambda t, point: (_risk_row(instance, point), None),
+                           step, int(max_iters), stop=stop)
+    return point.x, trace

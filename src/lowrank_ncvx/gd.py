@@ -1,11 +1,11 @@
 """Gradient-descent solvers over the factor parameterizations.
 
-One engine drives every variant: vanilla and regularized descent, projected
-steps, truncated and median-truncated gradients, the alternating
-sparse-plus-low-rank loop, geodesic steps for completion with an orthonormal
-basis, and mini-batch steps.  Variants differ only in the per-iteration
-weights or loss parameters they feed the shared loss dispatcher, so a variant
-configured to do nothing reproduces the plain run bit for bit.
+Vanilla and regularized descent, projected steps, truncated and
+median-truncated gradients, the alternating sparse-plus-low-rank loop,
+geodesic steps for completion with an orthonormal basis, and mini-batch
+steps.  The loop variants differ only in the per-iteration weights or loss
+parameters they feed the shared loss dispatcher, so a variant configured to
+do nothing reproduces the plain run bit for bit.
 """
 
 import math
@@ -15,12 +15,12 @@ import numpy as np
 
 from .core import (
     FactorPoint,
-    Trace,
     bd_incoherence,
     derive_seed,
     dist_bd,
     dist_factors,
     dist_vector,
+    iterate,
     make_rng,
     max_row_norm,
     procrustes,
@@ -48,9 +48,8 @@ class SolverConfig:
     optional: gradient norm <= grad_tol, distance to truth <= dist_tol, or a
     relative loss plateau |loss_prev - loss| <= plateau_tol * max(|loss_prev|,
     tiny).  Whichever fires first ends the run with outcome "converged";
-    otherwise the run ends at max_iters, or earlier with outcome "diverged"
-    once the loss stops being finite or rises above its initial value by
-    more than 1e6 times that value's magnitude.
+    otherwise the run ends at max_iters, or earlier "diverged" by the single
+    divergence rule of core.iterate.
 
     twf_thresholds = (alpha_lb, alpha_ub, alpha_h) and median_factor select
     the truncation rule in run_truncated_gd; batch_k turns run_gd into
@@ -369,62 +368,40 @@ def _resolve_config(config):
 
 
 def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
-    """Shared constant-step loop.
-
-    Per iteration: evaluate loss and gradient at the current point (with the
-    variant's weights and loss parameters), record the trace row, test
-    divergence and the stop rules, then take the projected step.  Divergence
-    is declared on a non-finite loss/gradient/iterate or once the loss rises
-    by more than 1e6 |initial loss| above the initial loss, a rule that holds
-    for negative losses too; a run starting at a loss of exactly 0 is flagged
-    by non-finite numbers only.  The offending row is the last one recorded.
-    """
+    """Shared constant-step loop on core.iterate: each row evaluates the loss
+    and gradient with the variant's weights and loss parameters, and the
+    step moves along the negative gradient, then projects."""
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
     if weights_fn is None and cfg.batch_k is not None:
         weights_fn = _batch_weights_fn(instance, cfg)
     witness = instance.family == "PhaseRetrieval"
-    point = init.copy()
-    trace = Trace()
-    trace.start_clock()
-    val0 = 0.0  # the initial loss; 0 disables the blow-up test
-    prev_loss = math.inf
-    for t in range(cfg.max_iters + 1):
+
+    def evaluate(t, point):
         w = weights_fn(point) if weights_fn is not None else None
         lp = loss_params_fn(point) if loss_params_fn is not None else cfg.loss_params
-        # overflow on the way to a diverged label is expected, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            val, grad = loss_and_grad(instance, point, loss=cfg.loss,
-                                      loss_params=lp, weights=w)
-            gnorm = grad.norm()
-            d = dist_to_truth(instance, point)
-            extra = _witness_terms(instance, point, grad, gnorm) if witness else {}
-        trace.append(t, val, gnorm, d, incoherence_proxy(instance, point), **extra)
-        if t == 0 and np.isfinite(val):
-            val0 = val
-        if not (np.isfinite(val) and np.isfinite(gnorm) and point.isfinite()):
-            trace.outcome = "diverged"
-            break
-        if t > 0 and val0 != 0.0 and val - val0 > 1e6 * abs(val0):
-            trace.outcome = "diverged"
-            break
-        if cfg.grad_tol is not None and gnorm <= cfg.grad_tol:
-            trace.outcome = "converged"
-            break
-        if cfg.dist_tol is not None and d <= cfg.dist_tol:
-            trace.outcome = "converged"
-            break
-        if cfg.plateau_tol is not None and t > 0 and \
-                abs(prev_loss - val) <= cfg.plateau_tol * max(abs(prev_loss),
-                                                              np.finfo(float).tiny):
-            trace.outcome = "converged"
-            break
-        prev_loss = val
-        if t == cfg.max_iters:
-            break
+        val, grad = loss_and_grad(instance, point, loss=cfg.loss,
+                                  loss_params=lp, weights=w)
+        gnorm = grad.norm()
+        d = dist_to_truth(instance, point)
+        extra = _witness_terms(instance, point, grad, gnorm) if witness else {}
+        return {"loss": val, "grad_norm": gnorm, "dist": d,
+                "incoh": incoherence_proxy(instance, point), **extra}, grad
+
+    def step(t, point, grad):
         point = point.add_scaled(-eta, grad.parts)
-        if cfg.project is not None:
-            point = cfg.project(point)
-    return point, trace
+        return point if cfg.project is None else cfg.project(point)
+
+    def stop(trace, point):
+        if cfg.grad_tol is not None and trace.grad_norm[-1] <= cfg.grad_tol:
+            return True
+        if cfg.dist_tol is not None and trace.dist[-1] <= cfg.dist_tol:
+            return True
+        if cfg.plateau_tol is None or len(trace) < 2:
+            return False
+        prev, val = trace.loss[-2:]
+        return abs(prev - val) <= cfg.plateau_tol * max(abs(prev), np.finfo(float).tiny)
+
+    return iterate(init.copy(), evaluate, step, cfg.max_iters, stop=stop)
 
 
 def _batch_weights_fn(instance, cfg):

@@ -7,7 +7,8 @@ eigenvalues, certifies the strict-saddle trichotomy, and implements the
 escape mechanisms: iterate perturbation on top of plain descent, exact
 trust-region steps, and cubic-regularized steps.  Two descent studies round
 it out, one from wide random inits on phase retrieval and one on the
-over-parametrized square-factor lift.
+over-parametrized square-factor lift.  The perturbed walk and the lifted
+descent run on core.iterate, which owns their stop and divergence rules.
 
 Everything here is an analysis tool, not a production solver: Hessians are
 formed explicitly and eigendecomposed, so the subproblem solvers refuse
@@ -19,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import FactorPoint, Trace, derive_seed, make_rng
+from .core import FactorPoint, derive_seed, falls_to, iterate, make_rng
 from .gd import SolverConfig, run_gd
 from .problems import gen_phase_retrieval, loss_and_grad
 
@@ -57,8 +57,10 @@ class SaddleEscapeConfig:
     below and at least `cooldown` iterations have passed since the last
     injection; the iterate then moves by a uniform draw from the sphere of
     radius `radius` before the usual step.  A zero trigger disables
-    injection outright, reducing the walk to plain descent.  trm_radius
-    and cubic_lipschitz carry the subproblem parameters for runs that
+    injection outright, reducing the walk to plain descent.  grad_tol,
+    when set, stops the walk once the recorded gradient norm falls to it;
+    core.iterate owns the stop and divergence tests.  trm_radius and
+    cubic_lipschitz carry the subproblem parameters for runs that
     interleave trust-region or cubic steps.
     """
 
@@ -432,48 +434,39 @@ def perturbed_gd(oracle, x0, config):
     point the step is then taken from, with extras["perturbed"] marking
     injection rows.  The distance column is the gap to the nearest oracle
     minimum, zero when the oracle lists none.  A zero trigger reproduces
-    plain descent on the same objective; config.grad_tol, when set, ends
-    the walk once the recorded gradient norm falls to it.
+    plain descent on the same objective.
     """
     if not isinstance(config, SaddleEscapeConfig):
         raise ValueError("perturbed descent needs a SaddleEscapeConfig")
-    x = np.asarray(x0, dtype=float).ravel().copy()
     rng = make_rng(derive_seed(config.seed, "saddle_noise"))
-    trace = Trace()
-    trace.start_clock()
     last_fire = -config.cooldown  # a quiet start may fire at t = 0
-    div_threshold = math.inf
-    for t in range(config.max_iters + 1):
-        val = float(oracle.loss(x))
+
+    def grad(x):
         g = np.asarray(oracle.grad(x), dtype=float).ravel()
-        gnorm = math.sqrt(float(np.sum(g * g)))
-        fired = 0.0
-        if config.trigger > 0.0 and gnorm <= config.trigger \
-                and t - last_fire >= config.cooldown:
-            x = x + _sphere_noise(rng, x.shape[0], config.radius)
+        return g, math.sqrt(float(np.sum(g * g)))
+
+    def perturb(t, x):
+        # The point recorded at row t: x, or x plus sphere noise.
+        nonlocal last_fire
+        if config.trigger > 0.0 and t - last_fire >= config.cooldown \
+                and grad(x)[1] <= config.trigger:
             last_fire = t
-            fired = 1.0
-            val = float(oracle.loss(x))
-            g = np.asarray(oracle.grad(x), dtype=float).ravel()
-            gnorm = math.sqrt(float(np.sum(g * g)))
-        trace.append(t, val, gnorm, _min_dist(oracle.minima, x), 0.0,
-                     perturbed=fired)
-        if t == 0 and np.isfinite(val):
-            div_threshold = 1e6 * val
-        if not (np.isfinite(val) and np.isfinite(gnorm) and
-                np.all(np.isfinite(x))):
-            trace.outcome = "diverged"
-            break
-        if t > 0 and val > div_threshold:
-            trace.outcome = "diverged"
-            break
-        if config.grad_tol is not None and gnorm <= config.grad_tol:
-            trace.outcome = "converged"
-            break
-        if t == config.max_iters:
-            break
-        x = x - config.eta * g
-    return x, trace
+            return x + _sphere_noise(rng, x.shape[0], config.radius)
+        return x
+
+    def evaluate(t, point):
+        g, gnorm = grad(point.x)
+        return {"loss": float(oracle.loss(point.x)), "grad_norm": gnorm,
+                "dist": _min_dist(oracle.minima, point.x), "incoh": 0.0,
+                "perturbed": float(last_fire == t)}, g
+
+    def step(t, point, g):
+        return FactorPoint.vector(perturb(t + 1, point.x - config.eta * g))
+
+    x0 = np.asarray(x0, dtype=float).ravel().copy()
+    point, trace = iterate(FactorPoint.vector(perturb(0, x0)), evaluate, step,
+                           config.max_iters, stop=falls_to("grad_norm", config.grad_tol))
+    return point.x, trace
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +532,7 @@ def trust_region_step(oracle, x, radius):
         phi = _shifted_norm(w, gh, shift)
         return 1.0 / phi - 1.0 / radius
 
+    from scipy.optimize import brentq  # scipy.optimize loads scipy.sparse
     hi = shift0 + 2.0 * float(np.linalg.norm(g)) / radius
     root = brentq(excess, shift0, hi)
     root = max(root, shift0 * (1.0 + 1e-15))
@@ -585,6 +579,7 @@ def cubic_step(oracle, x, lipschitz):
         rho = _shifted_norm(w, gh, 0.5 * lipschitz * r)
         return r / rho - 1.0 if rho > 0.0 else math.inf
 
+    from scipy.optimize import brentq  # scipy.optimize loads scipy.sparse
     hi = r_lo + math.sqrt(2.0 * float(np.linalg.norm(g)) / lipschitz) + 1.0
     for _ in range(64):
         if mismatch(hi) > 0.0:
@@ -674,10 +669,9 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
     rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0,
                                "overparam"))
     X = small_init_scale * rng.standard_normal((n, n))
-    trace = Trace()
-    trace.start_clock()
-    div_threshold = math.inf
-    for t in range(cfg.max_iters + 1):
+
+    def evaluate(t, point):
+        X = point.X
         if fam == "PhaseRetrieval":
             C = A @ X
             e = np.sum(C * C, axis=1) - y
@@ -686,24 +680,14 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
             C = np.tensordot(A, X, axes=([2], [0]))
             e = np.einsum("mij,ij->m", C, X) - y
             G = 4.0 * np.tensordot(e, C, axes=([0], [0])) / m
-        val = float(e @ e) / m
-        gnorm = float(np.linalg.norm(G))
-        d = float(np.linalg.norm(X @ X.T - Mstar))
         sv = np.linalg.svd(X, compute_uv=False) ** 2  # spectrum of XX^T
         erank = int(np.count_nonzero(sv > 1e-3 * sv[0])) if sv[0] > 0 else 0
-        trace.append(t, val, gnorm, d, 0.0, effective_rank=erank)
-        if t == 0 and np.isfinite(val):
-            div_threshold = 1e6 * val
-        if not (np.isfinite(val) and np.isfinite(gnorm)):
-            trace.outcome = "diverged"
-            break
-        if t > 0 and val > div_threshold:
-            trace.outcome = "diverged"
-            break
-        if cfg.dist_tol is not None and d <= cfg.dist_tol:
-            trace.outcome = "converged"
-            break
-        if t == cfg.max_iters:
-            break
-        X = X - cfg.eta * G
-    return trace
+        return {"loss": float(e @ e) / m, "grad_norm": float(np.linalg.norm(G)),
+                "dist": float(np.linalg.norm(X @ X.T - Mstar)), "incoh": 0.0,
+                "effective_rank": erank}, G
+
+    def step(t, point, G):
+        return FactorPoint.sym(point.X - cfg.eta * G)
+
+    return iterate(FactorPoint.sym(X), evaluate, step, cfg.max_iters,
+                   stop=falls_to("dist", cfg.dist_tol))[1]

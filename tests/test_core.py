@@ -396,6 +396,19 @@ def test_factor_point_roundtrip_and_ops():
         core.FactorPoint("pair", (np.ones(2),))
 
 
+def test_factor_point_accessors_raise_for_other_kinds():
+    sym = core.FactorPoint.sym(np.ones((3, 1)))
+    for name in ("L", "R", "x", "h"):
+        with pytest.raises(ValueError, match=f"'sym' point has no part {name}"):
+            getattr(sym, name)
+    pair = core.FactorPoint.pair(np.ones(2), 2.0 * np.ones(2))
+    assert np.array_equal(pair.h, np.ones(2)) and np.array_equal(pair.x, 2.0 * np.ones(2))
+    with pytest.raises(ValueError, match="'pair' point has no part X"):
+        pair.X
+    with pytest.raises(ValueError, match="'vector' point has no part h"):
+        core.FactorPoint.vector(np.ones(2)).h
+
+
 def test_trace_csv_layout(tmp_path):
     tr = core.Trace()
     tr.start_clock()
@@ -410,3 +423,102 @@ def test_trace_csv_layout(tmp_path):
     tr.to_csv(path, wall_time=True)
     row1 = path.read_text().splitlines()[1].split(",")
     assert float(row1[-1]) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# iterate
+# ---------------------------------------------------------------------------
+
+def _walk(last, first=0, losses=None, gnorms=None, stop=None, step_to=None):
+    """core.iterate on a counter: the point moves from 0 up by one per step
+    (or to step_to(t)), row t reports losses[t] and gnorms[t], and every step
+    call is logged with the aux it received."""
+    steps = []
+
+    def evaluate(t, point):
+        row = {"loss": 1.0 if losses is None else losses[t],
+               "grad_norm": 1.0 if gnorms is None else gnorms[t],
+               "dist": float(point.x[0]), "incoh": 0.0, "tag": -t}
+        return row, ("aux", t)
+
+    def step(t, point, aux):
+        steps.append((t, aux))
+        nxt = point.x + 1.0 if step_to is None else step_to(t)
+        return core.FactorPoint.vector(nxt)
+
+    point, trace = core.iterate(core.FactorPoint.vector([0.0]), evaluate, step, last,
+                                first=first, stop=stop)
+    return point, trace, steps
+
+
+def test_iterate_records_rows_first_to_last_without_a_final_step():
+    point, trace, steps = _walk(4)
+    assert trace.iters == [0, 1, 2, 3, 4]
+    assert trace.dist == [0.0, 1.0, 2.0, 3.0, 4.0]  # row t is t steps from the start
+    assert trace.extras["tag"] == [0, -1, -2, -3, -4]
+    assert steps == [(t, ("aux", t)) for t in range(4)]  # none after row 4
+    assert trace.outcome == "max_iters" and point.x[0] == 4.0
+    assert len(trace.ms) == 5
+
+    # Rows before `first` are stepped through unrecorded, with no aux.
+    point, trace, steps = _walk(4, first=2)
+    assert trace.iters == [2, 3, 4] and trace.dist == [2.0, 3.0, 4.0]
+    assert steps == [(0, None), (1, None), (2, ("aux", 2)), (3, ("aux", 3))]
+    assert point.x[0] == 4.0
+
+    # An empty row range steps nowhere and returns the start.
+    point, trace, steps = _walk(0, first=1)
+    assert len(trace) == 0 and steps == [] and point.x[0] == 0.0
+    assert trace.outcome == "max_iters"
+
+
+def test_iterate_checks_the_stop_predicate_before_the_step():
+    seen = []
+
+    def stop(trace, point):
+        seen.append((trace.iters[-1], point.x[0]))
+        return trace.iters[-1] == 2
+
+    point, trace, steps = _walk(10, stop=stop)
+    assert trace.iters == [0, 1, 2]
+    assert trace.outcome == "converged"
+    assert seen == [(0, 0.0), (1, 1.0), (2, 2.0)]
+    assert [t for t, _ in steps] == [0, 1]
+    assert point.x[0] == 2.0  # the last recorded point
+
+
+def test_iterate_diverges_on_non_finite_values_recording_the_row():
+    nan, inf = float("nan"), float("inf")
+    for losses, gnorms, step_to, bad_row in [
+        ([1.0, 0.5, nan, 0.1], None, None, 2),
+        ([1.0, 0.5, -inf, 0.1], None, None, 2),
+        (None, [1.0, inf, 1.0, 1.0], None, 1),
+        (None, None, lambda t: [nan] if t == 1 else [1.0], 2),  # the point
+    ]:
+        stopped_at = []
+        point, trace, steps = _walk(
+            3, losses=losses, gnorms=gnorms, step_to=step_to,
+            stop=lambda tr, p: stopped_at.append(tr.iters[-1]) or False)
+        assert trace.outcome == "diverged"
+        assert trace.iters == list(range(bad_row + 1))  # the offending row is last
+        assert stopped_at == list(range(bad_row))  # divergence is tested first
+        assert len(steps) == bad_row
+    assert math.isnan(point.x[0])  # the offending point is returned
+
+
+def test_iterate_blow_up_is_relative_to_the_first_loss():
+    # loss - loss0 must exceed 1e6 |loss0|: a negative loss0 scales the same.
+    _, trace, _ = _walk(3, losses=[-1.0, -5.0, 1e6 - 1.0, 1e6])
+    assert trace.outcome == "diverged" and trace.iters == [0, 1, 2, 3]
+    _, trace, _ = _walk(3, losses=[2.0, 1e6, 2e6 + 2.0, 2e6 + 3.0])
+    assert trace.outcome == "diverged" and trace.iters == [0, 1, 2, 3]
+    _, trace, _ = _walk(3, losses=[-1.0, -10.0, -1e9, -1e12])
+    assert trace.outcome == "max_iters"
+    # A first loss of exactly 0 leaves only the finiteness test.
+    _, trace, _ = _walk(3, losses=[0.0, 1e-300, 1e300, 1.0])
+    assert trace.outcome == "max_iters"
+    _, trace, _ = _walk(3, losses=[0.0, 1e300, float("inf"), 1.0])
+    assert trace.outcome == "diverged" and trace.iters == [0, 1, 2]
+    # loss0 is the first recorded row's loss, also when rows start later.
+    _, trace, _ = _walk(3, first=1, losses=[None, 1.0, 1e6 + 1.0, 1e6 + 1.5])
+    assert trace.outcome == "diverged" and trace.iters == [1, 2, 3]

@@ -385,6 +385,7 @@ def test_ppm_projection_zeros_and_ties():
 
 @given(st.lists(st.floats(-5, 5), min_size=24, max_size=24))
 @example([0.0] * 12 + [5e-324] + [0.0] * 11)
+@example([0.0] * 7 + [2.2250738585e-313] + [0.0] * 11 + [2.2250738585e-313] + [0.0] * 4)
 @settings(max_examples=60, deadline=None)
 def test_ppm_sync_projection_feasible_idempotent(vals):
     inst = gen_phase_sync(12, 0.3, seed=4)

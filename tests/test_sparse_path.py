@@ -192,7 +192,7 @@ def test_sparse_spectral_init_is_deterministic():
 def test_dense_paths_do_not_load_scipy_sparse():
     script = textwrap.dedent("""
         import sys
-        from lowrank_ncvx import direct, gd, problems, spectral
+        from lowrank_ncvx import direct, gd, landscape, problems, spectral
         inst = problems.gen_phase_retrieval(16, 160, 3)
         est = spectral.init_phase_retrieval(inst)
         gd.run_gd(inst, est.point, gd.SolverConfig(max_iters=5))
