@@ -53,8 +53,12 @@ class FactorPoint:
     kind:
       "sym"    one real factor X (n x r), estimating X X^T
       "asym"   two real factors (L, R), estimating L R^T
-      "vector" one real vector x, estimating x x^T
+      "vector" one vector x, estimating x x^H; real, or complex for phase
+               synchronization
       "pair"   two complex vectors (h, x), estimating h x^H
+
+    The named constructors cast real input to float; sym and asym raise
+    ValueError on complex input rather than drop its imaginary part.
     """
 
     kind: str
@@ -70,15 +74,16 @@ class FactorPoint:
 
     @classmethod
     def sym(cls, X):
-        return cls("sym", (np.asarray(X, dtype=float),))
+        return cls("sym", (_real_factor("X", X),))
 
     @classmethod
     def asym(cls, L, R):
-        return cls("asym", (np.asarray(L, dtype=float), np.asarray(R, dtype=float)))
+        return cls("asym", (_real_factor("L", L), _real_factor("R", R)))
 
     @classmethod
     def vector(cls, x):
-        return cls("vector", (np.asarray(x, dtype=float),))
+        x = np.asarray(x)
+        return cls("vector", (x if np.iscomplexobj(x) else np.asarray(x, dtype=float),))
 
     @classmethod
     def pair(cls, h, x):
@@ -122,6 +127,12 @@ class FactorPoint:
 
     def isfinite(self):
         return all(np.all(np.isfinite(p)) for p in self.parts)
+
+
+def _real_factor(name, A):
+    if np.iscomplexobj(A):
+        raise ValueError(f"factor {name} must be real, got a complex array")
+    return np.asarray(A, dtype=float)
 
 
 def parts_norm(parts):
@@ -353,8 +364,30 @@ def dist_bd(h, x, hstar, xstar):
 
         min over complex alpha of sqrt(||h / conj(alpha) - hstar||^2 + ||alpha x - xstar||^2)
 
-    The phase of alpha drops out in closed form, leaving a 1-D problem in the
-    modulus rho, solved by golden section on log(rho) over [1e-6 rho0, 1e6 rho0].
+    With alpha = rho e^{i phi} the best phase is conj(w)/|w|, which leaves a
+    scalar function of s = log(rho) on [log(1e-6 rho0), log(1e6 rho0)]:
+
+        g(s) = ||h||^2 e^{-2s} + ||hstar||^2 + ||x||^2 e^{2s} + ||xstar||^2 - 2|w(s)|,
+        w(s) = c_h e^{-s} + c_x e^{s},  c_h = hstar^H h,  c_x = xstar^H x.
+
+    With y = e^{2s}, g'(s) has the sign of
+
+        q(s) = ||x||^2 y^2 - ||h||^2 - (|c_x|^2 y^2 - |c_h|^2) / |w(s)|,
+
+    which is concave in y^2 below s_c, where |c_h| e^{-s} = |c_x| e^{s}, and
+    convex above it.  So g has at most one local minimum on each side of s_c,
+    at the upward zero of q.  Where c_h e^{-s} and c_x e^{s} nearly cancel,
+    g has a sharp local maximum at s_c between two basins, and a search that
+    brackets only the best grid point can settle in the shallower one.  Here
+    a 121-point vectorized scan seeds golden section for the extremum of q on
+    each side, bisection on the sign of q pins each upward zero to full float
+    precision (g itself resolves its minimizer only to ~sqrt(eps)), and the
+    closed form picks the best zero or end.  The result is the norm of the
+    residual vectors there, accurate down to distances of ~eps ||(hstar,
+    xstar)||: an exact scaling gives about 1e-15 of that norm.
+
+    A zero h or x raises ValueError.  A NaN or infinite entry gives nan, and
+    finite entries whose squared norms or residuals overflow give inf.
     """
     h = np.asarray(h, dtype=complex).ravel()
     x = np.asarray(x, dtype=complex).ravel()
@@ -364,33 +397,86 @@ def dist_bd(h, x, hstar, xstar):
     if nh == 0.0 or nx == 0.0:
         raise ValueError("dist_bd needs nonzero h and x")
     nhs, nxs = float(np.linalg.norm(hstar)), float(np.linalg.norm(xstar))
+    A, B, C = nh * nh, nx * nx, nhs * nhs + nxs * nxs
+    if not math.isfinite(A + B + C):
+        finite = all(np.isfinite(v).all() for v in (h, x, hstar, xstar))
+        return math.inf if finite else math.nan
 
-    ch = complex(np.vdot(hstar, h))  # hstar^H h
-    cx = complex(np.vdot(xstar, x))  # xstar^H x
+    ch = complex(np.vdot(hstar, h))
+    cx = complex(np.vdot(xstar, x))
+    P = ch.real * ch.real + ch.imag * ch.imag  # |c_h|^2
+    Q = cx.real * cx.real + cx.imag * cx.imag  # |c_x|^2
 
-    # With alpha = rho e^{i phi}: h/conj(alpha) = e^{i phi} h / rho, so the best
-    # phase satisfies e^{i phi} = conj(w)/|w| with w = ch/rho + rho cx. Evaluating
-    # the residual vectors directly (instead of the expanded quadratic) keeps the
-    # objective meaningful all the way down to d ~ machine epsilon.
-    def g(logrho):
-        rho = math.exp(logrho)
-        w = ch / rho + rho * cx
-        phase = np.conj(w) / abs(w) if w != 0 else 1.0
-        d1 = (phase / rho) * h - hstar
-        d2 = (rho * phase) * x - xstar
+    # Plain floats: multiplication by e^{-s} rather than division, and hypot
+    # rather than abs, so extreme scalings overflow to inf and never raise.
+    def terms(s):
+        e, f = math.exp(s), math.exp(-s)
+        w = ch * f + cx * e
+        return e, f, w, math.hypot(w.real, w.imag)
+
+    def g(s):
+        e, f, _, aw = terms(s)
+        return A * f * f + B * e * e + C - 2.0 * aw
+
+    def q(s):  # terms() inlined: the searches call q about 90 times
+        e, f = math.exp(s), math.exp(-s)
+        w = ch * f + cx * e
+        aw = math.hypot(w.real, w.imag)
+        yy = e * e * e * e
+        return B * yy - A - ((Q * yy - P) / aw if aw > 0.0 else 0.0)
+
+    def residual(s):
+        e, f, w, aw = terms(s)
+        phase = w.conjugate() / aw if aw > 0.0 else 1.0
+        d1 = (phase * f) * h - hstar
+        d2 = (phase * e) * x - xstar
         return float(np.sum(np.abs(d1) ** 2) + np.sum(np.abs(d2) ** 2))
 
-    rho0 = math.sqrt(max(nhs, np.finfo(float).tiny) / nh)
-    lo = math.log(1e-6 * rho0)
-    hi = math.log(1e6 * rho0)
-    # Coarse scan guards against any flat/multimodal corner of g, then refine.
+    # The logs keep rho0 in range when max(nhs, tiny) / nh would underflow.
+    log_rho0 = 0.5 * (math.log(max(nhs, np.finfo(float).tiny)) - math.log(nh))
+    lo, hi = log_rho0 - 6 * math.log(10), log_rho0 + 6 * math.log(10)
     grid = np.linspace(lo, hi, 121)
-    vals = [g(t) for t in grid]
-    k = int(np.argmin(vals))
-    a = grid[max(0, k - 1)]
-    b = grid[min(len(grid) - 1, k + 1)]
-    _, best = _golden_section_min(g, a, b, tol=1e-10)
-    return math.sqrt(max(0.0, best))
+    yy = np.exp(4 * grid)
+    aw = np.abs(ch * np.exp(-grid) + cx * np.exp(grid))
+    qs = B * yy - A - np.divide(Q * yy - P, aw, out=np.zeros_like(aw), where=aw > 0.0)
+    if P > 0.0 and Q > 0.0:
+        s_c = 0.25 * (math.log(P) - math.log(Q))
+    else:
+        s_c = -math.inf if P == 0.0 else math.inf  # one convex or concave piece
+
+    def extremum(sign, a, b):
+        """The argmax of sign * q over [a, b], where it is unimodal."""
+        inside = (grid > a) & (grid < b)
+        pts = grid[inside]
+        if len(pts):
+            j = int(np.argmax(sign * qs[inside]))
+            a = pts[j - 1] if j > 0 else a
+            b = pts[j + 1] if j + 1 < len(pts) else b
+        return _golden_section_min(lambda s: -sign * q(s), a, b, tol=1e-6)[0]
+
+    # Break [lo, hi] at the extremum of q on each side of s_c, so that each
+    # upward zero of q lies between two ends where q goes from - to +.  Where
+    # q(s_c) already has the sign a side's extremum needs (> 0 below s_c,
+    # < 0 above it), s_c serves as that side's break instead.
+    q_c = q(s_c) if lo < s_c < hi else 0.0
+    ends = [lo]
+    if s_c > lo:
+        ends.append(s_c if q_c > 0.0 else extremum(1.0, lo, min(s_c, hi)))
+    if s_c < hi:
+        ends.append(s_c if q_c < 0.0 else extremum(-1.0, max(s_c, lo), hi))
+    ends.append(hi)
+    signs = [q(t) for t in ends]
+    candidates = [lo, hi]
+    for a, b, qa, qb in zip(ends, ends[1:], signs, signs[1:]):
+        if qa < 0.0 < qb:
+            while a < (mid := 0.5 * (a + b)) < b:
+                if q(mid) < 0.0:
+                    a = mid
+                else:
+                    b = mid
+            candidates.append(a)
+    best = residual(min(candidates, key=g))
+    return math.sqrt(max(0.0, best)) if math.isfinite(best) else math.inf
 
 
 def incoherence_mu(M, r, rank_tol=1e-12):

@@ -428,12 +428,12 @@ def ppm(instance, x0, eta=1.0, max_iters=100):
     def step(t, point, aux):
         nonlocal prev
         prev = point.x
-        return FactorPoint("vector", (project(eta * (L @ point.x)),))
+        return FactorPoint.vector(project(eta * (L @ point.x)))
 
     def stop(trace, point):
         return prev is not None and np.array_equal(point.x, prev)
 
-    point, trace = iterate(FactorPoint("vector", (project(np.asarray(x0).ravel()),)),
+    point, trace = iterate(FactorPoint.vector(project(np.asarray(x0).ravel())),
                            lambda t, point: (_risk_row(instance, point), None),
                            step, int(max_iters), stop=stop)
     return point.x, trace

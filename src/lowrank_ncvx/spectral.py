@@ -503,7 +503,7 @@ def init_phase_sync(instance):
     mag = np.abs(u)
     floor = 1e-15 * max(float(mag.max()), 1.0)
     x0 = np.where(mag > floor, u / np.where(mag > floor, mag, 1.0), 1.0 + 0.0j)
-    return FactorPoint("vector", (x0,))
+    return FactorPoint.vector(x0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lowrank_ncvx import core
 
@@ -281,6 +282,116 @@ def test_dist_bd_matches_polar_grid_oracle():
         assert abs(ours - oracle) < 1e-4
 
 
+def _polar_grid_dist_bd(h, x, hs, xs):
+    """Brute-force dist_bd: min of the residual over alpha = rho e^{i phi}
+    on a 2000 x 360 polar grid with rho in [1e-2, 1e2] rho0, then three
+    zooms by 25x around the best point."""
+    def d2(alpha):
+        return (np.sum(np.abs(h[None, :] / np.conj(alpha)[:, None] - hs[None, :]) ** 2, axis=1)
+                + np.sum(np.abs(alpha[:, None] * x[None, :] - xs[None, :]) ** 2, axis=1))
+
+    rho0 = math.sqrt(np.linalg.norm(hs) / np.linalg.norm(h))
+    rhos = rho0 * np.geomspace(1e-2, 1e2, 2000)
+    phis = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
+    best, arg = np.inf, None
+    for chunk in np.array_split(rhos, 20):
+        alpha = (chunk[:, None] * np.exp(1j * phis)[None, :]).ravel()
+        v = d2(alpha)
+        k = int(np.argmin(v))
+        if v[k] < best:
+            best, arg = float(v[k]), alpha[k]
+    dr, dphi = math.log(rhos[1] / rhos[0]), phis[1]
+    for _ in range(3):
+        alpha = (abs(arg) * np.exp(np.linspace(-dr, dr, 101))[:, None]
+                 * np.exp(1j * (np.angle(arg) + np.linspace(-dphi, dphi, 101)))[None, :]).ravel()
+        v = d2(alpha)
+        k = int(np.argmin(v))
+        if v[k] < best:
+            best, arg = float(v[k]), alpha[k]
+        dr, dphi = dr / 25, dphi / 25
+    return math.sqrt(best)
+
+
+def test_dist_bd_finds_the_deeper_of_two_basins():
+    # c_h and c_x point 160 degrees apart, so g has a sharp local maximum
+    # between two basins; the 121-point scan favours the shallower one
+    # (4.63432 at rho = 1.26), while the minimum is 4.63365 at rho = 0.69.
+    h = np.array([-0.552 + 0.529j, -0.708 - 0.805j, -1.129 - 0.391j, -0.816 + 1.349j])
+    x = np.array([-1.143 + 0.196j, -0.826 + 1.601j, -0.377 - 0.487j, 1.274 + 0.911j])
+    hs = np.array([-1.523 + 0.142j, 0.248 + 0.111j, 0.499 - 1.348j, -0.997 - 0.147j])
+    xs = np.array([1.461 - 0.157j, 0.574 - 0.347j, -0.254 + 1.238j, 1.138 - 1.19j])
+    ours = core.dist_bd(h, x, hs, xs)
+    oracle = _polar_grid_dist_bd(h, x, hs, xs)
+    assert ours <= oracle + 1e-10
+    assert ours == pytest.approx(4.633651816, abs=1e-8)
+
+
+_entries = st.floats(-3.0, 3.0, allow_nan=False)
+_cvec = st.lists(st.tuples(_entries, _entries), min_size=3, max_size=3).map(
+    lambda v: np.array([complex(a, b) for a, b in v]))
+_scalings = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda t: 10.0 ** t[0] * complex(math.cos(t[1]), math.sin(t[1])))
+
+
+def _usable(*vs):
+    return all(np.linalg.norm(v) > 0.1 for v in vs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cvec, _cvec, _cvec, _cvec, _scalings)
+def test_dist_bd_invariant_under_the_scaling_ambiguity(h, x, hs, xs, c):
+    assume(_usable(h, x, hs, xs))
+    scale = math.hypot(np.linalg.norm(hs), np.linalg.norm(xs))
+    d = core.dist_bd(h, x, hs, xs)
+    assert core.dist_bd(h / np.conj(c), c * x, hs, xs) == pytest.approx(d, rel=1e-9, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cvec, _cvec, _cvec, _cvec, st.lists(_scalings, min_size=1, max_size=20))
+def test_dist_bd_is_never_above_the_residual_at_any_scaling(h, x, hs, xs, alphas):
+    assume(_usable(h, x, hs, xs))
+    scale = math.hypot(np.linalg.norm(hs), np.linalg.norm(xs))
+    d = core.dist_bd(h, x, hs, xs)
+    for a in alphas:
+        r = math.sqrt(np.linalg.norm(h / np.conj(a) - hs) ** 2 + np.linalg.norm(a * x - xs) ** 2)
+        assert d <= r + 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cvec, _cvec, _scalings)
+def test_dist_bd_of_an_exact_scaling_is_zero_to_rounding(hs, xs, c):
+    assume(_usable(hs, xs))
+    scale = math.hypot(np.linalg.norm(hs), np.linalg.norm(xs))
+    assert core.dist_bd(hs / np.conj(c), c * xs, hs, xs) <= 1e-12 * scale
+
+
+@settings(max_examples=15, deadline=None)
+@given(_cvec, _cvec, _cvec, _cvec, st.floats(-0.3, 0.3), st.floats(-1.0, 1.0))
+def test_dist_bd_matches_polar_grid_oracle_near_anti_parallel(h, x, hs, xs, tilt, logscale):
+    # Turn x so that xstar^H x points opposite hstar^H h, up to the tilt.
+    ch, cx = np.vdot(hs, h), np.vdot(xs, x)
+    assume(_usable(h, x, hs, xs) and abs(ch) > 1e-3 and abs(cx) > 1e-3)
+    x = x * (-ch / abs(ch)) / (cx / abs(cx)) * complex(math.cos(tilt), math.sin(tilt))
+    x = x * 10.0 ** logscale
+    ours = core.dist_bd(h, x, hs, xs)
+    oracle = _polar_grid_dist_bd(h, x, hs, xs)
+    assert ours <= oracle + 1e-10
+    assert ours >= oracle * (1 - 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dist_bd_non_finite_input_gives_nan_and_overflow_inf():
+    v = np.array([1.0 + 1.0j, 2.0 - 0.5j])
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        w = v.copy()
+        w[0] = bad
+        for args in ((w, v, v, v), (v, w, v, v), (v, v, w, v), (v, v, v, w)):
+            assert math.isnan(core.dist_bd(*args))
+    for big in (1e300 * v, 1e200 * v):
+        assert core.dist_bd(big, v, v, v) == math.inf
+        assert core.dist_bd(v, v, big, v) == math.inf
+
+
 def test_dist_bd_rejects_zero_vectors():
     h = np.ones(3, dtype=complex)
     with pytest.raises(ValueError):
@@ -407,6 +518,27 @@ def test_factor_point_accessors_raise_for_other_kinds():
         pair.X
     with pytest.raises(ValueError, match="'vector' point has no part h"):
         core.FactorPoint.vector(np.ones(2)).h
+
+
+def test_factor_point_vector_keeps_complex_input_and_real_input_bitwise():
+    z = np.array([1 + 2j, 3 - 1j])
+    assert np.array_equal(core.FactorPoint.vector(z).x, z)
+    assert np.array_equal(core.FactorPoint.vector([1 + 2j, 3 - 1j]).x, z)
+    r = np.array([0.1, -2.5, 3.0])
+    assert core.FactorPoint.vector(r).x is r
+    ints = core.FactorPoint.vector([1, 2]).x
+    assert ints.dtype == np.float64 and np.array_equal(ints, [1.0, 2.0])
+
+
+def test_factor_point_real_factors_reject_complex_input():
+    Z = np.ones((3, 1), dtype=complex)
+    with pytest.raises(ValueError, match="factor X must be real"):
+        core.FactorPoint.sym(Z)
+    with pytest.raises(ValueError, match="factor L must be real"):
+        core.FactorPoint.asym(Z, np.ones((2, 1)))
+    with pytest.raises(ValueError, match="factor R must be real"):
+        core.FactorPoint.asym(np.ones((3, 1)), Z)
+    assert core.FactorPoint.sym(np.ones((3, 1), dtype=np.float32)).X.dtype == np.float64
 
 
 def test_trace_csv_layout(tmp_path):

@@ -792,3 +792,14 @@ def test_negative_initial_loss_is_not_mistaken_for_divergence():
     assert tr.outcome == "max_iters"
     assert len(tr.loss) == 21
     assert tr.loss[-1] < tr.loss[0]
+
+
+def test_blind_deconvolution_blow_up_reports_diverged():
+    # The step overflows the pair on the first iteration; the trace's
+    # distance used to raise "math domain error" from dist_bd instead.
+    inst = gen_blind_deconv(8, 8, 64, 3)
+    est = init_blind_deconv(inst)
+    _, tr = run_gd(inst, est.point, SolverConfig(eta=1e300, max_iters=20))
+    assert tr.outcome == "diverged"
+    assert tr.iters == [0, 1]
+    assert not math.isfinite(tr.dist[-1])

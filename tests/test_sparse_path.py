@@ -198,6 +198,13 @@ def test_dense_paths_do_not_load_scipy_sparse():
         gd.run_gd(inst, est.point, gd.SolverConfig(max_iters=5))
         loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
         assert not loaded, loaded
+        # Blind deconvolution traces dist_bd, whose scaling search is in-house.
+        inst = problems.gen_blind_deconv(8, 8, 64, 3)
+        est = spectral.init_blind_deconv(inst)
+        gd.run_gd(inst, est.point, gd.SolverConfig(max_iters=5))
+        loaded = sorted(m for m in sys.modules
+                        if m.startswith(("scipy.sparse", "scipy.optimize")))
+        assert not loaded, loaded
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
