@@ -287,13 +287,18 @@ def procrustes(X, Xstar):
     """Best orthonormal H minimizing ||X H - Xstar||_F, from the SVD of X^T Xstar.
 
     Rank-deficient cross products are fine: zero singular values pass through
-    the SVD factors unchanged, and any completion is a valid minimizer.
+    the SVD factors unchanged, and any completion is a valid minimizer.  A
+    non-finite cross product gives an all-NaN H, so a diverged iterate reads
+    a nan distance instead of raising.
     """
     X = np.asarray(X)
     Xstar = np.asarray(Xstar)
     if X.shape != Xstar.shape:
         raise ValueError(f"shape mismatch {X.shape} vs {Xstar.shape}")
-    P, _, Qh = np.linalg.svd(X.conj().T @ Xstar)
+    C = X.conj().T @ Xstar
+    if not np.isfinite(C).all():
+        return np.full(C.shape, np.nan)
+    P, _, Qh = np.linalg.svd(C)
     return P @ Qh
 
 
@@ -359,6 +364,20 @@ def _golden_section_min(f, lo, hi, tol):
     return t, f(t)
 
 
+_BD_HALF_WIDTH = 6 * math.log(10)  # dist_bd searches windows of +-1e6 in rho
+
+
+def _ldexp(v, k):
+    """v * 2^k for a complex array, exact unless it under- or overflows."""
+    return np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)
+
+
+def _log_norm(v):
+    """log ||v|| for a finite nonzero v, also where ||v||^2 under- or overflows."""
+    e = math.frexp(float(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))))[1]
+    return e * math.log(2) + math.log(float(np.linalg.norm(_ldexp(v, -e))))
+
+
 def dist_bd(h, x, hstar, xstar):
     """Distance modulo the complex scaling ambiguity of a bilinear pair:
 
@@ -386,17 +405,62 @@ def dist_bd(h, x, hstar, xstar):
     residual vectors there, accurate down to distances of ~eps ||(hstar,
     xstar)||: an exact scaling gives about 1e-15 of that norm.
 
-    A zero h or x raises ValueError.  A NaN or infinite entry gives nan, and
-    finite entries whose squared norms or residuals overflow give inf.
+    A finite nonzero pair whose ||h||^2 or ||x||^2 underflows to 0 or
+    overflows is searched over a bracket that holds every minimizer instead
+    (see _dist_bd_wide), on exact points (h / 2^j, 2^j x) of its orbit.  A
+    zero h or x raises ValueError.  A NaN or infinite entry gives nan, and
+    finite entries whose squared norms or residuals still overflow give inf.
     """
     h = np.asarray(h, dtype=complex).ravel()
     x = np.asarray(x, dtype=complex).ravel()
     hstar = np.asarray(hstar, dtype=complex).ravel()
     xstar = np.asarray(xstar, dtype=complex).ravel()
     nh, nx = float(np.linalg.norm(h)), float(np.linalg.norm(x))
+    nhs, nxs = float(np.linalg.norm(hstar)), float(np.linalg.norm(xstar))
+    if ((nh * nh in (0.0, math.inf) or nx * nx in (0.0, math.inf))
+            and h.any() and x.any() and np.isfinite(h).all() and np.isfinite(x).all()
+            and math.isfinite(nhs * nhs + nxs * nxs)):
+        return _dist_bd_wide(h, x, hstar, xstar, nhs, nxs)
     if nh == 0.0 or nx == 0.0:
         raise ValueError("dist_bd needs nonzero h and x")
-    nhs, nxs = float(np.linalg.norm(hstar)), float(np.linalg.norm(xstar))
+    # The logs keep rho0 in range when max(nhs, tiny) / nh would underflow.
+    log_rho0 = 0.5 * (math.log(max(nhs, np.finfo(float).tiny)) - math.log(nh))
+    return _dist_bd_window(h, x, hstar, xstar, (nh, nx, nhs, nxs),
+                           log_rho0 - _BD_HALF_WIDTH, log_rho0 + _BD_HALF_WIDTH)
+
+
+def _dist_bd_wide(h, x, hstar, xstar, nhs, nxs):
+    """dist_bd of a finite nonzero pair whose squared norms under- or overflow.
+
+    With P = ||h|| e^{-s}, R = ||x|| e^{s}, PR = ||h|| ||x|| and M = max(||hstar||,
+    ||xstar||), the term |c_x|^2 e^{2s} - |c_h|^2 e^{-2s} over |w| is at most
+    M (R + P), so g'(s) / 2 >= (R + P)(R - P - M) > 0 once R exceeds
+    M' = M + sqrt(PR); likewise g' < 0 once P exceeds M'.  Every minimizer
+    thus lies in [log(||h|| / M'), log(M' / ||x||)], taken with a margin and
+    cut into windows no wider than dist_bd's.  Each window is searched on
+    the orbit point (h / 2^j, 2^j x) that moves it next to s = 0, where the
+    terms of g and q stay in range; the best window wins.
+    """
+    la, lb = _log_norm(h), _log_norm(x)
+    m = max(nhs, nxs)
+    lm = float(np.logaddexp(math.log(m), 0.5 * (la + lb))) if m > 0.0 else 0.5 * (la + lb)
+    lo, hi = la - lm - 1.0, lm - lb + 1.0
+    windows = math.ceil((hi - lo) / (2 * _BD_HALF_WIDTH))
+    best = math.inf
+    for i in range(windows):
+        a, b = lo + i * (hi - lo) / windows, lo + (i + 1) * (hi - lo) / windows
+        j = round(0.5 * (a + b) / math.log(2))
+        hj, xj = _ldexp(h, -j), _ldexp(x, j)
+        norms = (float(np.linalg.norm(hj)), float(np.linalg.norm(xj)), nhs, nxs)
+        shift = j * math.log(2)
+        best = min(best, _dist_bd_window(hj, xj, hstar, xstar, norms, a - shift, b - shift))
+    return best
+
+
+def _dist_bd_window(h, x, hstar, xstar, norms, lo, hi):
+    """The distance of dist_bd with s restricted to [lo, hi]; ``norms`` holds
+    ||h||, ||x||, ||hstar||, ||xstar||."""
+    nh, nx, nhs, nxs = norms
     A, B, C = nh * nh, nx * nx, nhs * nhs + nxs * nxs
     if not math.isfinite(A + B + C):
         finite = all(np.isfinite(v).all() for v in (h, x, hstar, xstar))
@@ -432,9 +496,6 @@ def dist_bd(h, x, hstar, xstar):
         d2 = (phase * e) * x - xstar
         return float(np.sum(np.abs(d1) ** 2) + np.sum(np.abs(d2) ** 2))
 
-    # The logs keep rho0 in range when max(nhs, tiny) / nh would underflow.
-    log_rho0 = 0.5 * (math.log(max(nhs, np.finfo(float).tiny)) - math.log(nh))
-    lo, hi = log_rho0 - 6 * math.log(10), log_rho0 + 6 * math.log(10)
     grid = np.linspace(lo, hi, 121)
     yy = np.exp(4 * grid)
     aw = np.abs(ch * np.exp(-grid) + cx * np.exp(grid))

@@ -15,9 +15,8 @@ import numpy as np
 from .core import FactorPoint, falls_to, iterate
 from .gd import dist_to_truth, incoherence_proxy
 from .problems import (
-    csr,
+    EntryGroups,
     estimate_rip,
-    group_by,
     loss_and_grad,
     observed_entries,
     sensing_adjoint,
@@ -26,17 +25,29 @@ from .problems import (
 
 _ALTMIN_VARIANTS = ("reuse", "sample_split", "regularized")
 _INNER_CAP = 10_000  # inner-GD guard for the regularized half-steps
+# A completion half-step solves a group's r x r normal equations directly when
+# its Gram has lambda_min > _GRAM_CUT lambda_max, i.e. the observed basis rows
+# have condition number below 100, where the normal equations lose at most
+# ~1e4 eps; every other group goes through lstsq.
+_GRAM_CUT = 1e-4
+# Grams whose largest diagonal entry lies outside this range may have lost
+# digits to underflow or be near overflow; they go through lstsq as well.
+_GRAM_RANGE = (np.finfo(float).tiny / np.finfo(float).eps,
+               np.finfo(float).max * np.finfo(float).eps)
 
 
 @dataclass
 class AltMinConfig:
     """Knobs for the alternating solvers.
 
-    inner_tol is the least-squares cutoff (lstsq rcond, and the gradient
-    tolerance of the regularized variant's inner descent).  splits is the
-    part count T of the sample_split variant; lam the ridge weight of the
-    regularized variant.  tol, when set, stops a run once the recorded
-    loss falls to it; core.iterate owns the stop and divergence tests.
+    inner_tol is the least-squares cutoff: the lstsq rcond of the sensing
+    and Error Reduction solves and of the completion groups that fall back
+    to lstsq (the others solve their normal equations, see altmin_mc), and
+    the gradient tolerance of the regularized variant's inner descent.
+    splits is the part count T of the sample_split variant; lam the ridge
+    weight of the regularized variant.  tol, when set, stops a run once the
+    recorded loss falls to it; core.iterate owns the stop and divergence
+    tests.
     """
 
     max_outer: int = 30
@@ -105,15 +116,22 @@ def _risk_row(instance, point, loss="plain", **extras):
 def _alternate(instance, L, R, cfg, right, left):
     """AltMin rounds as rows 1..cfg.max_outer of core.iterate.  The round
     after row t sets R = right(t, L, R), then L = left(t, R, L); the last
-    argument is the warm start.  Returns (L, R, trace), R None if no round ran.
+    argument is the warm start.  A non-finite fixed factor gives an all-NaN
+    half-step, which core.iterate labels "diverged", rather than a solve that
+    raises on it.  Returns (L, R, trace), R None if no round ran.
     """
     half = None
 
+    def solve(t, fixed, warm, half_step):
+        if not np.isfinite(fixed).all():
+            return np.full(warm.shape, np.nan)
+        return half_step(t, fixed, warm)
+
     def step(t, point, aux):
         nonlocal half
-        R = right(t, point.L, point.R)
+        R = solve(t, point.L, point.R, right)
         half, _ = loss_and_grad(instance, FactorPoint.asym(point.L, R))
-        return FactorPoint.asym(left(t, R, point.L), R)
+        return FactorPoint.asym(solve(t, R, point.L, left), R)
 
     point, trace = iterate(FactorPoint.asym(L, R),
                            lambda t, point: (_risk_row(instance, point, half_loss=half), None),
@@ -209,27 +227,6 @@ def er_phase_retrieval(instance, x0, config=None):
 # Alternating least squares on completion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Groups:
-    """Observed entries grouped by the index of the factor row they solve
-    for: group k holds ``other[ptr[k]:ptr[k + 1]]``, the rows of the fixed
-    factor it sees (ascending), and the matching ``vals``."""
-
-    key: np.ndarray
-    other: np.ndarray
-    vals: np.ndarray
-    ptr: np.ndarray
-
-    @classmethod
-    def of(cls, key, other, vals, n):
-        order, ptr = group_by(key, n)
-        return cls(key[order], other[order], vals[order], ptr)
-
-    def sparse(self, data, n_other):
-        # len(ptr) - 1 by n_other matrix with ``data`` on the grouped entries
-        return csr(data, self.other, self.ptr, (self.ptr.shape[0] - 1, n_other))
-
-
 def _split_parts(rows, cols, vals, parts):
     # Round-robin over the observed positions in row-major order.
     return [(rows[k::parts], cols[k::parts], vals[k::parts]) for k in range(parts)]
@@ -237,11 +234,23 @@ def _split_parts(rows, cols, vals, parts):
 
 def _decoupled_ls(basis, groups, axis_name, r, rcond):
     # Solve min ||P_Omega(basis sol^T - obs)|| one group at a time; the
-    # observed rows of each group must pin down all r coefficients.
-    ptr = groups.ptr.tolist()  # Python ints slice faster than NumPy scalars
-    other, vals = groups.other, groups.vals
-    sol = np.empty((len(ptr) - 1, r))
-    for j in range(sol.shape[0]):
+    # observed rows of each group must pin down all r coefficients.  Groups
+    # with well-conditioned Grams solve their normal equations in one batch;
+    # lstsq, with its checks, takes the rest.  The lstsq rank test rejects a
+    # group when lambda_min <= rcond^2 lambda_max; the batch keeps a factor 4
+    # from that edge, far above the Gram's round-off, so it never returns a
+    # solution lstsq would refuse.
+    gram, rhs = groups.normal_equations(basis)
+    scale = np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    batch = ((np.diff(groups.ptr) >= r) & np.isfinite(gram).all(axis=(1, 2))
+             & np.isfinite(rhs).all(axis=1)
+             & (scale >= _GRAM_RANGE[0]) & (scale <= _GRAM_RANGE[1]))
+    w = np.linalg.eigvalsh(gram[batch])
+    batch[batch] = w[:, 0] > max(_GRAM_CUT, 4.0 * rcond * rcond) * w[:, -1]
+    sol = np.empty((gram.shape[0], r))
+    sol[batch] = np.linalg.solve(gram[batch], rhs[batch][..., None])[..., 0]
+    ptr, other, vals = groups.ptr, groups.other, groups.vals
+    for j in np.flatnonzero(~batch).tolist():  # ascending: the lowest failure raises
         lo, hi = ptr[j], ptr[j + 1]
         if hi - lo < r:
             raise ValueError(
@@ -280,6 +289,14 @@ def altmin_mc(instance, L0, config=None):
     round-robin and round t uses part t mod T; "regularized" solves ridge
     half-steps (weight config.lam) by inner gradient descent.  The trace
     loss column is always the plain completion risk on the full mask.
+
+    An exact half-step fits each row (or column) of the free factor to its
+    observed entries: O(|Omega| r^2) work for the r x r normal equations of
+    every group, solved in one batch.  A group whose observed basis rows have
+    condition number 100 or more, or whose Gram is non-finite or out of
+    range, is solved by lstsq at rcond = config.inner_tol instead, which
+    raises when its rank falls short of r.  A non-finite fixed factor gives a
+    non-finite half-step, so the run ends "diverged".
     Returns (L, R, trace).
     """
     if instance.family != "MatrixCompletionAsym":
@@ -293,7 +310,8 @@ def altmin_mc(instance, L0, config=None):
     rows, cols = observed_entries(instance)
     parts = _split_parts(rows, cols, instance.y,
                          cfg.splits if cfg.variant == "sample_split" else 1)
-    parts = [(_Groups.of(c, i, v, n2), _Groups.of(i, c, v, n1)) for i, c, v in parts]
+    parts = [(EntryGroups.of(c, i, v, n2), EntryGroups.of(i, c, v, n1))
+             for i, c, v in parts]
 
     def solve(basis, groups, warm, axis_name):
         if cfg.variant == "regularized":

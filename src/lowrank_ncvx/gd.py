@@ -25,7 +25,7 @@ from .core import (
     max_row_norm,
     procrustes,
 )
-from .problems import group_by, loss_and_grad, observed_csr, observed_entries
+from .problems import EntryGroups, loss_and_grad, observed_csr, observed_entries
 from .spectral import hard_threshold
 
 _LOSS_TAGS = ("plain", "regularized", "amplitude")
@@ -537,17 +537,13 @@ def grassmann_step(instance, L, eta, form="auto"):
         raise ValueError("the rank-1 form needs a single column")
     n2 = instance.params["n2"]
     rows, cols = observed_entries(instance)
-    # Column-sorted entries: column j sees rows[ptr[j]:ptr[j + 1]], ascending.
-    order, ptr = group_by(cols, n2)
-    by_col, vals = rows[order], instance.y[order]
-    R = np.zeros((n2, r))
-    for j in range(n2):
-        Lj = L[by_col[ptr[j]:ptr[j + 1]]]
-        G = Lj.T @ Lj
-        w = np.linalg.eigvalsh(G)
-        if w[0] <= 1e-12 * max(w[-1], np.finfo(float).tiny):
-            raise ValueError(f"least-squares normal matrix is singular at column {j}")
-        R[j] = np.linalg.solve(G, Lj.T @ vals[ptr[j]:ptr[j + 1]])
+    G, b = EntryGroups.of(cols, rows, instance.y, n2).normal_equations(L)
+    w = np.linalg.eigvalsh(G)
+    singular = w[:, 0] <= 1e-12 * np.maximum(w[:, -1], np.finfo(float).tiny)
+    if singular.any():
+        raise ValueError("least-squares normal matrix is singular at column "
+                         f"{np.argmax(singular)}")
+    R = np.linalg.solve(G, b[..., None])[..., 0]
     resid = instance.y - np.einsum("ij,ij->i", L[rows], R[cols])
     grad = -2.0 * (observed_csr(instance, resid) @ R)
     grad -= L @ (L.T @ grad)

@@ -535,12 +535,6 @@ def _offsets(keys, n):
     return ptr
 
 
-def group_by(keys, n):
-    """Stable permutation that groups entries by integer key in [0, n), and
-    the offsets: after ``order``, key k owns positions ptr[k]:ptr[k + 1]."""
-    return np.argsort(keys, kind="stable"), _offsets(keys, n)
-
-
 def csr(data, indices, indptr, shape):
     """A scipy CSR array from its three arrays, with no sort.
 
@@ -550,6 +544,47 @@ def csr(data, indices, indptr, shape):
     """
     from scipy.sparse import csr_array
     return csr_array((data, indices, indptr), shape=shape)
+
+
+@dataclass
+class EntryGroups:
+    """Observed entries grouped by the index of the factor row they solve
+    for: group k holds ``other[ptr[k]:ptr[k + 1]]``, the rows of the fixed
+    factor it sees (ascending), and the matching ``vals``."""
+
+    key: np.ndarray
+    other: np.ndarray
+    vals: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, key, other, vals, n):
+        """Group the entries (key, other, vals) by key in [0, n), stably."""
+        order = np.argsort(key, kind="stable")
+        return cls(key[order], other[order], vals[order], _offsets(key, n))
+
+    def sparse(self, data, n_other):
+        """The len(ptr) - 1 by n_other CSR matrix with ``data`` on the grouped
+        entries."""
+        return csr(data, self.other, self.ptr, (self.ptr.shape[0] - 1, n_other))
+
+    def normal_equations(self, basis):
+        """Every group's least-squares normal equations at once.
+
+        Group k fits c in min ||B_k c - v_k||, where B_k holds the rows of
+        ``basis`` it sees and v_k its ``vals``.  Returns the stacked Grams
+        B_k^T B_k, shape (groups, r, r), and right-hand sides B_k^T v_k,
+        shape (groups, r): two sparse products over the entries, the Grams'
+        from the r(r + 1)/2 column products of the basis rows.
+        """
+        n_other, r = basis.shape
+        iu, ju = np.triu_indices(r)
+        upper = self.sparse(np.ones(self.other.shape[0]), n_other) \
+            @ (basis[:, iu] * basis[:, ju])
+        gram = np.empty((self.ptr.shape[0] - 1, r, r))
+        gram[:, iu, ju] = upper
+        gram[:, ju, iu] = upper
+        return gram, self.sparse(self.vals, n_other) @ basis
 
 
 def observed_csr(instance, values):

@@ -388,8 +388,45 @@ def test_dist_bd_non_finite_input_gives_nan_and_overflow_inf():
         for args in ((w, v, v, v), (v, w, v, v), (v, v, w, v), (v, v, v, w)):
             assert math.isnan(core.dist_bd(*args))
     for big in (1e300 * v, 1e200 * v):
-        assert core.dist_bd(big, v, v, v) == math.inf
         assert core.dist_bd(v, v, big, v) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dist_bd_pairs_whose_squared_norms_under_or_overflow():
+    one = np.ones(2)
+    v = np.array([1.0 + 1.0j, 2.0 - 0.5j])
+    # ||h||^2 underflows to 0: only x can fit, at alpha = 1, leaving hstar.
+    assert core.dist_bd(1e-300 * one, one, one, one) == pytest.approx(math.sqrt(2), rel=1e-14)
+    # An exact scaling of the truth whose squared norms under- and overflow.
+    assert core.dist_bd(1e-160 * one, 1e160 * one, one, one) <= 1e-15
+    # h = k v against x = v: the best |alpha| is sqrt(k), which leaves
+    # sqrt(2) ||v|| (sqrt(k) - 1).
+    for k in (1e200, 1e300):
+        assert core.dist_bd(k * v, v, v, v) == pytest.approx(
+            math.sqrt(2) * np.linalg.norm(v) * (math.sqrt(k) - 1), rel=1e-12)
+
+
+def _cdraw(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_dist_bd_extreme_pairs_match_their_orbit_and_their_limit():
+    rng = core.make_rng(11)
+    for _ in range(10):
+        h, x, hs, xs = (_cdraw(rng, 5) for _ in range(4))
+        d = core.dist_bd(h, x, hs, xs)
+        # (h / 2^j, 2^j x) is an exact point of the orbit, with ||h||^2 or
+        # ||x||^2 out of range.
+        for j in (600, -600, 1000, -1000):
+            moved = (np.ldexp(h.real, -j) + 1j * np.ldexp(h.imag, -j),
+                     np.ldexp(x.real, j) + 1j * np.ldexp(x.imag, j))
+            assert core.dist_bd(*moved, hs, xs) == pytest.approx(d, rel=1e-9)
+        # A pair 1e-300 times smaller fits hstar or xstar alone, at best as
+        # well as its projection: sqrt(C - max(|hstar^H h| / ||h||, |xstar^H x| / ||x||)^2).
+        fit = max(abs(np.vdot(hs, h)) / np.linalg.norm(h), abs(np.vdot(xs, x)) / np.linalg.norm(x))
+        limit = math.sqrt(np.linalg.norm(hs) ** 2 + np.linalg.norm(xs) ** 2 - fit ** 2)
+        assert core.dist_bd(1e-300 * h, x, hs, xs) == pytest.approx(limit, rel=1e-12)
 
 
 def test_dist_bd_rejects_zero_vectors():

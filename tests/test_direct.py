@@ -13,6 +13,7 @@ from lowrank_ncvx.core import FactorPoint, derive_seed, dist_vector, make_rng
 from lowrank_ncvx.direct import (
     AltMinConfig,
     SvpConfig,
+    _decoupled_ls,
     altmin_mc,
     altmin_sensing,
     er_phase_retrieval,
@@ -21,6 +22,7 @@ from lowrank_ncvx.direct import (
 )
 from lowrank_ncvx.gd import dist_to_truth
 from lowrank_ncvx.problems import (
+    EntryGroups,
     estimate_rip,
     gen_identity_sensing,
     gen_joint_alignment,
@@ -29,6 +31,7 @@ from lowrank_ncvx.problems import (
     gen_phase_retrieval,
     gen_phase_sync,
     gen_rpca,
+    observed_entries,
 )
 from lowrank_ncvx.spectral import (
     init_matrix_completion,
@@ -119,6 +122,15 @@ def test_altmin_sensing_rank_deficient_errors():
         altmin_sensing(skinny, L0, AltMinConfig(max_outer=1))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_altmin_sensing_non_finite_factor_ends_diverged(capfd):
+    inst = gen_matrix_sensing(6, 5, 2, 80, False, seed=2)
+    for bad in (np.nan, np.inf):
+        _, _, tr = altmin_sensing(inst, np.full((6, 2), bad), AltMinConfig(max_outer=2))
+        assert tr.outcome == "diverged" and tr.iters == [1]
+    assert capfd.readouterr().err == ""  # no LAPACK complaints
+
+
 def test_altmin_sensing_battery_and_monotone_half_steps():
     # n=20, r=2, m=12nr; exact-LS rounds keep the interleaved
     # half/full loss chain non-increasing.  Measured 100/100, median
@@ -203,6 +215,107 @@ def test_altmin_mc_guards_and_starved_indices():
     starved_row.y = starved_row.truth["M"][mask]
     with pytest.raises(ValueError, match="row 2 has fewer than 2"):
         altmin_mc(starved_row, L0, AltMinConfig(max_outer=2))
+
+
+def _full_completion_with_mask(mask):
+    # The fully observed 8 x 7 rank-2 instance of seed 5, restricted to mask.
+    inst = gen_matrix_completion(8, 7, 2, 1.0, False, seed=5)
+    inst.design["mask"] = mask
+    inst.y = inst.truth["M"][mask]
+    return inst
+
+
+def _collinear_start():
+    # Rows 0-2 of this start are multiples of one vector.
+    L0 = make_rng(derive_seed(5, "L0")).standard_normal((8, 2))
+    L0[:3] = np.outer([1.0, -2.0, 0.5], L0[0])
+    return L0
+
+
+def test_altmin_mc_collinear_observed_rows_are_rank_deficient():
+    # Column 4 sees rows 0-2 only: enough rows for r = 2, but collinear ones.
+    mask = np.ones((8, 7), dtype=bool)
+    mask[3:, 4] = False
+    with pytest.raises(ValueError, match="column 4 normal equations are rank-deficient"):
+        altmin_mc(_full_completion_with_mask(mask), _collinear_start(),
+                  AltMinConfig(max_outer=1))
+
+
+def test_altmin_mc_error_names_the_lowest_failing_group():
+    # One column sees only collinear rows, another one row: the lower raises.
+    for collinear, starved, message in ((2, 5, "column 2 normal equations are rank-deficient"),
+                                        (5, 2, "column 2 has fewer than 2 observations")):
+        mask = np.ones((8, 7), dtype=bool)
+        mask[3:, collinear] = False
+        mask[1:, starved] = False
+        with pytest.raises(ValueError, match=message):
+            altmin_mc(_full_completion_with_mask(mask), _collinear_start(),
+                      AltMinConfig(max_outer=1))
+
+
+def test_altmin_mc_non_finite_factor_ends_diverged(capfd):
+    inst = gen_matrix_completion(30, 30, 2, 0.5, False, 1)
+    for bad in (np.nan, np.inf):
+        for variant in ("reuse", "sample_split", "regularized"):
+            _, _, tr = altmin_mc(inst, np.full((30, 2), bad),
+                                 AltMinConfig(max_outer=2, variant=variant))
+            assert tr.outcome == "diverged" and tr.iters == [1]
+    assert capfd.readouterr().err == ""  # no LAPACK complaints
+
+
+def _lstsq_half_step(basis, groups, r, rcond=1e-10):
+    # One lstsq per group: the reference that the batched half-step follows.
+    ptr = groups.ptr
+    sol = np.empty((ptr.shape[0] - 1, r))
+    for j in range(sol.shape[0]):
+        sol[j] = np.linalg.lstsq(basis[groups.other[ptr[j]:ptr[j + 1]]],
+                                 groups.vals[ptr[j]:ptr[j + 1]], rcond=rcond)[0]
+    return sol
+
+
+def test_altmin_mc_half_steps_match_per_group_lstsq():
+    inst = gen_matrix_completion(60, 50, 3, 0.3, False, seed=17)
+    rows, cols = observed_entries(inst)
+    by_col = EntryGroups.of(cols, rows, inst.y, 50)
+    by_row = EntryGroups.of(rows, cols, inst.y, 60)
+    L = make_rng(derive_seed(17, "L0")).standard_normal((60, 3))
+    for _ in range(4):
+        R = _decoupled_ls(L, by_col, "column", 3, 1e-10)
+        ref = _lstsq_half_step(L, by_col, 3)
+        assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not np.array_equal(R, ref)  # the batched solve did run
+        L = _decoupled_ls(R, by_row, "row", 3, 1e-10)
+        ref = _lstsq_half_step(R, by_row, 3)
+        assert np.max(np.abs(L - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for scale in (1e150, 1e-150):
+        ref = _lstsq_half_step(scale * L, by_col, 3)
+        R = _decoupled_ls(scale * L, by_col, "column", 3, 1e-10)
+        assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_altmin_mc_ill_conditioned_group_falls_back_to_lstsq():
+    # Group 1 sees basis rows with condition number ~1e6: lstsq accepts them
+    # at rcond 1e-10, while its normal equations would lose ~1e-4 relative.
+    basis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, -1.0],
+                      [1.0, 0.0], [1.0, 1e-6], [1.0, -1e-6], [1.0, 2e-6]])
+    key = np.repeat([0, 1], 4)
+    vals = make_rng(3).standard_normal(8)
+    groups = EntryGroups.of(key, np.arange(8), vals, 2)
+    sol = _decoupled_ls(basis, groups, "column", 2, 1e-10)
+    ref = _lstsq_half_step(basis, groups, 2)
+    assert np.linalg.cond(basis[4:]) == pytest.approx(1e6, rel=0.5)
+    assert np.array_equal(sol[1], ref[1])
+    assert np.max(np.abs(sol[0] - ref[0])) <= 1e-12 * np.max(np.abs(ref[0]))
+
+
+def test_altmin_mc_half_step_follows_lstsq_at_a_large_rcond():
+    # At rcond 0.5, lstsq keeps singular value ratio 0.51 and rejects 0.49.
+    groups = EntryGroups.of(np.zeros(2, dtype=int), np.arange(2), np.array([1.0, 2.0]), 1)
+    kept = np.diag([1.0, 0.51])
+    assert np.array_equal(_decoupled_ls(kept, groups, "column", 2, 0.5),
+                          _lstsq_half_step(kept, groups, 2, rcond=0.5))
+    with pytest.raises(ValueError, match="column 0 normal equations are rank-deficient"):
+        _decoupled_ls(np.diag([1.0, 0.49]), groups, "column", 2, 0.5)
 
 
 def test_altmin_mc_single_split_matches_reuse_bitwise():
