@@ -191,15 +191,25 @@ def alignment_mismatch(x, labels, alphabet_m):
     return 1.0 - float(agree) / n
 
 
-def incoherence_proxy(instance, point):
+def incoherence_proxy(instance, point, c=None):
     """Alignment between the error and the design: max_i |a_i^T (x - x*)|
     for phase retrieval (sign-aligned), the 2,inf norm of the aligned factor
     error for matrix families, and the design-coherence of h for bilinear
-    pairs.  Families without a meaningful proxy report 0.0."""
+    pairs.  Families without a meaningful proxy report 0.0.
+
+    Phase retrieval computes max|c - s A x*| from c = A x, which a caller
+    holding it passes as ``c``.  A x* is memoized outside the instance's
+    fields and rebuilt when design["A"] or truth["x"] is replaced.
+    """
     t = instance.truth
     if instance.family == "PhaseRetrieval":
         s = -1.0 if float(point.x @ t["x"]) < 0.0 else 1.0
-        return float(np.max(np.abs(instance.design["A"] @ (point.x - s * t["x"]))))
+        A = instance.design["A"]
+        memo = instance.__dict__.get("_truth_forward")
+        if memo is None or memo[0] is not A or memo[1] is not t["x"]:
+            memo = instance._truth_forward = (A, t["x"], A @ t["x"])
+        c = A @ point.x if c is None else c
+        return float(np.max(np.abs(c - s * memo[2])))
     if instance.family == "BlindDeconv":
         if np.linalg.norm(point.h) == 0.0:
             return 0.0
@@ -316,13 +326,14 @@ def make_incoherent_projector(instance, init, c=2.0, mu=None):
 # Sample truncation masks
 # ---------------------------------------------------------------------------
 
-def twf_mask(instance, x, thresholds):
+def twf_mask(instance, x, thresholds, c=None):
     """Boolean keep-mask for truncated descent on phase retrieval.
 
     Sample i survives iff alpha_lb <= |a_i^T x| / ||x|| <= alpha_ub and
     |y_i - (a_i^T x)^2| <= (alpha_h / m) * sum_j |y_j - (a_j^T x)^2| *
     |a_i^T x| / ||x||.  An infinite alpha_h disables the residual clause
-    outright (rather than evaluating inf * 0 at zero residuals).
+    outright (rather than evaluating inf * 0 at zero residuals).  ``c`` is
+    the forward product A x when the caller already holds it.
     """
     if instance.family != "PhaseRetrieval":
         raise ValueError("truncation masks are defined for phase retrieval")
@@ -333,7 +344,7 @@ def twf_mask(instance, x, thresholds):
     x = np.asarray(x, dtype=float).ravel()
     A, y = instance.design["A"], instance.y
     m = instance.params["m"]
-    c = A @ x
+    c = A @ x if c is None else c
     ratio = np.abs(c) / max(float(np.linalg.norm(x)), np.finfo(float).tiny)
     keep = (ratio >= lb) & (ratio <= ub)
     if math.isfinite(ah):
@@ -342,16 +353,17 @@ def twf_mask(instance, x, thresholds):
     return keep
 
 
-def median_mask(instance, x, factor):
+def median_mask(instance, x, factor, c=None):
     """Keep samples whose absolute residual is within factor times the median
     absolute residual; the median is the lower middle order statistic when m
-    is even.  An infinite factor keeps everything."""
+    is even.  An infinite factor keeps everything.  ``c`` is the forward
+    product A x when the caller already holds it."""
     if instance.family != "PhaseRetrieval":
         raise ValueError("truncation masks are defined for phase retrieval")
     if not factor > 0:
         raise ValueError("factor must be positive")
     x = np.asarray(x, dtype=float).ravel()
-    c = instance.design["A"] @ x
+    c = instance.design["A"] @ x if c is None else c
     resid = np.abs(instance.y - c * c)
     if not math.isfinite(factor):
         return np.ones(resid.shape[0], dtype=bool)
@@ -370,22 +382,28 @@ def _resolve_config(config):
 def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     """Shared constant-step loop on core.iterate: each row evaluates the loss
     and gradient with the variant's weights and loss parameters, and the
-    step moves along the negative gradient, then projects."""
+    step moves along the negative gradient, then projects.
+
+    A phase-retrieval row computes the forward product c = A x once and
+    shares it with weights_fn(point, c), the loss and the incoherence
+    proxy; the other families pass c = None.
+    """
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
     if weights_fn is None and cfg.batch_k is not None:
         weights_fn = _batch_weights_fn(instance, cfg)
     witness = instance.family == "PhaseRetrieval"
 
     def evaluate(t, point):
-        w = weights_fn(point) if weights_fn is not None else None
+        c = instance.design["A"] @ point.x if witness else None
+        w = weights_fn(point, c) if weights_fn is not None else None
         lp = loss_params_fn(point) if loss_params_fn is not None else cfg.loss_params
         val, grad = loss_and_grad(instance, point, loss=cfg.loss,
-                                  loss_params=lp, weights=w)
+                                  loss_params=lp, weights=w, forward=c)
         gnorm = grad.norm()
         d = dist_to_truth(instance, point)
         extra = _witness_terms(instance, point, grad, gnorm) if witness else {}
         return {"loss": val, "grad_norm": gnorm, "dist": d,
-                "incoh": incoherence_proxy(instance, point), **extra}, grad
+                "incoh": incoherence_proxy(instance, point, c), **extra}, grad
 
     def step(t, point, grad):
         point = point.add_scaled(-eta, grad.parts)
@@ -412,7 +430,7 @@ def _batch_weights_fn(instance, cfg):
         raise ValueError(f"batch size must lie in [1, {m}]")
     rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0, "minibatch"))
 
-    def draw(_point):
+    def draw(_point, _c):
         w = np.zeros(m)
         w[rng.choice(m, size=cfg.batch_k, replace=False)] = 1.0
         return w
@@ -460,15 +478,15 @@ def run_truncated_gd(instance, init, config=None):
     if cfg.median_factor is not None:
         factor = cfg.median_factor
 
-        def keep(point):
-            return median_mask(instance, point.x, factor).astype(float)
+        def keep(point, c):
+            return median_mask(instance, point.x, factor, c).astype(float)
     else:
         thresholds = cfg.twf_thresholds
         if thresholds is None:
             thresholds = DEFAULT_TWF_THRESHOLDS
 
-        def keep(point):
-            return twf_mask(instance, point.x, thresholds).astype(float)
+        def keep(point, c):
+            return twf_mask(instance, point.x, thresholds, c).astype(float)
 
     return _descend(instance, init, cfg, weights_fn=keep)
 

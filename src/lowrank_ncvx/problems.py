@@ -426,14 +426,9 @@ def _alignment_certificate(y, mm, q):
     log_match = math.log(max(1.0 - q, 1e-12))
     log_miss = math.log(max(q / (mm - 1), 1e-12))
     delta = (np.arange(mm)[:, None] - np.arange(mm)[None, :]) % mm
-    L = np.zeros((n * mm, n * mm))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            block = np.where(delta == y[i, j], log_match, log_miss)
-            L[i * mm:(i + 1) * mm, j * mm:(j + 1) * mm] = block
-    return L
+    blocks = np.where(delta == y[:, :, None, None], log_match, log_miss)
+    blocks[np.arange(n), np.arange(n)] = 0.0
+    return blocks.transpose(0, 2, 1, 3).reshape(n * mm, n * mm)
 
 
 def lift_assignment(assignment, alphabet_m):
@@ -708,7 +703,8 @@ def _square_hinge(z):
     return t**2, 2.0 * t
 
 
-def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None):
+def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
+                  forward=None):
     """Evaluate a family's loss and its exact gradient at a factor point.
 
     loss:
@@ -719,6 +715,8 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None)
     Returns (value, gradient) with the gradient packaged as a FactorPoint of
     the same kind as ``point``.  ``weights`` applies per-sample factors to
     the families that are sample sums; it must be None elsewhere.
+    ``forward`` is the product A x of a phase-retrieval point when the caller
+    already holds it; it must be None elsewhere.
     """
     if loss not in ("plain", "regularized", "amplitude"):
         raise ValueError(f"unknown loss tag {loss!r}")
@@ -728,6 +726,10 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None)
         raise ValueError(f"{instance.family} has no per-sample weights")
     lp = dict(loss_params or {})
     fam = instance.family
+    if forward is not None:
+        if fam != "PhaseRetrieval":
+            raise ValueError("only phase retrieval takes a forward product")
+        return _loss_phase_retrieval(instance, point, loss, lp, weights, forward)
     dispatch = {
         "MatrixSensingSym": _loss_sensing_sym,
         "MatrixSensingAsym": _loss_sensing_asym,
@@ -781,20 +783,22 @@ def _loss_sensing_asym(instance, point, loss, lp, weights):
     return val, FactorPoint("asym", (gL, gR))
 
 
-def _loss_phase_retrieval(instance, point, loss, lp, weights):
+def _loss_phase_retrieval(instance, point, loss, lp, weights, c=None):
     _expect_kind(point, "vector", instance.family)
     if loss == "regularized":
         raise ValueError("phase retrieval defines plain and amplitude losses only")
     m = instance.params["m"]
-    w = _weights(weights, m)
     A, y = instance.design["A"], instance.y
-    c = A @ point.x
+    c = A @ point.x if c is None else c
     if loss == "plain":
         e = c * c - y
-        val = float(np.sum(w * e * e)) / (4.0 * m)
-        g = A.T @ (w * e * c) / m
+        # Unit weights are skipped; multiplying by them is exact anyway.
+        we = e if weights is None else _weights(weights, m) * e
+        val = float(np.sum(we * e)) / (4.0 * m)
+        g = A.T @ (we * c) / m
     else:
         # Amplitude loss; sign(0) = 0 picks the zero subgradient at kinks.
+        w = _weights(weights, m)
         root = np.sqrt(y)
         e = np.abs(c) - root
         val = float(np.sum(w * e * e)) / (2.0 * m)

@@ -460,6 +460,26 @@ def test_incoherence_mu_matches_definition():
     assert mu == pytest.approx(mu_oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("n1, n2, r, spike", [
+    (5, 5, 1, 0.0), (12, 7, 3, 0.0), (9, 20, 2, 0.0), (30, 30, 4, 0.0),
+    (16, 16, 2, 25.0), (25, 11, 5, 100.0),
+])
+def test_incoherence_mu_matches_full_svd_oracle(n1, n2, r, spike):
+    # Random rank-r matrices with an optional heavy first row, so mu runs
+    # from near 1 (flat) to near n (spiky); the oracle reads the top-r
+    # singular vectors off a full np.linalg.svd.
+    rng = core.make_rng(n1 * 100 + n2 + r)
+    L = rng.standard_normal((n1, r))
+    L[0] *= 1.0 + spike
+    M = L @ rng.standard_normal((r, n2))
+    U, _, Vt = np.linalg.svd(M)
+    U, V = U[:, :r], Vt[:r, :].T
+    want = max(n1 / r * np.max(np.sum(U**2, axis=1)),
+               n2 / r * np.max(np.sum(V**2, axis=1)))
+    assert 1.0 - 1e-12 <= want <= max(n1, n2) / r + 1e-12
+    assert core.incoherence_mu(M, r) == pytest.approx(want, rel=1e-8)
+
+
 def test_incoherence_mu_rejects_rank_deficient():
     M = np.outer(np.arange(1.0, 5.0), np.ones(4))
     with pytest.raises(ValueError, match="rank"):

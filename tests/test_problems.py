@@ -319,6 +319,33 @@ def test_joint_alignment_noiseless_bruteforce_recovery():
     assert winners == shifts
 
 
+def _certificate_loop(y, mm, q):
+    # The block-by-block construction the vectorized certificate replaced.
+    n = y.shape[0]
+    log_match = math.log(max(1.0 - q, 1e-12))
+    log_miss = math.log(max(q / (mm - 1), 1e-12))
+    delta = (np.arange(mm)[:, None] - np.arange(mm)[None, :]) % mm
+    L = np.zeros((n * mm, n * mm))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            block = np.where(delta == y[i, j], log_match, log_miss)
+            L[i * mm:(i + 1) * mm, j * mm:(j + 1) * mm] = block
+    return L
+
+
+@pytest.mark.parametrize("n, mm, q", [
+    (2, 2, 0.0), (3, 2, 0.5), (5, 3, 0.3), (7, 4, 0.0), (6, 5, 0.9), (12, 7, 0.4),
+])
+def test_joint_alignment_certificate_matches_the_block_loop(n, mm, q):
+    inst = gen_joint_alignment(n, mm, q, seed=n + mm)
+    L = inst.design["L"]
+    want = _certificate_loop(inst.y, mm, q)
+    assert L.dtype == want.dtype and L.flags.c_contiguous
+    assert np.array_equal(L, want)
+
+
 def test_joint_alignment_mirrored_measurements():
     inst = gen_joint_alignment(5, 4, 0.4, seed=9)
     y, mmod = inst.y, 4
