@@ -344,27 +344,9 @@ def dist_vector(x, xstar):
     return float(np.linalg.norm(diff))
 
 
-def _golden_section_min(f, lo, hi, tol):
-    """Plain golden-section line search on [lo, hi]; returns (argmin, min)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    t = (a + b) / 2.0
-    return t, f(t)
-
-
-_BD_HALF_WIDTH = 6 * math.log(10)  # dist_bd searches windows of +-1e6 in rho
+_LN2 = math.log(2.0)
+_SPLIT = 2.0 ** -960  # above this, squares lost to underflow are below eps of the norm^2
+_BD_MARGIN = 0.1  # dist_bd's bracket margin in s; G > 0 by ~MARGIN (M+N)^2 at its ends
 
 
 def _ldexp(v, k):
@@ -372,10 +354,20 @@ def _ldexp(v, k):
     return np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)
 
 
-def _log_norm(v):
-    """log ||v|| for a finite nonzero v, also where ||v||^2 under- or overflows."""
+def _norm(v):
+    """||v|| of a complex vector (np.linalg.norm costs twice as much)."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def _split_norm(v):
+    """(n, e) with ||v|| = n 2^e, where n is accurate also when ||v||^2
+    under- or overflows: v is then rescaled by 2^-e, e the exponent of its
+    largest entry, before the norm is taken."""
+    n = _norm(v)
+    if _SPLIT < n * n < math.inf:
+        return n, 0
     e = math.frexp(float(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))))[1]
-    return e * math.log(2) + math.log(float(np.linalg.norm(_ldexp(v, -e))))
+    return _norm(_ldexp(v, -e)), e
 
 
 def dist_bd(h, x, hstar, xstar):
@@ -383,161 +375,128 @@ def dist_bd(h, x, hstar, xstar):
 
         min over complex alpha of sqrt(||h / conj(alpha) - hstar||^2 + ||alpha x - xstar||^2)
 
-    With alpha = rho e^{i phi} the best phase is conj(w)/|w|, which leaves a
-    scalar function of s = log(rho) on [log(1e-6 rho0), log(1e6 rho0)]:
+    The pair is first moved exactly along its orbit, to (h / 2^j, 2^j x)
+    with ||h|| and ||x|| within a factor 2 of each other, so the search
+    below sees the same numbers wherever on the orbit the input lies.  With
+    alpha = e^s e^{i phi} the best phase is conj(w)/|w|, which leaves, in
+    a = ||x|| e^s and b = ||h|| e^{-s} (ab is fixed),
 
-        g(s) = ||h||^2 e^{-2s} + ||hstar||^2 + ||x||^2 e^{2s} + ||xstar||^2 - 2|w(s)|,
-        w(s) = c_h e^{-s} + c_x e^{s},  c_h = hstar^H h,  c_x = xstar^H x.
+        g(s) = b^2 + ||hstar||^2 + a^2 + ||xstar||^2 - 2|w(s)|,
+        w(s) = c_h e^{-s} + c_x e^{s},  c_h = hstar^H h,  c_x = xstar^H x,
 
-    With y = e^{2s}, g'(s) has the sign of
+    whose derivative g'(s) = 2G(s) has G = a^2 - b^2 - (|c_x|^2 e^{2s} -
+    |c_h|^2 e^{-2s}) / |w|.  With M = max(||hstar||, ||xstar||) and
+    N = sqrt(ab), G > 0 once a exceeds M + N and G < 0 once b does, so
+    every minimizer lies in the bracket [log(||h|| / (M+N)), log((M+N) /
+    ||x||)], widened by _BD_MARGIN.  The lengths are divided by a power of 2
+    near M + N, which keeps every term of the search at most ~1.
 
-        q(s) = ||x||^2 y^2 - ||h||^2 - (|c_x|^2 y^2 - |c_h|^2) / |w(s)|,
+    With u = e^{4s}, q(u) = e^{2s} G is convex in u above s_c, where
+    |c_h| e^{-s} = |c_x| e^{s}, and concave below it, so q / u is convex in
+    1/u there.  Monotone Newton on q in u, from the upper end of the
+    bracket, and on -q / u in 1/u, from the lower end, thus descends onto
+    the upward zero of G on its side of s_c: the side's only local minimum
+    of g.  A side has no minimum when the Newton derivative is <= 0 or the
+    step crosses s_c; if neither side has one, g increases away from s_c
+    and s_c is the minimizer.  Both sides are searched, so where c_h e^{-s}
+    and c_x e^{s} nearly cancel and g has a sharp local maximum at s_c
+    between two basins, the closed form picks the deeper one.  Each side
+    takes at most 40 steps, and stops at a step below 1e-10 in s.  The
+    result is the norm of the residual vectors there, accurate down to
+    distances of ~eps ||(hstar, xstar)||: an exact scaling gives about
+    1e-15 of that norm.
 
-    which is concave in y^2 below s_c, where |c_h| e^{-s} = |c_x| e^{s}, and
-    convex above it.  So g has at most one local minimum on each side of s_c,
-    at the upward zero of q.  Where c_h e^{-s} and c_x e^{s} nearly cancel,
-    g has a sharp local maximum at s_c between two basins, and a search that
-    brackets only the best grid point can settle in the shallower one.  Here
-    a 121-point vectorized scan seeds golden section for the extremum of q on
-    each side, bisection on the sign of q pins each upward zero to full float
-    precision (g itself resolves its minimizer only to ~sqrt(eps)), and the
-    closed form picks the best zero or end.  The result is the norm of the
-    residual vectors there, accurate down to distances of ~eps ||(hstar,
-    xstar)||: an exact scaling gives about 1e-15 of that norm.
-
-    A finite nonzero pair whose ||h||^2 or ||x||^2 underflows to 0 or
-    overflows is searched over a bracket that holds every minimizer instead
-    (see _dist_bd_wide), on exact points (h / 2^j, 2^j x) of its orbit.  A
-    zero h or x raises ValueError.  A NaN or infinite entry gives nan, and
-    finite entries whose squared norms or residuals still overflow give inf.
+    A zero h or x raises ValueError.  A NaN or infinite entry gives nan,
+    and finite entries whose squared norms or residuals overflow give inf.
     """
     h = np.asarray(h, dtype=complex).ravel()
     x = np.asarray(x, dtype=complex).ravel()
     hstar = np.asarray(hstar, dtype=complex).ravel()
     xstar = np.asarray(xstar, dtype=complex).ravel()
-    nh, nx = float(np.linalg.norm(h)), float(np.linalg.norm(x))
-    nhs, nxs = float(np.linalg.norm(hstar)), float(np.linalg.norm(xstar))
-    if ((nh * nh in (0.0, math.inf) or nx * nx in (0.0, math.inf))
-            and h.any() and x.any() and np.isfinite(h).all() and np.isfinite(x).all()
-            and math.isfinite(nhs * nhs + nxs * nxs)):
-        return _dist_bd_wide(h, x, hstar, xstar, nhs, nxs)
-    if nh == 0.0 or nx == 0.0:
-        raise ValueError("dist_bd needs nonzero h and x")
-    # The logs keep rho0 in range when max(nhs, tiny) / nh would underflow.
-    log_rho0 = 0.5 * (math.log(max(nhs, np.finfo(float).tiny)) - math.log(nh))
-    return _dist_bd_window(h, x, hstar, xstar, (nh, nx, nhs, nxs),
-                           log_rho0 - _BD_HALF_WIDTH, log_rho0 + _BD_HALF_WIDTH)
+    nh, nx, nhs, nxs = _norm(h), _norm(x), _norm(hstar), _norm(xstar)
+    eh = ex = 0
+    if not (_SPLIT < nh * nh < math.inf and _SPLIT < nx * nx < math.inf
+            and nhs * nhs + nxs * nxs < math.inf):
+        if not all(np.isfinite(v).all() for v in (h, x, hstar, xstar)):
+            return math.nan
+        if not (h.any() and x.any()):
+            raise ValueError("dist_bd needs nonzero h and x")
+        if nhs * nhs + nxs * nxs == math.inf:
+            return math.inf
+        (nh, eh), (nx, ex) = _split_norm(h), _split_norm(x)
+    # gamma = c / ||v|| is the same at every point of the orbit.
+    gh = complex(np.vdot(hstar, _ldexp(h, -eh) if eh else h)) / nh
+    gx = complex(np.vdot(xstar, _ldexp(x, -ex) if ex else x)) / nx
+    j = (math.frexp(nh)[1] + eh - math.frexp(nx)[1] - ex) // 2
+    lh, lx = math.log(math.ldexp(nh, eh - j)), math.log(math.ldexp(nx, ex + j))
+    lm, m = 0.5 * (lh + lx), max(nhs, nxs)  # log N, M
+    if m > 0.0:  # log(M + N)
+        lm = max(lm, math.log(m)) + math.log1p(math.exp(-abs(lm - math.log(m))))
+    lo, hi = lh - lm - _BD_MARGIN, lm - lx + _BD_MARGIN
+    e = max(round(lm / _LN2), -1074)
+    if e > 1023:  # N alone overflows the residual
+        return math.inf
+    unit = math.ldexp(1.0, e)  # a power of 2 near M + N
+    gh, gx = gh / unit, gx / unit
+    kh, kx = gh.real * gh.real + gh.imag * gh.imag, gx.real * gx.real + gx.imag * gx.imag
+    C = (nhs / unit) ** 2 + (nxs / unit) ** 2
+    la, lb = lx - e * _LN2, lh - e * _LN2  # a = e^{la + s} and b = e^{lb - s}, over unit
+    if kh > 0.0 and kx > 0.0:
+        s_c = 0.25 * (math.log(kh) - math.log(kx)) + 0.5 * (lb - la)
+    else:
+        s_c = -math.inf if kh == 0.0 else math.inf  # one convex or concave piece
 
+    def newton(s, up):
+        """Monotone Newton from the bracket end s toward s_c: in u = e^{4s}
+        on q when ``up``, in 1/u on -q / u otherwise.  None if the side has
+        no minimum."""
+        sign = 1.0 if up else -1.0
+        for _ in range(40):
+            a, b = math.exp(la + s), math.exp(lb - s)
+            w = gh * b + gx * a
+            aw = math.hypot(w.real, w.imag)
+            a2, b2 = a * a, b * b
+            G, F = a2 - b2, 4.0 * (a2 if up else b2)
+            if aw > 0.0:
+                d = (kx * a2 - kh * b2) / aw
+                G -= d
+                F += (d * d - 4.0 * (kx * a2 if up else kh * b2)) / aw
+            if sign * G <= 0.0:  # G has reached its zero, up to rounding
+                return s
+            r = sign * 4.0 * G / F if F > 0.0 else math.inf
+            if r >= 1.0:  # no minimum: dq/du <= 0, or the step lands past u = 0
+                return None
+            step = 0.25 * sign * math.log1p(-r)
+            if sign * (s + step - s_c) <= 0.0:  # the step crosses s_c
+                return None
+            s += step
+            if abs(step) <= 1e-10:
+                break
+        return s
 
-def _dist_bd_wide(h, x, hstar, xstar, nhs, nxs):
-    """dist_bd of a finite nonzero pair whose squared norms under- or overflow.
+    sides = [newton(hi, True) if s_c < hi else None, newton(lo, False) if s_c > lo else None]
+    found = [s for s in sides if s is not None] or [min(max(s_c, lo), hi)]
 
-    With P = ||h|| e^{-s}, R = ||x|| e^{s}, PR = ||h|| ||x|| and M = max(||hstar||,
-    ||xstar||), the term |c_x|^2 e^{2s} - |c_h|^2 e^{-2s} over |w| is at most
-    M (R + P), so g'(s) / 2 >= (R + P)(R - P - M) > 0 once R exceeds
-    M' = M + sqrt(PR); likewise g' < 0 once P exceeds M'.  Every minimizer
-    thus lies in [log(||h|| / M'), log(M' / ||x||)], taken with a margin and
-    cut into windows no wider than dist_bd's.  Each window is searched on
-    the orbit point (h / 2^j, 2^j x) that moves it next to s = 0, where the
-    terms of g and q stay in range; the best window wins.
-    """
-    la, lb = _log_norm(h), _log_norm(x)
-    m = max(nhs, nxs)
-    lm = float(np.logaddexp(math.log(m), 0.5 * (la + lb))) if m > 0.0 else 0.5 * (la + lb)
-    lo, hi = la - lm - 1.0, lm - lb + 1.0
-    windows = math.ceil((hi - lo) / (2 * _BD_HALF_WIDTH))
-    best = math.inf
-    for i in range(windows):
-        a, b = lo + i * (hi - lo) / windows, lo + (i + 1) * (hi - lo) / windows
-        j = round(0.5 * (a + b) / math.log(2))
-        hj, xj = _ldexp(h, -j), _ldexp(x, j)
-        norms = (float(np.linalg.norm(hj)), float(np.linalg.norm(xj)), nhs, nxs)
-        shift = j * math.log(2)
-        best = min(best, _dist_bd_window(hj, xj, hstar, xstar, norms, a - shift, b - shift))
-    return best
-
-
-def _dist_bd_window(h, x, hstar, xstar, norms, lo, hi):
-    """The distance of dist_bd with s restricted to [lo, hi]; ``norms`` holds
-    ||h||, ||x||, ||hstar||, ||xstar||."""
-    nh, nx, nhs, nxs = norms
-    A, B, C = nh * nh, nx * nx, nhs * nhs + nxs * nxs
-    if not math.isfinite(A + B + C):
-        finite = all(np.isfinite(v).all() for v in (h, x, hstar, xstar))
-        return math.inf if finite else math.nan
-
-    ch = complex(np.vdot(hstar, h))
-    cx = complex(np.vdot(xstar, x))
-    P = ch.real * ch.real + ch.imag * ch.imag  # |c_h|^2
-    Q = cx.real * cx.real + cx.imag * cx.imag  # |c_x|^2
-
-    # Plain floats: multiplication by e^{-s} rather than division, and hypot
-    # rather than abs, so extreme scalings overflow to inf and never raise.
-    def terms(s):
-        e, f = math.exp(s), math.exp(-s)
-        w = ch * f + cx * e
-        return e, f, w, math.hypot(w.real, w.imag)
+    def w_at(s):
+        return gh * math.exp(lb - s) + gx * math.exp(la + s)
 
     def g(s):
-        e, f, _, aw = terms(s)
-        return A * f * f + B * e * e + C - 2.0 * aw
+        a, b, w = math.exp(la + s), math.exp(lb - s), w_at(s)
+        return a * a + b * b + C - 2.0 * math.hypot(w.real, w.imag)
 
-    def q(s):  # terms() inlined: the searches call q about 90 times
-        e, f = math.exp(s), math.exp(-s)
-        w = ch * f + cx * e
-        aw = math.hypot(w.real, w.imag)
-        yy = e * e * e * e
-        return B * yy - A - ((Q * yy - P) / aw if aw > 0.0 else 0.0)
-
-    def residual(s):
-        e, f, w, aw = terms(s)
-        phase = w.conjugate() / aw if aw > 0.0 else 1.0
-        d1 = (phase * f) * h - hstar
-        d2 = (phase * e) * x - xstar
-        return float(np.sum(np.abs(d1) ** 2) + np.sum(np.abs(d2) ** 2))
-
-    grid = np.linspace(lo, hi, 121)
-    yy = np.exp(4 * grid)
-    aw = np.abs(ch * np.exp(-grid) + cx * np.exp(grid))
-    qs = B * yy - A - np.divide(Q * yy - P, aw, out=np.zeros_like(aw), where=aw > 0.0)
-    if P > 0.0 and Q > 0.0:
-        s_c = 0.25 * (math.log(P) - math.log(Q))
-    else:
-        s_c = -math.inf if P == 0.0 else math.inf  # one convex or concave piece
-
-    def extremum(sign, a, b):
-        """The argmax of sign * q over [a, b], where it is unimodal."""
-        inside = (grid > a) & (grid < b)
-        pts = grid[inside]
-        if len(pts):
-            j = int(np.argmax(sign * qs[inside]))
-            a = pts[j - 1] if j > 0 else a
-            b = pts[j + 1] if j + 1 < len(pts) else b
-        return _golden_section_min(lambda s: -sign * q(s), a, b, tol=1e-6)[0]
-
-    # Break [lo, hi] at the extremum of q on each side of s_c, so that each
-    # upward zero of q lies between two ends where q goes from - to +.  Where
-    # q(s_c) already has the sign a side's extremum needs (> 0 below s_c,
-    # < 0 above it), s_c serves as that side's break instead.
-    q_c = q(s_c) if lo < s_c < hi else 0.0
-    ends = [lo]
-    if s_c > lo:
-        ends.append(s_c if q_c > 0.0 else extremum(1.0, lo, min(s_c, hi)))
-    if s_c < hi:
-        ends.append(s_c if q_c < 0.0 else extremum(-1.0, max(s_c, lo), hi))
-    ends.append(hi)
-    signs = [q(t) for t in ends]
-    candidates = [lo, hi]
-    for a, b, qa, qb in zip(ends, ends[1:], signs, signs[1:]):
-        if qa < 0.0 < qb:
-            while a < (mid := 0.5 * (a + b)) < b:
-                if q(mid) < 0.0:
-                    a = mid
-                else:
-                    b = mid
-            candidates.append(a)
-    best = residual(min(candidates, key=g))
-    return math.sqrt(max(0.0, best)) if math.isfinite(best) else math.inf
+    s = min(found, key=g)
+    w = w_at(s)
+    aw = math.hypot(w.real, w.imag)
+    phase = w.conjugate() / aw if aw > 0.0 else 1.0
+    # The residual at (h / 2^t, 2^t x), t = j + k, and alpha = phase e^{s - k log 2}.
+    k = round(s / _LN2)
+    frac, t = s - k * _LN2, j + k
+    if t:
+        h, x = _ldexp(h, -t), _ldexp(x, t)
+    d1 = (phase * math.exp(-frac)) * h - hstar
+    d2 = (phase * math.exp(frac)) * x - xstar
+    best = float(np.vdot(d1, d1).real + np.vdot(d2, d2).real)
+    return math.sqrt(best) if math.isfinite(best) else math.inf
 
 
 def incoherence_mu(M, r, rank_tol=1e-12):
@@ -555,14 +514,15 @@ def incoherence_mu(M, r, rank_tol=1e-12):
 
 
 def bd_incoherence(h, B):
-    """sqrt(m) * max_j |b_j^H h| / ||h|| for B with rows b_j^H."""
+    """sqrt(m) * max_j |b_j^H h| / ||h|| for B with rows b_j^H.  An h whose
+    squared norm under- or overflows is first rescaled by a power of 2."""
     h = np.asarray(h, dtype=complex).ravel()
     B = np.asarray(B)
-    nh = float(np.linalg.norm(h))
+    nh, e = _split_norm(h)
     if nh == 0.0:
         raise ValueError("bd_incoherence needs nonzero h")
     m = B.shape[0]
-    return math.sqrt(m) * float(np.max(np.abs(B @ h))) / nh
+    return math.sqrt(m) * float(np.max(np.abs(B @ (_ldexp(h, -e) if e else h)))) / nh
 
 
 def cosine_sq(x, xstar):

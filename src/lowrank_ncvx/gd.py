@@ -167,8 +167,9 @@ def dist_to_truth(instance, point):
             return 0.0
         return dist_factors(F, Fs)
     if point.kind == "pair":
-        if np.linalg.norm(point.h) == 0.0 or np.linalg.norm(point.x) == 0.0:
-            # Collapsed pair; the scaling ambiguity is vacuous there.
+        if not (point.h.any() and point.x.any()):
+            # Collapsed pair; the scaling ambiguity is vacuous there.  An
+            # exact test: the norm of a tiny nonzero factor underflows to 0.
             return float(np.hypot(np.linalg.norm(t["h"]), np.linalg.norm(t["x"])))
         return dist_bd(point.h, point.x, t["h"], t["x"])
     if instance.family == "JointAlignment":
@@ -211,7 +212,7 @@ def incoherence_proxy(instance, point, c=None):
         c = A @ point.x if c is None else c
         return float(np.max(np.abs(c - s * memo[2])))
     if instance.family == "BlindDeconv":
-        if np.linalg.norm(point.h) == 0.0:
+        if not point.h.any():
             return 0.0
         return bd_incoherence(point.h, instance.design["B"])
     if point.kind == "sym" and "X" in t:

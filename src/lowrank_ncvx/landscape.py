@@ -479,6 +479,9 @@ def _check_dense_dim(n):
                          "dimensions")
 
 
+_TINY = np.finfo(float).tiny  # brentq's xtol where only its rtol should bind
+
+
 def _shifted_norm(w, gh, shift):
     # ||(H + shift I)^{-1} g|| in the eigenbasis.  0/0 components read as 0
     # (no gradient weight on a flat direction); other divisions by ~0 blow
@@ -527,17 +530,21 @@ def trust_region_step(oracle, x, radius):
                                   0.0)) * Q[:, 0]
         return x + s
 
-    def excess(shift):
-        # Increasing in shift; crosses zero at the boundary solution.
-        phi = _shifted_norm(w, gh, shift)
+    # The shift is sought as shift0 + delta, formed as (w_i - w_0) + delta,
+    # as in cubic_step: w_0 + shift cancels near the hard case.
+    w_lo = w - w[0] if shift0 > 0.0 else w
+
+    def excess(delta):
+        # Increasing in the shift; crosses zero at the boundary solution.
+        phi = _shifted_norm(w_lo, gh, delta)
         return 1.0 / phi - 1.0 / radius
 
     from scipy.optimize import brentq  # scipy.optimize loads scipy.sparse
-    hi = shift0 + 2.0 * float(np.linalg.norm(g)) / radius
-    root = brentq(excess, shift0, hi)
-    root = max(root, shift0 * (1.0 + 1e-15))
+    hi = 2.0 * float(np.linalg.norm(g)) / radius
+    delta = brentq(excess, 0.0, hi, xtol=_TINY)  # to relative precision
+    delta = max(delta, shift0 * 1e-15)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = gh / (w + root)
+        vals = gh / (w_lo + delta)
     s = -(Q @ np.where(np.isfinite(vals), vals, 0.0))
     nrm = float(np.linalg.norm(s))
     if nrm > radius:
@@ -574,21 +581,26 @@ def cubic_step(oracle, x, lipschitz):
                                   0.0)) * Q[:, 0]
         return x + s
 
-    def mismatch(r):
+    # The root r is sought as r_lo + delta, with the shifts formed as
+    # (w_i - w_0) + lipschitz delta / 2: w_0 + lipschitz r / 2 cancels when
+    # the root lies near r_lo, next to a saddle.
+    w_lo = w - w[0] if r_lo > 0.0 else w
+
+    def mismatch(delta):
         # r / ||s(r)|| - 1, increasing in r; zero at the consistent norm.
-        rho = _shifted_norm(w, gh, 0.5 * lipschitz * r)
-        return r / rho - 1.0 if rho > 0.0 else math.inf
+        rho = _shifted_norm(w_lo, gh, 0.5 * lipschitz * delta)
+        return (r_lo + delta) / rho - 1.0 if rho > 0.0 else math.inf
 
     from scipy.optimize import brentq  # scipy.optimize loads scipy.sparse
-    hi = r_lo + math.sqrt(2.0 * float(np.linalg.norm(g)) / lipschitz) + 1.0
+    hi = math.sqrt(2.0 * float(np.linalg.norm(g)) / lipschitz) + 1.0
     for _ in range(64):
         if mismatch(hi) > 0.0:
             break
         hi *= 2.0
-    root = brentq(mismatch, r_lo, hi)
-    shift = 0.5 * lipschitz * max(root, r_lo * (1.0 + 1e-15))
+    delta = brentq(mismatch, 0.0, hi, xtol=_TINY)  # to relative precision
+    shift = 0.5 * lipschitz * max(delta, r_lo * 1e-15)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = gh / (w + shift)
+        vals = gh / (w_lo + shift)
     s = -(Q @ np.where(np.isfinite(vals), vals, 0.0))
     return x + s
 

@@ -429,6 +429,39 @@ def test_dist_bd_extreme_pairs_match_their_orbit_and_their_limit():
         assert core.dist_bd(1e-300 * h, x, hs, xs) == pytest.approx(limit, rel=1e-12)
 
 
+_orbit_moves = st.tuples(st.integers(-500, 500), st.floats(0.0, 2 * math.pi)).map(
+    lambda t: math.ldexp(1.0, t[0]) * complex(math.cos(t[1]), math.sin(t[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cvec, _cvec, _cvec, _cvec, _orbit_moves)
+def test_dist_bd_invariant_along_the_whole_orbit(h, x, hs, xs, c):
+    # c = 2^j e^{i phi} with |j| <= 500.  A search window tied to
+    # sqrt(||hstar|| / ||h||) held this only for |c| within about 1e+-4: at
+    # c = 1e5 it read 20.7 where the distance is 0.
+    assume(_usable(h, x, hs, xs))
+    scale = math.hypot(np.linalg.norm(hs), np.linalg.norm(xs))
+    d = core.dist_bd(h, x, hs, xs)
+    assert core.dist_bd(h / np.conj(c), c * x, hs, xs) == pytest.approx(d, rel=1e-9, abs=1e-12 * scale)
+
+
+def test_dist_bd_near_convergence_matches_the_first_order_oracle():
+    # bd_deconv stops on distances ~1e-6 of ||(hstar, xstar)||.  There the
+    # distance is the norm of the offset off the real span of the orbit's
+    # tangents (-hstar, xstar) and (i hstar, i xstar), which are orthogonal
+    # under Re<.,.>, up to a relative O(1e-6).
+    rng = core.make_rng(21)
+    for k in range(20):
+        hs, xs = 2.0 ** (k % 5 - 2) * _cdraw(rng, 8), _cdraw(rng, 8)
+        delta = _cdraw(rng, 16)
+        delta *= 1e-6 * math.hypot(np.linalg.norm(hs), np.linalg.norm(xs)) / np.linalg.norm(delta)
+        rest = delta.copy()
+        for t in (np.concatenate((-hs, xs)), np.concatenate((1j * hs, 1j * xs))):
+            rest -= (np.vdot(t, delta).real / np.vdot(t, t).real) * t
+        d = core.dist_bd(hs + delta[:8], xs + delta[8:], hs, xs)
+        assert d == pytest.approx(np.linalg.norm(rest), rel=1e-4)
+
+
 def test_dist_bd_rejects_zero_vectors():
     h = np.ones(3, dtype=complex)
     with pytest.raises(ValueError):

@@ -330,6 +330,20 @@ def test_dist_to_truth_vector_sign_and_pair_guard():
     assert dist_to_truth(bd, collapsed) == pytest.approx(want)
 
 
+def test_a_tiny_nonzero_pair_is_not_taken_for_a_collapsed_one():
+    # ||1e-170 hstar|| underflows to 0 through its squares.  The pair still
+    # fits xstar exactly, at distance ||hstar|| = 1, and its design-coherence
+    # is hstar's; a norm test read it as collapsed (sqrt(2) and 0.0).
+    inst = gen_blind_deconv(8, 8, 64, 3)
+    hs, xs = inst.truth["h"], inst.truth["x"]
+    tiny = FactorPoint.pair(1e-170 * hs, xs)
+    assert dist_to_truth(inst, tiny) == pytest.approx(core.dist_bd(tiny.h, xs, hs, xs), rel=1e-12)
+    assert dist_to_truth(inst, tiny) == pytest.approx(np.linalg.norm(hs), rel=1e-12)
+    want = core.bd_incoherence(hs, inst.design["B"])
+    assert want == pytest.approx(1.544, abs=1e-3)
+    assert incoherence_proxy(inst, tiny) == pytest.approx(want, rel=1e-12)
+
+
 def test_alignment_mismatch_is_shift_invariant():
     ja = gen_joint_alignment(8, 4, 0.0, seed=13)
     labels = ja.truth["x"]
