@@ -1,7 +1,8 @@
-"""Shared numerical plumbing: seeded randomness, factor containers, subspace
-extraction by blocked iteration, the distance metrics that quotient out the
-global ambiguities (sign, rotation, complex scaling) of factored estimates,
-and the iteration driver with its trace that every solver loop runs on.
+"""Shared numerical plumbing: seeded randomness, factor containers, the
+subspace estimate record that spectral's eigensolvers fill, the distance
+metrics that quotient out the global ambiguities (sign, rotation, complex
+scaling) of factored estimates, incoherence measures, and the iteration
+driver with its trace that every solver loop runs on.
 
 Everything here is pure and reentrant; workers own their Rng instances.
 """
@@ -140,7 +141,7 @@ def parts_norm(parts):
 
 
 # ---------------------------------------------------------------------------
-# Subspace extraction (blocked subspace iteration + Rayleigh-Ritz)
+# Subspace estimates
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -148,135 +149,6 @@ class SubspaceEstimate:
     basis: np.ndarray       # n x r, orthonormal columns
     values: np.ndarray      # r leading values, descending
     gap: float              # value r minus value r+1
-    residual: float = 0.0   # max per-pair residual actually achieved
-    iterations: int = 0
-
-
-def _check_square_hermitian(M, tol=1e-10):
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - M.conj().T) > tol * scale:
-        raise ValueError("matrix is not symmetric/Hermitian within 1e-10")
-    return M
-
-
-def top_r_symmetric(M, r, tol=1e-10, max_iters=5000, seed=0):
-    """Top-r eigenpairs of a symmetric/Hermitian M by *algebraic* value.
-
-    Blocked subspace iteration on the shifted matrix M + c*I (c = ||M||_F makes
-    it PSD so magnitude order equals algebraic order), with a Rayleigh-Ritz
-    extraction against the original M each sweep. The start basis is seeded, so
-    the output is deterministic. Residual criterion per pair:
-    ||M u - lam u|| <= tol * ||M||  (spectral norm lower-bounded by max Ritz value).
-    """
-    M = _check_square_hermitian(M)
-    n = M.shape[0]
-    if not (1 <= r < n):
-        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    b = min(n, r + 2)  # buffer vectors past r sharpen the first r Ritz pairs
-    fro = float(np.linalg.norm(M))
-    if fro == 0.0:
-        basis = np.eye(n, r, dtype=M.dtype)
-        return SubspaceEstimate(basis=basis, values=np.zeros(r), gap=0.0)
-
-    rng = make_rng(derive_seed(seed, "subspace-iteration", n, r))
-    Q = rng.standard_normal((n, b))
-    if np.iscomplexobj(M):
-        Q = Q + 1j * rng.standard_normal((n, b))
-    Q, _ = np.linalg.qr(Q)
-
-    shift = fro
-    achieved = np.inf
-    for sweep in range(1, max_iters + 1):
-        # Two applications of (M + shift I) per sweep squares the convergence ratio.
-        Z = M @ Q + shift * Q
-        Z = M @ Z + shift * Z
-        Q, _ = np.linalg.qr(Z)
-        T = Q.conj().T @ (M @ Q)
-        T = (T + T.conj().T) / 2.0
-        w, S = np.linalg.eigh(T)      # ascending
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        vectors = Q @ S[:, order]
-        resid = M @ vectors[:, :r] - vectors[:, :r] * w[:r]
-        per_pair = np.linalg.norm(resid, axis=0)
-        norm_lb = max(float(np.max(np.abs(w))), np.finfo(float).tiny)
-        achieved = float(np.max(per_pair)) / norm_lb
-        if achieved <= tol:
-            next_val = w[r] if b > r else -np.inf
-            return SubspaceEstimate(
-                basis=vectors[:, :r],
-                values=w[:r].copy(),
-                gap=float(w[r - 1] - next_val),
-                residual=achieved,
-                iterations=sweep,
-            )
-        Q = vectors  # keep the rotated basis; accelerates clustered spectra
-
-    raise RuntimeError(
-        f"subspace iteration did not converge in {max_iters} sweeps: "
-        f"achieved relative residual {achieved:.3e}, wanted {tol:g}"
-    )
-
-
-def top_r_svd(M, r, tol=1e-10, max_iters=5000, seed=0):
-    """Top-r singular triples of a (possibly rectangular, possibly complex) M.
-
-    Alternating blocked orthogonalization of U against M V and V against M^H U,
-    with a small SVD of the projected block as the Rayleigh-Ritz step. Returns
-    (left, right) SubspaceEstimates carrying the shared singular values.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={M.ndim}")
-    n1, n2 = M.shape
-    if not (1 <= r <= min(n1, n2)):
-        raise ValueError(f"need 1 <= r <= min(n1,n2), got r={r}, shape={M.shape}")
-    b = min(min(n1, n2), r + 2)
-    fro = float(np.linalg.norm(M))
-    if fro == 0.0:
-        zero = np.zeros(r)
-        return (
-            SubspaceEstimate(basis=np.eye(n1, r, dtype=M.dtype), values=zero, gap=0.0),
-            SubspaceEstimate(basis=np.eye(n2, r, dtype=M.dtype), values=zero.copy(), gap=0.0),
-        )
-
-    rng = make_rng(derive_seed(seed, "svd-iteration", n1, n2, r))
-    V = rng.standard_normal((n2, b))
-    if np.iscomplexobj(M):
-        V = V + 1j * rng.standard_normal((n2, b))
-    V, _ = np.linalg.qr(V)
-
-    Mh = M.conj().T
-    achieved = np.inf
-    for sweep in range(1, max_iters + 1):
-        U, _ = np.linalg.qr(M @ V)
-        V, _ = np.linalg.qr(Mh @ U)
-        B = U.conj().T @ (M @ V)
-        P, s, Qh = np.linalg.svd(B)
-        left = U @ P
-        right = V @ Qh.conj().T
-        res_l = np.linalg.norm(M @ right[:, :r] - left[:, :r] * s[:r], axis=0)
-        res_r = np.linalg.norm(Mh @ left[:, :r] - right[:, :r] * s[:r], axis=0)
-        achieved = float(max(np.max(res_l), np.max(res_r))) / max(float(s[0]), np.finfo(float).tiny)
-        if achieved <= tol:
-            next_val = float(s[r]) if b > r else 0.0  # sigma_{r+1} = 0 past full rank
-            values = s[:r].copy()
-            gap = float(values[-1] - next_val)
-            return (
-                SubspaceEstimate(basis=left[:, :r], values=values, gap=gap,
-                                 residual=achieved, iterations=sweep),
-                SubspaceEstimate(basis=right[:, :r], values=values.copy(), gap=gap,
-                                 residual=achieved, iterations=sweep),
-            )
-        V = right  # rotated basis
-
-    raise RuntimeError(
-        f"SVD iteration did not converge in {max_iters} sweeps: "
-        f"achieved relative residual {achieved:.3e}, wanted {tol:g}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +376,14 @@ def incoherence_mu(M, r, rank_tol=1e-12):
     ||U||_{2,inf} <= sqrt(mu r / n1) and ||V||_{2,inf} <= sqrt(mu r / n2)."""
     M = np.asarray(M)
     n1, n2 = M.shape
-    left, right = top_r_svd(M, r)
-    if left.values[-1] <= rank_tol * max(left.values[0], np.finfo(float).tiny):
+    if not (1 <= r <= min(n1, n2)):
+        raise ValueError(f"need 1 <= r <= min(n1,n2), got r={r}, shape={M.shape}")
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    if s[r - 1] <= rank_tol * max(s[0], np.finfo(float).tiny):
         raise ValueError(f"matrix is numerically rank-deficient at rank {r}: "
-                         f"sigma_r = {left.values[-1]:.3e}")
-    mu_u = n1 / r * float(np.max(np.sum(np.abs(left.basis) ** 2, axis=1)))
-    mu_v = n2 / r * float(np.max(np.sum(np.abs(right.basis) ** 2, axis=1)))
+                         f"sigma_r = {s[r - 1]:.3e}")
+    mu_u = n1 / r * float(np.max(np.sum(np.abs(U[:, :r]) ** 2, axis=1)))
+    mu_v = n2 / r * float(np.max(np.sum(np.abs(Vh[:r]) ** 2, axis=0)))
     return max(mu_u, mu_v)
 
 

@@ -7,7 +7,6 @@ The loss column always carries the family's plain empirical risk, whatever
 objective the half-steps optimize.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .problems import (
     observed_entries,
     sensing_adjoint,
     sensing_measurements,
+    sensing_operator,
 )
 
 _ALTMIN_VARIANTS = ("reuse", "sample_split", "regularized")
@@ -143,19 +143,6 @@ def _alternate(instance, L, R, cfg, right, left):
 # Alternating least squares on sensing
 # ---------------------------------------------------------------------------
 
-def _design_tensor(instance):
-    # The identity design is stored symbolically; materialize sqrt(m) E_i
-    # for the row-building the half-steps need.  Sizes are desk-scale there.
-    d = instance.design
-    if d["kind"] == "identity":
-        p = instance.params
-        m = p["m"]
-        A = np.zeros((m, p["n1"] * p["n2"]))
-        A[np.arange(m), np.arange(m)] = math.sqrt(m)
-        return A.reshape(m, p["n1"], p["n2"])
-    return d["A"]
-
-
 def _solve_full_rank(rows, rhs, rcond, what):
     sol, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=rcond)
     if rank < rows.shape[1]:
@@ -175,22 +162,20 @@ def altmin_sensing(instance, L0, config=None):
     cfg = _resolve(config, AltMinConfig)
     if cfg.variant != "reuse":
         raise ValueError("sensing half-steps are always exact; use variant 'reuse'")
-    A = _design_tensor(instance)
+    op = sensing_operator(instance)
     y = instance.y
-    m, n1, n2 = A.shape
+    n1, n2 = instance.params["n1"], instance.params["n2"]
     L = np.array(L0, dtype=float)
     if L.ndim != 2 or L.shape[0] != n1:
         raise ValueError(f"initial left factor must be {n1} x r")
     r = L.shape[1]
 
     def right(t, L, R):
-        rows_R = np.tensordot(A, L, axes=([1], [0])).reshape(m, n2 * r)
-        return _solve_full_rank(rows_R, y, cfg.inner_tol,
+        return _solve_full_rank(op.rows(L, 1), y, cfg.inner_tol,
                                 "right half-step").reshape(n2, r)
 
     def left(t, R, L):
-        rows_L = np.tensordot(A, R, axes=([2], [0])).reshape(m, n1 * r)
-        return _solve_full_rank(rows_L, y, cfg.inner_tol,
+        return _solve_full_rank(op.rows(R, 2), y, cfg.inner_tol,
                                 "left half-step").reshape(n1, r)
 
     return _alternate(instance, L, np.zeros((n2, r)), cfg, right, left)

@@ -20,6 +20,7 @@ from .core import (
     dist_bd,
     dist_factors,
     dist_vector,
+    incoherence_mu,
     iterate,
     make_rng,
     max_row_norm,
@@ -296,8 +297,6 @@ def make_incoherent_projector(instance, init, c=2.0, mu=None):
     constraint set is specified relative to the first iterate.  Asymmetric
     points clip each factor against its own row count.
     """
-    from .core import incoherence_mu
-
     t = instance.truth
     r = instance.params["r"]
     if mu is None:

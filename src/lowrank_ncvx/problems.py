@@ -54,8 +54,9 @@ class ProblemInstance:
     """One generated problem: truth, measurement design, and observations.
 
     ``params`` holds the scalar knobs the generator was called with,
-    ``truth`` the planted factors (arrays), ``design`` the measurement
-    operator (arrays plus a "kind" tag where relevant), and ``y`` the
+    ``truth`` the planted factors (arrays), ``design`` the data of the
+    measurement operator (arrays, plus a "kind" tag for sensing, which
+    sensing_operator reads to build the operator), and ``y`` the
     observations.  All fields are plain data so an instance can round-trip
     through JSON without loss.  Derived data, such as the observed-entry index
     of a completion mask, is memoized as a private attribute outside the
@@ -175,8 +176,10 @@ def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
     """Sensing whose operator is an exact isometry: A_i = sqrt(n1 n2) E_i.
 
     One measurement per entry, so A(T) is vec(T) after the 1/sqrt(m)
-    normalization.  The design is stored symbolically, never as explicit
-    basis matrices.  Empirical RIP probes of this instance report exactly 0.
+    normalization.  The design is stored symbolically, as {"kind":
+    "identity"}, and sensing_operator serves it without ever forming the
+    m x n1 x n2 basis tensor.  Empirical RIP probes of this instance report
+    exactly 0.
     """
     if not (1 <= r <= min(n1, n2)):
         raise ValueError("need 1 <= r <= min(n1, n2)")
@@ -593,48 +596,92 @@ def observed_csr(instance, values):
 # Forward models
 # ---------------------------------------------------------------------------
 
-def _sensing_apply(design, T, m):
-    """The normalized map A(T), one coordinate per measurement.
+class _GaussianSensing:
+    """Stored design matrices A_i, an (m, n1, n2) array."""
 
-    The identity design returns vec(T) itself: its symbolic sqrt(m) scaling
-    cancels the 1/sqrt(m) normalization with no rounding at all.
-    """
-    if design["kind"] == "identity":
+    def __init__(self, A):
+        self.A = A
+        self.m = A.shape[0]
+
+    def measure(self, T):
+        return np.tensordot(self.A, T, axes=([1, 2], [0, 1]))
+
+    def apply(self, T):
+        return self.measure(T) / math.sqrt(self.m)
+
+    def adjoint(self, e):
+        return np.tensordot(e, self.A, axes=([0], [0]))
+
+    def rows(self, F, side):
+        return np.tensordot(self.A, F, axes=([side], [0])).reshape(self.m, -1)
+
+
+class _IdentitySensing:
+    """The symbolic design A_i = sqrt(m) E_i, measurement i reading entry i
+    of vec(T) in row-major order; no basis matrix is ever formed."""
+
+    def __init__(self, n1, n2):
+        self.shape = (n1, n2)
+        self.m = n1 * n2
+        self.scale = math.sqrt(self.m)
+
+    def measure(self, T):
+        return self.scale * np.ravel(T)
+
+    def apply(self, T):
+        # the sqrt(m) scaling cancels the 1/sqrt(m) normalization exactly
         return np.ravel(T)
-    return np.tensordot(design["A"], T, axes=([1, 2], [0, 1])) / math.sqrt(m)
+
+    def adjoint(self, e):
+        return self.scale * np.reshape(e, self.shape)
+
+    def rows(self, F, side):
+        # sqrt(m) (F kron I), its columns ordered as vec of the free factor.
+        # Filled by assignment, so every zero is +0: a signed zero would
+        # steer lstsq's Householder signs.
+        n = self.shape[2 - side]
+        K = np.zeros(self.shape + (n, F.shape[1]))
+        d = np.arange(n)
+        if side == 1:
+            K[:, d, d] = self.scale * F[:, None]
+        else:
+            K[d, :, d] = self.scale * F
+        return K.reshape(self.m, -1)
 
 
-def _sensing_measure(design, T, m):
-    # Unnormalized measurements <A_i, T>.
-    if design["kind"] == "identity":
-        return math.sqrt(m) * np.ravel(T)
-    return np.tensordot(design["A"], T, axes=([1, 2], [0, 1]))
+def sensing_operator(instance):
+    """The measurement operator of a sensing instance.
 
-
-def _sensing_adjoint_weighted(design, e, n1, n2, m):
-    # sum_i e_i A_i, the piece shared by every sensing gradient.
-    if design["kind"] == "identity":
-        return math.sqrt(m) * np.reshape(e, (n1, n2))
-    return np.tensordot(e, design["A"], axes=([0], [0]))
+    measure(T) gives the unnormalized <A_i, T>, apply(T) the normalized map
+    A(T) = measure(T) / sqrt(m), and adjoint(e) the sum of e_i A_i.
+    rows(F, side) gives the m x (n r) least-squares rows of the factor
+    left free when F fills axis side (1 or 2) of T: rows(L, 1) @ vec(R) and
+    rows(R, 2) @ vec(L) both equal measure(L R^T), vec in row-major order.
+    """
+    if instance.family not in ("MatrixSensingSym", "MatrixSensingAsym"):
+        raise ValueError("measurement map applies to sensing instances")
+    if instance.design["kind"] == "identity":
+        return _IdentitySensing(instance.params["n1"], instance.params["n2"])
+    return _GaussianSensing(instance.design["A"])
 
 
 def sensing_measurements(instance, T):
     """<A_i, T> for each measurement of a sensing instance (unnormalized)."""
-    if instance.family not in ("MatrixSensingSym", "MatrixSensingAsym"):
-        raise ValueError("measurement map applies to sensing instances")
-    return _sensing_measure(instance.design, np.asarray(T, dtype=float),
-                            instance.params["m"])
+    op = sensing_operator(instance)
+    T = np.asarray(T, dtype=float)
+    shape = (instance.params["n1"], instance.params["n2"])
+    if T.shape != shape:
+        raise ValueError(f"expected a {shape[0]} x {shape[1]} matrix, got shape {T.shape}")
+    return op.measure(T)
 
 
 def sensing_adjoint(instance, e):
     """sum_i e_i A_i, the adjoint of the unnormalized measurement map."""
-    if instance.family not in ("MatrixSensingSym", "MatrixSensingAsym"):
-        raise ValueError("measurement map applies to sensing instances")
-    p = instance.params
+    op = sensing_operator(instance)
     e = np.asarray(e, dtype=float)
-    if e.shape != (p["m"],):
-        raise ValueError(f"expected {p['m']} measurement coefficients")
-    return _sensing_adjoint_weighted(instance.design, e, p["n1"], p["n2"], p["m"])
+    if e.shape != (op.m,):
+        raise ValueError(f"expected {op.m} measurement coefficients")
+    return op.adjoint(e)
 
 
 def forward_model(instance):
@@ -642,7 +689,7 @@ def forward_model(instance):
     fam = instance.family
     t, d, p = instance.truth, instance.design, instance.params
     if fam in ("MatrixSensingSym", "MatrixSensingAsym"):
-        return _sensing_measure(d, t["M"], p["m"])
+        return sensing_operator(instance).measure(t["M"])
     if fam == "PhaseRetrieval":
         return (d["A"] @ t["x"]) ** 2
     if fam == "QuadraticSensing":
@@ -749,28 +796,26 @@ def _loss_sensing_sym(instance, point, loss, lp, weights):
     _expect_kind(point, "sym", instance.family)
     if loss != "plain":
         raise ValueError("symmetric sensing defines only the plain loss")
-    p = instance.params
-    m = p["m"]
+    m = instance.params["m"]
     w = _weights(weights, m)
     X = point.X
-    z = _sensing_measure(instance.design, X @ X.T, m)
-    e = z - instance.y
+    op = sensing_operator(instance)
+    e = op.measure(X @ X.T) - instance.y
     val = float(np.sum(w * e * e)) / (4.0 * m)
-    S = _sensing_adjoint_weighted(instance.design, w * e, p["n1"], p["n2"], m)
+    S = op.adjoint(w * e)
     g = (0.5 * (S + S.T)) @ X / m
     return val, FactorPoint("sym", (g,))
 
 
 def _loss_sensing_asym(instance, point, loss, lp, weights):
     _expect_kind(point, "asym", instance.family)
-    p = instance.params
-    m = p["m"]
+    m = instance.params["m"]
     w = _weights(weights, m)
     L, R = point.L, point.R
-    z = _sensing_measure(instance.design, L @ R.T, m)
-    e = z - instance.y
+    op = sensing_operator(instance)
+    e = op.measure(L @ R.T) - instance.y
     val = float(np.sum(w * e * e)) / (4.0 * m)
-    S = _sensing_adjoint_weighted(instance.design, w * e, p["n1"], p["n2"], m)
+    S = op.adjoint(w * e)
     gL = S @ R / (2.0 * m)
     gR = S.T @ L / (2.0 * m)
     if loss == "regularized":
@@ -977,12 +1022,11 @@ def estimate_rip(instance, r, trials, seed):
     the worst deviation of ||A(T)||^2 from 1.  Probe t depends only on
     (seed, t), so the estimate is monotone in the trial count.
     """
-    if instance.family not in ("MatrixSensingSym", "MatrixSensingAsym"):
-        raise ValueError("restricted isometry probes apply to sensing instances")
+    op = sensing_operator(instance)
     if trials < 1:
         raise ValueError("need at least one trial")
     p = instance.params
-    n1, n2, m = p["n1"], p["n2"], p["m"]
+    n1, n2 = p["n1"], p["n2"]
     if not (1 <= r <= min(n1, n2)):
         raise ValueError("need 1 <= r <= min(n1, n2)")
     symmetric = instance.family == "MatrixSensingSym"
@@ -996,7 +1040,7 @@ def estimate_rip(instance, r, trials, seed):
         else:
             T = rng.standard_normal((n1, r)) @ rng.standard_normal((n2, r)).T
         flat = np.ravel(T)
-        z = _sensing_apply(instance.design, T, m)
+        z = op.apply(T)
         val = float(np.dot(z, z)) / float(np.dot(flat, flat))
         worst = max(worst, abs(val - 1.0))
     return RipEstimate(r=r, delta_hat=worst, trials=trials)

@@ -228,14 +228,7 @@ def apply_preprocessing(prep, y):
 
 def surrogate_sensing(instance):
     """Y = (1/m) sum y_i A_i, the adjoint of the measurements at the data."""
-    if instance.family not in ("MatrixSensingSym", "MatrixSensingAsym"):
-        raise ValueError("sensing surrogate applies to sensing instances")
-    p = instance.params
-    n1, n2, m = p["n1"], p["n2"], p["m"]
-    if instance.design["kind"] == "identity":
-        return instance.y.reshape(n1, n2) * (math.sqrt(m) / m)
-    A = instance.design["A"]
-    return np.tensordot(instance.y, A, axes=([0], [0])) / m
+    return problems.sensing_adjoint(instance, instance.y) / instance.params["m"]
 
 
 def surrogate_completion(instance):
@@ -480,12 +473,8 @@ def init_sparse_pr(instance, k=None, gamma=None):
         raise ValueError("empty support: no diagonal entry clears the threshold")
     As = A[:, support]
     Ys = surrogate_quadratic(y, As)
-    if support.size == 1:
-        u = np.ones(1)
-        sub = SubspaceEstimate(basis=u[:, None], values=np.array([float(Ys[0, 0])]), gap=0.0)
-    else:
-        sub = _eig_top(Ys, 1)
-        u = sub.basis[:, 0]
+    sub = _eig_top(Ys, 1)
+    u = sub.basis[:, 0]
     s = math.sqrt(max(float(np.mean(y)), 0.0))
     x0 = np.zeros(n)
     x0[support] = s * u

@@ -34,122 +34,6 @@ def test_make_rng_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# top_r_symmetric
-# ---------------------------------------------------------------------------
-
-def test_top_r_symmetric_diagonal():
-    est = core.top_r_symmetric(np.diag([3.0, 2.0, 1.0]), 1)
-    assert est.values.shape == (1,)
-    assert abs(est.values[0] - 3.0) < 1e-10
-    assert abs(abs(est.basis[0, 0]) - 1.0) < 1e-8
-    assert abs(est.gap - 1.0) < 1e-8
-
-
-def test_top_r_symmetric_degenerate_spectrum():
-    est = core.top_r_symmetric(np.eye(3), 2)
-    assert np.allclose(est.values, [1.0, 1.0], atol=1e-10)
-    assert abs(est.gap) < 1e-8
-    # any orthonormal basis of a 2-dim eigenspace is fine
-    assert np.allclose(est.basis.T @ est.basis, np.eye(2), atol=1e-10)
-
-
-def test_top_r_symmetric_matches_dense_oracle():
-    rng = core.make_rng(42)
-    for trial in range(5):
-        A = rng.standard_normal((8, 8))
-        M = (A + A.T) / 2
-        est = core.top_r_symmetric(M, 3)
-        w, V = np.linalg.eigh(M)  # dense oracle
-        w_top = w[::-1][:3]
-        V_top = V[:, ::-1][:, :3]
-        assert np.allclose(est.values, w_top, atol=1e-8)
-        P_ours = est.basis @ est.basis.T
-        P_oracle = V_top @ V_top.T
-        assert np.linalg.norm(P_ours - P_oracle, 2) < 1e-8
-
-
-def test_top_r_symmetric_projector_oracle_up_to_32():
-    rng = core.make_rng(3)
-    for n in (5, 12, 32):
-        U = rand_orthonormal(rng, n, n)
-        vals = np.sort(rng.uniform(-2, 2, size=n))[::-1]
-        vals[2] = vals[3] + 1.0  # keep a clean gap at r=3
-        M = (U * vals) @ U.T
-        M = (M + M.T) / 2
-        est = core.top_r_symmetric(M, 3)
-        w, V = np.linalg.eigh(M)
-        Vt = V[:, ::-1][:, :3]
-        assert np.linalg.norm(est.basis @ est.basis.T - Vt @ Vt.T, 2) < 1e-8
-
-
-def test_top_r_symmetric_complex_hermitian():
-    rng = core.make_rng(11)
-    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    M = (A + A.conj().T) / 2
-    est = core.top_r_symmetric(M, 2)
-    w = np.linalg.eigvalsh(M)[::-1]
-    assert np.allclose(est.values, w[:2], atol=1e-8)
-    assert np.max(np.abs(M @ est.basis - est.basis * est.values)) < 1e-8
-
-
-def test_top_r_symmetric_rejects_nonsymmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        core.top_r_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
-
-
-def test_top_r_symmetric_nonconvergence_reports_residual():
-    rng = core.make_rng(5)
-    A = rng.standard_normal((10, 10))
-    M = (A + A.T) / 2
-    with pytest.raises(RuntimeError, match="residual"):
-        core.top_r_symmetric(M, 2, tol=1e-300, max_iters=2)
-
-
-# ---------------------------------------------------------------------------
-# top_r_svd
-# ---------------------------------------------------------------------------
-
-def test_top_r_svd_diagonal_padded():
-    M = np.zeros((3, 2))
-    M[0, 0], M[1, 1] = 2.0, 1.0
-    left, right = core.top_r_svd(M, 1)
-    assert abs(left.values[0] - 2.0) < 1e-10
-    assert np.allclose(left.values, right.values)
-
-
-def test_top_r_svd_rank1_exact():
-    rng = core.make_rng(9)
-    u = rng.standard_normal(7)
-    v = rng.standard_normal(4)
-    M = np.outer(u, v)
-    left, right = core.top_r_svd(M, 1)
-    s = np.linalg.norm(u) * np.linalg.norm(v)
-    assert abs(left.values[0] - s) < 1e-10 * s
-    # up to joint sign
-    uu = u / np.linalg.norm(u)
-    vv = v / np.linalg.norm(v)
-    sign = np.sign(uu @ left.basis[:, 0])
-    assert np.allclose(sign * left.basis[:, 0], uu, atol=1e-8)
-    assert np.allclose(sign * right.basis[:, 0], vv, atol=1e-8)
-
-
-def test_top_r_svd_matches_full_svd_oracle():
-    rng = core.make_rng(20)
-    M = rng.standard_normal((10, 6))
-    left, right = core.top_r_svd(M, 2)
-    # oracle: full SVD via eigendecomposition of M^T M
-    w, V = np.linalg.eigh(M.T @ M)
-    sig = np.sqrt(np.maximum(w[::-1], 0.0))
-    Vt = V[:, ::-1]
-    assert np.allclose(left.values, sig[:2], atol=1e-8)
-    P_right = right.basis @ right.basis.T
-    P_oracle = Vt[:, :2] @ Vt[:, :2].T
-    assert np.linalg.norm(P_right - P_oracle, 2) < 1e-8
-    U_oracle = M @ Vt[:, :2] / sig[:2]
-    assert np.linalg.norm(left.basis @ left.basis.T - U_oracle @ U_oracle.T, 2) < 1e-8
-
-
-# ---------------------------------------------------------------------------
 # procrustes / dist_factors
 # ---------------------------------------------------------------------------
 
@@ -574,9 +458,9 @@ def test_davis_kahan_bound_holds():
         Delta = (D + D.T) / 2
         Delta *= 0.1 / np.linalg.norm(Delta, 2)
         nd = np.linalg.norm(Delta, 2)
-        est = core.top_r_symmetric(Y + Delta, r)
+        basis = np.linalg.eigh(Y + Delta)[1][:, ::-1][:, :r]
         gap = lam[-1] - 0.0  # lambda_{r+1}(Y) = 0
-        assert core.dist_subspace(est.basis, U) <= nd / (gap - nd) + 1e-8
+        assert core.dist_subspace(basis, U) <= nd / (gap - nd) + 1e-8
 
 
 # ---------------------------------------------------------------------------

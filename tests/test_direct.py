@@ -4,6 +4,7 @@ projected power method.  Exact desk cases pin the update algebra; the Monte
 Carlo batteries run at calibrated sizes with frozen seeds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ def test_altmin_sensing_identity_design_exact_after_one_round():
     L, R, tr = altmin_sensing(inst, L0, AltMinConfig(max_outer=1))
     assert np.linalg.norm(L @ R.T - inst.truth["M"]) < 1e-10
     assert tr.iters == [1]
+
+
+def test_altmin_sensing_identity_design_round_stays_small():
+    # The identity design's half-steps use Kronecker rows, O(m n r) memory,
+    # rather than a dense m x n1 x n2 basis tensor (201 MiB at n = 60).
+    inst = gen_identity_sensing(60, 60, 2, seed=5)
+    L0 = make_rng(derive_seed(5, "L0")).standard_normal((60, 2))
+    tracemalloc.start()
+    try:
+        L, R, _ = altmin_sensing(inst, L0, AltMinConfig(max_outer=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert np.linalg.norm(L @ R.T - inst.truth["M"]) < 1e-10
 
 
 def test_altmin_sensing_guards():

@@ -106,6 +106,51 @@ def test_sensing_spectrum_control():
     np.testing.assert_allclose(np.sort(w)[-2:], [2.0, 4.0], atol=1e-10)
 
 
+SENSING_DESIGNS = {
+    "sym": lambda seed: gen_matrix_sensing(5, 5, 2, 30, True, seed),
+    "asym": lambda seed: gen_matrix_sensing(5, 4, 2, 30, False, seed),
+    "identity": lambda seed: gen_identity_sensing(5, 4, 2, seed),
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(design=st.sampled_from(sorted(SENSING_DESIGNS)),
+       seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3))
+def test_sensing_operator_adjoint_and_rows(design, seed, r):
+    inst = SENSING_DESIGNS[design](seed)
+    op = problems.sensing_operator(inst)
+    n1, n2 = inst.params["n1"], inst.params["n2"]
+    rng = core.make_rng(core.derive_seed(seed, "adjointness"))
+    T = rng.standard_normal((n1, n2))
+    e = rng.standard_normal(inst.params["m"])
+    lhs = float(op.measure(T) @ e)
+    rhs = float(np.sum(T * op.adjoint(e)))
+    scale = np.linalg.norm(op.measure(T)) * np.linalg.norm(e)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+    L, R = rng.standard_normal((n1, r)), rng.standard_normal((n2, r))
+    want = op.measure(L @ R.T)
+    norm = np.linalg.norm(want)
+    assert np.linalg.norm(op.rows(L, 1) @ R.ravel() - want) <= 1e-12 * norm
+    assert np.linalg.norm(op.rows(R, 2) @ L.ravel() - want) <= 1e-12 * norm
+    if design == "identity":
+        assert np.array_equal(op.apply(T), T.ravel())
+
+
+def test_sensing_measurements_reject_a_misshapen_matrix():
+    for make in SENSING_DESIGNS.values():
+        inst = make(4)
+        n1, n2 = inst.params["n1"], inst.params["n2"]
+        T = np.ones((n1, n2))
+        assert problems.sensing_measurements(inst, T).shape == (inst.params["m"],)
+        for bad in (np.ones(5), np.ones((n1 * n2,)), np.ones((n1, n2 + 1))):
+            with pytest.raises(ValueError, match="matrix"):
+                problems.sensing_measurements(inst, bad)
+    ident = gen_identity_sensing(4, 3, 1, seed=2)  # 12 measurements
+    for bad in (np.ones(5), np.ones((3, 4))):  # a short vector, a transpose
+        with pytest.raises(ValueError, match="4 x 3"):
+            problems.sensing_measurements(ident, bad)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     n1=st.integers(2, 6), n2=st.integers(2, 6),

@@ -205,6 +205,19 @@ def test_dense_paths_do_not_load_scipy_sparse():
         loaded = sorted(m for m in sys.modules
                         if m.startswith(("scipy.sparse", "scipy.optimize")))
         assert not loaded, loaded
+        # Gaussian and identity sensing: init, GD, AltMin, SVP and RIP probes.
+        for inst in (problems.gen_matrix_sensing(6, 5, 2, 80, False, 3),
+                     problems.gen_identity_sensing(6, 5, 2, 3)):
+            est = spectral.init_sensing(inst, 2)
+            gd.run_gd(inst, est.point, gd.SolverConfig(max_iters=5))
+            direct.altmin_sensing(inst, est.point.L, direct.AltMinConfig(max_outer=1))
+            direct.svp(inst, direct.SvpConfig(r=2, max_iters=2))
+            problems.estimate_rip(inst, 2, 5, 0)
+        # The incoherence projector's default mu.
+        inst = problems.gen_matrix_sensing(6, 6, 2, 80, True, 3)
+        gd.make_incoherent_projector(inst, spectral.init_sensing(inst, 2).point)
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+        assert not loaded, loaded
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))

@@ -555,6 +555,22 @@ def test_init_sparse_pr_k_variant_and_errors():
         init_sparse_pr(inst)
 
 
+def test_init_sparse_pr_single_coordinate_support():
+    # A 1 x 1 surrogate goes through the same eigensolver: the basis is [[1]],
+    # the point is sqrt(mean y) on the one coordinate, and the gap is Y_00.
+    inst = _spiked_pr(16, 2048, seed=77)
+    est, support = init_sparse_pr(inst, k=1)
+    assert support.tolist() == [0]
+    y = inst.y
+    want = np.zeros(16)
+    want[0] = math.sqrt(max(float(np.mean(y)), 0.0))
+    assert np.array_equal(est.point.x, want)
+    (sub,) = est.subspaces
+    assert np.array_equal(sub.basis, [[1.0]])
+    Y00 = float(surrogate_quadratic(y, inst.design["A"][:, support])[0, 0])
+    assert sub.values[0] == Y00 and sub.gap == Y00
+
+
 # ---------------------------------------------------------------------------
 # Phase synchronization initialization
 # ---------------------------------------------------------------------------
