@@ -136,10 +136,6 @@ def _real_factor(name, A):
     return np.asarray(A, dtype=float)
 
 
-def parts_norm(parts):
-    return math.sqrt(sum(float(np.sum(np.abs(p) ** 2)) for p in parts))
-
-
 # ---------------------------------------------------------------------------
 # Subspace estimates
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ The rank-1 factorization objective f(x) = ||xx^T - M||_F^2 / 4 admits a
 complete census of its critical points from the eigenpairs of M.  This
 module materializes that census, labels arbitrary points from dense Hessian
 eigenvalues, certifies the strict-saddle trichotomy, and implements the
-escape mechanisms: iterate perturbation on top of plain descent, exact
-trust-region steps, and cubic-regularized steps.  Two descent studies round
-it out, one from wide random inits on phase retrieval and one on the
-over-parametrized square-factor lift.  The perturbed walk and the lifted
-descent run on core.iterate, which owns their stop and divergence rules.
+escape mechanisms: iterate perturbation on top of plain descent, and exact
+trust-region and cubic-regularized steps, which share one shifted-eigen
+subproblem solve and differ only in the step length the shift must produce.
+Two descent studies round it out, one from wide random inits on phase
+retrieval and one on the over-parametrized square-factor lift, which
+evaluates the families' own losses through loss_and_grad.  The perturbed
+walk and the lifted descent run on core.iterate, which owns their stop and
+divergence rules.
 
 Everything here is an analysis tool, not a production solver: Hessians are
 formed explicitly and eigendecomposed, so the subproblem solvers refuse
@@ -23,7 +26,7 @@ import numpy as np
 
 from .core import FactorPoint, derive_seed, falls_to, iterate, make_rng
 from .gd import SolverConfig, run_gd
-from .problems import gen_phase_retrieval, loss_and_grad
+from .problems import ProblemInstance, gen_phase_retrieval, loss_and_grad
 
 _KINDS = ("global_min", "local_max", "strict_saddle", "degenerate")
 _DENSE_CAP = 200
@@ -59,9 +62,9 @@ class SaddleEscapeConfig:
     radius `radius` before the usual step.  A zero trigger disables
     injection outright, reducing the walk to plain descent.  grad_tol,
     when set, stops the walk once the recorded gradient norm falls to it;
-    core.iterate owns the stop and divergence tests.  trm_radius and
-    cubic_lipschitz carry the subproblem parameters for runs that
-    interleave trust-region or cubic steps.
+    core.iterate owns the stop and divergence tests.  The trust-region and
+    cubic steps take their radius and Lipschitz estimate as arguments, not
+    from here.
     """
 
     eta: float
@@ -70,8 +73,6 @@ class SaddleEscapeConfig:
     cooldown: int = 25
     max_iters: int = 1000
     grad_tol: float | None = None
-    trm_radius: float = 0.1
-    cubic_lipschitz: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -89,10 +90,6 @@ class SaddleEscapeConfig:
         self.max_iters = int(self.max_iters)
         if self.grad_tol is not None and not self.grad_tol >= 0:
             raise ValueError("grad_tol must be nonnegative")
-        if not self.trm_radius > 0:
-            raise ValueError("trust-region radius must be positive")
-        if not self.cubic_lipschitz > 0:
-            raise ValueError("Hessian Lipschitz estimate must be positive")
 
 
 @dataclass(frozen=True)
@@ -398,10 +395,9 @@ def strict_saddle_check(oracle, x, eps, gamma, zeta, minima):
         held.add("strong_gradient")
     if float(np.linalg.eigvalsh(np.asarray(oracle.hess(x)))[0]) <= -gamma:
         held.add("negative_curvature")
-    for mstar in minima:
-        if float(np.linalg.norm(x - np.asarray(mstar, dtype=float).ravel())) <= zeta:
-            held.add("near_minimum")
-            break
+    # _min_dist reads 0 with no minimizers, which must not count as near one.
+    if len(minima) > 0 and _min_dist(minima, x) <= zeta:
+        held.add("near_minimum")
     return held
 
 
@@ -418,7 +414,7 @@ def _sphere_noise(rng, n, radius):
 
 
 def _min_dist(minima, x):
-    if not minima:
+    if len(minima) == 0:
         return 0.0
     return min(float(np.linalg.norm(x - np.asarray(m, dtype=float).ravel()))
                for m in minima)
@@ -502,6 +498,49 @@ def _eig_split(w, gh, shift):
     return base, flat_weight
 
 
+def _shifted_step(oracle, x, length):
+    # The step s = -(H + shift I)^+ g with H + shift I PSD and ||s|| =
+    # length(shift), shift >= shift0 = max(0, -w_0); both steps below are
+    # this solve for a nondecreasing length.  A shift0 that already leaves
+    # ||s|| <= length(shift0), with no gradient weight on the flat bottom,
+    # is the interior optimum (shift0 = 0) or the hard case, padded along a
+    # bottom eigenvector to length(shift0).  Otherwise the shift is shift0 +
+    # delta for the root delta of length(shift) / ||s|| - 1, formed as
+    # (w_i - w_0) + delta: w_0 + shift cancels next to a saddle.
+    x = np.asarray(x, dtype=float).ravel()
+    _check_dense_dim(x.shape[0])
+    g = np.asarray(oracle.grad(x), dtype=float).ravel()
+    w, Q = np.linalg.eigh(np.asarray(oracle.hess(x), dtype=float))
+    gh = Q.T @ g
+    gn = float(np.linalg.norm(g))
+    shift0 = max(0.0, float(-w[0]))
+    l0 = length(shift0)
+    base, flat_weight = _eig_split(w, gh, shift0)
+    base_norm = float(np.linalg.norm(base))
+    if flat_weight <= 1e-11 * max(gn, 1.0) and base_norm <= l0:
+        s = -(Q @ base)
+        if shift0 > 0.0:
+            s = s + math.sqrt(max(l0 * l0 - base_norm * base_norm, 0.0)) * Q[:, 0]
+        return x + s
+
+    w_lo = w - w[0] if shift0 > 0.0 else w
+
+    def excess(delta):
+        # Increasing in delta; zero where the step has its prescribed length.
+        rho = _shifted_norm(w_lo, gh, delta)
+        return length(shift0 + delta) / rho - 1.0 if rho > 0.0 else math.inf
+
+    from scipy.optimize import brentq  # scipy.optimize loads scipy.sparse
+    # ||s|| <= gn / delta, so 2 gn / l0 already overshoots when l0 > 0.
+    hi = 2.0 * gn / l0 if l0 > 0.0 else gn
+    while not excess(hi) > 0.0:
+        hi *= 2.0
+    delta = brentq(excess, 0.0, hi, xtol=_TINY)  # to relative precision
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = gh / (w_lo + max(delta, shift0 * 1e-15))
+    return x - Q @ np.where(np.isfinite(vals), vals, 0.0)
+
+
 def trust_region_step(oracle, x, radius):
     """Exact trust-region step: argmin of the local quadratic on the ball.
 
@@ -510,46 +549,9 @@ def trust_region_step(oracle, x, radius):
     eigenspace and the limiting solution interior) pads along a bottom
     eigenvector to the boundary.  Returns the new point x + s.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    _check_dense_dim(x.shape[0])
     if not radius > 0:
         raise ValueError("trust-region radius must be positive")
-    g = np.asarray(oracle.grad(x), dtype=float).ravel()
-    H = np.asarray(oracle.hess(x), dtype=float)
-    w, Q = np.linalg.eigh(H)
-    gh = Q.T @ g
-    shift0 = max(0.0, float(-w[0]))
-    base, flat_weight = _eig_split(w, gh, shift0)
-    base_norm = float(np.linalg.norm(base))
-    if flat_weight <= 1e-11 * max(float(np.linalg.norm(g)), 1.0) \
-            and base_norm <= radius:
-        # Interior optimum when H is PSD; otherwise the hard case.
-        s = -(Q @ base)
-        if shift0 > 0.0:
-            s = s + math.sqrt(max(radius * radius - base_norm * base_norm,
-                                  0.0)) * Q[:, 0]
-        return x + s
-
-    # The shift is sought as shift0 + delta, formed as (w_i - w_0) + delta,
-    # as in cubic_step: w_0 + shift cancels near the hard case.
-    w_lo = w - w[0] if shift0 > 0.0 else w
-
-    def excess(delta):
-        # Increasing in the shift; crosses zero at the boundary solution.
-        phi = _shifted_norm(w_lo, gh, delta)
-        return 1.0 / phi - 1.0 / radius
-
-    from scipy.optimize import brentq  # scipy.optimize loads scipy.sparse
-    hi = 2.0 * float(np.linalg.norm(g)) / radius
-    delta = brentq(excess, 0.0, hi, xtol=_TINY)  # to relative precision
-    delta = max(delta, shift0 * 1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = gh / (w_lo + delta)
-    s = -(Q @ np.where(np.isfinite(vals), vals, 0.0))
-    nrm = float(np.linalg.norm(s))
-    if nrm > radius:
-        s *= radius / nrm
-    return x + s
+    return _shifted_step(oracle, x, lambda shift: radius)
 
 
 def cubic_step(oracle, x, lipschitz):
@@ -557,52 +559,13 @@ def cubic_step(oracle, x, lipschitz):
 
     Model: <g, s> + s^T H s / 2 + lipschitz ||s||^3 / 6.  The minimizer
     obeys (H + lipschitz ||s|| / 2 I) s = -g with the shifted matrix PSD,
-    which reduces to one monotone scalar equation in ||s||; the hard case
-    pads along a bottom eigenvector exactly as in the trust-region solve.
+    the trust-region solve with the length 2 shift / lipschitz in place of
+    the radius; the hard case pads along a bottom eigenvector as there.
     Returns the new point x + s.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    _check_dense_dim(x.shape[0])
     if not lipschitz > 0:
         raise ValueError("Hessian Lipschitz estimate must be positive")
-    g = np.asarray(oracle.grad(x), dtype=float).ravel()
-    H = np.asarray(oracle.hess(x), dtype=float)
-    w, Q = np.linalg.eigh(H)
-    gh = Q.T @ g
-    r_lo = max(0.0, -2.0 * float(w[0]) / lipschitz)
-    base, flat_weight = _eig_split(w, gh, 0.5 * lipschitz * r_lo)
-    base_norm = float(np.linalg.norm(base))
-    if flat_weight <= 1e-11 * max(float(np.linalg.norm(g)), 1.0) \
-            and base_norm <= r_lo:
-        # Hard case, including the pure negative-curvature start g = 0.
-        s = -(Q @ base)
-        if r_lo > 0.0:
-            s = s + math.sqrt(max(r_lo * r_lo - base_norm * base_norm,
-                                  0.0)) * Q[:, 0]
-        return x + s
-
-    # The root r is sought as r_lo + delta, with the shifts formed as
-    # (w_i - w_0) + lipschitz delta / 2: w_0 + lipschitz r / 2 cancels when
-    # the root lies near r_lo, next to a saddle.
-    w_lo = w - w[0] if r_lo > 0.0 else w
-
-    def mismatch(delta):
-        # r / ||s(r)|| - 1, increasing in r; zero at the consistent norm.
-        rho = _shifted_norm(w_lo, gh, 0.5 * lipschitz * delta)
-        return (r_lo + delta) / rho - 1.0 if rho > 0.0 else math.inf
-
-    from scipy.optimize import brentq  # scipy.optimize loads scipy.sparse
-    hi = math.sqrt(2.0 * float(np.linalg.norm(g)) / lipschitz) + 1.0
-    for _ in range(64):
-        if mismatch(hi) > 0.0:
-            break
-        hi *= 2.0
-    delta = brentq(mismatch, 0.0, hi, xtol=_TINY)  # to relative precision
-    shift = 0.5 * lipschitz * max(delta, r_lo * 1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = gh / (w_lo + shift)
-    s = -(Q @ np.where(np.isfinite(vals), vals, 0.0))
-    return x + s
+    return _shifted_step(oracle, x, lambda shift: 2.0 * shift / lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -648,27 +611,31 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
 
     The objective is the lifted least squares
     (1/m) sum_i (<A_i, XX^T> - y_i)^2 with the full n x n factor in place
-    of the rank-r one; mind that this sits a factor 4 hotter than the
-    (1/4m) factored losses, so step sizes do not transfer one for one.
-    Phase retrieval measurements enter as the rank-1 sensors a_i a_i^T.  The trace distance column is ||XX^T - M*||_F and
-    extras["effective_rank"] counts singular values of the estimate XX^T
-    above 1e-3 times its largest.  A zero init scale parks the walk at the
-    origin, which is a critical point of the lift; that is the caller's
-    baseline, not an error.
+    of the rank-r one, evaluated as 4 times the family's (1/4m) plain risk
+    through loss_and_grad; mind that factor 4 when carrying step sizes over
+    from the factored losses.  Symmetric sensing evaluates on the instance
+    itself.  Phase retrieval measures XX^T through the rank-1 sensors
+    a_i a_i^T, so its lift is quadratic sensing at rank n on the same
+    (A, y).  The init is small_init_scale times a standard Gaussian n x n
+    draw seeded from derive_seed(config.seed or 0, "overparam").  The trace
+    distance column is ||XX^T - M*||_F and extras["effective_rank"] counts
+    singular values of the estimate XX^T above 1e-3 times its largest.  A
+    zero init scale parks the walk at the origin, which is a critical point
+    of the lift; that is the caller's baseline, not an error.
     """
     cfg = SolverConfig() if config is None else config
     if cfg.eta is None:
         raise ValueError("the over-parametrized walk needs an explicit step "
                          "size")
-    fam = instance.family
+    fam, p = instance.family, instance.params
     if fam == "PhaseRetrieval":
-        A = instance.design["A"]
+        dim = p["n"]
         Mstar = np.outer(instance.truth["x"], instance.truth["x"])
-        dim = instance.params["n"]
+        lifted = ProblemInstance("QuadraticSensing", instance.seed,
+                                 {"n": dim, "r": dim, "m": p["m"]}, {"M": Mstar},
+                                 instance.design, instance.y)
     elif fam == "MatrixSensingSym":
-        A = instance.design["A"]
-        Mstar = instance.truth["M"]
-        dim = instance.params["n1"]
+        dim, Mstar, lifted = p["n1"], instance.truth["M"], instance
     else:
         raise ValueError("the over-parametrized walk covers phase retrieval "
                          "and symmetric sensing")
@@ -676,27 +643,18 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
         raise ValueError(f"the lift must match the ambient dimension {dim}")
     if small_init_scale < 0:
         raise ValueError("init scale must be nonnegative")
-    m = instance.params["m"]
-    y = instance.y
     rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0,
                                "overparam"))
     X = small_init_scale * rng.standard_normal((n, n))
 
     def evaluate(t, point):
-        X = point.X
-        if fam == "PhaseRetrieval":
-            C = A @ X
-            e = np.sum(C * C, axis=1) - y
-            G = 4.0 * (A.T @ (e[:, None] * C)) / m
-        else:
-            C = np.tensordot(A, X, axes=([2], [0]))
-            e = np.einsum("mij,ij->m", C, X) - y
-            G = 4.0 * np.tensordot(e, C, axes=([0], [0])) / m
-        sv = np.linalg.svd(X, compute_uv=False) ** 2  # spectrum of XX^T
+        val, g = loss_and_grad(lifted, point)
+        G = 4.0 * g.X
+        sv = np.linalg.svd(point.X, compute_uv=False) ** 2  # spectrum of XX^T
         erank = int(np.count_nonzero(sv > 1e-3 * sv[0])) if sv[0] > 0 else 0
-        return {"loss": float(e @ e) / m, "grad_norm": float(np.linalg.norm(G)),
-                "dist": float(np.linalg.norm(X @ X.T - Mstar)), "incoh": 0.0,
-                "effective_rank": erank}, G
+        return {"loss": 4.0 * val, "grad_norm": float(np.linalg.norm(G)),
+                "dist": float(np.linalg.norm(point.X @ point.X.T - Mstar)),
+                "incoh": 0.0, "effective_rank": erank}, G
 
     def step(t, point, G):
         return FactorPoint.sym(point.X - cfg.eta * G)

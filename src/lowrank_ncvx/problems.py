@@ -856,12 +856,12 @@ def _loss_quadratic_sensing(instance, point, loss, lp, weights):
     if loss != "plain":
         raise ValueError("quadratic sensing defines only the plain loss")
     m = instance.params["m"]
-    w = _weights(weights, m)
     A, y = instance.design["A"], instance.y
     C = A @ point.X
     e = np.sum(C * C, axis=1) - y
-    val = float(np.sum(w * e * e)) / (4.0 * m)
-    g = A.T @ ((w * e)[:, None] * C) / m
+    we = e if weights is None else _weights(weights, m) * e
+    val = float(we @ e) / (4.0 * m)
+    g = A.T @ (we[:, None] * C) / m
     return val, FactorPoint("sym", (g,))
 
 
@@ -870,16 +870,26 @@ def _completion_scale(params):
     return max(params["p"], np.finfo(float).tiny)
 
 
+def _entry_risk(instance, point, offset=None):
+    # The plain observed-entry risk ||e||^2 / 4p, e the _entry_residual of
+    # the model X X^T (sym) or L R^T (asym) plus offset, and its gradient
+    # parts.  Completion and robust PCA share it.
+    p = _completion_scale(instance.params)
+    A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
+    e = _entry_residual(instance, A, B, offset)
+    E = observed_csr(instance, e)
+    val = float(e @ e) / (4.0 * p)
+    if point.kind == "sym":
+        return val, ((E @ A + E.T @ A) / (2.0 * p),)
+    return val, (E @ B / (2.0 * p), E.T @ A / (2.0 * p))
+
+
 def _loss_completion_sym(instance, point, loss, lp, weights):
     _expect_kind(point, "sym", instance.family)
-    X = point.X
-    p = _completion_scale(instance.params)
-    e = _entry_residual(instance, X, X)
-    val = float(e @ e) / (4.0 * p)
-    E = observed_csr(instance, e)
-    g = (E @ X + E.T @ X) / (2.0 * p)
+    val, (g,) = _entry_risk(instance, point)
     if loss == "regularized":
         # Row-norm hinge sum_i max(||X_i|| - alpha, 0)^4, discouraging spiky rows.
+        X = point.X
         lam = float(lp.get("lam", 1.0))
         alpha = float(lp.get("alpha", 1.0))
         rn = np.sqrt(np.sum(X * X, axis=1))
@@ -908,14 +918,9 @@ def _completion_reg_scales(instance, lp):
 
 def _loss_completion_asym(instance, point, loss, lp, weights):
     _expect_kind(point, "asym", instance.family)
-    L, R = point.L, point.R
-    p = _completion_scale(instance.params)
-    e = _entry_residual(instance, L, R)
-    val = float(e @ e) / (4.0 * p)
-    E = observed_csr(instance, e)
-    gL = E @ R / (2.0 * p)
-    gR = E.T @ L / (2.0 * p)
+    val, (gL, gR) = _entry_risk(instance, point)
     if loss == "regularized":
+        L, R = point.L, point.R
         lam = float(lp.get("lam", 1.0))
         a1, a2, a3, a4 = _completion_reg_scales(instance, lp)
         h1, d1 = _square_hinge(a1 * np.sum(L * L))
@@ -971,22 +976,13 @@ def _loss_blind_deconv(instance, point, loss, lp, weights):
 def _loss_rpca(instance, point, loss, lp, weights):
     if loss != "plain":
         raise ValueError("robust PCA defines only the plain loss")
-    p = _completion_scale(instance.params)
+    if point.kind != "sym":
+        _expect_kind(point, "asym", instance.family)
     S = lp.get("S")
     if S is not None:
         S = np.asarray(S, dtype=float)[observed_entries(instance)]
-    if point.kind == "sym":
-        X = point.X
-        e = _entry_residual(instance, X, X, S)
-        E = observed_csr(instance, e)
-        g = (E @ X + E.T @ X) / (2.0 * p)
-        return float(e @ e) / (4.0 * p), FactorPoint("sym", (g,))
-    _expect_kind(point, "asym", instance.family)
-    L, R = point.L, point.R
-    e = _entry_residual(instance, L, R, S)
-    E = observed_csr(instance, e)
-    val = float(e @ e) / (4.0 * p)
-    return val, FactorPoint("asym", (E @ R / (2.0 * p), E.T @ L / (2.0 * p)))
+    val, parts = _entry_risk(instance, point, S)
+    return val, FactorPoint(point.kind, parts)
 
 
 def _loss_phase_sync(instance, point, loss, lp, weights):

@@ -1,24 +1,29 @@
 """Tests for the landscape toolkit: perturbed descent against a hand-written
 gradient loop, saddle escape from an exact strict saddle, the
-over-parametrized walk parked at the origin, a divergence rule that does not
-depend on the objective's additive constant, analytic Hessians against finite
-differences, the closed-form critical-point census against dense Hessian
-classification, the trust-region step against its optimality conditions
+over-parametrized walk parked at the origin and, from a nonzero init, against
+a plain NumPy lifted loss and its central differences, a divergence rule that
+does not depend on the objective's additive constant, analytic Hessians
+against finite differences, the closed-form critical-point census against
+dense Hessian classification, the strict-saddle check and the JSON report
+against the census, the trust-region step against its optimality conditions
 and random feasible steps, and the cubic and trust-region steps' stationarity
-next to a saddle."""
+next to a saddle and in the hard case."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from lowrank_ncvx.core import make_rng
+
+from lowrank_ncvx.core import derive_seed, make_rng
 from lowrank_ncvx.gd import SolverConfig
 from lowrank_ncvx.landscape import (
     LandscapeOracle,
     SaddleEscapeConfig,
     classify_point,
     classify_rank1_criticals,
+    critical_report,
     cubic_step,
     factored_oracle,
     fd_hessian,
@@ -27,9 +32,10 @@ from lowrank_ncvx.landscape import (
     perturbed_gd,
     rank1_hessian,
     rank1_oracle,
+    strict_saddle_check,
     trust_region_step,
 )
-from lowrank_ncvx.problems import gen_phase_retrieval
+from lowrank_ncvx.problems import gen_matrix_sensing, gen_phase_retrieval
 
 M_DIAG = np.diag([2.0, 1.0, -0.5])
 X0 = np.array([0.3, 0.2, 0.1])
@@ -76,6 +82,54 @@ def test_overparam_walk_from_zero_init_parks_at_origin():
     assert len(set(trace.loss)) == 1
     assert trace.extras["effective_rank"] == [0] * 21
     assert trace.dist == [float(np.linalg.norm(np.outer(xs, xs)))] * 21
+
+
+def _lifted_loss(A, y, X):
+    # (1/m) sum_i (<A_i, X X^T> - y_i)^2 over sensors A of shape (m, n, n).
+    e = np.einsum("kij,ij->k", A, X @ X.T) - y
+    return float(e @ e) / y.shape[0]
+
+
+def _central_difference_grad(f, X, h=1e-5):
+    G = np.empty_like(X)
+    for idx in np.ndindex(*X.shape):
+        E = np.zeros_like(X)
+        E[idx] = h
+        G[idx] = (f(X + E) - f(X - E)) / (2.0 * h)
+    return G
+
+
+@pytest.mark.parametrize("family", ["PhaseRetrieval", "MatrixSensingSym"])
+def test_overparam_walk_from_nonzero_init_descends_the_lifted_loss(family):
+    n, eta, scale, seed, steps = 4, 0.01, 0.3, 11, 5
+    if family == "PhaseRetrieval":
+        inst = gen_phase_retrieval(n, 40, seed=5)
+        a = inst.design["A"]
+        A = a[:, :, None] * a[:, None, :]  # the rank-1 sensors a_i a_i^T
+        Mstar = np.outer(inst.truth["x"], inst.truth["x"])
+    else:
+        inst = gen_matrix_sensing(n, n, 1, 60, True, seed=5)
+        A, Mstar = inst.design["A"], inst.truth["M"]
+    trace = overparam_gd_experiment(
+        inst, n, scale, SolverConfig(eta=eta, max_iters=steps, seed=seed))
+    assert len(trace) == steps + 1
+    assert trace.outcome == "max_iters"
+
+    def f(X):
+        return _lifted_loss(A, inst.y, X)
+
+    X = scale * make_rng(derive_seed(seed, "overparam")).standard_normal((n, n))
+    for t in range(steps + 1):
+        G = _central_difference_grad(f, X)
+        # Row 0 is the init itself; later rows carry the difference error
+        # of the reference steps, about 1e-10 relative.
+        rtol = 1e-12 if t == 0 else 1e-8
+        assert trace.loss[t] == pytest.approx(f(X), rel=rtol)
+        assert trace.grad_norm[t] == pytest.approx(float(np.linalg.norm(G)), rel=1e-7)
+        assert trace.dist[t] == pytest.approx(float(np.linalg.norm(X @ X.T - Mstar)),
+                                              rel=rtol)
+        X = X - eta * G
+    assert trace.loss[-1] < trace.loss[0]
 
 
 def test_perturbed_gd_outcome_ignores_an_additive_constant():
@@ -214,3 +268,63 @@ def test_cubic_and_trust_region_steps_are_stationary_near_a_saddle(name, oracle,
                 ns = float(np.linalg.norm(s))
                 mu = 0.0 if ns < radius * (1.0 - 1e-9) else -float(s @ (H @ s + g)) / ns**2
                 assert np.linalg.norm(H @ s + mu * s + g) <= 1e-10 * gn, (name, norm, radius)
+
+
+def test_strict_saddle_check_and_report_agree_with_the_census():
+    M = _sym_with_spectrum(make_rng(60), [3.0, 1.5, 0.5, 0.0])
+    oracle = rank1_oracle(M)
+    points = classify_rank1_criticals(M)
+    saddles = [p for p in points if p.kind == "strict_saddle"]
+    gamma = 0.5 * min(-p.hessian_extremes[0] for p in saddles)
+    eps, zeta = 1e-6, 1e-6
+    for p in points:
+        held = strict_saddle_check(oracle, p.location, eps, gamma, zeta, oracle.minima)
+        assert "strong_gradient" not in held
+        if p.kind == "global_min":
+            assert held == {"near_minimum"}
+        else:
+            assert held == {"negative_curvature"}
+        # No listed minimizer means no point is near one.
+        assert "near_minimum" not in strict_saddle_check(oracle, p.location, eps,
+                                                         gamma, zeta, ())
+    off = points[0].location + 0.1
+    assert "strong_gradient" in strict_saddle_check(oracle, off, eps, gamma, zeta,
+                                                    oracle.minima)
+    with pytest.raises(ValueError):
+        strict_saddle_check(oracle, off, 0.0, gamma, zeta, oracle.minima)
+
+    rows = json.loads(critical_report(points, "analytic"))
+    assert [r["kind"] for r in rows] == [p.kind for p in points]
+    for r, p in zip(rows, points):
+        assert (r["lambda_min"], r["lambda_max"]) == p.hessian_extremes
+        assert r["location"] == p.location.tolist()
+        assert r["grad_norm"] == p.grad_norm
+        assert r["hessian_source"] == "analytic"
+    assert "hessian_source" not in json.loads(critical_report(points))[0]
+
+
+def test_hard_case_steps_with_a_nonzero_gradient():
+    # At x = e_2 / 2 the gradient lies on e_2 while the Hessian
+    # diag(-1.75, -0.25, 0.75) bottoms out on e_1, so neither step's shift
+    # can come from the secular equation: both pad along e_1.
+    oracle = rank1_oracle(M_DIAG)
+    x = np.array([0.0, 0.5, 0.0])
+    g, H = oracle.grad(x), oracle.hess(x)
+    np.testing.assert_allclose(g, [0.0, -0.375, 0.0], rtol=0, atol=1e-15)
+    shift0 = 1.75
+    gn = float(np.linalg.norm(g))
+    for radius in (0.5, 1.0, 3.0):
+        s = trust_region_step(oracle, x, radius) - x
+        ns = float(np.linalg.norm(s))
+        assert ns == pytest.approx(radius, rel=1e-12)
+        assert abs(s[0]) > 0.0
+        mu = -float(s @ (H @ s + g)) / ns**2
+        assert mu == pytest.approx(shift0, rel=1e-12)
+        assert np.linalg.norm(H @ s + mu * s + g) <= 1e-10 * gn
+    for lipschitz in (0.5, 1.0, 10.0):
+        s = cubic_step(oracle, x, lipschitz) - x
+        ns = float(np.linalg.norm(s))
+        assert ns == pytest.approx(2.0 * shift0 / lipschitz, rel=1e-12)
+        assert abs(s[0]) > 0.0
+        r = H @ s + 0.5 * lipschitz * ns * s + g
+        assert np.linalg.norm(r) <= 1e-10 * gn

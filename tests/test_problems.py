@@ -439,7 +439,7 @@ def test_truth_is_a_global_zero(make, loss, flag):
     val, g = loss_and_grad(inst, _truth_point(inst), loss=loss, loss_params=lp)
     scale = max(1.0, float(np.max(np.abs(inst.y)))) if inst.y.size else 1.0
     assert abs(val) < 1e-12 * scale
-    assert core.parts_norm(g.parts) < 1e-12 * scale
+    assert g.norm() < 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
