@@ -203,9 +203,14 @@ def dist_subspace(U, Ustar, orth_tol=1e-8):
 
 
 def dist_vector(x, xstar):
-    """Sign/phase-minimized l2 distance: min over unit-modulus c of ||x - c xstar||."""
+    """Sign/phase-minimized l2 distance: min over unit-modulus c of ||x - c xstar||.
+    Real input returns sqrt(d.d) for d = x -/+ xstar, as gd's rows record."""
     x = np.asarray(x).ravel()
     xstar = np.asarray(xstar).ravel()
+    if np.isrealobj(x) and np.isrealobj(xstar):
+        x, xstar = x.astype(float, copy=False), xstar.astype(float, copy=False)
+        d = x - (-1.0 if float(x @ xstar) < 0.0 else 1.0) * xstar
+        return math.sqrt(float(d @ d))
     w = complex(np.vdot(xstar, x))
     c = w / abs(w) if w != 0 else 1.0  # optimal phase; any c ties when orthogonal
     diff = x - c * xstar
@@ -383,16 +388,17 @@ def incoherence_mu(M, r, rank_tol=1e-12):
     return max(mu_u, mu_v)
 
 
-def bd_incoherence(h, B):
-    """sqrt(m) * max_j |b_j^H h| / ||h|| for B with rows b_j^H.  An h whose
-    squared norm under- or overflows is first rescaled by a power of 2."""
+def bd_incoherence(h, B, u=None):
+    """sqrt(m) max_j |b_j^H h| / ||h|| for rows b_j^H of B; u = B h if given.
+    An h whose ||h||^2 under- or overflows is rescaled by a power of 2 first."""
     h = np.asarray(h, dtype=complex).ravel()
-    B = np.asarray(B)
+    B = np.asanyarray(B)
     nh, e = _split_norm(h)
     if nh == 0.0:
         raise ValueError("bd_incoherence needs nonzero h")
-    m = B.shape[0]
-    return math.sqrt(m) * float(np.max(np.abs(B @ (_ldexp(h, -e) if e else h)))) / nh
+    if e or u is None:
+        u = B @ (_ldexp(h, -e) if e else h)
+    return math.sqrt(B.shape[0]) * float(np.max(np.abs(u))) / nh
 
 
 def cosine_sq(x, xstar):

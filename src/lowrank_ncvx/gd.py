@@ -193,29 +193,20 @@ def alignment_mismatch(x, labels, alphabet_m):
     return 1.0 - float(agree) / n
 
 
-def incoherence_proxy(instance, point, c=None):
+def incoherence_proxy(instance, point):
     """Alignment between the error and the design: max_i |a_i^T (x - x*)|
-    for phase retrieval (sign-aligned), the 2,inf norm of the aligned factor
-    error for matrix families, and the design-coherence of h for bilinear
-    pairs.  Families without a meaningful proxy report 0.0.
-
-    Phase retrieval computes max|c - s A x*| from c = A x, which a caller
-    holding it passes as ``c``.  A x* is memoized outside the instance's
-    fields and rebuilt when design["A"] or truth["x"] is replaced.
+    for phase retrieval (sign-aligned, computed as max|A x - s A x*|), the
+    2,inf norm of the aligned factor error for matrix families, and the
+    design-coherence of h for bilinear pairs.  Families without a meaningful
+    proxy report 0.0.
     """
     t = instance.truth
     if instance.family == "PhaseRetrieval":
         s = -1.0 if float(point.x @ t["x"]) < 0.0 else 1.0
         A = instance.design["A"]
-        memo = instance.__dict__.get("_truth_forward")
-        if memo is None or memo[0] is not A or memo[1] is not t["x"]:
-            memo = instance._truth_forward = (A, t["x"], A @ t["x"])
-        c = A @ point.x if c is None else c
-        return float(np.max(np.abs(c - s * memo[2])))
+        return float(np.max(np.abs(A @ point.x - s * (A @ t["x"]))))
     if instance.family == "BlindDeconv":
-        if not point.h.any():
-            return 0.0
-        return bd_incoherence(point.h, instance.design["B"])
+        return bd_incoherence(point.h, instance.design["B"]) if point.h.any() else 0.0
     if point.kind == "sym" and "X" in t:
         H = procrustes(point.X, t["X"])
         return max_row_norm(point.X @ H - t["X"])
@@ -367,8 +358,8 @@ def median_mask(instance, x, factor, c=None):
     resid = np.abs(instance.y - c * c)
     if not math.isfinite(factor):
         return np.ones(resid.shape[0], dtype=bool)
-    med = float(np.sort(resid)[(resid.shape[0] - 1) // 2])
-    return resid <= factor * med
+    k = (resid.shape[0] - 1) // 2
+    return resid <= factor * float(np.partition(resid, k)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +375,40 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     and gradient with the variant's weights and loss parameters, and the
     step moves along the negative gradient, then projects.
 
-    A phase-retrieval row computes the forward product c = A x once and
-    shares it with weights_fn(point, c), the loss and the incoherence
-    proxy; the other families pass c = None.
+    A phase-retrieval row shares c = A x with weights_fn(point, c) and the
+    loss, and d = x - s x* with its distance, proxy max|c - s A x*| (A x* is
+    formed once per run) and witness terms; blind deconvolution shares B h.
     """
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
     if weights_fn is None and cfg.batch_k is not None:
         weights_fn = _batch_weights_fn(instance, cfg)
-    witness = instance.family == "PhaseRetrieval"
+    pr, bd = instance.family == "PhaseRetrieval", instance.family == "BlindDeconv"
+    A, B = instance.design.get("A"), instance.design.get("B")
+    if pr:
+        xs = instance.truth["x"]
+        truth_forward = A @ xs
 
     def evaluate(t, point):
-        c = instance.design["A"] @ point.x if witness else None
+        c = A @ point.x if pr else B @ point.h if bd else None
         w = weights_fn(point, c) if weights_fn is not None else None
         lp = loss_params_fn(point) if loss_params_fn is not None else cfg.loss_params
         val, grad = loss_and_grad(instance, point, loss=cfg.loss,
                                   loss_params=lp, weights=w, forward=c)
         gnorm = grad.norm()
-        d = dist_to_truth(instance, point)
-        extra = _witness_terms(instance, point, grad, gnorm) if witness else {}
-        return {"loss": val, "grad_norm": gnorm, "dist": d,
-                "incoh": incoherence_proxy(instance, point, c), **extra}, grad
+        if not pr:
+            if bd:
+                incoh = bd_incoherence(point.h, B, c) if point.h.any() else 0.0
+            else:
+                incoh = incoherence_proxy(instance, point)
+            return {"loss": val, "grad_norm": gnorm,
+                    "dist": dist_to_truth(instance, point), "incoh": incoh}, grad
+        # The terms of 2<g, x-x*> >= mu||g||^2 + lam||x-x*||^2.
+        s = -1.0 if float(point.x @ xs) < 0.0 else 1.0
+        d = point.x - s * xs
+        d2 = float(d @ d)
+        return {"loss": val, "grad_norm": gnorm, "dist": math.sqrt(d2),
+                "incoh": float(np.abs(c - s * truth_forward).max()),
+                "rc_ip": float(grad.x @ d), "rc_g2": gnorm * gnorm, "rc_d2": d2}, grad
 
     def step(t, point, grad):
         point = point.add_scaled(-eta, grad.parts)
@@ -436,19 +441,6 @@ def _batch_weights_fn(instance, cfg):
         return w
 
     return draw
-
-
-def _witness_terms(instance, point, grad, gnorm):
-    # Ingredients of the two-point inequality 2<g, x-x*> >= mu||g||^2
-    # + lam||x-x*||^2, recorded against the sign-aligned truth.
-    xs = instance.truth["x"]
-    s = -1.0 if float(point.x @ xs) < 0.0 else 1.0
-    diff = point.x - s * xs
-    return {
-        "rc_ip": float(grad.x @ diff),
-        "rc_g2": gnorm * gnorm,
-        "rc_d2": float(diff @ diff),
-    }
 
 
 def run_gd(instance, init, config=None):

@@ -762,8 +762,9 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     Returns (value, gradient) with the gradient packaged as a FactorPoint of
     the same kind as ``point``.  ``weights`` applies per-sample factors to
     the families that are sample sums; it must be None elsewhere.
-    ``forward`` is the product A x of a phase-retrieval point when the caller
-    already holds it; it must be None elsewhere.
+    ``forward`` is the product A x of a phase-retrieval point, or B h of a
+    blind-deconvolution pair, when the caller already holds it; it must be
+    None elsewhere.
     """
     if loss not in ("plain", "regularized", "amplitude"):
         raise ValueError(f"unknown loss tag {loss!r}")
@@ -774,9 +775,10 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     lp = dict(loss_params or {})
     fam = instance.family
     if forward is not None:
-        if fam != "PhaseRetrieval":
-            raise ValueError("only phase retrieval takes a forward product")
-        return _loss_phase_retrieval(instance, point, loss, lp, weights, forward)
+        shared = {"PhaseRetrieval": _loss_phase_retrieval, "BlindDeconv": _loss_blind_deconv}
+        if fam not in shared:
+            raise ValueError("only phase retrieval and blind deconvolution take a forward product")
+        return shared[fam](instance, point, loss, lp, weights, forward)
     dispatch = {
         "MatrixSensingSym": _loss_sensing_sym,
         "MatrixSensingAsym": _loss_sensing_asym,
@@ -937,13 +939,13 @@ def _loss_completion_asym(instance, point, loss, lp, weights):
     return val, FactorPoint("asym", (gL, gR))
 
 
-def _loss_blind_deconv(instance, point, loss, lp, weights):
+def _loss_blind_deconv(instance, point, loss, lp, weights, u=None):
     _expect_kind(point, "pair", instance.family)
     m = instance.params["m"]
     w = _weights(weights, m)
     B, A, y = instance.design["B"], instance.design["A"], instance.y
     h, x = point.h, point.x
-    u = B @ h
+    u = B @ h if u is None else u
     c = A @ np.conj(x)
     e = u * c - y
     val = float(np.sum(w * np.abs(e) ** 2))

@@ -221,6 +221,49 @@ def _usable(*vs):
     return all(np.linalg.norm(v) > 0.1 for v in vs)
 
 
+_real_pair = st.lists(st.tuples(_entries, _entries), min_size=1, max_size=6).map(
+    lambda v: (np.array([a for a, _ in v]), np.array([b for _, b in v])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_real_pair)
+def test_dist_vector_real_is_the_nearer_of_x_minus_and_x_plus_xstar(pair):
+    x, xs = pair
+    d = core.dist_vector(x, xs)
+    minus, plus = np.linalg.norm(x - xs), np.linalg.norm(x + xs)
+    # One of the two candidates bitwise, and the smaller one up to the
+    # rounding of a near-tie.
+    assert d in (minus, plus)
+    assert d <= min(minus, plus) + 1e-12 * (np.linalg.norm(x) + np.linalg.norm(xs))
+    assert core.dist_vector(x, x) == core.dist_vector(-x, x) == 0.0
+    assert core.dist_vector(xs, xs) == core.dist_vector(-xs, xs) == 0.0
+    if float(x @ xs) != 0.0:
+        # Off a tie the sign flips with x, so the aligned difference negates.
+        assert core.dist_vector(-x, xs) == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cvec, _cvec)
+def test_dist_vector_complex_matches_a_dense_phase_grid(x, xs):
+    d = core.dist_vector(x, xs)
+    # The complex path: the optimal phase of <xs, x>, then a complex norm.
+    w = complex(np.vdot(xs, x))
+    c = w / abs(w) if w != 0 else 1.0
+    assert d == float(np.linalg.norm(x - c * xs))
+    # d^2 = |x|^2 + |xs|^2 - 2|w|; the grid's best phase lies within pi/n of
+    # the optimal one, which costs at most |w| (pi/n)^2 in d^2.
+    n = 4096
+    phases = np.exp(2j * np.pi * np.arange(n) / n)
+    grid = np.linalg.norm(x[None, :] - phases[:, None] * xs[None, :], axis=1).min()
+    tol = 1e-12 * (np.linalg.norm(x) ** 2 + np.linalg.norm(xs) ** 2)
+    assert d * d <= grid * grid + tol
+    assert d * d >= grid * grid - abs(w) * (np.pi / n) ** 2 - tol
+    # Real data stored as complex takes this path and agrees with the real one.
+    r, rs = x.real, xs.real
+    assert core.dist_vector(r + 0j, rs) == pytest.approx(core.dist_vector(r, rs),
+                                                         rel=1e-12, abs=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_cvec, _cvec, _cvec, _cvec, _scalings)
 def test_dist_bd_invariant_under_the_scaling_ambiguity(h, x, hs, xs, c):
