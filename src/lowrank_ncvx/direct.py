@@ -26,9 +26,13 @@ from .problems import (
 _ALTMIN_VARIANTS = ("reuse", "sample_split", "regularized")
 _INNER_CAP = 10_000  # inner-GD guard for the regularized half-steps
 # A completion half-step solves a group's r x r normal equations directly when
-# its Gram has lambda_min > _GRAM_CUT lambda_max, i.e. the observed basis rows
-# have condition number below 100, where the normal equations lose at most
-# ~1e4 eps; every other group goes through lstsq.
+# its Gram G is certified to have lambda_min > _GRAM_CUT lambda_max, i.e. the
+# observed basis rows have condition number below 100, where the normal
+# equations lose at most ~1e4 eps; every other group goes through lstsq.  The
+# certificate is the Cholesky bound of _cond_bound below 1 / (2 _GRAM_CUT).  It
+# overestimates kappa(G) by at most r^1.5 (and the 2 is rounding room), so a
+# group with kappa(G) below 1e4 / (2 r^1.5) is always certified and some with
+# kappa(G) between that and 1e4 go to lstsq as well.
 _GRAM_CUT = 1e-4
 # Grams whose largest diagonal entry lies outside this range may have lost
 # digits to underflow or be near overflow; they go through lstsq as well.
@@ -217,21 +221,62 @@ def _split_parts(rows, cols, vals, parts):
     return [(rows[k::parts], cols[k::parts], vals[k::parts]) for k in range(parts)]
 
 
+def _cond_bound(gram, limit=np.inf):
+    """The bound ||G||_F ||C^-1||_F^2 >= kappa_2(G) for each of a stack of
+    symmetric Grams G = C C^T, shape (groups, r, r).
+
+    The bound holds because lambda_max(G^-1) = ||C^-1||_2^2 <= ||C^-1||_F^2,
+    and it exceeds kappa_2(G) by at most r^1.5.  C and its inverse are built
+    row by row in r vectorized steps of Cholesky and forward substitution.
+    ||C^-1||_F^2 >= 1 / d_j for every pivot d_j = C_jj^2, so a group whose
+    pivot has d_j limit <= ||G||_F, including every group that is not
+    positive definite, gets inf at once and leaves the factorization.
+    """
+    groups, r = gram.shape[0], gram.shape[1]
+    norm = np.sqrt(np.einsum("gij,gij->g", gram, gram))
+    ok = np.ones(groups, dtype=bool)
+    low = np.zeros_like(gram)  # C below its diagonal
+    inv = np.zeros_like(gram)  # C^-1
+    total = np.zeros(groups)
+    for j in range(r):
+        row = low[:, j, :j]
+        d = gram[:, j, j] - np.einsum("gk,gk->g", row, row)
+        ok &= d * limit > norm
+        # An infinite pivot zeroes the rest of a dropped group's factors.
+        piv = np.sqrt(np.where(ok, d, np.inf))[:, None]
+        low[:, j + 1:, j] = (gram[:, j + 1:, j] - np.einsum(
+            "gik,gk->gi", low[:, j + 1:, :j], row)) / piv
+        inv[:, j, :j] = -np.einsum("gk,gkl->gl", row, inv[:, :j, :j]) / piv
+        inv[:, j, j] = 1.0 / piv[:, 0]
+        total += np.einsum("gk,gk->g", inv[:, j, :j + 1], inv[:, j, :j + 1])
+    return np.where(ok, norm * total, np.inf)
+
+
+def _batchable(gram, rhs, counts, rcond):
+    # The groups whose normal equations (gram, rhs) may be solved in one
+    # batch: at least r observations (counts), finite and in-range numbers,
+    # and a Gram that _cond_bound certifies.
+    r = gram.shape[1]
+    scale = np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    batch = ((counts >= r) & np.isfinite(gram).all(axis=(1, 2))
+             & np.isfinite(rhs).all(axis=1)
+             & (scale >= _GRAM_RANGE[0]) & (scale <= _GRAM_RANGE[1]))
+    limit = 0.5 / max(_GRAM_CUT, 4.0 * rcond * rcond)
+    batch[batch] = _cond_bound(gram[batch], limit) < limit
+    return batch
+
+
 def _decoupled_ls(basis, groups, axis_name, r, rcond):
     # Solve min ||P_Omega(basis sol^T - obs)|| one group at a time; the
     # observed rows of each group must pin down all r coefficients.  Groups
-    # with well-conditioned Grams solve their normal equations in one batch;
-    # lstsq, with its checks, takes the rest.  The lstsq rank test rejects a
-    # group when lambda_min <= rcond^2 lambda_max; the batch keeps a factor 4
-    # from that edge, far above the Gram's round-off, so it never returns a
-    # solution lstsq would refuse.
+    # whose Grams the Cholesky bound certifies as well-conditioned solve their
+    # normal equations in one batch; lstsq, with its checks, takes the rest.
+    # The lstsq rank test rejects a group when lambda_min <= rcond^2
+    # lambda_max; the batch keeps a factor 4 from that edge, far above the
+    # Gram's round-off, and the bound is never below kappa, so the batch never
+    # returns a solution lstsq would refuse.
     gram, rhs = groups.normal_equations(basis)
-    scale = np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
-    batch = ((np.diff(groups.ptr) >= r) & np.isfinite(gram).all(axis=(1, 2))
-             & np.isfinite(rhs).all(axis=1)
-             & (scale >= _GRAM_RANGE[0]) & (scale <= _GRAM_RANGE[1]))
-    w = np.linalg.eigvalsh(gram[batch])
-    batch[batch] = w[:, 0] > max(_GRAM_CUT, 4.0 * rcond * rcond) * w[:, -1]
+    batch = _batchable(gram, rhs, np.diff(groups.ptr), rcond)
     sol = np.empty((gram.shape[0], r))
     sol[batch] = np.linalg.solve(gram[batch], rhs[batch][..., None])[..., 0]
     ptr, other, vals = groups.ptr, groups.other, groups.vals
@@ -277,10 +322,12 @@ def altmin_mc(instance, L0, config=None):
 
     An exact half-step fits each row (or column) of the free factor to its
     observed entries: O(|Omega| r^2) work for the r x r normal equations of
-    every group, solved in one batch.  A group whose observed basis rows have
-    condition number 100 or more, or whose Gram is non-finite or out of
-    range, is solved by lstsq at rcond = config.inner_tol instead, which
-    raises when its rank falls short of r.  A non-finite fixed factor gives a
+    every group, solved in one batch.  A group whose Gram is non-finite or
+    out of range, or whose Gram a Cholesky bound cannot certify to have
+    condition number below 1e4 (basis rows below 100; groups above about
+    1e4 / (2 r^1.5) may miss the certificate), is solved by lstsq at
+    rcond = config.inner_tol instead, which raises when its rank falls
+    short of r.  A non-finite fixed factor gives a
     non-finite half-step, so the run ends "diverged".
     Returns (L, R, trace).
     """

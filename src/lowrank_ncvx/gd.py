@@ -381,7 +381,9 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     """
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
     if weights_fn is None and cfg.batch_k is not None:
-        weights_fn = _batch_weights_fn(instance, cfg)
+        draw = _batch_sampler(instance, cfg.batch_k)
+        rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0, "minibatch"))
+        weights_fn = lambda _point, _c: draw(rng)  # noqa: E731
     pr, bd = instance.family == "PhaseRetrieval", instance.family == "BlindDeconv"
     A, B = instance.design.get("A"), instance.design.get("B")
     if pr:
@@ -427,17 +429,18 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     return iterate(init.copy(), evaluate, step, cfg.max_iters, stop=stop)
 
 
-def _batch_weights_fn(instance, cfg):
+def _batch_sampler(instance, k):
+    # draw(rng): 0/1 weights on a uniform without-replacement batch of k of
+    # the instance's m per-sample terms.
     m = instance.params.get("m")
     if m is None:
         raise ValueError(f"{instance.family} has no per-sample terms to subsample")
-    if not 1 <= cfg.batch_k <= m:
+    if int(k) != k or not 1 <= k <= m:
         raise ValueError(f"batch size must lie in [1, {m}]")
-    rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0, "minibatch"))
 
-    def draw(_point, _c):
+    def draw(rng):
         w = np.zeros(m)
-        w[rng.choice(m, size=cfg.batch_k, replace=False)] = 1.0
+        w[rng.choice(m, size=int(k), replace=False)] = 1.0
         return w
 
     return draw
@@ -574,14 +577,7 @@ def sgd_step(instance, point, k, eta, rng):
     gradients, summed and scaled by 1/m.  At k = m this is exactly the full
     gradient step; at k < m the expected direction is (k/m) times the full
     gradient, so the scaling is conservative rather than unbiased."""
-    m = instance.params.get("m")
-    if m is None:
-        raise ValueError(f"{instance.family} has no per-sample terms to subsample")
-    if int(k) != k or not 1 <= k <= m:
-        raise ValueError(f"batch size must lie in [1, {m}]")
-    w = np.zeros(m)
-    w[rng.choice(m, size=int(k), replace=False)] = 1.0
-    _, grad = loss_and_grad(instance, point, weights=w)
+    _, grad = loss_and_grad(instance, point, weights=_batch_sampler(instance, k)(rng))
     return point.add_scaled(-float(eta), grad.parts)
 
 

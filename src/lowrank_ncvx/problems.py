@@ -954,11 +954,10 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u=None):
     if loss == "regularized":
         # Incoherence and norm hinges; scales default to the planted pair.
         lam = float(lp.get("lam", 1.0))
-        mu = float(lp.get("mu", bd_incoherence(instance.truth["h"], B)))
-        d0 = float(lp.get(
-            "d0",
-            np.linalg.norm(instance.truth["h"]) * np.linalg.norm(instance.truth["x"]),
-        ))
+        truth = instance.truth
+        mu = float(lp["mu"] if "mu" in lp else bd_incoherence(truth["h"], B))
+        d0 = float(lp["d0"] if "d0" in lp
+                   else np.linalg.norm(truth["h"]) * np.linalg.norm(truth["x"]))
         row = m * np.abs(u) ** 2 / (8.0 * mu**2 * d0)
         hr, dr = _square_hinge(row)
         val += lam * float(np.sum(hr))

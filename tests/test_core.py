@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lowrank_ncvx import core
 
@@ -82,6 +82,21 @@ def test_dist_factors_rotation_invariance_100_rotations():
     for _ in range(100):
         Q = rand_orthonormal(rng, 3, 3)
         assert core.dist_factors(X @ Q, Xstar) == pytest.approx(base, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-6, 1.0]))
+def test_dist_factors_is_invariant_under_an_orthogonal_h(n, r, seed, spread):
+    # Xstar is X turned by an orthogonal matrix plus noise of size spread,
+    # and Q may be a reflection.
+    rng = core.make_rng(seed)
+    X = rng.standard_normal((n, r))
+    Xstar = X @ rand_orthonormal(rng, r, r) + spread * rng.standard_normal((n, r))
+    Q = rand_orthonormal(rng, r, r)
+    scale = np.linalg.norm(X) + np.linalg.norm(Xstar)
+    assert core.dist_factors(X @ Q, Xstar) == pytest.approx(
+        core.dist_factors(X, Xstar), rel=1e-12, abs=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +183,19 @@ def test_dist_bd_matches_polar_grid_oracle():
 
 def _polar_grid_dist_bd(h, x, hs, xs):
     """Brute-force dist_bd: min of the residual over alpha = rho e^{i phi}
-    on a 2000 x 360 polar grid with rho in [1e-2, 1e2] rho0, then three
-    zooms by 25x around the best point."""
+    on a polar grid of 360 phases and at least 2000 radii, 2000 per factor
+    1e4, then three zooms by 25x around the best point.  The radii span
+    [||h|| / (M + N), (M + N) / ||x||] (M = max(||hs||, ||xs||), N =
+    sqrt(||h|| ||x||)), which holds every minimizing |alpha|, widened by a
+    factor 2 at each end."""
     def d2(alpha):
         return (np.sum(np.abs(h[None, :] / np.conj(alpha)[:, None] - hs[None, :]) ** 2, axis=1)
                 + np.sum(np.abs(alpha[:, None] * x[None, :] - xs[None, :]) ** 2, axis=1))
 
-    rho0 = math.sqrt(np.linalg.norm(hs) / np.linalg.norm(h))
-    rhos = rho0 * np.geomspace(1e-2, 1e2, 2000)
+    nh, nx = np.linalg.norm(h), np.linalg.norm(x)
+    mn = max(np.linalg.norm(hs), np.linalg.norm(xs)) + math.sqrt(nh * nx)
+    lo, hi = 0.5 * nh / mn, 2.0 * mn / nx
+    rhos = np.geomspace(lo, hi, max(2000, math.ceil(500 * math.log10(hi / lo))))
     phis = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
     best, arg = np.inf, None
     for chunk in np.array_split(rhos, 20):
@@ -215,6 +235,9 @@ _cvec = st.lists(st.tuples(_entries, _entries), min_size=3, max_size=3).map(
     lambda v: np.array([complex(a, b) for a, b in v]))
 _scalings = st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
     lambda t: 10.0 ** t[0] * complex(math.cos(t[1]), math.sin(t[1])))
+
+
+_E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
 def _usable(*vs):
@@ -294,6 +317,9 @@ def test_dist_bd_of_an_exact_scaling_is_zero_to_rounding(hs, xs, c):
 
 @settings(max_examples=15, deadline=None)
 @given(_cvec, _cvec, _cvec, _cvec, st.floats(-0.3, 0.3), st.floats(-1.0, 1.0))
+# The minimizing |alpha| is 80.5, which a grid over [1e-2, 1e2] sqrt(||hs||
+# / ||h||) = [0.007, 70.7] misses.
+@example(2j * _E3, 0.25j * _E3, 1j * _E3, 2j * _E3, 0.0, -1.0)
 def test_dist_bd_matches_polar_grid_oracle_near_anti_parallel(h, x, hs, xs, tilt, logscale):
     # Turn x so that xstar^H x points opposite hstar^H h, up to the tilt.
     ch, cx = np.vdot(hs, h), np.vdot(xs, x)

@@ -12,8 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from lowrank_ncvx.core import FactorPoint, derive_seed, dist_vector, make_rng
 from lowrank_ncvx.direct import (
+    _GRAM_CUT,
     AltMinConfig,
     SvpConfig,
+    _batchable,
+    _cond_bound,
     _decoupled_ls,
     altmin_mc,
     altmin_sensing,
@@ -332,6 +335,99 @@ def test_altmin_mc_half_step_follows_lstsq_at_a_large_rcond():
                           _lstsq_half_step(kept, groups, 2, rcond=0.5))
     with pytest.raises(ValueError, match="column 0 normal equations are rank-deficient"):
         _decoupled_ls(np.diag([1.0, 0.49]), groups, "column", 2, 0.5)
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.floats(0.0, 14.0), st.floats(-100.0, 100.0),
+       st.integers(0, 2**32 - 1))
+def test_cholesky_bound_brackets_the_condition_number(r, log_kappa, log_scale, seed):
+    # G = Q diag(lam) Q^T with eigenvalues 1 and kappa (for r > 1) and the
+    # rest between them, times 10^log_scale.
+    rng = make_rng(seed)
+    lam = np.exp(rng.uniform(0.0, log_kappa * math.log(10.0), r))
+    lam[0] = 1.0
+    if r > 1:
+        lam[1] = 10.0 ** log_kappa
+    Q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    gram = (Q * (lam * 10.0 ** log_scale)) @ Q.T
+    gram = 0.5 * (gram + gram.T)
+    w = np.linalg.eigvalsh(gram)
+    assert w[0] > 0.0
+    kappa = w[-1] / w[0]
+    # Both sides carry rounding of relative size ~ r eps kappa.
+    slack = 32 * r * _EPS * kappa
+    bound = _cond_bound(gram[None])[0]
+    assert bound >= kappa * (1.0 - slack)
+    if kappa <= 1e8:
+        assert bound <= r**1.5 * kappa * (1.0 + slack)
+
+
+def test_cholesky_bound_flags_a_singular_or_indefinite_gram_on_its_own():
+    good = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    stack = np.stack([good, singular, indefinite, np.zeros((3, 3)), 4.0 * good])
+    bound = _cond_bound(stack, limit=5e3)
+    assert np.isinf(bound[1:4]).all()
+    assert bound[0] == bound[4] == _cond_bound(good[None])[0]
+    w = np.linalg.eigvalsh(good)
+    assert w[-1] / w[0] <= bound[0] <= 3**1.5 * w[-1] / w[0]
+
+
+def test_altmin_mc_uncertified_group_reaches_lstsq():
+    # Column 1 sees rows 2-4: exactly collinear, a zero Cholesky pivot.
+    # Column 2 sees rows 5-6, nearly parallel: a pivot far below the Gram's
+    # norm that lstsq still accepts at rcond 1e-10.
+    basis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0],
+                      [3.0, 3.0], [1.0, 0.0], [1.0, 1e-9]])
+    key = np.array([0, 0, 1, 1, 1, 2, 2])
+    vals = make_rng(4).standard_normal(7)
+    groups = EntryGroups.of(key, np.arange(7), vals, 3)
+    gram, rhs = groups.normal_equations(basis)
+    assert _batchable(gram, rhs, np.diff(groups.ptr), 1e-10).tolist() == [True, False, False]
+    with pytest.raises(ValueError, match="column 1 normal equations are rank-deficient"):
+        _decoupled_ls(basis, groups, "column", 2, 1e-10)
+    keep = key != 1
+    groups = EntryGroups.of(np.where(key[keep] == 2, 1, 0), np.flatnonzero(keep), vals[keep], 2)
+    sol = _decoupled_ls(basis, groups, "column", 2, 1e-10)
+    ref = _lstsq_half_step(basis, groups, 2)
+    assert np.array_equal(sol[1], ref[1])
+    assert np.max(np.abs(sol[0] - ref[0])) <= 1e-12 * np.max(np.abs(ref[0]))
+
+
+def _eigvalsh_batch(gram, rhs, counts, rcond):
+    # The classification by eigenvalues that the Cholesky bound replaced,
+    # less its range test, which every Gram here passes.
+    r = gram.shape[1]
+    batch = (counts >= r) & np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    w = np.linalg.eigvalsh(gram[batch])
+    batch[batch] = w[:, 0] > max(_GRAM_CUT, 4.0 * rcond * rcond) * w[:, -1]
+    return batch
+
+
+@pytest.mark.parametrize("n, r, p, seed, moved", [
+    (200, 4, 0.04, 1, 1),  # Gram condition up to 3.7e3
+    (200, 4, 0.03, 2, 1),  # up to 6.2e3
+    (300, 5, 0.04, 3, 0),  # up to 353
+    (200, 3, 0.3, 4, 0),   # up to 3.4
+])
+def test_certified_batch_is_within_the_eigenvalue_rule(n, r, p, seed, moved):
+    inst = gen_matrix_completion(n, n, r, p, False, seed)
+    rows, cols = observed_entries(inst)
+    groups = EntryGroups.of(cols, rows, inst.y, n)
+    L = make_rng(derive_seed(seed, "L0")).standard_normal((n, r))
+    gram, rhs = groups.normal_equations(L)
+    counts = np.diff(groups.ptr)
+    ours = _batchable(gram, rhs, counts, 1e-10)
+    theirs = _eigvalsh_batch(gram, rhs, counts, 1e-10)
+    assert not (ours & ~theirs).any()
+    # Groups with condition below 1e4 / (2 r^1.5) are always certified.
+    w = np.linalg.eigvalsh(gram[theirs])
+    assert ours[theirs][w[:, -1] < 1e4 / (2 * r**1.5) * w[:, 0]].all()
+    assert np.count_nonzero(theirs & ~ours) == moved
 
 
 def test_altmin_mc_single_split_matches_reuse_bitwise():

@@ -776,6 +776,25 @@ def test_sgd_deterministic_and_guarded():
         sgd_step(mc, FactorPoint.sym(np.ones((8, 2))), 4, 0.01, make_rng(0))
 
 
+def test_minibatch_engine_steps_as_sgd_step_on_the_minibatch_stream():
+    # Both draw a batch as w[rng.choice(m, k, replace=False)] = 1; the engine
+    # from derive_seed(seed, "minibatch"), one draw per row.
+    inst = gen_phase_retrieval(16, 160, seed=25)
+    x0 = init_phase_retrieval(inst).point
+    eta = 0.1 / float(x0.x @ x0.x)
+    final, _ = run_gd(inst, x0, SolverConfig(eta=eta, max_iters=8, batch_k=40, seed=5))
+    rng = make_rng(derive_seed(5, "minibatch"))
+    x, reference = x0, make_rng(derive_seed(5, "minibatch"))
+    for _ in range(8):
+        w = np.zeros(160)
+        w[reference.choice(160, size=40, replace=False)] = 1.0
+        _, g = loss_and_grad(inst, x, weights=w)
+        step = sgd_step(inst, x, 40, eta, rng)
+        x = x.add_scaled(-eta, g.parts)
+        assert np.array_equal(step.x, x.x)
+    assert np.array_equal(final.x, x.x)
+
+
 def test_minibatch_config_drives_the_engine():
     inst = gen_phase_retrieval(16, 160, seed=25)
     est = init_phase_retrieval(inst)

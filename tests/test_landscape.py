@@ -6,8 +6,9 @@ does not depend on the objective's additive constant, analytic Hessians
 against finite differences, the closed-form critical-point census against
 dense Hessian classification, the strict-saddle check and the JSON report
 against the census, the trust-region step against its optimality conditions
-and random feasible steps, and the cubic and trust-region steps' stationarity
-next to a saddle and in the hard case."""
+and random feasible steps, the cubic and trust-region steps' stationarity
+next to a saddle and in the hard case, and the random-init descent study
+against a plain loop of run_gd."""
 
 import json
 import math
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 
-from lowrank_ncvx.core import derive_seed, make_rng
-from lowrank_ncvx.gd import SolverConfig
+from lowrank_ncvx.core import FactorPoint, derive_seed, make_rng
+from lowrank_ncvx.gd import SolverConfig, run_gd
 from lowrank_ncvx.landscape import (
     LandscapeOracle,
     SaddleEscapeConfig,
@@ -30,6 +31,7 @@ from lowrank_ncvx.landscape import (
     oracle_from_instance,
     overparam_gd_experiment,
     perturbed_gd,
+    random_init_gd_experiment,
     rank1_hessian,
     rank1_oracle,
     strict_saddle_check,
@@ -328,3 +330,35 @@ def test_hard_case_steps_with_a_nonzero_gradient():
         assert abs(s[0]) > 0.0
         r = H @ s + 0.5 * lipschitz * ns * s + g
         assert np.linalg.norm(r) <= 1e-10 * gn
+
+
+def test_random_init_study_matches_a_run_gd_loop_and_converges():
+    n, m, seed = 32, 320, 5
+    out = random_init_gd_experiment("PhaseRetrieval", n, m, 3, seed)
+    success, stage1, stage2 = [], [], []
+    for t in range(3):
+        inst = gen_phase_retrieval(n, m, derive_seed(seed, "random_init", t))
+        nx = np.linalg.norm(inst.truth["x"])
+        x0 = make_rng(derive_seed(seed, "random_init_x0", t)).standard_normal(n) * (nx / math.sqrt(n))
+        _, tr = run_gd(inst, FactorPoint.vector(x0),
+                       SolverConfig(eta=0.1, max_iters=5000, dist_tol=1e-5))
+        first = next(k for k, d in enumerate(tr.dist) if d <= 0.5 * nx)
+        success.append(tr.outcome == "converged")
+        stage1.append(first)
+        stage2.append(len(tr) - 1 - first)
+    assert out == {"family": "PhaseRetrieval", "n": n, "m": m, "trials": 3, "seed": seed,
+                   "success": success, "stage1_iters": stage1, "stage2_iters": stage2}
+    # Random inits at m = 10n all reach the truth, through a short stage 1.
+    assert all(success) and max(stage1) < min(stage2)
+    # Without a stage-2 tolerance met in the budget, only stage 1 is counted.
+    short = random_init_gd_experiment("PhaseRetrieval", n, m, 3, seed, max_iters=max(stage1))
+    assert short["success"] == [False] * 3 and short["stage2_iters"] == [None] * 3
+    assert short["stage1_iters"] == stage1
+
+
+def test_random_init_study_argument_errors():
+    with pytest.raises(ValueError, match="covers phase retrieval"):
+        random_init_gd_experiment("MatrixSensingSym", 8, 80, 1, 0)
+    for trials in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            random_init_gd_experiment("PhaseRetrieval", 8, 80, trials, 0)

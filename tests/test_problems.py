@@ -669,6 +669,22 @@ def test_json_round_trip_is_bit_exact(make):
     assert instance_to_json(back) == text
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(ALL_GENERATORS) - 1), st.integers(0, 2**32 - 1),
+       st.floats(allow_nan=False, allow_subnormal=True))
+def test_json_round_trip_is_bit_exact_for_any_seed_and_float(k, seed, value):
+    # Every family at any seed, with one observation replaced by any finite
+    # or infinite float (-0.0 and subnormals included) where y is not integer.
+    inst = ALL_GENERATORS[k](seed)
+    if inst.y.dtype.kind in "fc":
+        inst.y.flat[0] = value
+    text = instance_to_json(inst)
+    back = instance_from_json(text)
+    assert instances_equal(inst, back)
+    assert np.array_equal(np.signbit(np.real(back.y)), np.signbit(np.real(inst.y)))
+    assert instance_to_json(back) == text
+
+
 def test_json_round_trip_preserves_dtypes():
     inst = gen_blind_deconv(3, 4, 9, seed=5)
     back = instance_from_json(instance_to_json(inst))

@@ -224,14 +224,31 @@ def test_phase_retrieval_row_makes_one_forward_and_one_adjoint_product(pr, runne
     assert log == ["truth"] + ["forward", "adjoint"] * rows
 
 
-def test_blind_deconvolution_row_makes_one_product_per_factor_and_side():
+def _bd_product_logs(rows, loss="plain"):
+    # The products with A and B that run_gd makes in `rows` rows; the
+    # regularized loss gets mu, taken from the truth before B is wrapped.
     inst = gen_blind_deconv(8, 8, 64, seed=35)
     x0 = init_blind_deconv(inst).point
+    params = {"mu": bd_incoherence(inst.truth["h"], inst.design["B"])} \
+        if loss == "regularized" else None
     logs = {"A": [], "B": []}
     for key in logs:
         inst.design[key] = _counting(inst.design[key], logs[key])
-    rows = 6
-    _, tr = run_gd(inst, x0, SolverConfig(max_iters=rows - 1))
+    _, tr = run_gd(inst, x0, SolverConfig(max_iters=rows - 1, loss=loss, loss_params=params))
     assert (len(tr), tr.outcome) == (rows, "max_iters")
-    for key, log in logs.items():
+    return logs
+
+
+def test_blind_deconvolution_row_makes_one_product_per_factor_and_side():
+    rows = 6
+    for key, log in _bd_product_logs(rows).items():
         assert sorted(log) == ["adjoint"] * rows + ["forward"] * rows, key
+
+
+def test_regularized_blind_deconvolution_row_with_mu_makes_one_forward_b_product():
+    # A given mu is the only incoherence scale the regularized row needs;
+    # its hinge gradient adds one adjoint B product.
+    rows = 6
+    logs = _bd_product_logs(rows, loss="regularized")
+    assert sorted(logs["A"]) == ["adjoint"] * rows + ["forward"] * rows
+    assert sorted(logs["B"]) == ["adjoint"] * (2 * rows) + ["forward"] * rows
