@@ -3,8 +3,9 @@ alternating least squares for sensing and completion, Error Reduction for
 amplitude phase retrieval, singular value projection in full matrix space,
 and the projected power method on unit-modulus and one-hot constraint sets.
 
-The loss column always carries the family's plain empirical risk, whatever
-objective the half-steps optimize.
+The loss column always carries the family's plain empirical risk (Error
+Reduction's the amplitude risk), whatever objective the half-steps optimize.
+Every row but SVP's, whose iterate is a full matrix, is gd.trace_row's.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FactorPoint, falls_to, iterate
-from .gd import dist_to_truth, incoherence_proxy
+from .gd import trace_row
 from .problems import (
     EntryGroups,
     estimate_rip,
@@ -110,11 +111,9 @@ def _resolve(config, cls):
     return cls() if config is None else config
 
 
-def _risk_row(instance, point, loss="plain", **extras):
-    val, grad = loss_and_grad(instance, point, loss=loss)
-    return {"loss": val, "grad_norm": grad.norm(),
-            "dist": dist_to_truth(instance, point),
-            "incoh": incoherence_proxy(instance, point), **extras}
+def _risk_row(instance, point, loss="plain", forward=None, **extras):
+    val, grad = loss_and_grad(instance, point, loss=loss, forward=forward)
+    return {**trace_row(instance, point, val, grad, forward), **extras}
 
 
 def _alternate(instance, L, R, cfg, right, left):
@@ -192,7 +191,7 @@ def altmin_sensing(instance, L0, config=None):
 def er_phase_retrieval(instance, x0, config=None):
     """Alternate the sign estimate b = sgn(Ax) with the linear solve
     x = argmin ||Ax - b sqrt(y)||; sgn(0) = +1 keeps the update a function.
-    Rows record the amplitude risk.  Returns (x, trace)."""
+    Rows record the amplitude risk; steps reuse the row's A x.  Returns (x, trace)."""
     if instance.family != "PhaseRetrieval":
         raise ValueError("Error Reduction expects a phase retrieval instance")
     cfg = _resolve(config, AltMinConfig)
@@ -201,14 +200,17 @@ def er_phase_retrieval(instance, x0, config=None):
     A, y = instance.design["A"], instance.y
     root = np.sqrt(y)
 
-    def step(t, point, aux):
-        b = np.where(A @ point.x < 0.0, -1.0, 1.0)
+    def evaluate(t, point):
+        c = A @ point.x  # shared by the row and the step from it
+        return _risk_row(instance, point, "amplitude", c), c
+
+    def step(t, point, c):
+        b = np.where(c < 0.0, -1.0, 1.0)
         return FactorPoint.vector(_solve_full_rank(A, b * root, cfg.inner_tol,
                                                    "amplitude fit"))
 
     point, trace = iterate(FactorPoint.vector(np.array(x0, dtype=float).ravel()),
-                           lambda t, point: (_risk_row(instance, point, "amplitude"), None),
-                           step, cfg.max_outer, stop=falls_to("loss", cfg.tol))
+                           evaluate, step, cfg.max_outer, stop=falls_to("loss", cfg.tol))
     return point.x, trace
 
 

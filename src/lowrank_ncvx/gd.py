@@ -6,6 +6,10 @@ geodesic steps for completion with an orthonormal basis, and mini-batch
 steps.  The loop variants differ only in the per-iteration weights or loss
 parameters they feed the shared loss dispatcher, so a variant configured to
 do nothing reproduces the plain run bit for bit.
+
+trace_row builds every solver's trace row, here and in ``direct``, from one
+alignment of the point with the truth; dist_to_truth and incoherence_proxy
+are two of its fields.
 """
 
 import math
@@ -18,7 +22,6 @@ from .core import (
     bd_incoherence,
     derive_seed,
     dist_bd,
-    dist_factors,
     dist_vector,
     incoherence_mu,
     iterate,
@@ -26,10 +29,11 @@ from .core import (
     max_row_norm,
     procrustes,
 )
-from .problems import EntryGroups, loss_and_grad, observed_csr, observed_entries
+from .problems import (FAMILIES, EntryGroups, loss_and_grad, observed_csr,
+                       observed_entries, truth_forward)
 from .spectral import hard_threshold
 
-_LOSS_TAGS = ("plain", "regularized", "amplitude")
+_LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
 
 # Truncation defaults; the radius pair brackets the bulk of |a_i^T x| / ||x||
 # for Gaussian designs and the residual budget keeps a 1/alpha_h fraction.
@@ -138,14 +142,61 @@ def default_step_size(instance, init):
     if fam == "MatrixCompletionSym" and instance.params["p"] == 1.0 \
             and init.X.shape[1] == 1:
         return 1.0 / (4.5 * top)
-    if fam in ("MatrixCompletionSym", "MatrixCompletionAsym", "RobustPCA"):
-        return 0.25 / top
-    raise ValueError(f"unknown family {fam!r}")
+    return 0.25 / top  # completion and robust PCA
 
 
 # ---------------------------------------------------------------------------
 # Trace metrics
 # ---------------------------------------------------------------------------
+
+def trace_row(instance, point, loss, grad, forward=None):
+    """A solver's trace row at ``point`` with loss value ``loss`` and
+    gradient ``grad``: loss, grad_norm, dist (dist_to_truth), incoh
+    (incoherence_proxy) and, for phase retrieval, regularity_witness's terms
+    rc_ip = <g, d>, rc_g2 = ||g||^2 and rc_d2 = ||d||^2, d = x - s x*.  The
+    truth metrics share one alignment: a Procrustes rotation, a sign-aligned
+    difference, or dist_bd.  ``forward`` is the shared A x or B h, if held.
+    """
+    gnorm = grad.norm()
+    gap, d = _truth_gap(instance, point, forward)
+    row = {"loss": loss, "grad_norm": gnorm, **gap}
+    if d is not None:  # the terms of 2<g, d> >= mu ||g||^2 + lam ||d||^2
+        row["rc_ip"], row["rc_g2"] = float(grad.x @ d), gnorm * gnorm
+    return row
+
+
+def _truth_gap(instance, point, forward):
+    # ({"dist", "incoh"[, "rc_d2"]}, d) for trace_row; d is the aligned
+    # difference of a phase-retrieval point and None elsewhere.
+    t = instance.truth
+    if point.kind in ("sym", "asym"):
+        F, Fs = (point.X, t["X"]) if point.kind == "sym" else (
+            np.vstack((point.L, point.R)), np.vstack((t["L"], t["R"])))
+        D = F @ procrustes(F, Fs) - Fs
+        dist = 0.0 if np.array_equal(F, Fs) else float(np.linalg.norm(D))
+        return {"dist": dist, "incoh": max_row_norm(D)}, None
+    if point.kind == "pair":
+        h, x = point.h, point.x
+        # A collapsed pair makes the scaling ambiguity vacuous.  An exact
+        # test: the norm of a tiny nonzero factor underflows to 0.
+        dist = dist_bd(h, x, t["h"], t["x"]) if h.any() and x.any() \
+            else float(np.hypot(np.linalg.norm(t["h"]), np.linalg.norm(t["x"])))
+        incoh = bd_incoherence(h, instance.design["B"], forward) if h.any() else 0.0
+        return {"dist": dist, "incoh": incoh}, None
+    if instance.family == "PhaseRetrieval":
+        x, xs = point.x, t["x"]
+        c = instance.design["A"] @ x if forward is None else forward
+        s = -1.0 if float(x @ xs) < 0.0 else 1.0
+        d = x - s * xs
+        d2 = float(d @ d)
+        incoh = float(np.abs(c - s * truth_forward(instance)).max())
+        return {"dist": math.sqrt(d2), "incoh": incoh, "rc_d2": d2}, d
+    if instance.family == "JointAlignment":
+        dist = alignment_mismatch(point.x, t["x"], instance.params["alphabet_m"])
+    else:
+        dist = 0.0 if np.array_equal(point.x, t["x"]) else dist_vector(point.x, t["x"])
+    return {"dist": dist, "incoh": 0.0}, None
+
 
 def dist_to_truth(instance, point):
     """Family-appropriate distance: aligned factor distance for matrix
@@ -154,30 +205,10 @@ def dist_to_truth(instance, point):
     shift-minimized label mismatch fraction for alignment.
 
     A point that equals the truth bitwise reports exactly 0.0, so a solver
-    parked at the truth logs an identically zero column.
+    parked at the truth logs an identically zero column.  This is the dist
+    field of trace_row.
     """
-    t = instance.truth
-    if point.kind == "sym":
-        if np.array_equal(point.X, t["X"]):
-            return 0.0
-        return dist_factors(point.X, t["X"])
-    if point.kind == "asym":
-        F = np.vstack((point.L, point.R))
-        Fs = np.vstack((t["L"], t["R"]))
-        if np.array_equal(F, Fs):
-            return 0.0
-        return dist_factors(F, Fs)
-    if point.kind == "pair":
-        if not (point.h.any() and point.x.any()):
-            # Collapsed pair; the scaling ambiguity is vacuous there.  An
-            # exact test: the norm of a tiny nonzero factor underflows to 0.
-            return float(np.hypot(np.linalg.norm(t["h"]), np.linalg.norm(t["x"])))
-        return dist_bd(point.h, point.x, t["h"], t["x"])
-    if instance.family == "JointAlignment":
-        return alignment_mismatch(point.x, t["x"], instance.params["alphabet_m"])
-    if np.array_equal(point.x, t["x"]):
-        return 0.0
-    return dist_vector(point.x, t["x"])
+    return _truth_gap(instance, point, None)[0]["dist"]
 
 
 def alignment_mismatch(x, labels, alphabet_m):
@@ -198,23 +229,9 @@ def incoherence_proxy(instance, point):
     for phase retrieval (sign-aligned, computed as max|A x - s A x*|), the
     2,inf norm of the aligned factor error for matrix families, and the
     design-coherence of h for bilinear pairs.  Families without a meaningful
-    proxy report 0.0.
+    proxy report 0.0.  This is the incoh field of trace_row.
     """
-    t = instance.truth
-    if instance.family == "PhaseRetrieval":
-        s = -1.0 if float(point.x @ t["x"]) < 0.0 else 1.0
-        A = instance.design["A"]
-        return float(np.max(np.abs(A @ point.x - s * (A @ t["x"]))))
-    if instance.family == "BlindDeconv":
-        return bd_incoherence(point.h, instance.design["B"]) if point.h.any() else 0.0
-    if point.kind == "sym" and "X" in t:
-        H = procrustes(point.X, t["X"])
-        return max_row_norm(point.X @ H - t["X"])
-    if point.kind == "asym" and "L" in t:
-        F = np.vstack((point.L, point.R))
-        Fs = np.vstack((t["L"], t["R"]))
-        return max_row_norm(F @ procrustes(F, Fs) - Fs)
-    return 0.0
+    return _truth_gap(instance, point, None)[0]["incoh"]
 
 
 # ---------------------------------------------------------------------------
@@ -375,42 +392,23 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     and gradient with the variant's weights and loss parameters, and the
     step moves along the negative gradient, then projects.
 
-    A phase-retrieval row shares c = A x with weights_fn(point, c) and the
-    loss, and d = x - s x* with its distance, proxy max|c - s A x*| (A x* is
-    formed once per run) and witness terms; blind deconvolution shares B h.
+    A family with a shared product in its FAMILIES record (A x, B h) forms it
+    once per row, for weights_fn(point, c), the loss and trace_row.
     """
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
     if weights_fn is None and cfg.batch_k is not None:
         draw = _batch_sampler(instance, cfg.batch_k)
         rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0, "minibatch"))
         weights_fn = lambda _point, _c: draw(rng)  # noqa: E731
-    pr, bd = instance.family == "PhaseRetrieval", instance.family == "BlindDeconv"
-    A, B = instance.design.get("A"), instance.design.get("B")
-    if pr:
-        xs = instance.truth["x"]
-        truth_forward = A @ xs
+    shared = FAMILIES[instance.family].shared
 
     def evaluate(t, point):
-        c = A @ point.x if pr else B @ point.h if bd else None
+        c = shared(instance, point) if shared is not None else None
         w = weights_fn(point, c) if weights_fn is not None else None
         lp = loss_params_fn(point) if loss_params_fn is not None else cfg.loss_params
         val, grad = loss_and_grad(instance, point, loss=cfg.loss,
                                   loss_params=lp, weights=w, forward=c)
-        gnorm = grad.norm()
-        if not pr:
-            if bd:
-                incoh = bd_incoherence(point.h, B, c) if point.h.any() else 0.0
-            else:
-                incoh = incoherence_proxy(instance, point)
-            return {"loss": val, "grad_norm": gnorm,
-                    "dist": dist_to_truth(instance, point), "incoh": incoh}, grad
-        # The terms of 2<g, x-x*> >= mu||g||^2 + lam||x-x*||^2.
-        s = -1.0 if float(point.x @ xs) < 0.0 else 1.0
-        d = point.x - s * xs
-        d2 = float(d @ d)
-        return {"loss": val, "grad_norm": gnorm, "dist": math.sqrt(d2),
-                "incoh": float(np.abs(c - s * truth_forward).max()),
-                "rc_ip": float(grad.x @ d), "rc_g2": gnorm * gnorm, "rc_d2": d2}, grad
+        return trace_row(instance, point, val, grad, c), grad
 
     def step(t, point, grad):
         point = point.add_scaled(-eta, grad.parts)

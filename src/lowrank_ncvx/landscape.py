@@ -499,7 +499,8 @@ def _eig_split(w, gh, shift):
 
 
 def _shifted_step(oracle, x, length):
-    # The step s = -(H + shift I)^+ g with H + shift I PSD and ||s|| =
+    # The step s = -(H + shift I)^+ g, not x + s (whose difference with x
+    # loses bits at ||x|| >> ||s||), with H + shift I PSD and ||s|| =
     # length(shift), shift >= shift0 = max(0, -w_0); both steps below are
     # this solve for a nondecreasing length.  A shift0 that already leaves
     # ||s|| <= length(shift0), with no gradient weight on the flat bottom,
@@ -521,7 +522,7 @@ def _shifted_step(oracle, x, length):
         s = -(Q @ base)
         if shift0 > 0.0:
             s = s + math.sqrt(max(l0 * l0 - base_norm * base_norm, 0.0)) * Q[:, 0]
-        return x + s
+        return s
 
     w_lo = w - w[0] if shift0 > 0.0 else w
 
@@ -538,7 +539,7 @@ def _shifted_step(oracle, x, length):
     delta = brentq(excess, 0.0, hi, xtol=_TINY)  # to relative precision
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = gh / (w_lo + max(delta, shift0 * 1e-15))
-    return x - Q @ np.where(np.isfinite(vals), vals, 0.0)
+    return -(Q @ np.where(np.isfinite(vals), vals, 0.0))
 
 
 def trust_region_step(oracle, x, radius):
@@ -551,7 +552,7 @@ def trust_region_step(oracle, x, radius):
     """
     if not radius > 0:
         raise ValueError("trust-region radius must be positive")
-    return _shifted_step(oracle, x, lambda shift: radius)
+    return np.asarray(x, dtype=float).ravel() + _shifted_step(oracle, x, lambda shift: radius)
 
 
 def cubic_step(oracle, x, lipschitz):
@@ -565,7 +566,8 @@ def cubic_step(oracle, x, lipschitz):
     """
     if not lipschitz > 0:
         raise ValueError("Hessian Lipschitz estimate must be positive")
-    return _shifted_step(oracle, x, lambda shift: 2.0 * shift / lipschitz)
+    return np.asarray(x, dtype=float).ravel() + _shifted_step(
+        oracle, x, lambda shift: 2.0 * shift / lipschitz)
 
 
 # ---------------------------------------------------------------------------

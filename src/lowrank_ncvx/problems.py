@@ -2,13 +2,20 @@
 measurement designs, losses with exact gradients, and faithful round-tripping
 of generated instances.
 
+Each family is declared once, as a ``Family`` record in the ``FAMILIES``
+table (observation map y = A(M*), loss, accepted point kinds and loss tags,
+per-sample weights, shared design product); ``forward_model`` and
+``loss_and_grad`` read it rather than branch on the family name.
+
 Conventions shared by every family:
 
   * instances are frozen after generation; solvers never mutate them,
   * generators define ``y = forward_model(...)``, so replaying the forward
     model on a stored instance reproduces the observations bit for bit,
   * losses over sample sums accept per-sample weights, so truncated and
-    stochastic variants reuse the exact arithmetic of the full loss.
+    stochastic variants reuse the exact arithmetic of the full loss,
+  * data derived from the stored arrays (the observed-entry index, A x*) is
+    memoized on the instance outside its fields, never reaching the JSON.
 
 Gradients of the complex-valued families (blind deconvolution, phase
 synchronization) are Wirtinger gradients: for a real loss f and reported
@@ -27,28 +34,6 @@ import numpy as np
 
 from .core import bd_incoherence, derive_seed, make_rng, FactorPoint
 
-FAMILIES = (
-    "MatrixSensingSym",
-    "MatrixSensingAsym",
-    "PhaseRetrieval",
-    "QuadraticSensing",
-    "MatrixCompletionSym",
-    "MatrixCompletionAsym",
-    "BlindDeconv",
-    "RobustPCA",
-    "PhaseSync",
-    "JointAlignment",
-)
-
-_SAMPLE_SUM_FAMILIES = (
-    "MatrixSensingSym",
-    "MatrixSensingAsym",
-    "PhaseRetrieval",
-    "QuadraticSensing",
-    "BlindDeconv",
-)
-
-
 @dataclass
 class ProblemInstance:
     """One generated problem: truth, measurement design, and observations.
@@ -58,9 +43,7 @@ class ProblemInstance:
     measurement operator (arrays, plus a "kind" tag for sensing, which
     sensing_operator reads to build the operator), and ``y`` the
     observations.  All fields are plain data so an instance can round-trip
-    through JSON without loss.  Derived data, such as the observed-entry index
-    of a completion mask, is memoized as a private attribute outside the
-    fields, so it never reaches the JSON form.
+    through JSON without loss; ``family`` must name a ``FAMILIES`` entry.
     """
 
     family: str
@@ -503,20 +486,35 @@ def corrupt_outliers(instance, alpha_out, seed):
 
 
 # ---------------------------------------------------------------------------
-# Observed-entry index of the sampled-entry families
+# Derived data: A x* and the observed-entry index of the sampled-entry families
 # ---------------------------------------------------------------------------
 
+def _memo(instance, name, sources, build):
+    # build(), memoized on the instance under name, outside its fields, for
+    # as long as each array of sources is the same object: replacing one by
+    # assignment invalidates the memo, editing it in place does not.
+    memo = instance.__dict__.setdefault("_memo", {})
+    hit = memo.get(name)
+    if hit is None or any(a is not b for a, b in zip(hit[0], sources)):
+        hit = memo[name] = (sources, build())
+    return hit[1]
+
+
 def _observed_index(instance):
-    # (rows, cols, indptr) of the mask, memoized per mask object: replacing
-    # design["mask"] by assignment invalidates the memo, editing the stored
-    # array in place does not.
+    # (rows, cols, indptr) of the mask
     mask = instance.design["mask"]
-    memo = instance.__dict__.get("_observed")
-    if memo is None or memo[0] is not mask:
+
+    def build():
         rows, cols = np.nonzero(mask)
-        memo = (mask, rows, cols, _offsets(rows, mask.shape[0]))
-        instance._observed = memo
-    return memo[1:]
+        return rows, cols, _offsets(rows, mask.shape[0])
+
+    return _memo(instance, "observed", (mask,), build)
+
+
+def truth_forward(instance):
+    """A x* of a phase retrieval instance, formed once per instance."""
+    A, x = instance.design["A"], instance.truth["x"]
+    return _memo(instance, "truth_forward", (A, x), lambda: A @ x)
 
 
 def observed_entries(instance):
@@ -686,27 +684,7 @@ def sensing_adjoint(instance, e):
 
 def forward_model(instance):
     """Recompute the observation array from the stored truth and design."""
-    fam = instance.family
-    t, d, p = instance.truth, instance.design, instance.params
-    if fam in ("MatrixSensingSym", "MatrixSensingAsym"):
-        return sensing_operator(instance).measure(t["M"])
-    if fam == "PhaseRetrieval":
-        return (d["A"] @ t["x"]) ** 2
-    if fam == "QuadraticSensing":
-        return np.sum((d["A"] @ t["X"]) ** 2, axis=1)
-    if fam in ("MatrixCompletionSym", "MatrixCompletionAsym"):
-        return t["M"][observed_entries(instance)]
-    if fam == "BlindDeconv":
-        return (d["B"] @ t["h"]) * (d["A"] @ np.conj(t["x"]))
-    if fam == "RobustPCA":
-        idx = observed_entries(instance)
-        return t["M"][idx] + t["S"][idx]
-    if fam == "PhaseSync":
-        return np.outer(t["x"], np.conj(t["x"])) + p["sigma"] * d["W"]
-    if fam == "JointAlignment":
-        x = t["x"]
-        return (x[:, None] - x[None, :] + d["z"]) % p["alphabet_m"]
-    raise ValueError(f"unknown family {fam!r}")
+    return FAMILIES[instance.family].observe(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -720,11 +698,6 @@ def _weights(weights, m):
     if w.shape != (m,):
         raise ValueError(f"weights must have shape ({m},)")
     return w
-
-
-def _expect_kind(point, kind, fam):
-    if point.kind != kind:
-        raise ValueError(f"{fam} expects a {kind!r} point, got {point.kind!r}")
 
 
 def _entry_residual(instance, A, B, offset=None):
@@ -764,40 +737,32 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     the families that are sample sums; it must be None elsewhere.
     ``forward`` is the product A x of a phase-retrieval point, or B h of a
     blind-deconvolution pair, when the caller already holds it; it must be
-    None elsewhere.
+    None elsewhere.  The family's FAMILIES record decides all of this, and
+    a call it does not allow raises a ValueError naming the family.
     """
-    if loss not in ("plain", "regularized", "amplitude"):
-        raise ValueError(f"unknown loss tag {loss!r}")
-    if loss == "amplitude" and instance.family != "PhaseRetrieval":
-        raise ValueError("the amplitude loss is specific to phase retrieval")
-    if weights is not None and instance.family not in _SAMPLE_SUM_FAMILIES:
-        raise ValueError(f"{instance.family} has no per-sample weights")
-    lp = dict(loss_params or {})
     fam = instance.family
-    if forward is not None:
-        shared = {"PhaseRetrieval": _loss_phase_retrieval, "BlindDeconv": _loss_blind_deconv}
-        if fam not in shared:
-            raise ValueError("only phase retrieval and blind deconvolution take a forward product")
-        return shared[fam](instance, point, loss, lp, weights, forward)
-    dispatch = {
-        "MatrixSensingSym": _loss_sensing_sym,
-        "MatrixSensingAsym": _loss_sensing_asym,
-        "PhaseRetrieval": _loss_phase_retrieval,
-        "QuadraticSensing": _loss_quadratic_sensing,
-        "MatrixCompletionSym": _loss_completion_sym,
-        "MatrixCompletionAsym": _loss_completion_asym,
-        "BlindDeconv": _loss_blind_deconv,
-        "RobustPCA": _loss_rpca,
-        "PhaseSync": _loss_phase_sync,
-        "JointAlignment": _loss_joint_alignment,
-    }
-    return dispatch[fam](instance, point, loss, lp, weights)
+    spec = FAMILIES[fam]
+    if point.kind not in spec.kinds:
+        raise ValueError(f"{fam} expects a {' or '.join(map(repr, spec.kinds))} "
+                         f"point, got {point.kind!r}")
+    if loss not in spec.losses:
+        raise ValueError(f"unknown loss tag {loss!r} for {fam}, which defines "
+                         f"{', '.join(spec.losses)}")
+    if weights is not None and not spec.sample_sum:
+        raise ValueError(f"{fam} has no per-sample weights")
+    if spec.shared is None:
+        if forward is not None:
+            raise ValueError(f"{fam} takes no forward product")
+    elif forward is None:
+        forward = spec.shared(instance, point)
+    return spec.loss(instance, point, loss, dict(loss_params or {}), weights, forward)
 
 
-def _loss_sensing_sym(instance, point, loss, lp, weights):
-    _expect_kind(point, "sym", instance.family)
-    if loss != "plain":
-        raise ValueError("symmetric sensing defines only the plain loss")
+# Each family loss takes (instance, point, loss, lp, weights, c): lp the loss
+# parameters and c the family's shared product (None for families without
+# one), with the kind, tag and weights already checked against its record.
+
+def _loss_sensing_sym(instance, point, loss, lp, weights, c):
     m = instance.params["m"]
     w = _weights(weights, m)
     X = point.X
@@ -809,8 +774,7 @@ def _loss_sensing_sym(instance, point, loss, lp, weights):
     return val, FactorPoint("sym", (g,))
 
 
-def _loss_sensing_asym(instance, point, loss, lp, weights):
-    _expect_kind(point, "asym", instance.family)
+def _loss_sensing_asym(instance, point, loss, lp, weights, c):
     m = instance.params["m"]
     w = _weights(weights, m)
     L, R = point.L, point.R
@@ -830,13 +794,9 @@ def _loss_sensing_asym(instance, point, loss, lp, weights):
     return val, FactorPoint("asym", (gL, gR))
 
 
-def _loss_phase_retrieval(instance, point, loss, lp, weights, c=None):
-    _expect_kind(point, "vector", instance.family)
-    if loss == "regularized":
-        raise ValueError("phase retrieval defines plain and amplitude losses only")
+def _loss_phase_retrieval(instance, point, loss, lp, weights, c):
     m = instance.params["m"]
     A, y = instance.design["A"], instance.y
-    c = A @ point.x if c is None else c
     if loss == "plain":
         e = c * c - y
         # Unit weights are skipped; multiplying by them is exact anyway.
@@ -853,10 +813,7 @@ def _loss_phase_retrieval(instance, point, loss, lp, weights, c=None):
     return val, FactorPoint("vector", (g,))
 
 
-def _loss_quadratic_sensing(instance, point, loss, lp, weights):
-    _expect_kind(point, "sym", instance.family)
-    if loss != "plain":
-        raise ValueError("quadratic sensing defines only the plain loss")
+def _loss_quadratic_sensing(instance, point, loss, lp, weights, c):
     m = instance.params["m"]
     A, y = instance.design["A"], instance.y
     C = A @ point.X
@@ -886,8 +843,7 @@ def _entry_risk(instance, point, offset=None):
     return val, (E @ B / (2.0 * p), E.T @ A / (2.0 * p))
 
 
-def _loss_completion_sym(instance, point, loss, lp, weights):
-    _expect_kind(point, "sym", instance.family)
+def _loss_completion_sym(instance, point, loss, lp, weights, c):
     val, (g,) = _entry_risk(instance, point)
     if loss == "regularized":
         # Row-norm hinge sum_i max(||X_i|| - alpha, 0)^4, discouraging spiky rows.
@@ -918,8 +874,7 @@ def _completion_reg_scales(instance, lp):
     return a1, a2, a3, a4
 
 
-def _loss_completion_asym(instance, point, loss, lp, weights):
-    _expect_kind(point, "asym", instance.family)
+def _loss_completion_asym(instance, point, loss, lp, weights, c):
     val, (gL, gR) = _entry_risk(instance, point)
     if loss == "regularized":
         L, R = point.L, point.R
@@ -939,25 +894,25 @@ def _loss_completion_asym(instance, point, loss, lp, weights):
     return val, FactorPoint("asym", (gL, gR))
 
 
-def _loss_blind_deconv(instance, point, loss, lp, weights, u=None):
-    _expect_kind(point, "pair", instance.family)
+def _loss_blind_deconv(instance, point, loss, lp, weights, u):
     m = instance.params["m"]
     w = _weights(weights, m)
     B, A, y = instance.design["B"], instance.design["A"], instance.y
     h, x = point.h, point.x
-    u = B @ h if u is None else u
     c = A @ np.conj(x)
     e = u * c - y
     val = float(np.sum(w * np.abs(e) ** 2))
     gh = B.conj().T @ (w * e * np.conj(c))
     gx = A.T @ (w * np.conj(e) * u)
     if loss == "regularized":
-        # Incoherence and norm hinges; scales default to the planted pair.
+        # Incoherence and norm hinges.
         lam = float(lp.get("lam", 1.0))
-        truth = instance.truth
-        mu = float(lp["mu"] if "mu" in lp else bd_incoherence(truth["h"], B))
-        d0 = float(lp["d0"] if "d0" in lp
-                   else np.linalg.norm(truth["h"]) * np.linalg.norm(truth["x"]))
+        t = instance.truth  # default scales: the planted pair's, formed once
+        mu = float(lp["mu"]) if "mu" in lp else _memo(
+            instance, "bd_mu", (B, t["h"]), lambda: bd_incoherence(t["h"], B))
+        d0 = float(lp["d0"]) if "d0" in lp else _memo(
+            instance, "bd_d0", (t["h"], t["x"]),
+            lambda: float(np.linalg.norm(t["h"]) * np.linalg.norm(t["x"])))
         row = m * np.abs(u) ** 2 / (8.0 * mu**2 * d0)
         hr, dr = _square_hinge(row)
         val += lam * float(np.sum(hr))
@@ -974,11 +929,7 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u=None):
     return val, FactorPoint("pair", (gh, gx))
 
 
-def _loss_rpca(instance, point, loss, lp, weights):
-    if loss != "plain":
-        raise ValueError("robust PCA defines only the plain loss")
-    if point.kind != "sym":
-        _expect_kind(point, "asym", instance.family)
+def _loss_rpca(instance, point, loss, lp, weights, c):
     S = lp.get("S")
     if S is not None:
         S = np.asarray(S, dtype=float)[observed_entries(instance)]
@@ -986,10 +937,7 @@ def _loss_rpca(instance, point, loss, lp, weights):
     return val, FactorPoint(point.kind, parts)
 
 
-def _loss_phase_sync(instance, point, loss, lp, weights):
-    _expect_kind(point, "vector", instance.family)
-    if loss != "plain":
-        raise ValueError("phase synchronization defines only the plain loss")
+def _loss_phase_sync(instance, point, loss, lp, weights, c):
     L = instance.y
     x = point.x
     val = -float(np.real(np.conj(x) @ (L @ x)))
@@ -997,14 +945,76 @@ def _loss_phase_sync(instance, point, loss, lp, weights):
     return val, FactorPoint("vector", (g,))
 
 
-def _loss_joint_alignment(instance, point, loss, lp, weights):
-    _expect_kind(point, "vector", instance.family)
-    if loss != "plain":
-        raise ValueError("joint alignment defines only the plain loss")
+def _loss_joint_alignment(instance, point, loss, lp, weights, c):
     L = instance.design["L"]
     x = point.x
     val = -float(x @ (L @ x))
     return val, FactorPoint("vector", (-2.0 * (L @ x),))
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One family's contract: observe(instance) forms y = A(M*), as
+    forward_model replays it; loss takes points of ``kinds`` and the tags
+    ``losses``, and per-sample weights if ``sample_sum``; shared(instance,
+    point) is the design product the loss and a solver's row share."""
+
+    observe: object
+    loss: object
+    kinds: tuple
+    losses: tuple = ("plain",)
+    sample_sum: bool = False
+    shared: object = None
+
+
+def _observe_sensing(inst):
+    return sensing_operator(inst).measure(inst.truth["M"])
+
+
+def _observe_entries(inst):
+    # M* on the observed entries, plus the sparse part S of robust PCA
+    idx = observed_entries(inst)
+    M = inst.truth["M"][idx]
+    return M + inst.truth["S"][idx] if "S" in inst.truth else M
+
+
+_REGULARIZED = ("plain", "regularized")
+
+FAMILIES = {
+    "MatrixSensingSym": Family(_observe_sensing, _loss_sensing_sym, ("sym",),
+                               sample_sum=True),
+    "MatrixSensingAsym": Family(_observe_sensing, _loss_sensing_asym, ("asym",),
+                                _REGULARIZED, sample_sum=True),
+    "PhaseRetrieval": Family(
+        lambda inst: (inst.design["A"] @ inst.truth["x"]) ** 2,
+        _loss_phase_retrieval, ("vector",), ("plain", "amplitude"), sample_sum=True,
+        shared=lambda inst, point: inst.design["A"] @ point.x),
+    "QuadraticSensing": Family(
+        lambda inst: np.sum((inst.design["A"] @ inst.truth["X"]) ** 2, axis=1),
+        _loss_quadratic_sensing, ("sym",), sample_sum=True),
+    "MatrixCompletionSym": Family(_observe_entries, _loss_completion_sym, ("sym",),
+                                  _REGULARIZED),
+    "MatrixCompletionAsym": Family(_observe_entries, _loss_completion_asym, ("asym",),
+                                   _REGULARIZED),
+    "BlindDeconv": Family(
+        lambda inst: (inst.design["B"] @ inst.truth["h"])
+        * (inst.design["A"] @ np.conj(inst.truth["x"])),
+        _loss_blind_deconv, ("pair",), _REGULARIZED, sample_sum=True,
+        shared=lambda inst, point: inst.design["B"] @ point.h),
+    "RobustPCA": Family(_observe_entries, _loss_rpca, ("sym", "asym")),
+    "PhaseSync": Family(
+        lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
+        + inst.params["sigma"] * inst.design["W"],
+        _loss_phase_sync, ("vector",)),
+    "JointAlignment": Family(
+        lambda inst: (inst.truth["x"][:, None] - inst.truth["x"][None, :]
+                      + inst.design["z"]) % inst.params["alphabet_m"],
+        _loss_joint_alignment, ("vector",)),
+}
 
 
 # ---------------------------------------------------------------------------

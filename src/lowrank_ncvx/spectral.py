@@ -286,36 +286,31 @@ def factors_from_surrogate(Y, r, symmetric):
     return point, (left, right), float(left.values[0])
 
 
-def init_sensing(instance, r):
-    """Spectral initialization for matrix sensing from the adjoint surrogate."""
+def _matrix_estimate(instance, Y, r):
+    # Rank-r factors of the surrogate Y of an n1 x n2 matrix instance: the
+    # symmetric route, on (Y + Y^T)/2, when the planted truth is X X^T.
     p = instance.params
     if not (1 <= r <= min(p["n1"], p["n2"])):
         raise ValueError("r out of range for this instance")
-    symmetric = instance.family == "MatrixSensingSym"
-    if symmetric and r >= p["n1"]:
-        raise ValueError("the symmetric route needs r < n")
-    Y = surrogate_sensing(instance)
+    symmetric = "X" in instance.truth
     if symmetric:
+        if r >= p["n1"]:
+            raise ValueError("the symmetric route needs r < n")
         Y = 0.5 * (Y + Y.T)
     point, subspaces, scale = factors_from_surrogate(Y, r, symmetric)
     return SpectralEstimate(point=point, subspaces=subspaces, scale=scale)
+
+
+def init_sensing(instance, r):
+    """Spectral initialization for matrix sensing from the adjoint surrogate."""
+    return _matrix_estimate(instance, surrogate_sensing(instance), r)
 
 
 def init_matrix_completion(instance, r):
     """Spectral initialization from the inverse-propensity-weighted entries."""
     if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym"):
         raise ValueError("expected a matrix completion instance")
-    p = instance.params
-    if not (1 <= r <= min(p["n1"], p["n2"])):
-        raise ValueError("r out of range for this instance")
-    symmetric = instance.family == "MatrixCompletionSym"
-    if symmetric and r >= p["n1"]:
-        raise ValueError("the symmetric route needs r < n")
-    Y = surrogate_completion(instance)
-    if symmetric:
-        Y = 0.5 * (Y + Y.T)
-    point, subspaces, scale = factors_from_surrogate(Y, r, symmetric)
-    return SpectralEstimate(point=point, subspaces=subspaces, scale=scale)
+    return _matrix_estimate(instance, surrogate_completion(instance), r)
 
 
 def pr_estimate_from_surrogate(Y, mean_y, scale_rule, prep_tag="identity"):
@@ -427,8 +422,6 @@ def init_rpca(instance, r, c_thresh=3.0):
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
     p = instance.params
-    if not (1 <= r <= min(p["n1"], p["n2"])):
-        raise ValueError("r out of range for this instance")
     idx = problems.observed_entries(instance)
     obs = np.zeros((p["n1"], p["n2"]))
     obs[idx] = instance.y
@@ -439,13 +432,7 @@ def init_rpca(instance, r, c_thresh=3.0):
     # S0 is zero off the observed set, so the surrogate stays sparse
     Y = problems.observed_csr(
         instance, (instance.y - S0[idx]) / max(prob, np.finfo(float).tiny))
-    symmetric = "X" in instance.truth
-    if symmetric:
-        if r >= p["n1"]:
-            raise ValueError("the symmetric route needs r < n")
-        Y = 0.5 * (Y + Y.T)
-    point, subspaces, scale = factors_from_surrogate(Y, r, symmetric)
-    return SpectralEstimate(point=point, subspaces=subspaces, scale=scale), S0
+    return _matrix_estimate(instance, Y, r), S0
 
 
 def init_sparse_pr(instance, k=None, gamma=None):

@@ -6,9 +6,9 @@ does not depend on the objective's additive constant, analytic Hessians
 against finite differences, the closed-form critical-point census against
 dense Hessian classification, the strict-saddle check and the JSON report
 against the census, the trust-region step against its optimality conditions
-and random feasible steps, the cubic and trust-region steps' stationarity
-next to a saddle and in the hard case, and the random-init descent study
-against a plain loop of run_gd."""
+and random feasible steps and its length far from the origin, the cubic and
+trust-region steps' stationarity next to a saddle and in the hard case, and
+the random-init descent study against a plain loop of run_gd."""
 
 import json
 import math
@@ -35,6 +35,7 @@ from lowrank_ncvx.landscape import (
     rank1_hessian,
     rank1_oracle,
     strict_saddle_check,
+    _shifted_step,
     trust_region_step,
 )
 from lowrank_ncvx.problems import gen_matrix_sensing, gen_phase_retrieval
@@ -244,6 +245,22 @@ def test_trust_region_step_is_feasible_and_beats_random_feasible_steps(start, ra
         d = rng.standard_normal(4)
         d *= radius * rng.random() ** 0.25 / np.linalg.norm(d)
         assert best <= model(d) + slack
+
+
+def test_trust_region_step_far_from_the_origin_keeps_its_length():
+    # At ||x|| = 18 the gradient is huge next to a 1e-3 ball, so the step
+    # lies on the boundary.  Recovered as (x + s) - x it misses the radius
+    # by up to 1.2e-12 relative on these draws; the step itself does not.
+    radius = 1e-3
+    for k in range(300):
+        rng = make_rng(derive_seed(18, "far_step", k))
+        G = rng.standard_normal((6, 6))
+        oracle = rank1_oracle(0.5 * (G + G.T))
+        x = rng.standard_normal(6)
+        x *= 18.0 / np.linalg.norm(x)
+        s = _shifted_step(oracle, x, lambda shift: radius)
+        assert abs(float(np.linalg.norm(s)) / radius - 1.0) <= 1e-12, k
+        assert np.array_equal(trust_region_step(oracle, x, radius), x + s)
 
 
 @pytest.mark.parametrize("name,oracle,n", [("rank1", rank1_oracle(M_DIAG), 3),

@@ -577,6 +577,36 @@ def test_weight_and_loss_validation():
         loss_and_grad(pr, point)
 
 
+_ANY_POINT = {
+    "sym": FactorPoint.sym(np.ones((2, 1))),
+    "asym": FactorPoint.asym(np.ones((2, 1)), np.ones((2, 1))),
+    "vector": FactorPoint.vector(np.ones(2)),
+    "pair": FactorPoint.pair(np.ones(2), np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("make", ALL_GENERATORS)
+def test_loss_contract_errors_name_the_family(make):
+    # Every check runs before any arithmetic, so a point of the right kind
+    # and the wrong shape reaches each of them.
+    inst = make(0)
+    fam = inst.family
+    spec = problems.FAMILIES[fam]
+    ok = _ANY_POINT[spec.kinds[0]]
+    wrong = next(p for kind, p in _ANY_POINT.items() if kind not in spec.kinds)
+    with pytest.raises(ValueError, match=f"{fam} expects a .*, got {wrong.kind!r}"):
+        loss_and_grad(inst, wrong)
+    for tag in {"huber", "plain", "regularized", "amplitude"} - set(spec.losses):
+        with pytest.raises(ValueError, match=f"unknown loss tag {tag!r} for {fam}"):
+            loss_and_grad(inst, ok, loss=tag)
+    if not spec.sample_sum:
+        with pytest.raises(ValueError, match=f"{fam} has no per-sample weights"):
+            loss_and_grad(inst, ok, weights=np.ones(3))
+    if spec.shared is None:
+        with pytest.raises(ValueError, match=f"{fam} takes no forward product"):
+            loss_and_grad(inst, ok, forward=np.ones(3))
+
+
 # ---------------------------------------------------------------------------
 # Small-matrix factorization wrapper
 # ---------------------------------------------------------------------------

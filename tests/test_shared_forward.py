@@ -2,23 +2,35 @@
 mask, the loss and the incoherence proxy, and forms one sign-aligned
 difference x - s x* for the distance and the witness terms.  Checked against
 a hand-written loop that evaluates every term from its own product, through
-the public loss_and_grad, twf_mask, median_mask, dist_to_truth and
-incoherence_proxy: the trajectories and every trace column must be bitwise
-equal.  The proxy subtracts A x*, formed once per run, from the shared A x;
-the public incoherence_proxy forms both products itself, and the reference's
-max|A (x - s x*)| must agree with it to round-off."""
+the public loss_and_grad, twf_mask and median_mask, with the distance from
+core.dist_vector and the proxy max|A x - s A x*| from its own two products;
+it calls neither dist_to_truth nor incoherence_proxy, which share gd's row
+code.  The trajectories and every trace column must be bitwise equal.  The
+row subtracts A x*, formed once per instance, from the shared A x, and the
+reference's max|A (x - s x*)| must agree with it to round-off.  The rows of
+Error Reduction, symmetric descent and AltMin are checked the same way, by
+the design products and Procrustes rotations they make."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lowrank_ncvx.core import FactorPoint, bd_incoherence, derive_seed, make_rng
+from lowrank_ncvx import core, gd
+from lowrank_ncvx.core import (
+    FactorPoint,
+    bd_incoherence,
+    derive_seed,
+    dist_bd,
+    dist_factors,
+    dist_vector,
+    make_rng,
+    max_row_norm,
+)
+from lowrank_ncvx.direct import AltMinConfig, altmin_mc, er_phase_retrieval
 from lowrank_ncvx.gd import (
     DEFAULT_TWF_THRESHOLDS,
     SolverConfig,
-    dist_to_truth,
-    incoherence_proxy,
     median_mask,
     run_gd,
     run_truncated_gd,
@@ -27,11 +39,17 @@ from lowrank_ncvx.gd import (
 from lowrank_ncvx.problems import (
     corrupt_outliers,
     gen_blind_deconv,
+    gen_matrix_completion,
     gen_matrix_sensing,
     gen_phase_retrieval,
     loss_and_grad,
 )
-from lowrank_ncvx.spectral import Preprocessing, init_blind_deconv, init_phase_retrieval
+from lowrank_ncvx.spectral import (
+    Preprocessing,
+    init_blind_deconv,
+    init_matrix_completion,
+    init_phase_retrieval,
+)
 
 
 def _reference_run(inst, x0, cfg, rule=None):
@@ -61,9 +79,9 @@ def _reference_run(inst, x0, cfg, rule=None):
             s = -1.0 if float(point.x @ xs) < 0.0 else 1.0
             diff = point.x - s * xs
             row = {"loss": val, "grad_norm": gnorm,
-                   "dist": dist_to_truth(inst, point),
+                   "dist": dist_vector(point.x, xs),
                    "incoh": float(np.max(np.abs(A @ diff))),
-                   "incoh_public": incoherence_proxy(inst, point),
+                   "incoh_public": float(np.max(np.abs(A @ point.x - s * (A @ xs)))),
                    "rc_ip": float(grad.x @ diff), "rc_g2": gnorm * gnorm,
                    "rc_d2": float(diff @ diff)}
         for k, v in row.items():
@@ -165,11 +183,12 @@ def test_blind_deconvolution_row_shares_b_h_bitwise():
     x0 = init_blind_deconv(inst).point
     final, tr = run_gd(inst, x0, SolverConfig(eta=0.1, max_iters=20))
     point, loss, dist, incoh = x0.copy(), [], [], []
+    hs, xs, B = inst.truth["h"], inst.truth["x"], inst.design["B"]
     for _ in range(len(tr)):
         val, grad = loss_and_grad(inst, point)
         loss.append(val)
-        dist.append(dist_to_truth(inst, point))
-        incoh.append(incoherence_proxy(inst, point))
+        dist.append(dist_bd(point.h, point.x, hs, xs))
+        incoh.append(bd_incoherence(point.h, B))
         last, point = point, point.add_scaled(-0.1, grad.parts)
     assert (tr.loss, tr.dist, tr.incoh) == (loss, dist, incoh)
     assert np.array_equal(final.h, last.h) and np.array_equal(final.x, last.x)
@@ -218,19 +237,24 @@ def test_phase_retrieval_row_makes_one_forward_and_one_adjoint_product(pr, runne
     inst.design["A"] = _counting(inst.design["A"], log, inst.truth["x"])
     rows = 6
     cfg = SolverConfig(**{**_knobs(x0), "max_iters": rows - 1, **extra})
-    _, tr = runner(inst, x0, cfg)
-    assert (len(tr), tr.outcome) == (rows, "max_iters")
-    # A x* once per run, then one A x and one A^T r per row.
-    assert log == ["truth"] + ["forward", "adjoint"] * rows
+    for run in range(2):
+        del log[:]
+        _, tr = runner(inst, x0, cfg)
+        assert (len(tr), tr.outcome) == (rows, "max_iters")
+        # One A x and one A^T r per row, and A x* once per instance: in the
+        # first row of the first run.
+        assert [k for k in log if k != "truth"] == ["forward", "adjoint"] * rows
+        assert log.count("truth") == (1 if run == 0 else 0)
 
 
-def _bd_product_logs(rows, loss="plain"):
+def _bd_product_logs(rows, loss="plain", given_mu=True):
     # The products with A and B that run_gd makes in `rows` rows; the
-    # regularized loss gets mu, taken from the truth before B is wrapped.
+    # regularized loss gets mu, taken from the truth before B is wrapped,
+    # unless given_mu is False.
     inst = gen_blind_deconv(8, 8, 64, seed=35)
     x0 = init_blind_deconv(inst).point
     params = {"mu": bd_incoherence(inst.truth["h"], inst.design["B"])} \
-        if loss == "regularized" else None
+        if loss == "regularized" and given_mu else None
     logs = {"A": [], "B": []}
     for key in logs:
         inst.design[key] = _counting(inst.design[key], logs[key])
@@ -252,3 +276,77 @@ def test_regularized_blind_deconvolution_row_with_mu_makes_one_forward_b_product
     logs = _bd_product_logs(rows, loss="regularized")
     assert sorted(logs["A"]) == ["adjoint"] * rows + ["forward"] * rows
     assert sorted(logs["B"]) == ["adjoint"] * (2 * rows) + ["forward"] * rows
+
+
+def test_regularized_blind_deconvolution_default_mu_is_formed_once_per_instance():
+    # Without mu the row takes the planted pair's incoherence, one forward B
+    # product formed once per instance; the losses are those of the given mu.
+    rows = 6
+    logs = _bd_product_logs(rows, loss="regularized", given_mu=False)
+    assert sorted(logs["A"]) == ["adjoint"] * rows + ["forward"] * rows
+    assert sorted(logs["B"]) == ["adjoint"] * (2 * rows) + ["forward"] * (rows + 1)
+    inst = gen_blind_deconv(8, 8, 64, seed=35)
+    x0 = init_blind_deconv(inst).point
+    mu = bd_incoherence(inst.truth["h"], inst.design["B"])
+    _, tr = run_gd(inst, x0, SolverConfig(max_iters=rows - 1, loss="regularized"))
+    _, given = run_gd(inst, x0, SolverConfig(max_iters=rows - 1, loss="regularized",
+                                             loss_params={"mu": mu}))
+    assert tr.loss == given.loss
+
+
+def test_error_reduction_row_makes_one_forward_product_and_shares_it_with_the_step():
+    inst = gen_phase_retrieval(16, 160, seed=31)
+    x0 = init_phase_retrieval(inst, Preprocessing.trim(9.0)).point
+    ref_x, ref = er_phase_retrieval(inst, x0.x, AltMinConfig(max_outer=5))
+    log = []
+    inst.design["A"] = _counting(inst.design["A"], log, inst.truth["x"])
+    x, tr = er_phase_retrieval(inst, x0.x, AltMinConfig(max_outer=5))
+    rows = 6
+    assert (len(tr), tr.outcome) == (rows, "max_iters")
+    # One A x per row, shared by the loss, the proxy and the sign step, one
+    # A^T r for the loss gradient, and A x* once per instance.
+    assert [k for k in log if k != "truth"] == ["forward", "adjoint"] * rows
+    assert log.count("truth") == 1
+    assert np.array_equal(x, ref_x) and (tr.loss, tr.incoh) == (ref.loss, ref.incoh)
+    assert tr.dist[-1] == dist_vector(x, inst.truth["x"])
+
+
+def _procrustes_calls(monkeypatch):
+    # The (F, Fs) pairs of every Procrustes rotation made through core's or
+    # gd's binding, core.dist_factors included.
+    calls, procrustes = [], core.procrustes
+
+    def counted(F, Fs):
+        calls.append((F.copy(), Fs))
+        return procrustes(F, Fs)
+
+    monkeypatch.setattr(core, "procrustes", counted)
+    monkeypatch.setattr(gd, "procrustes", counted)
+    return calls
+
+
+def _assert_rows_align_once(tr, calls):
+    run = list(calls)  # the checks below add rotations of their own
+    assert len(run) == len(tr)
+    for k, (F, Fs) in enumerate(run):
+        assert tr.dist[k] == dist_factors(F, Fs)
+        assert tr.incoh[k] == max_row_norm(F @ core.procrustes(F, Fs) - Fs)
+    return run[-1][0]
+
+
+def test_symmetric_descent_row_makes_one_procrustes_rotation(monkeypatch):
+    inst = gen_matrix_completion(30, 30, 2, 0.5, True, seed=36)
+    x0 = init_matrix_completion(inst, 2).point
+    calls = _procrustes_calls(monkeypatch)
+    final, tr = run_gd(inst, x0, SolverConfig(max_iters=5))
+    assert (len(tr), tr.outcome) == (6, "max_iters")
+    assert np.array_equal(_assert_rows_align_once(tr, calls), final.X)
+
+
+def test_altmin_row_makes_one_procrustes_rotation(monkeypatch):
+    inst = gen_matrix_completion(30, 24, 2, 0.5, False, seed=37)
+    L0 = init_matrix_completion(inst, 2).point.L
+    calls = _procrustes_calls(monkeypatch)
+    L, R, tr = altmin_mc(inst, L0, AltMinConfig(max_outer=5))
+    assert (len(tr), tr.outcome) == (5, "max_iters")
+    assert np.array_equal(_assert_rows_align_once(tr, calls), np.vstack((L, R)))
