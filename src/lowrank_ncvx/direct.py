@@ -17,10 +17,9 @@ from .gd import trace_row
 from .problems import (
     EntryGroups,
     estimate_rip,
+    linear_operator,
     loss_and_grad,
     observed_entries,
-    sensing_adjoint,
-    sensing_measurements,
     sensing_operator,
 )
 
@@ -367,20 +366,20 @@ def altmin_mc(instance, L0, config=None):
 def svp(instance, config):
     """Projected gradient descent in full matrix space from M = 0.
 
-    Each step moves along the family gradient and truncates back to rank r
-    through a dense SVD; the iterate lives as that truncated factorization
-    (U_r s_r, V_r), so its rank stays at most r by construction (recorded per
-    row in extras["rank"]).  Returns (M, trace) with M materialized dense.
+    Each step moves along the gradient A*(A(M) - y) / s of ||A(M) - y||^2 / 2s,
+    A the instance's problems.linear_operator (made dense for completion),
+    and truncates back to rank r through a dense SVD; the iterate lives as
+    that truncated factorization (U_r s_r, V_r), so its rank stays at most r
+    by construction (recorded per row in extras["rank"]).  Returns (M, trace)
+    with M materialized dense.
     """
-    sensing = instance.family in ("MatrixSensingSym", "MatrixSensingAsym")
-    completion = instance.family in ("MatrixCompletionSym",
-                                     "MatrixCompletionAsym")
-    if not (sensing or completion):
+    completion = instance.family in ("MatrixCompletionSym", "MatrixCompletionAsym")
+    if not (completion or instance.family in ("MatrixSensingSym", "MatrixSensingAsym")):
         raise ValueError("SVP handles sensing and completion instances")
     if not isinstance(config, SvpConfig):
         raise ValueError("svp needs an SvpConfig")
-    p = instance.params
-    n1, n2 = p["n1"], p["n2"]
+    op = linear_operator(instance)
+    n1, n2 = op.shape
     r = config.r
     eta = config.eta
     if eta is None:
@@ -391,22 +390,15 @@ def svp(instance, config):
             delta = estimate_rip(instance, probe_rank, config.rip_trials,
                                  config.rip_seed).delta_hat
             eta = 1.0 / (1.0 + delta)
-    if completion:
-        idx = observed_entries(instance)
-        scale = max(p["p"], np.finfo(float).tiny)
     Mstar = instance.truth["M"]
 
     def evaluate(t, point):
         M = point.L @ point.R.T
-        if completion:
-            e = M[idx] - instance.y
-            val = 0.5 * float(e @ e) / scale
-            grad = np.zeros((n1, n2))
-            grad[idx] = e / scale
-        else:
-            e = sensing_measurements(instance, M) - instance.y
-            val = 0.5 * float(e @ e) / p["m"]
-            grad = sensing_adjoint(instance, e) / p["m"]
+        e = op.measure(M) - instance.y
+        val = 0.5 * float(e @ e) / op.scale
+        grad = op.adjoint(e)
+        # dense before the division: a CSR divides by multiplying with 1 / s
+        grad = (grad.toarray() if completion else grad) / op.scale
         # U has unit columns, so column k of U_r s_r is zero exactly when s_k is.
         return {"loss": val, "grad_norm": float(np.linalg.norm(grad)),
                 "dist": float(np.linalg.norm(M - Mstar)), "incoh": 0.0,

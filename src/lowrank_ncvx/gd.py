@@ -29,8 +29,8 @@ from .core import (
     max_row_norm,
     procrustes,
 )
-from .problems import (FAMILIES, EntryGroups, loss_and_grad, observed_csr,
-                       observed_entries, truth_forward)
+from .problems import (FAMILIES, EntryGroups, linear_operator, loss_and_grad,
+                       truth_forward)
 from .spectral import hard_threshold
 
 _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
@@ -502,16 +502,14 @@ def run_rpca(instance, init, S_init, config=None):
     budget = cfg.c_thresh * p["alpha_out"] * p["p"]
     l_row = math.ceil(budget * p["n2"])
     l_col = math.ceil(budget * p["n1"])
-    rows, cols = observed_entries(instance)
-    shape = (p["n1"], p["n2"])
-    state = {"S": np.zeros(shape) if S_init is None else np.array(S_init, dtype=float),
+    op = linear_operator(instance)
+    state = {"S": np.zeros(op.shape) if S_init is None else np.array(S_init, dtype=float),
              "fresh": False}
 
     def refresh(point):
         if state["fresh"]:
             A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
-            resid = np.zeros(shape)
-            resid[rows, cols] = instance.y - np.einsum("ij,ij->i", A[rows], B[cols])
+            resid = op.adjoint(instance.y - op.measure_factors(A, B)).toarray()
             state["S"] = hard_threshold(resid, l_row, l_col)
         state["fresh"] = True
         return {"S": state["S"]}
@@ -547,7 +545,8 @@ def grassmann_step(instance, L, eta, form="auto"):
     if form == "rank1" and r != 1:
         raise ValueError("the rank-1 form needs a single column")
     n2 = instance.params["n2"]
-    rows, cols = observed_entries(instance)
+    op = linear_operator(instance)
+    rows, cols = op.index
     G, b = EntryGroups.of(cols, rows, instance.y, n2).normal_equations(L)
     w = np.linalg.eigvalsh(G)
     singular = w[:, 0] <= 1e-12 * np.maximum(w[:, -1], np.finfo(float).tiny)
@@ -555,8 +554,7 @@ def grassmann_step(instance, L, eta, form="auto"):
         raise ValueError("least-squares normal matrix is singular at column "
                          f"{np.argmax(singular)}")
     R = np.linalg.solve(G, b[..., None])[..., 0]
-    resid = instance.y - np.einsum("ij,ij->i", L[rows], R[cols])
-    grad = -2.0 * (observed_csr(instance, resid) @ R)
+    grad = -2.0 * (op.adjoint(instance.y - op.measure_factors(L, R)) @ R)
     grad -= L @ (L.T @ grad)
     if form == "rank1" or (form == "auto" and r == 1):
         s = float(np.linalg.norm(grad))

@@ -4,8 +4,10 @@ of generated instances.
 
 Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
-per-sample weights, shared design product); ``forward_model`` and
-``loss_and_grad`` read it rather than branch on the family name.
+per-sample weights, shared design product, linear operator); ``forward_model``
+and ``loss_and_grad`` read it rather than branch on the family name.  The
+five linear families (sensing, completion, robust PCA) share one forward
+model and one plain risk through their ``linear_operator``.
 
 Conventions shared by every family:
 
@@ -40,8 +42,9 @@ class ProblemInstance:
 
     ``params`` holds the scalar knobs the generator was called with,
     ``truth`` the planted factors (arrays), ``design`` the data of the
-    measurement operator (arrays, plus a "kind" tag for sensing, which
-    sensing_operator reads to build the operator), and ``y`` the
+    measurement operator (arrays: the sensing designs with a "kind" tag,
+    the boolean mask of the sampled-entry families; linear_operator builds
+    the operator of a linear family from them), and ``y`` the
     observations.  All fields are plain data so an instance can round-trip
     through JSON without loss; ``family`` must name a ``FAMILIES`` entry.
     """
@@ -219,9 +222,10 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
 
     Each entry lands in the observed set independently with probability p.
     The boolean mask is the stored form of the design (and of its JSON);
-    every computation reads the observed-entry index that observed_entries
-    derives from it, and y lists M on that index in row-major order.  p = 0
-    is legal and produces an empty observation set.
+    every computation reads the sampling operator P_Omega that
+    linear_operator builds on the observed-entry index derived from it, and
+    y = P_Omega(M) lists M on that index in row-major order.  p = 0 is legal
+    and produces an empty observation set.
     """
     if not (1 <= r <= min(n1, n2)):
         raise ValueError("need 1 <= r <= min(n1, n2)")
@@ -307,8 +311,8 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
     S has round(alpha_out * n1 * n2) entries of size +-magnitude, placed so
     that no row holds more than ceil(alpha_out * n2) outliers and no column
     more than ceil(alpha_out * n1).  Square instances plant a PSD truth.  As
-    in gen_matrix_completion, the boolean mask is the stored form and the
-    observed-entry index is derived from it.
+    in gen_matrix_completion, the boolean mask is the stored form, and
+    y = P_Omega(M + S) is read through the same sampling operator.
     """
     if not (1 <= r <= min(n1, n2)):
         raise ValueError("need 1 <= r <= min(n1, n2)")
@@ -583,15 +587,8 @@ class EntryGroups:
         return gram, self.sparse(self.vals, n_other) @ basis
 
 
-def observed_csr(instance, values):
-    """The n1 x n2 sparse matrix holding ``values`` (in the order of ``y``)
-    on the observed entries of a completion or robust PCA instance."""
-    _, cols, indptr = _observed_index(instance)
-    return csr(values, cols, indptr, (instance.params["n1"], instance.params["n2"]))
-
-
 # ---------------------------------------------------------------------------
-# Forward models
+# Linear measurement operators and the forward model
 # ---------------------------------------------------------------------------
 
 class _GaussianSensing:
@@ -599,10 +596,14 @@ class _GaussianSensing:
 
     def __init__(self, A):
         self.A = A
-        self.m = A.shape[0]
+        self.shape = A.shape[1:]
+        self.m = self.scale = A.shape[0]
 
     def measure(self, T):
         return np.tensordot(self.A, T, axes=([1, 2], [0, 1]))
+
+    def measure_factors(self, A, B):
+        return self.measure(A @ B.T)
 
     def apply(self, T):
         return self.measure(T) / math.sqrt(self.m)
@@ -611,7 +612,11 @@ class _GaussianSensing:
         return np.tensordot(e, self.A, axes=([0], [0]))
 
     def rows(self, F, side):
-        return np.tensordot(self.A, F, axes=([side], [0])).reshape(self.m, -1)
+        if side == 1:
+            # A batched product on the transposed view: tensordot would copy
+            # the whole design into that layout first.
+            return np.matmul(self.A.transpose(0, 2, 1), F).reshape(self.m, -1)
+        return np.tensordot(self.A, F, axes=([2], [0])).reshape(self.m, -1)
 
 
 class _IdentitySensing:
@@ -620,18 +625,21 @@ class _IdentitySensing:
 
     def __init__(self, n1, n2):
         self.shape = (n1, n2)
-        self.m = n1 * n2
-        self.scale = math.sqrt(self.m)
+        self.m = self.scale = n1 * n2
+        self.root = math.sqrt(self.m)
 
     def measure(self, T):
-        return self.scale * np.ravel(T)
+        return self.root * np.ravel(T)
+
+    def measure_factors(self, A, B):
+        return self.measure(A @ B.T)
 
     def apply(self, T):
         # the sqrt(m) scaling cancels the 1/sqrt(m) normalization exactly
         return np.ravel(T)
 
     def adjoint(self, e):
-        return self.scale * np.reshape(e, self.shape)
+        return self.root * np.reshape(e, self.shape)
 
     def rows(self, F, side):
         # sqrt(m) (F kron I), its columns ordered as vec of the free factor.
@@ -641,19 +649,43 @@ class _IdentitySensing:
         K = np.zeros(self.shape + (n, F.shape[1]))
         d = np.arange(n)
         if side == 1:
-            K[:, d, d] = self.scale * F[:, None]
+            K[:, d, d] = self.root * F[:, None]
         else:
-            K[d, :, d] = self.scale * F
+            K[d, :, d] = self.root * F
         return K.reshape(self.m, -1)
+
+
+class _EntrySampling:
+    """P_Omega on the observed-entry index of a completion or robust PCA
+    instance, in the order of y; the adjoint is a CSR matrix on the index."""
+
+    def __init__(self, instance):
+        rows, cols, self.indptr = _observed_index(instance)
+        self.index = (rows, cols)
+        self.shape = (instance.params["n1"], instance.params["n2"])
+        # Empty masks (p = 0) make the risk vacuous; keep it finite.
+        self.scale = max(instance.params["p"], np.finfo(float).tiny)
+
+    def measure(self, T):
+        return T[self.index]
+
+    def measure_factors(self, A, B):
+        # One r-term row dot per entry, never the n1 x n2 model; np.take
+        # gathers rows several times faster than A[rows].
+        rows, cols = self.index
+        return np.einsum("ij,ij->i", np.take(A, rows, axis=0), np.take(B, cols, axis=0))
+
+    def adjoint(self, e):
+        return csr(e, self.index[1], self.indptr, self.shape)
 
 
 def sensing_operator(instance):
     """The measurement operator of a sensing instance.
 
-    measure(T) gives the unnormalized <A_i, T>, apply(T) the normalized map
-    A(T) = measure(T) / sqrt(m), and adjoint(e) the sum of e_i A_i.
-    rows(F, side) gives the m x (n r) least-squares rows of the factor
-    left free when F fills axis side (1 or 2) of T: rows(L, 1) @ vec(R) and
+    Besides the members every linear operator has (see linear_operator),
+    apply(T) gives the normalized map A(T) = measure(T) / sqrt(m), and
+    rows(F, side) the m x (n r) least-squares rows of the factor left free
+    when F fills axis side (1 or 2) of T: rows(L, 1) @ vec(R) and
     rows(R, 2) @ vec(L) both equal measure(L R^T), vec in row-major order.
     """
     if instance.family not in ("MatrixSensingSym", "MatrixSensingAsym"):
@@ -663,23 +695,27 @@ def sensing_operator(instance):
     return _GaussianSensing(instance.design["A"])
 
 
+def linear_operator(instance):
+    """The measurement operator A of a sensing, completion or robust PCA
+    instance, y = A(M*) (robust PCA: A(M* + S)).  measure(T) gives the
+    unnormalized <A_i, T> for T of size ``shape``, measure_factors(A, B) the
+    same at T = A B^T, adjoint(e) the sum of e_i A_i (a CSR matrix for
+    sampled entries), and ``scale`` the risk's normalization s (m for
+    sensing, p for sampled entries)."""
+    build = FAMILIES[instance.family].operator
+    if build is None:
+        raise ValueError(f"{instance.family} has no linear measurement operator")
+    return build(instance)
+
+
 def sensing_measurements(instance, T):
     """<A_i, T> for each measurement of a sensing instance (unnormalized)."""
     op = sensing_operator(instance)
     T = np.asarray(T, dtype=float)
-    shape = (instance.params["n1"], instance.params["n2"])
-    if T.shape != shape:
-        raise ValueError(f"expected a {shape[0]} x {shape[1]} matrix, got shape {T.shape}")
+    if T.shape != op.shape:
+        raise ValueError(f"expected a {op.shape[0]} x {op.shape[1]} matrix, "
+                         f"got shape {T.shape}")
     return op.measure(T)
-
-
-def sensing_adjoint(instance, e):
-    """sum_i e_i A_i, the adjoint of the unnormalized measurement map."""
-    op = sensing_operator(instance)
-    e = np.asarray(e, dtype=float)
-    if e.shape != (op.m,):
-        raise ValueError(f"expected {op.m} measurement coefficients")
-    return op.adjoint(e)
 
 
 def forward_model(instance):
@@ -698,17 +734,6 @@ def _weights(weights, m):
     if w.shape != (m,):
         raise ValueError(f"weights must have shape ({m},)")
     return w
-
-
-def _entry_residual(instance, A, B, offset=None):
-    # (A B^T + offset)[rows, cols] - y over the observed entries, in the
-    # order of y: one r-term row dot per entry, never the n1 x n2 model.
-    rows, cols = observed_entries(instance)
-    # np.take gathers rows several times faster than A[rows]
-    model = np.einsum("ij,ij->i", np.take(A, rows, axis=0), np.take(B, cols, axis=0))
-    if offset is not None:
-        model += offset
-    return model - instance.y
 
 
 def _quartic_hinge(z, alpha):
@@ -762,30 +787,33 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
 # parameters and c the family's shared product (None for families without
 # one), with the kind, tag and weights already checked against its record.
 
-def _loss_sensing_sym(instance, point, loss, lp, weights, c):
-    m = instance.params["m"]
-    w = _weights(weights, m)
-    X = point.X
-    op = sensing_operator(instance)
-    e = op.measure(X @ X.T) - instance.y
-    val = float(np.sum(w * e * e)) / (4.0 * m)
-    S = op.adjoint(w * e)
-    g = (0.5 * (S + S.T)) @ X / m
-    return val, FactorPoint("sym", (g,))
+def _linear_risk(instance, point, weights=None, offset=None):
+    # The plain risk sum_i w_i e_i^2 / 4s of a linear family and its gradient
+    # parts, e = A(X X^T) (sym) or A(L R^T) (asym), plus offset, minus y.
+    # Sensing, completion and robust PCA share it; unit weights are skipped.
+    op = linear_operator(instance)
+    s = op.scale
+    A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
+    model = op.measure_factors(A, B)
+    e = (model if offset is None else model + offset) - instance.y
+    we = e if weights is None else _weights(weights, e.shape[0]) * e
+    val = float(we @ e) / (4.0 * s)
+    S = op.adjoint(we)
+    if point.kind == "sym":
+        return val, ((S @ A + S.T @ A) / (2.0 * s),)
+    return val, (S @ B / (2.0 * s), S.T @ A / (2.0 * s))
+
+
+def _loss_linear(instance, point, loss, lp, weights, c):
+    val, parts = _linear_risk(instance, point, weights)
+    return val, FactorPoint(point.kind, parts)
 
 
 def _loss_sensing_asym(instance, point, loss, lp, weights, c):
-    m = instance.params["m"]
-    w = _weights(weights, m)
-    L, R = point.L, point.R
-    op = sensing_operator(instance)
-    e = op.measure(L @ R.T) - instance.y
-    val = float(np.sum(w * e * e)) / (4.0 * m)
-    S = op.adjoint(w * e)
-    gL = S @ R / (2.0 * m)
-    gR = S.T @ L / (2.0 * m)
+    val, (gL, gR) = _linear_risk(instance, point, weights)
     if loss == "regularized":
         # Balancing penalty lam * ||L^T L - R^T R||_F^2; lam = 1/32 by default.
+        L, R = point.L, point.R
         lam = float(lp.get("lam", 1.0 / 32.0))
         D = L.T @ L - R.T @ R
         val += lam * float(np.sum(D * D))
@@ -824,27 +852,8 @@ def _loss_quadratic_sensing(instance, point, loss, lp, weights, c):
     return val, FactorPoint("sym", (g,))
 
 
-def _completion_scale(params):
-    # Empty masks (p = 0) make the risk vacuous; keep it finite.
-    return max(params["p"], np.finfo(float).tiny)
-
-
-def _entry_risk(instance, point, offset=None):
-    # The plain observed-entry risk ||e||^2 / 4p, e the _entry_residual of
-    # the model X X^T (sym) or L R^T (asym) plus offset, and its gradient
-    # parts.  Completion and robust PCA share it.
-    p = _completion_scale(instance.params)
-    A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
-    e = _entry_residual(instance, A, B, offset)
-    E = observed_csr(instance, e)
-    val = float(e @ e) / (4.0 * p)
-    if point.kind == "sym":
-        return val, ((E @ A + E.T @ A) / (2.0 * p),)
-    return val, (E @ B / (2.0 * p), E.T @ A / (2.0 * p))
-
-
 def _loss_completion_sym(instance, point, loss, lp, weights, c):
-    val, (g,) = _entry_risk(instance, point)
+    val, (g,) = _linear_risk(instance, point)
     if loss == "regularized":
         # Row-norm hinge sum_i max(||X_i|| - alpha, 0)^4, discouraging spiky rows.
         X = point.X
@@ -875,7 +884,7 @@ def _completion_reg_scales(instance, lp):
 
 
 def _loss_completion_asym(instance, point, loss, lp, weights, c):
-    val, (gL, gR) = _entry_risk(instance, point)
+    val, (gL, gR) = _linear_risk(instance, point)
     if loss == "regularized":
         L, R = point.L, point.R
         lam = float(lp.get("lam", 1.0))
@@ -902,7 +911,7 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
     c = A @ np.conj(x)
     e = u * c - y
     val = float(np.sum(w * np.abs(e) ** 2))
-    gh = B.conj().T @ (w * e * np.conj(c))
+    coef = w * e * np.conj(c)  # gh's B^H coefficients
     gx = A.T @ (w * np.conj(e) * u)
     if loss == "regularized":
         # Incoherence and norm hinges.
@@ -916,13 +925,15 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
         row = m * np.abs(u) ** 2 / (8.0 * mu**2 * d0)
         hr, dr = _square_hinge(row)
         val += lam * float(np.sum(hr))
-        gh += B.conj().T @ (lam * dr * m / (8.0 * mu**2 * d0) * u)
+        coef += lam * dr * m / (8.0 * mu**2 * d0) * u  # one B^H product for both
         hn, dn = _square_hinge(np.sum(np.abs(h) ** 2) / (2.0 * d0))
         val += lam * float(hn)
-        gh += lam * dn / (2.0 * d0) * h
         xn, dxn = _square_hinge(np.sum(np.abs(x) ** 2) / (2.0 * d0))
         val += lam * float(xn)
         gx += lam * dxn / (2.0 * d0) * x
+    gh = B.conj().T @ coef
+    if loss == "regularized":
+        gh += lam * dn / (2.0 * d0) * h
     # Fold the customary norm scalings into the reported direction.
     gh /= float(np.sum(np.abs(x) ** 2))
     gx /= float(np.sum(np.abs(h) ** 2))
@@ -932,8 +943,8 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
 def _loss_rpca(instance, point, loss, lp, weights, c):
     S = lp.get("S")
     if S is not None:
-        S = np.asarray(S, dtype=float)[observed_entries(instance)]
-    val, parts = _entry_risk(instance, point, S)
+        S = linear_operator(instance).measure(np.asarray(S, dtype=float))
+    val, parts = _linear_risk(instance, point, offset=S)
     return val, FactorPoint(point.kind, parts)
 
 
@@ -961,7 +972,8 @@ class Family:
     """One family's contract: observe(instance) forms y = A(M*), as
     forward_model replays it; loss takes points of ``kinds`` and the tags
     ``losses``, and per-sample weights if ``sample_sum``; shared(instance,
-    point) is the design product the loss and a solver's row share."""
+    point) is the design product the loss and a solver's row share; and
+    operator(instance) builds a linear family's linear_operator."""
 
     observe: object
     loss: object
@@ -969,26 +981,24 @@ class Family:
     losses: tuple = ("plain",)
     sample_sum: bool = False
     shared: object = None
+    operator: object = None
 
 
-def _observe_sensing(inst):
-    return sensing_operator(inst).measure(inst.truth["M"])
-
-
-def _observe_entries(inst):
-    # M* on the observed entries, plus the sparse part S of robust PCA
-    idx = observed_entries(inst)
-    M = inst.truth["M"][idx]
-    return M + inst.truth["S"][idx] if "S" in inst.truth else M
+def _observe_linear(inst):
+    # A(M*), plus A(S) for the sparse part S of robust PCA
+    op = linear_operator(inst)
+    y = op.measure(inst.truth["M"])
+    return y + op.measure(inst.truth["S"]) if "S" in inst.truth else y
 
 
 _REGULARIZED = ("plain", "regularized")
 
 FAMILIES = {
-    "MatrixSensingSym": Family(_observe_sensing, _loss_sensing_sym, ("sym",),
-                               sample_sum=True),
-    "MatrixSensingAsym": Family(_observe_sensing, _loss_sensing_asym, ("asym",),
-                                _REGULARIZED, sample_sum=True),
+    "MatrixSensingSym": Family(_observe_linear, _loss_linear, ("sym",),
+                               sample_sum=True, operator=sensing_operator),
+    "MatrixSensingAsym": Family(_observe_linear, _loss_sensing_asym, ("asym",),
+                                _REGULARIZED, sample_sum=True,
+                                operator=sensing_operator),
     "PhaseRetrieval": Family(
         lambda inst: (inst.design["A"] @ inst.truth["x"]) ** 2,
         _loss_phase_retrieval, ("vector",), ("plain", "amplitude"), sample_sum=True,
@@ -996,16 +1006,17 @@ FAMILIES = {
     "QuadraticSensing": Family(
         lambda inst: np.sum((inst.design["A"] @ inst.truth["X"]) ** 2, axis=1),
         _loss_quadratic_sensing, ("sym",), sample_sum=True),
-    "MatrixCompletionSym": Family(_observe_entries, _loss_completion_sym, ("sym",),
-                                  _REGULARIZED),
-    "MatrixCompletionAsym": Family(_observe_entries, _loss_completion_asym, ("asym",),
-                                   _REGULARIZED),
+    "MatrixCompletionSym": Family(_observe_linear, _loss_completion_sym, ("sym",),
+                                  _REGULARIZED, operator=_EntrySampling),
+    "MatrixCompletionAsym": Family(_observe_linear, _loss_completion_asym, ("asym",),
+                                   _REGULARIZED, operator=_EntrySampling),
     "BlindDeconv": Family(
         lambda inst: (inst.design["B"] @ inst.truth["h"])
         * (inst.design["A"] @ np.conj(inst.truth["x"])),
         _loss_blind_deconv, ("pair",), _REGULARIZED, sample_sum=True,
         shared=lambda inst, point: inst.design["B"] @ point.h),
-    "RobustPCA": Family(_observe_entries, _loss_rpca, ("sym", "asym")),
+    "RobustPCA": Family(_observe_linear, _loss_rpca, ("sym", "asym"),
+                        operator=_EntrySampling),
     "PhaseSync": Family(
         lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
         + inst.params["sigma"] * inst.design["W"],
@@ -1036,11 +1047,10 @@ def estimate_rip(instance, r, trials, seed):
     n1, n2 = p["n1"], p["n2"]
     if not (1 <= r <= min(n1, n2)):
         raise ValueError("need 1 <= r <= min(n1, n2)")
-    symmetric = instance.family == "MatrixSensingSym"
     worst = 0.0
     for t in range(trials):
         rng = make_rng(derive_seed(seed, "rip_probe", t))
-        if symmetric:
+        if p["symmetric"]:
             G = rng.standard_normal((n1, r))
             signs = rng.integers(0, 2, size=r) * 2 - 1
             T = (G * signs) @ G.T

@@ -14,18 +14,18 @@ mask is sampled entrywise and need not be symmetric; the symmetrization is
 unbiased and exact when the observation set is complete.
 
 The eigensolver follows the surrogate's storage.  Completion and robust PCA
-surrogates are sparse (p^{-1} P_Omega(.) has only the observed entries), and a
-sparse surrogate goes to ARPACK for its top r + 1 pairs, the extra pair
-keeping the spectral gap; when r + 1 reaches the smaller dimension it is
-densified instead, since ARPACK cannot return that many.  ARPACK starts from a
-fixed vector, so a rerun reproduces the init bit for bit.  Every other
-surrogate is dense and goes to LAPACK: sensing and blind deconvolution
-surrogates are dense by construction, and the phase retrieval and quadratic
-sensing ones stay dense because weighted surrogates can be indefinite with
-norm dominated by a few hugely negative samples (the reciprocal in T* on a
-near-zero y), where shifted power iterations stall; at their sizes a full
-eigendecomposition is exact and cheap.  scipy.sparse.linalg is imported only
-on the sparse path.
+surrogates are sparse (A*(y) / p, the adjoint of problems.linear_operator's
+P_Omega, has only the observed entries), and a sparse surrogate goes to ARPACK
+for its top r + 1 pairs, the extra pair keeping the spectral gap; when r + 1
+reaches the smaller dimension it is densified instead, since ARPACK cannot
+return that many.  ARPACK starts from a fixed vector, so a rerun reproduces
+the init bit for bit.  Every other surrogate is dense and goes to LAPACK:
+sensing and blind deconvolution surrogates are dense by construction, and the
+phase retrieval and quadratic sensing ones stay dense because weighted
+surrogates can be indefinite with norm dominated by a few hugely negative
+samples (the reciprocal in T* on a near-zero y), where shifted power
+iterations stall; at their sizes a full eigendecomposition is exact and cheap.
+scipy.sparse.linalg is imported only on the sparse path.
 """
 
 from __future__ import annotations
@@ -228,20 +228,21 @@ def apply_preprocessing(prep, y):
 
 def surrogate_sensing(instance):
     """Y = (1/m) sum y_i A_i, the adjoint of the measurements at the data."""
-    return problems.sensing_adjoint(instance, instance.y) / instance.params["m"]
+    return problems.sensing_operator(instance).adjoint(instance.y) / instance.params["m"]
 
 
 def surrogate_completion(instance):
     """Y = p^{-1} P_Omega(observed matrix); unbiased for the full matrix.
 
-    Y is a sparse CSR array on the observed-entry index that
-    problems.observed_entries derives from the stored boolean mask, so
-    factors_from_surrogate sends it to ARPACK.
+    Y is A*(y) / p for the sampled-entry operator A = P_Omega of
+    problems.linear_operator, a sparse CSR array on the observed-entry
+    index, so factors_from_surrogate sends it to ARPACK.
     """
     if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym", "RobustPCA"):
         raise ValueError("completion surrogate applies to sampled-entry instances")
-    p = max(instance.params["p"], np.finfo(float).tiny)
-    return problems.observed_csr(instance, instance.y / p)
+    op = problems.linear_operator(instance)
+    # y / p before the CSR is built: a CSR divides by multiplying with 1 / p
+    return op.adjoint(instance.y / op.scale)
 
 
 def surrogate_quadratic(y, A, weights=None):
@@ -422,16 +423,13 @@ def init_rpca(instance, r, c_thresh=3.0):
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
     p = instance.params
-    idx = problems.observed_entries(instance)
-    obs = np.zeros((p["n1"], p["n2"]))
-    obs[idx] = instance.y
+    op = problems.linear_operator(instance)
     alpha, prob = p["alpha_out"], p["p"]
     l_row = math.ceil(c_thresh * alpha * prob * p["n2"])
     l_col = math.ceil(c_thresh * alpha * prob * p["n1"])
-    S0 = hard_threshold(obs, l_row, l_col)
+    S0 = hard_threshold(op.adjoint(instance.y).toarray(), l_row, l_col)
     # S0 is zero off the observed set, so the surrogate stays sparse
-    Y = problems.observed_csr(
-        instance, (instance.y - S0[idx]) / max(prob, np.finfo(float).tiny))
+    Y = op.adjoint((instance.y - op.measure(S0)) / op.scale)
     return _matrix_estimate(instance, Y, r), S0
 
 

@@ -5,6 +5,7 @@ validation of every loss gradient, and bit-exact replay/serialization."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,74 @@ def test_sensing_operator_adjoint_and_rows(design, seed, r):
     assert np.linalg.norm(op.rows(R, 2) @ L.ravel() - want) <= 1e-12 * norm
     if design == "identity":
         assert np.array_equal(op.apply(T), T.ravel())
+
+
+SAMPLED_DESIGNS = {
+    "completion_sym": lambda seed: gen_matrix_completion(6, 6, 2, 0.5, True, seed),
+    "completion_asym": lambda seed: gen_matrix_completion(6, 4, 2, 0.5, False, seed),
+    "rpca_sym": lambda seed: gen_rpca(6, 6, 2, 0.6, 0.1, 3.0, seed),
+    "rpca_asym": lambda seed: gen_rpca(6, 4, 2, 0.6, 0.1, 3.0, seed),
+    "empty_mask": lambda seed: gen_matrix_completion(5, 4, 2, 0.0, False, seed),
+}
+
+
+@settings(deadline=None, max_examples=30)
+@given(design=st.sampled_from(sorted(SAMPLED_DESIGNS)),
+       seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3))
+def test_entry_sampling_operator_adjoint_and_factors(design, seed, r):
+    # P_Omega through the operator every linear family shares: <A(T), e> =
+    # <T, A*(e)>, and the row-dot model equals the measured product.
+    inst = SAMPLED_DESIGNS[design](seed)
+    op = problems.linear_operator(inst)
+    n1, n2 = inst.params["n1"], inst.params["n2"]
+    assert op.shape == (n1, n2)
+    rng = core.make_rng(core.derive_seed(seed, "adjointness"))
+    T = rng.standard_normal((n1, n2))
+    e = rng.standard_normal(inst.y.shape[0])
+    lhs = float(op.measure(T) @ e)
+    rhs = float(np.sum(T * op.adjoint(e).toarray()))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(op.measure(T)) * np.linalg.norm(e)
+    A, B = rng.standard_normal((n1, r)), rng.standard_normal((n2, r))
+    want = op.measure(A @ B.T)
+    assert np.linalg.norm(op.measure_factors(A, B) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_linear_operator_names_a_family_without_one():
+    with pytest.raises(ValueError, match="PhaseRetrieval"):
+        problems.linear_operator(gen_phase_retrieval(4, 8, seed=1))
+
+
+def test_identity_sensing_and_full_mask_completion_share_one_risk():
+    # Both observe every entry of the same truth, so the plain losses,
+    # ||A(L R^T) - y||^2 / 4m and ||L R^T - M||_F^2 / 4, and their gradients
+    # agree.
+    for seed in range(5):
+        comp = gen_matrix_completion(6, 5, 2, 1.0, False, seed)
+        sens = ProblemInstance("MatrixSensingAsym", seed,
+                               {"n1": 6, "n2": 5, "r": 2, "m": 30, "symmetric": False},
+                               comp.truth, {"kind": "identity"}, None)
+        sens.y = forward_model(sens)
+        rng = core.make_rng(seed)
+        point = FactorPoint.asym(rng.standard_normal((6, 2)), rng.standard_normal((5, 2)))
+        val_c, g_c = loss_and_grad(comp, point)
+        val_s, g_s = loss_and_grad(sens, point)
+        assert abs(val_s - val_c) <= 1e-12 * val_c
+        for a, b in zip(g_s.parts, g_c.parts):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_gaussian_right_rows_do_not_copy_the_design():
+    # rows(L, 1) contracts the design's middle axis; its peak allocation is
+    # its output, not a transposed copy of the (m, n1, n2) design.
+    inst = gen_matrix_sensing(30, 30, 2, 1800, False, seed=3)
+    op = problems.sensing_operator(inst)
+    tracemalloc.start()
+    try:
+        out = op.rows(inst.truth["L"], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 def test_sensing_measurements_reject_a_misshapen_matrix():
