@@ -59,7 +59,11 @@ class FactorPoint:
       "pair"   two complex vectors (h, x), estimating h x^H
 
     The named constructors cast real input to float; sym and asym raise
-    ValueError on complex input rather than drop its imaginary part.
+    ValueError on complex input rather than drop its imaginary part.  Points
+    are validated where they enter: the constructors check the kind and the
+    part count.  Points derived from valid ones (copy, add_scaled, and the
+    gradients of problems.loss_and_grad) are built by ``derived``, which
+    skips those checks; add_scaled still checks the direction's part count.
     """
 
     kind: str
@@ -72,6 +76,14 @@ class FactorPoint:
         n_expected = 2 if self.kind in ("asym", "pair") else 1
         if len(self.parts) != n_expected:
             raise ValueError(f"{self.kind!r} point needs {n_expected} array(s), got {len(self.parts)}")
+
+    @classmethod
+    def derived(cls, kind, parts):
+        """A point of ``kind`` from a tuple of arrays that already match it,
+        without __post_init__'s checks."""
+        point = object.__new__(cls)
+        point.kind, point.parts = kind, parts
+        return point
 
     @classmethod
     def sym(cls, X):
@@ -117,17 +129,19 @@ class FactorPoint:
         return self._part("h", ("pair",), 0)
 
     def copy(self):
-        return FactorPoint(self.kind, tuple(p.copy() for p in self.parts))
+        return FactorPoint.derived(self.kind, tuple(p.copy() for p in self.parts))
 
     def add_scaled(self, alpha, direction):
-        """self + alpha * direction, where direction is a matching parts tuple."""
-        return FactorPoint(self.kind, tuple(p + alpha * d for p, d in zip(self.parts, direction)))
+        """self + alpha * direction, where direction is a matching parts tuple;
+        a direction with another number of parts raises ValueError."""
+        return FactorPoint.derived(self.kind, tuple(
+            [p + alpha * d for p, d in zip(self.parts, direction, strict=True)]))
 
     def norm(self):
-        return math.sqrt(sum(float(np.sum(np.abs(p) ** 2)) for p in self.parts))
+        return math.sqrt(sum([np.vdot(p, p).real for p in self.parts]))
 
     def isfinite(self):
-        return all(np.all(np.isfinite(p)) for p in self.parts)
+        return all([np.isfinite(p).all() for p in self.parts])
 
 
 def _real_factor(name, A):
@@ -398,7 +412,7 @@ def bd_incoherence(h, B, u=None):
         raise ValueError("bd_incoherence needs nonzero h")
     if e or u is None:
         u = B @ (_ldexp(h, -e) if e else h)
-    return math.sqrt(B.shape[0]) * float(np.max(np.abs(u))) / nh
+    return math.sqrt(B.shape[0]) * float(np.abs(u).max()) / nh
 
 
 def cosine_sq(x, xstar):
@@ -455,9 +469,14 @@ class Trace:
         self.grad_norm.append(float(grad_norm))
         self.dist.append(float(dist))
         self.incoh.append(float(incoh))
-        self.ms.append(float(elapsed_ms))
+        self.ms.append(elapsed_ms)
+        extras = self.extras
         for k, v in extra.items():
-            self.extras.setdefault(k, []).append(v)
+            column = extras.get(k)
+            if column is None:
+                extras[k] = [v]
+            else:
+                column.append(v)
 
     def __len__(self):
         return len(self.iters)
@@ -497,6 +516,12 @@ def iterate(start, evaluate, step, last, first=0, stop=None):
     "max_iters" at row `last`.  Evaluations run with NumPy's overflow and
     invalid-value warnings off, since overflow on the way to a diverged label
     is expected.
+
+    Inputs are validated where they enter the library (the point
+    constructors, the solver configs, the public losses, masks and
+    distances), not here: the points that step() returns are derived ones
+    (FactorPoint.derived, add_scaled) and skip the constructors' checks, so
+    a row's only tests of its own are the divergence and stop tests above.
     """
     trace = Trace()
     trace.start_clock()

@@ -115,12 +115,29 @@ def _risk_row(instance, point, loss="plain", forward=None, **extras):
     return {**trace_row(instance, point, val, grad, forward), **extras}
 
 
+def _balanced(L, R):
+    """The balanced factors of L R^T: (Q1 U S^1/2, Q2 V S^1/2) from thin QRs
+    L = Q1 T1, R = Q2 T2 and the SVD T1 T2^T = U S V^T.  Non-finite factors
+    are returned as they are."""
+    if not (np.isfinite(L).all() and np.isfinite(R).all()):
+        return L, R
+    (Q1, T1), (Q2, T2) = np.linalg.qr(L), np.linalg.qr(R)
+    U, s, Vt = np.linalg.svd(T1 @ T2.T)
+    root = np.sqrt(s)
+    return Q1 @ (U * root), Q2 @ (Vt.T * root)
+
+
 def _alternate(instance, L, R, cfg, right, left):
     """AltMin rounds as rows 1..cfg.max_outer of core.iterate.  The round
     after row t sets R = right(t, L, R), then L = left(t, R, L); the last
     argument is the warm start.  A non-finite fixed factor gives an all-NaN
     half-step, which core.iterate labels "diverged", rather than a solve that
     raises on it.  Returns (L, R, trace), R None if no round ran.
+
+    Alternating least squares leaves (L, R) unbalanced (any invertible r x r
+    mix of a balanced pair), which a rotation cannot undo, so each row's
+    dist and incoh are those of the balanced factors of L R^T; its loss and
+    gradient are those of the iterate.
     """
     half = None
 
@@ -135,9 +152,13 @@ def _alternate(instance, L, R, cfg, right, left):
         half, _ = loss_and_grad(instance, FactorPoint.asym(point.L, R))
         return FactorPoint.asym(solve(t, R, point.L, left), R)
 
-    point, trace = iterate(FactorPoint.asym(L, R),
-                           lambda t, point: (_risk_row(instance, point, half_loss=half), None),
-                           step, cfg.max_outer, first=1, stop=falls_to("loss", cfg.tol))
+    def evaluate(t, point):
+        val, grad = loss_and_grad(instance, point)
+        balanced = FactorPoint.derived("asym", _balanced(*point.parts))
+        return {**trace_row(instance, balanced, val, grad), "half_loss": half}, None
+
+    point, trace = iterate(FactorPoint.asym(L, R), evaluate, step, cfg.max_outer,
+                           first=1, stop=falls_to("loss", cfg.tol))
     return point.L, (point.R if len(trace) else None), trace
 
 

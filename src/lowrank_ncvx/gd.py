@@ -39,6 +39,7 @@ _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
 # for Gaussian designs and the residual budget keeps a 1/alpha_h fraction.
 DEFAULT_TWF_THRESHOLDS = (0.3, 5.0, 5.0)
 DEFAULT_MEDIAN_FACTOR = 5.0
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -161,36 +162,39 @@ def trace_row(instance, point, loss, grad, forward=None):
     gap, d = _truth_gap(instance, point, forward)
     row = {"loss": loss, "grad_norm": gnorm, **gap}
     if d is not None:  # the terms of 2<g, d> >= mu ||g||^2 + lam ||d||^2
-        row["rc_ip"], row["rc_g2"] = float(grad.x @ d), gnorm * gnorm
+        row["rc_ip"], row["rc_g2"] = float(grad.parts[0] @ d), gnorm * gnorm
     return row
 
 
 def _truth_gap(instance, point, forward):
     # ({"dist", "incoh"[, "rc_d2"]}, d) for trace_row; d is the aligned
     # difference of a phase-retrieval point and None elsewhere.
-    t = instance.truth
-    if point.kind in ("sym", "asym"):
-        F, Fs = (point.X, t["X"]) if point.kind == "sym" else (
+    t, kind = instance.truth, point.kind
+    if kind == "pair":
+        h, x = point.parts
+        # A collapsed pair makes the scaling ambiguity vacuous.  An exact
+        # test: the norm of a tiny nonzero factor underflows to 0.
+        live = h.any()
+        dist = dist_bd(h, x, t["h"], t["x"]) if live and x.any() \
+            else float(np.hypot(np.linalg.norm(t["h"]), np.linalg.norm(t["x"])))
+        incoh = bd_incoherence(h, instance.design["B"], forward) if live else 0.0
+        return {"dist": dist, "incoh": incoh}, None
+    if kind in ("sym", "asym"):
+        F, Fs = (point.X, t["X"]) if kind == "sym" else (
             np.vstack((point.L, point.R)), np.vstack((t["L"], t["R"])))
         D = F @ procrustes(F, Fs) - Fs
         dist = 0.0 if np.array_equal(F, Fs) else float(np.linalg.norm(D))
         return {"dist": dist, "incoh": max_row_norm(D)}, None
-    if point.kind == "pair":
-        h, x = point.h, point.x
-        # A collapsed pair makes the scaling ambiguity vacuous.  An exact
-        # test: the norm of a tiny nonzero factor underflows to 0.
-        dist = dist_bd(h, x, t["h"], t["x"]) if h.any() and x.any() \
-            else float(np.hypot(np.linalg.norm(t["h"]), np.linalg.norm(t["x"])))
-        incoh = bd_incoherence(h, instance.design["B"], forward) if h.any() else 0.0
-        return {"dist": dist, "incoh": incoh}, None
     if instance.family == "PhaseRetrieval":
-        x, xs = point.x, t["x"]
+        (x,), xs = point.parts, t["x"]
         c = instance.design["A"] @ x if forward is None else forward
-        s = -1.0 if float(x @ xs) < 0.0 else 1.0
-        d = x - s * xs
+        # d = x - s x* and c - s A x*, s the sign that aligns x with x*
+        if float(x @ xs) < 0.0:
+            d, e = x + xs, c + truth_forward(instance)
+        else:
+            d, e = x - xs, c - truth_forward(instance)
         d2 = float(d @ d)
-        incoh = float(np.abs(c - s * truth_forward(instance)).max())
-        return {"dist": math.sqrt(d2), "incoh": incoh, "rc_d2": d2}, d
+        return {"dist": math.sqrt(d2), "incoh": float(np.abs(e).max()), "rc_d2": d2}, d
     if instance.family == "JointAlignment":
         dist = alignment_mismatch(point.x, t["x"], instance.params["alphabet_m"])
     else:
@@ -345,7 +349,7 @@ def twf_mask(instance, x, thresholds, c=None):
     """
     if instance.family != "PhaseRetrieval":
         raise ValueError("truncation masks are defined for phase retrieval")
-    lb, ub, ah = (float(v) for v in thresholds)
+    lb, ub, ah = map(float, thresholds)
     if not (0 <= lb <= ub and ub > 0 and ah > 0):
         raise ValueError("thresholds must satisfy 0 <= alpha_lb <= alpha_ub "
                          "and alpha_h > 0")
@@ -353,7 +357,7 @@ def twf_mask(instance, x, thresholds, c=None):
     A, y = instance.design["A"], instance.y
     m = instance.params["m"]
     c = A @ x if c is None else c
-    ratio = np.abs(c) / max(float(np.linalg.norm(x)), np.finfo(float).tiny)
+    ratio = np.abs(c) / max(float(np.linalg.norm(x)), _TINY)
     keep = (ratio >= lb) & (ratio <= ub)
     if math.isfinite(ah):
         resid = np.abs(y - c * c)
@@ -401,28 +405,30 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
         rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0, "minibatch"))
         weights_fn = lambda _point, _c: draw(rng)  # noqa: E731
     shared = FAMILIES[instance.family].shared
+    loss, params, project = cfg.loss, cfg.loss_params, cfg.project
+    grad_tol, dist_tol, plateau_tol = cfg.grad_tol, cfg.dist_tol, cfg.plateau_tol
 
     def evaluate(t, point):
         c = shared(instance, point) if shared is not None else None
         w = weights_fn(point, c) if weights_fn is not None else None
-        lp = loss_params_fn(point) if loss_params_fn is not None else cfg.loss_params
-        val, grad = loss_and_grad(instance, point, loss=cfg.loss,
+        lp = loss_params_fn(point) if loss_params_fn is not None else params
+        val, grad = loss_and_grad(instance, point, loss=loss,
                                   loss_params=lp, weights=w, forward=c)
         return trace_row(instance, point, val, grad, c), grad
 
     def step(t, point, grad):
         point = point.add_scaled(-eta, grad.parts)
-        return point if cfg.project is None else cfg.project(point)
+        return point if project is None else project(point)
 
     def stop(trace, point):
-        if cfg.grad_tol is not None and trace.grad_norm[-1] <= cfg.grad_tol:
+        if grad_tol is not None and trace.grad_norm[-1] <= grad_tol:
             return True
-        if cfg.dist_tol is not None and trace.dist[-1] <= cfg.dist_tol:
+        if dist_tol is not None and trace.dist[-1] <= dist_tol:
             return True
-        if cfg.plateau_tol is None or len(trace) < 2:
+        if plateau_tol is None or len(trace) < 2:
             return False
         prev, val = trace.loss[-2:]
-        return abs(prev - val) <= cfg.plateau_tol * max(abs(prev), np.finfo(float).tiny)
+        return abs(prev - val) <= plateau_tol * max(abs(prev), _TINY)
 
     return iterate(init.copy(), evaluate, step, cfg.max_iters, stop=stop)
 

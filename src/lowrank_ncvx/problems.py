@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -497,9 +498,11 @@ def _memo(instance, name, sources, build):
     # build(), memoized on the instance under name, outside its fields, for
     # as long as each array of sources is the same object: replacing one by
     # assignment invalidates the memo, editing it in place does not.
-    memo = instance.__dict__.setdefault("_memo", {})
+    memo = instance.__dict__.get("_memo")
+    if memo is None:
+        memo = instance.__dict__["_memo"] = {}
     hit = memo.get(name)
-    if hit is None or any(a is not b for a, b in zip(hit[0], sources)):
+    if hit is None or not all(map(operator.is_, hit[0], sources)):
         hit = memo[name] = (sources, build())
     return hit[1]
 
@@ -727,15 +730,6 @@ def forward_model(instance):
 # Losses and gradients
 # ---------------------------------------------------------------------------
 
-def _weights(weights, m):
-    if weights is None:
-        return np.ones(m)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
-        raise ValueError(f"weights must have shape ({m},)")
-    return w
-
-
 def _quartic_hinge(z, alpha):
     # max(z - alpha, 0)^4 and its derivative in z.
     t = np.maximum(z - alpha, 0.0)
@@ -758,8 +752,9 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
       "amplitude"    phase retrieval only; the amplitude-based risk
 
     Returns (value, gradient) with the gradient packaged as a FactorPoint of
-    the same kind as ``point``.  ``weights`` applies per-sample factors to
-    the families that are sample sums; it must be None elsewhere.
+    the same kind as ``point``.  ``weights`` applies per-sample factors, one
+    per observation, to the families that are sample sums; it must be None
+    elsewhere.
     ``forward`` is the product A x of a phase-retrieval point, or B h of a
     blind-deconvolution pair, when the caller already holds it; it must be
     None elsewhere.  The family's FAMILIES record decides all of this, and
@@ -773,8 +768,12 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     if loss not in spec.losses:
         raise ValueError(f"unknown loss tag {loss!r} for {fam}, which defines "
                          f"{', '.join(spec.losses)}")
-    if weights is not None and not spec.sample_sum:
-        raise ValueError(f"{fam} has no per-sample weights")
+    if weights is not None:
+        if not spec.sample_sum:
+            raise ValueError(f"{fam} has no per-sample weights")
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != instance.y.shape:
+            raise ValueError(f"weights must have shape {instance.y.shape}")
     if spec.shared is None:
         if forward is not None:
             raise ValueError(f"{fam} takes no forward product")
@@ -785,7 +784,10 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
 
 # Each family loss takes (instance, point, loss, lp, weights, c): lp the loss
 # parameters and c the family's shared product (None for families without
-# one), with the kind, tag and weights already checked against its record.
+# one), with the kind, tag and weights already checked against its record;
+# weights is None (unit weights, which are skipped) or a float array of shape
+# (m,).  The gradient is a derived point, built without the constructors'
+# checks.
 
 def _linear_risk(instance, point, weights=None, offset=None):
     # The plain risk sum_i w_i e_i^2 / 4s of a linear family and its gradient
@@ -796,7 +798,7 @@ def _linear_risk(instance, point, weights=None, offset=None):
     A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
     model = op.measure_factors(A, B)
     e = (model if offset is None else model + offset) - instance.y
-    we = e if weights is None else _weights(weights, e.shape[0]) * e
+    we = e if weights is None else weights * e
     val = float(we @ e) / (4.0 * s)
     S = op.adjoint(we)
     if point.kind == "sym":
@@ -806,7 +808,7 @@ def _linear_risk(instance, point, weights=None, offset=None):
 
 def _loss_linear(instance, point, loss, lp, weights, c):
     val, parts = _linear_risk(instance, point, weights)
-    return val, FactorPoint(point.kind, parts)
+    return val, FactorPoint.derived(point.kind, parts)
 
 
 def _loss_sensing_asym(instance, point, loss, lp, weights, c):
@@ -819,7 +821,7 @@ def _loss_sensing_asym(instance, point, loss, lp, weights, c):
         val += lam * float(np.sum(D * D))
         gL += 4.0 * lam * (L @ D)
         gR -= 4.0 * lam * (R @ D)
-    return val, FactorPoint("asym", (gL, gR))
+    return val, FactorPoint.derived("asym", (gL, gR))
 
 
 def _loss_phase_retrieval(instance, point, loss, lp, weights, c):
@@ -828,17 +830,18 @@ def _loss_phase_retrieval(instance, point, loss, lp, weights, c):
     if loss == "plain":
         e = c * c - y
         # Unit weights are skipped; multiplying by them is exact anyway.
-        we = e if weights is None else _weights(weights, m) * e
-        val = float(np.sum(we * e)) / (4.0 * m)
+        we = e if weights is None else weights * e
+        val = float(we @ e) / (4.0 * m)
         g = A.T @ (we * c) / m
     else:
         # Amplitude loss; sign(0) = 0 picks the zero subgradient at kinks.
-        w = _weights(weights, m)
         root = np.sqrt(y)
         e = np.abs(c) - root
-        val = float(np.sum(w * e * e)) / (2.0 * m)
-        g = A.T @ (w * (c - root * np.sign(c))) / m
-    return val, FactorPoint("vector", (g,))
+        we = e if weights is None else weights * e
+        r = c - root * np.sign(c)
+        val = float(np.sum(we * e)) / (2.0 * m)
+        g = A.T @ (r if weights is None else weights * r) / m
+    return val, FactorPoint.derived("vector", (g,))
 
 
 def _loss_quadratic_sensing(instance, point, loss, lp, weights, c):
@@ -846,10 +849,10 @@ def _loss_quadratic_sensing(instance, point, loss, lp, weights, c):
     A, y = instance.design["A"], instance.y
     C = A @ point.X
     e = np.sum(C * C, axis=1) - y
-    we = e if weights is None else _weights(weights, m) * e
+    we = e if weights is None else weights * e
     val = float(we @ e) / (4.0 * m)
     g = A.T @ (we[:, None] * C) / m
-    return val, FactorPoint("sym", (g,))
+    return val, FactorPoint.derived("sym", (g,))
 
 
 def _loss_completion_sym(instance, point, loss, lp, weights, c):
@@ -865,7 +868,7 @@ def _loss_completion_sym(instance, point, loss, lp, weights, c):
         active = dh > 0
         if np.any(active):
             g[active] += lam * (dh[active] / rn[active])[:, None] * X[active]
-    return val, FactorPoint("sym", (g,))
+    return val, FactorPoint.derived("sym", (g,))
 
 
 def _completion_reg_scales(instance, lp):
@@ -900,19 +903,20 @@ def _loss_completion_asym(instance, point, loss, lp, weights, c):
         hc, dc = _square_hinge(a4 * np.sum(R * R, axis=1))
         val += lam * float(np.sum(hc))
         gR += lam * (dc * a4 * 2.0)[:, None] * R
-    return val, FactorPoint("asym", (gL, gR))
+    return val, FactorPoint.derived("asym", (gL, gR))
 
 
 def _loss_blind_deconv(instance, point, loss, lp, weights, u):
     m = instance.params["m"]
-    w = _weights(weights, m)
     B, A, y = instance.design["B"], instance.design["A"], instance.y
-    h, x = point.h, point.x
+    h, x = point.parts
     c = A @ np.conj(x)
     e = u * c - y
-    val = float(np.sum(w * np.abs(e) ** 2))
-    coef = w * e * np.conj(c)  # gh's B^H coefficients
-    gx = A.T @ (w * np.conj(e) * u)
+    # Unit weights are skipped; multiplying by them is exact anyway.
+    we, e2 = (e, np.abs(e) ** 2) if weights is None else (weights * e, weights * np.abs(e) ** 2)
+    val = float(e2.sum())
+    coef = we * np.conj(c)  # gh's B^H coefficients
+    gx = A.T @ (np.conj(we) * u)
     if loss == "regularized":
         # Incoherence and norm hinges.
         lam = float(lp.get("lam", 1.0))
@@ -931,13 +935,13 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
         xn, dxn = _square_hinge(np.sum(np.abs(x) ** 2) / (2.0 * d0))
         val += lam * float(xn)
         gx += lam * dxn / (2.0 * d0) * x
-    gh = B.conj().T @ coef
+    gh = np.conj(B.T @ np.conj(coef))  # B^H coef, without copying conj(B)
     if loss == "regularized":
         gh += lam * dn / (2.0 * d0) * h
     # Fold the customary norm scalings into the reported direction.
-    gh /= float(np.sum(np.abs(x) ** 2))
-    gx /= float(np.sum(np.abs(h) ** 2))
-    return val, FactorPoint("pair", (gh, gx))
+    gh /= float((np.abs(x) ** 2).sum())
+    gx /= float((np.abs(h) ** 2).sum())
+    return val, FactorPoint.derived("pair", (gh, gx))
 
 
 def _loss_rpca(instance, point, loss, lp, weights, c):
@@ -945,7 +949,7 @@ def _loss_rpca(instance, point, loss, lp, weights, c):
     if S is not None:
         S = linear_operator(instance).measure(np.asarray(S, dtype=float))
     val, parts = _linear_risk(instance, point, offset=S)
-    return val, FactorPoint(point.kind, parts)
+    return val, FactorPoint.derived(point.kind, parts)
 
 
 def _loss_phase_sync(instance, point, loss, lp, weights, c):
@@ -953,14 +957,14 @@ def _loss_phase_sync(instance, point, loss, lp, weights, c):
     x = point.x
     val = -float(np.real(np.conj(x) @ (L @ x)))
     g = -(L @ x)
-    return val, FactorPoint("vector", (g,))
+    return val, FactorPoint.derived("vector", (g,))
 
 
 def _loss_joint_alignment(instance, point, loss, lp, weights, c):
     L = instance.design["L"]
     x = point.x
     val = -float(x @ (L @ x))
-    return val, FactorPoint("vector", (-2.0 * (L @ x),))
+    return val, FactorPoint.derived("vector", (-2.0 * (L @ x),))
 
 
 # ---------------------------------------------------------------------------

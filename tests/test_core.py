@@ -550,6 +550,53 @@ def test_factor_point_roundtrip_and_ops():
         core.FactorPoint("pair", (np.ones(2),))
 
 
+def _unchecked_points():
+    # Real sym and asym points and complex vector and pair points, with
+    # parts of very different scales.
+    rng = np.random.default_rng(8)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return [
+        core.FactorPoint.sym(1e3 * rng.standard_normal((7, 3))),
+        core.FactorPoint.asym(rng.standard_normal((5, 2)), 1e-4 * rng.standard_normal((6, 2))),
+        core.FactorPoint.vector(cplx(9)),
+        core.FactorPoint.pair(cplx(4), 1e5 * cplx(6)),
+    ]
+
+
+def test_add_scaled_and_copy_skip_the_checks_but_keep_the_part_count():
+    for p in _unchecked_points():
+        q = p.add_scaled(0.5, p.parts)
+        assert q.kind == p.kind and len(q.parts) == len(p.parts)
+        for a, b in zip(q.parts, p.parts):
+            assert np.array_equal(a, b + 0.5 * b)
+        c = p.copy()
+        assert c.kind == p.kind
+        assert all(a is not b and np.array_equal(a, b) for a, b in zip(c.parts, p.parts))
+        too_few, too_many = p.parts[:-1], p.parts + (p.parts[0],)
+        for direction in (too_few, too_many):
+            with pytest.raises(ValueError):
+                p.add_scaled(1.0, direction)
+
+
+def test_factor_point_norm_matches_the_norm_of_the_stacked_parts():
+    for p in _unchecked_points():
+        ref = np.linalg.norm(np.concatenate([a.ravel() for a in p.parts]))
+        assert abs(p.norm() - ref) <= 1e-15 * ref
+
+
+def test_factor_point_isfinite_sees_nan_and_inf_in_any_part():
+    for p in _unchecked_points():
+        assert p.isfinite()
+        for k in range(len(p.parts)):
+            for bad in (np.nan, np.inf, -np.inf):
+                parts = [a.copy() for a in p.parts]
+                parts[k].flat[-1] = bad
+                assert not core.FactorPoint(p.kind, tuple(parts)).isfinite()
+
+
 def test_factor_point_accessors_raise_for_other_kinds():
     sym = core.FactorPoint.sym(np.ones((3, 1)))
     for name in ("L", "R", "x", "h"):

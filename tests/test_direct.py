@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lowrank_ncvx.core import FactorPoint, derive_seed, dist_vector, make_rng
+from lowrank_ncvx.core import FactorPoint, derive_seed, dist_factors, dist_vector, make_rng
 from lowrank_ncvx.direct import (
     _GRAM_CUT,
     AltMinConfig,
     SvpConfig,
+    _balanced,
     _batchable,
     _cond_bound,
     _decoupled_ls,
@@ -39,6 +40,7 @@ from lowrank_ncvx.problems import (
 )
 from lowrank_ncvx.spectral import (
     init_matrix_completion,
+    init_sensing,
     init_phase_retrieval,
     init_phase_sync,
 )
@@ -163,6 +165,24 @@ def test_altmin_sensing_battery_and_monotone_half_steps():
         chain = _interleaved(tr)
         _assert_non_increasing(chain, scale=chain[0])
     assert succ >= 90
+
+
+def test_altmin_dist_reaches_zero_on_an_exact_recovery():
+    # Alternating least squares leaves (L, R) unbalanced, which no rotation
+    # undoes: the dist column once stalled at 0.507 here while L R^T met M*
+    # to 2.5e-15.  The row measures the balanced factors of L R^T instead;
+    # the iterate is left as it is.
+    inst = gen_matrix_sensing(30, 30, 2, 1800, False, 0)
+    L0 = init_sensing(inst, 2).point.L
+    L, R, tr = altmin_sensing(inst, L0)
+    M, t = inst.truth["M"], inst.truth
+    scale = np.linalg.norm(np.vstack((t["L"], t["R"])))
+    assert np.linalg.norm(L @ R.T - M) <= 1e-13 * np.linalg.norm(M)
+    assert tr.dist[-1] <= 1e-12 * scale
+    assert tr.dist[-1] == dist_factors(np.vstack(_balanced(L, R)), np.vstack((t["L"], t["R"])))
+    Lb, Rb = _balanced(L, R)
+    np.testing.assert_allclose(Lb.T @ Lb, Rb.T @ Rb, atol=1e-12 * scale**2)
+    np.testing.assert_allclose(Lb @ Rb.T, L @ R.T, atol=1e-13 * np.linalg.norm(M))
 
 
 # ---------------------------------------------------------------------------

@@ -646,6 +646,22 @@ def test_weight_and_loss_validation():
         loss_and_grad(pr, point)
 
 
+@pytest.mark.parametrize("make, point", [
+    (lambda: gen_phase_retrieval(4, 12, seed=0), FactorPoint.vector(np.ones(4))),
+    (lambda: gen_blind_deconv(3, 3, 12, seed=0),
+     FactorPoint.pair(np.ones(3), np.ones(3))),
+])
+def test_weights_of_the_wrong_shape_are_rejected_at_loss_and_grad(make, point):
+    # The family losses trust their weights; loss_and_grad checks them.
+    inst = make()
+    for bad in (np.ones(11), np.ones(13), np.ones((12, 1)), np.ones((1, 12))):
+        for loss in problems.FAMILIES[inst.family].losses:
+            with pytest.raises(ValueError, match=r"weights must have shape \(12,\)"):
+                loss_and_grad(inst, point, loss=loss, weights=bad)
+    val, _ = loss_and_grad(inst, point, weights=[1] * 12)
+    assert val == loss_and_grad(inst, point)[0]
+
+
 _ANY_POINT = {
     "sym": FactorPoint.sym(np.ones((2, 1))),
     "asym": FactorPoint.asym(np.ones((2, 1)), np.ones((2, 1))),

@@ -1,0 +1,117 @@
+"""Guards on the descent row that wall times cannot give.
+
+A traced run replaces the module bindings of the library's functions with
+span wrappers, so a row that reaches loss_and_grad, the masks, dist_bd or
+bd_incoherence some other way (a local alias, a private helper) silently
+drops out of the per-layer view.  The first tests wrap gd's bindings with
+counters and require one call per row.
+
+The last two count the Python function calls a row makes, as
+sys.setprofile reports them.  Unlike its wall time, that count is the same
+on every machine, so a row that gains interpreter work (a re-check, a
+re-lookup, a per-row counter) fails here instead of silently eating the
+time of its arithmetic.  The bounds are the counts of the current row plus
+20%.
+"""
+
+import sys
+
+import pytest
+
+from lowrank_ncvx import gd
+from lowrank_ncvx.gd import SolverConfig, run_gd, run_truncated_gd
+from lowrank_ncvx.problems import gen_blind_deconv, gen_phase_retrieval
+from lowrank_ncvx.spectral import Preprocessing, init_blind_deconv, init_phase_retrieval
+
+ROWS = 20
+# Python calls per row of the runs below, with NumPy 2.4, whose own Python
+# wrappers (np.linalg.norm, ndarray.sum, np.vdot) count too, so a NumPy
+# upgrade may move them.  Before the row was trimmed of its per-row checks
+# and lookups they read 67.4 and 105.3.
+TWF_CALLS_PER_ROW = 35.4
+BD_CALLS_PER_ROW = 55.4
+_BOUND = ("loss_and_grad", "twf_mask", "median_mask", "dist_bd", "bd_incoherence")
+
+
+@pytest.fixture(scope="module")
+def pr():
+    inst = gen_phase_retrieval(16, 160, seed=31)
+    x0 = init_phase_retrieval(inst, Preprocessing.trim(9.0)).point
+    return inst, x0, 0.1 / float(x0.x @ x0.x)
+
+
+@pytest.fixture(scope="module")
+def bd():
+    inst = gen_blind_deconv(8, 8, 64, seed=35)
+    return inst, init_blind_deconv(inst).point, 0.1
+
+
+def _count_bound_calls(monkeypatch):
+    calls = dict.fromkeys(_BOUND, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in _BOUND:
+        monkeypatch.setattr(gd, name, counting(name, getattr(gd, name)))
+    return calls
+
+
+@pytest.mark.parametrize("runner, extra, expected", [
+    (run_gd, {}, ("loss_and_grad",)),
+    (run_truncated_gd, {}, ("loss_and_grad", "twf_mask")),
+    (run_truncated_gd, {"median_factor": 5.0}, ("loss_and_grad", "median_mask")),
+])
+def test_phase_retrieval_row_calls_the_traced_bindings_once(monkeypatch, pr, runner, extra,
+                                                            expected):
+    inst, x0, eta = pr
+    calls = _count_bound_calls(monkeypatch)
+    _, tr = runner(inst, x0, SolverConfig(eta=eta, max_iters=ROWS - 1, **extra))
+    assert (len(tr), tr.outcome) == (ROWS, "max_iters")
+    assert calls == {name: (ROWS if name in expected else 0) for name in _BOUND}
+
+
+def test_blind_deconvolution_row_calls_the_traced_bindings_once(monkeypatch, bd):
+    inst, x0, eta = bd
+    calls = _count_bound_calls(monkeypatch)
+    _, tr = run_gd(inst, x0, SolverConfig(eta=eta, max_iters=ROWS - 1))
+    assert (len(tr), tr.outcome) == (ROWS, "max_iters")
+    assert calls == {"loss_and_grad": ROWS, "twf_mask": 0, "median_mask": 0,
+                     "dist_bd": ROWS, "bd_incoherence": ROWS}
+
+
+def _python_calls_per_row(run):
+    # Python-level function calls (sys.setprofile "call" events) of one run,
+    # per recorded row.
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        _, tr = run()
+    finally:
+        sys.setprofile(None)
+    assert (len(tr), tr.outcome) == (ROWS, "max_iters")
+    return count / ROWS
+
+
+def test_truncated_phase_retrieval_row_python_call_budget(pr):
+    inst, x0, eta = pr
+    cfg = SolverConfig(eta=eta, max_iters=ROWS - 1)
+    per_row = _python_calls_per_row(lambda: run_truncated_gd(inst, x0, cfg))
+    assert per_row <= 1.2 * TWF_CALLS_PER_ROW, per_row
+
+
+def test_blind_deconvolution_row_python_call_budget(bd):
+    inst, x0, eta = bd
+    cfg = SolverConfig(eta=eta, max_iters=ROWS - 1)
+    per_row = _python_calls_per_row(lambda: run_gd(inst, x0, cfg))
+    assert per_row <= 1.2 * BD_CALLS_PER_ROW, per_row
+

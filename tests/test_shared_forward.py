@@ -27,7 +27,7 @@ from lowrank_ncvx.core import (
     make_rng,
     max_row_norm,
 )
-from lowrank_ncvx.direct import AltMinConfig, altmin_mc, er_phase_retrieval
+from lowrank_ncvx.direct import AltMinConfig, _balanced, altmin_mc, er_phase_retrieval
 from lowrank_ncvx.gd import (
     DEFAULT_TWF_THRESHOLDS,
     SolverConfig,
@@ -344,9 +344,10 @@ def test_symmetric_descent_row_makes_one_procrustes_rotation(monkeypatch):
 
 
 def test_altmin_row_makes_one_procrustes_rotation(monkeypatch):
+    # The row aligns the balanced factors of L R^T, not the iterate itself.
     inst = gen_matrix_completion(30, 24, 2, 0.5, False, seed=37)
     L0 = init_matrix_completion(inst, 2).point.L
     calls = _procrustes_calls(monkeypatch)
     L, R, tr = altmin_mc(inst, L0, AltMinConfig(max_outer=5))
     assert (len(tr), tr.outcome) == (5, "max_iters")
-    assert np.array_equal(_assert_rows_align_once(tr, calls), np.vstack((L, R)))
+    assert np.array_equal(_assert_rows_align_once(tr, calls), np.vstack(_balanced(L, R)))
