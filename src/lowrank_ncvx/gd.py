@@ -31,7 +31,7 @@ from .core import (
 )
 from .problems import (FAMILIES, EntryGroups, linear_operator, loss_and_grad,
                        truth_forward)
-from .spectral import hard_threshold
+from .spectral import sparse_part
 
 _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
 
@@ -106,44 +106,13 @@ class SolverConfig:
 
 
 def default_step_size(instance, init):
-    """Per-family constant step, scale-normalized by the init.
-
-    Truth scales are never consulted: the init's norms stand in for them,
-    which is what a spectral initialization estimates anyway.  Rank-1
-    factorization and rank-1 sensing use the sharper constants their local
-    convergence rates allow; the remaining families use conservative
-    fractions of 1/sigma_1.
-    """
-    fam = instance.family
-    tiny = np.finfo(float).tiny
-    if fam == "PhaseRetrieval":
-        return 0.1 / max(float(np.sum(np.abs(init.x) ** 2)), tiny)
-    if fam == "BlindDeconv":
-        return 0.1
-    if fam == "QuadraticSensing":
-        s = np.linalg.svd(init.X, compute_uv=False)
-        lam = s * s
-        r = init.X.shape[1]
-        kappa = lam[0] / max(lam[-1], tiny)
-        n = instance.params["n"]
-        return 1.0 / max((r * kappa + math.log(n)) ** 2 * lam[0], tiny)
-    if fam in ("PhaseSync", "JointAlignment"):
-        raise ValueError(f"no default step for {fam}; pass eta explicitly")
-    if init.kind == "sym":
-        top = float(np.linalg.norm(init.X, 2)) ** 2
-    elif init.kind == "asym":
-        top = float(np.linalg.norm(init.L, 2)) * float(np.linalg.norm(init.R, 2))
-    else:
-        raise ValueError(f"unexpected point kind {init.kind!r} for {fam}")
-    top = max(top, tiny)
-    if fam == "MatrixSensingSym" and init.X.shape[1] == 1:
-        return 1.0 / (3.0 * top)
-    if fam in ("MatrixSensingSym", "MatrixSensingAsym"):
-        return 0.4 / top
-    if fam == "MatrixCompletionSym" and instance.params["p"] == 1.0 \
-            and init.X.shape[1] == 1:
-        return 1.0 / (4.5 * top)
-    return 0.25 / top  # completion and robust PCA
+    """The constant step of the instance's family at init, scale-normalized
+    by the init: the ``step`` rule of its problems.FAMILIES record, where
+    the rules are declared.  A family without one raises."""
+    step = FAMILIES[instance.family].step
+    if step is None:
+        raise ValueError(f"no default step for {instance.family}; pass eta explicitly")
+    return step(instance, init)
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +462,16 @@ def run_truncated_gd(instance, init, config=None):
 def run_rpca(instance, init, S_init, config=None):
     """Alternating sparse-residual thresholding and projected factor steps.
 
-    Each iteration refreshes the sparse part S by keeping, per row and per
-    column of the observed residual, the ceil(c_thresh * alpha_out * p * n)
-    largest magnitudes, then takes one (optionally projected) gradient step
-    on the factor at the refreshed S.  The first step uses S_init.  Returns
-    (final point, final S, trace).
+    Each iteration refreshes the sparse part S from the observed residual
+    by spectral.sparse_part at c_thresh, then takes one (optionally
+    projected) gradient step on the factor at the refreshed S.  The first
+    step uses S_init.  Returns (final point, final S, trace).
     """
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
     cfg = _resolve_config(config)
     if cfg.batch_k is not None:
         raise ValueError("the sparse-plus-low-rank loop is full-gradient only")
-    p = instance.params
-    budget = cfg.c_thresh * p["alpha_out"] * p["p"]
-    l_row = math.ceil(budget * p["n2"])
-    l_col = math.ceil(budget * p["n1"])
     op = linear_operator(instance)
     state = {"S": np.zeros(op.shape) if S_init is None else np.array(S_init, dtype=float),
              "fresh": False}
@@ -515,8 +479,8 @@ def run_rpca(instance, init, S_init, config=None):
     def refresh(point):
         if state["fresh"]:
             A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
-            resid = op.adjoint(instance.y - op.measure_factors(A, B)).toarray()
-            state["S"] = hard_threshold(resid, l_row, l_col)
+            state["S"] = sparse_part(instance, instance.y - op.measure_factors(A, B),
+                                     cfg.c_thresh)
         state["fresh"] = True
         return {"S": state["S"]}
 

@@ -574,8 +574,8 @@ def cubic_step(oracle, x, lipschitz):
 # Descent studies
 # ---------------------------------------------------------------------------
 
-def random_init_gd_experiment(family, n, m, trials, seed, eta=0.1,
-                              max_iters=5000, stage2_tol=1e-5):
+def random_init_gd_experiment(n, m, trials, seed, eta=0.1, max_iters=5000,
+                              stage2_tol=1e-5):
     """Vanilla GD on fresh phase retrieval instances from wide random inits.
 
     Each trial draws a new instance and an init x0 ~ N(0, ||x*||^2 / n I),
@@ -584,8 +584,6 @@ def random_init_gd_experiment(family, n, m, trials, seed, eta=0.1,
     at or below 0.5 ||x*|| (stage 1), and the further count from there to
     stage2_tol (stage 2).
     """
-    if family != "PhaseRetrieval":
-        raise ValueError("the random-init study covers phase retrieval")
     if int(trials) != trials or trials < 1:
         raise ValueError("trials must be a positive integer")
     success, stage1, stage2 = [], [], []
@@ -603,7 +601,7 @@ def random_init_gd_experiment(family, n, m, trials, seed, eta=0.1,
         stage1.append(int(half[0]) if half.size else None)
         stage2.append(len(trace) - 1 - int(half[0]) if ok and half.size
                       else None)
-    return {"family": family, "n": int(n), "m": int(m), "trials": int(trials),
+    return {"family": "PhaseRetrieval", "n": int(n), "m": int(m), "trials": int(trials),
             "seed": seed, "success": success, "stage1_iters": stage1,
             "stage2_iters": stage2}
 

@@ -4,10 +4,12 @@ of generated instances.
 
 Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
-per-sample weights, shared design product, linear operator); ``forward_model``
-and ``loss_and_grad`` read it rather than branch on the family name.  The
-five linear families (sensing, completion, robust PCA) share one forward
-model and one plain risk through their ``linear_operator``.
+per-sample weights, shared design product, linear operator, default step);
+``forward_model``, ``loss_and_grad`` and ``gd.default_step_size`` read it
+rather than branch on the family name.  The five linear families (sensing,
+completion, robust PCA) share one forward model and one plain risk through
+their ``linear_operator``; phase retrieval and quadratic sensing share one
+forward model and one risk through their shared product A x or A X.
 
 Conventions shared by every family:
 
@@ -824,35 +826,33 @@ def _loss_sensing_asym(instance, point, loss, lp, weights, c):
     return val, FactorPoint.derived("asym", (gL, gR))
 
 
-def _loss_phase_retrieval(instance, point, loss, lp, weights, c):
+def _quadratic_forward(inst, point):
+    # The shared product A x (phase retrieval) or A X (quadratic sensing)
+    return inst.design["A"] @ point.parts[0]
+
+
+def _loss_quadratic(instance, point, loss, lp, weights, c):
+    # The plain risk sum_i w_i e_i^2 / 4m, e_i = ||c_i||^2 - y_i, of phase
+    # retrieval (c = A x) and quadratic sensing (c = A X), or phase
+    # retrieval's amplitude risk.  Unit weights are skipped; multiplying by
+    # them is exact anyway.
     m = instance.params["m"]
     A, y = instance.design["A"], instance.y
     if loss == "plain":
-        e = c * c - y
-        # Unit weights are skipped; multiplying by them is exact anyway.
+        vec = c.ndim == 1
+        e = (c * c if vec else np.sum(c * c, axis=1)) - y
         we = e if weights is None else weights * e
         val = float(we @ e) / (4.0 * m)
-        g = A.T @ (we * c) / m
+        g = A.T @ (we * c if vec else we[:, None] * c) / m
     else:
-        # Amplitude loss; sign(0) = 0 picks the zero subgradient at kinks.
+        # sign(0) = 0 picks the zero subgradient at kinks.
         root = np.sqrt(y)
         e = np.abs(c) - root
         we = e if weights is None else weights * e
         r = c - root * np.sign(c)
         val = float(np.sum(we * e)) / (2.0 * m)
         g = A.T @ (r if weights is None else weights * r) / m
-    return val, FactorPoint.derived("vector", (g,))
-
-
-def _loss_quadratic_sensing(instance, point, loss, lp, weights, c):
-    m = instance.params["m"]
-    A, y = instance.design["A"], instance.y
-    C = A @ point.X
-    e = np.sum(C * C, axis=1) - y
-    we = e if weights is None else weights * e
-    val = float(we @ e) / (4.0 * m)
-    g = A.T @ (we[:, None] * C) / m
-    return val, FactorPoint.derived("sym", (g,))
+    return val, FactorPoint.derived(point.kind, (g,))
 
 
 def _loss_completion_sym(instance, point, loss, lp, weights, c):
@@ -976,8 +976,10 @@ class Family:
     """One family's contract: observe(instance) forms y = A(M*), as
     forward_model replays it; loss takes points of ``kinds`` and the tags
     ``losses``, and per-sample weights if ``sample_sum``; shared(instance,
-    point) is the design product the loss and a solver's row share; and
-    operator(instance) builds a linear family's linear_operator."""
+    point) is the design product the loss and a solver's row share;
+    operator(instance) builds a linear family's linear_operator; and
+    step(instance, init) is the constant step gd.default_step_size gives,
+    scale-normalized by the init (None: the family has none)."""
 
     observe: object
     loss: object
@@ -986,6 +988,7 @@ class Family:
     sample_sum: bool = False
     shared: object = None
     operator: object = None
+    step: object = None
 
 
 def _observe_linear(inst):
@@ -995,32 +998,68 @@ def _observe_linear(inst):
     return y + op.measure(inst.truth["S"]) if "S" in inst.truth else y
 
 
+def _observe_quadratic(inst):
+    # y_i = ||C_i||^2 for C = A x* (phase retrieval) or A X* (quadratic sensing)
+    C = inst.design["A"] @ inst.truth["x" if "x" in inst.truth else "X"]
+    return C * C if C.ndim == 1 else np.sum(C * C, axis=1)
+
+
+# The default steps.  Truth scales are never consulted: the init's norms
+# stand in for them, which is what a spectral initialization estimates
+# anyway.  Rank-1 factorization and rank-1 sensing use the sharper
+# constants their local convergence rates allow; the remaining factor
+# families use conservative fractions of 1/sigma_1.
+def _factor_step(inst, init, const=0.25, sharp=None):
+    # const / sigma_1, sigma_1 read as ||X||_2^2 or ||L||_2 ||R||_2, or
+    # 1 / (sharp sigma_1) for a rank-1 init when sharp is given
+    if init.kind == "sym":
+        top = float(np.linalg.norm(init.X, 2)) ** 2
+    elif init.kind == "asym":
+        top = float(np.linalg.norm(init.L, 2)) * float(np.linalg.norm(init.R, 2))
+    else:
+        raise ValueError(f"unexpected point kind {init.kind!r} for {inst.family}")
+    top = max(top, _TINY)
+    return 1.0 / (sharp * top) if sharp is not None and init.X.shape[1] == 1 else const / top
+
+
+def _quadratic_sensing_step(inst, init):
+    lam = np.linalg.svd(init.X, compute_uv=False) ** 2
+    kappa = lam[0] / max(lam[-1], _TINY)
+    return 1.0 / max((init.X.shape[1] * kappa + math.log(inst.params["n"])) ** 2 * lam[0],
+                     _TINY)
+
+
 _REGULARIZED = ("plain", "regularized")
+_TINY = np.finfo(float).tiny
 
 FAMILIES = {
     "MatrixSensingSym": Family(_observe_linear, _loss_linear, ("sym",),
-                               sample_sum=True, operator=sensing_operator),
+                               sample_sum=True, operator=sensing_operator,
+                               step=lambda inst, init: _factor_step(inst, init, 0.4, 3.0)),
     "MatrixSensingAsym": Family(_observe_linear, _loss_sensing_asym, ("asym",),
-                                _REGULARIZED, sample_sum=True,
-                                operator=sensing_operator),
+                                _REGULARIZED, sample_sum=True, operator=sensing_operator,
+                                step=lambda inst, init: _factor_step(inst, init, 0.4)),
     "PhaseRetrieval": Family(
-        lambda inst: (inst.design["A"] @ inst.truth["x"]) ** 2,
-        _loss_phase_retrieval, ("vector",), ("plain", "amplitude"), sample_sum=True,
-        shared=lambda inst, point: inst.design["A"] @ point.x),
-    "QuadraticSensing": Family(
-        lambda inst: np.sum((inst.design["A"] @ inst.truth["X"]) ** 2, axis=1),
-        _loss_quadratic_sensing, ("sym",), sample_sum=True),
-    "MatrixCompletionSym": Family(_observe_linear, _loss_completion_sym, ("sym",),
-                                  _REGULARIZED, operator=_EntrySampling),
+        _observe_quadratic, _loss_quadratic, ("vector",), ("plain", "amplitude"),
+        sample_sum=True, shared=_quadratic_forward,
+        step=lambda inst, init: 0.1 / max(float(np.sum(np.abs(init.x) ** 2)), _TINY)),
+    "QuadraticSensing": Family(_observe_quadratic, _loss_quadratic, ("sym",),
+                               sample_sum=True, shared=_quadratic_forward,
+                               step=_quadratic_sensing_step),
+    "MatrixCompletionSym": Family(
+        _observe_linear, _loss_completion_sym, ("sym",), _REGULARIZED,
+        operator=_EntrySampling, step=lambda inst, init: _factor_step(
+            inst, init, sharp=4.5 if inst.params["p"] == 1.0 else None)),
     "MatrixCompletionAsym": Family(_observe_linear, _loss_completion_asym, ("asym",),
-                                   _REGULARIZED, operator=_EntrySampling),
+                                   _REGULARIZED, operator=_EntrySampling, step=_factor_step),
     "BlindDeconv": Family(
         lambda inst: (inst.design["B"] @ inst.truth["h"])
         * (inst.design["A"] @ np.conj(inst.truth["x"])),
         _loss_blind_deconv, ("pair",), _REGULARIZED, sample_sum=True,
-        shared=lambda inst, point: inst.design["B"] @ point.h),
+        shared=lambda inst, point: inst.design["B"] @ point.h,
+        step=lambda inst, init: 0.1),
     "RobustPCA": Family(_observe_linear, _loss_rpca, ("sym", "asym"),
-                        operator=_EntrySampling),
+                        operator=_EntrySampling, step=_factor_step),
     "PhaseSync": Family(
         lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
         + inst.params["sigma"] * inst.design["W"],

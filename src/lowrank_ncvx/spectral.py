@@ -119,7 +119,8 @@ _PREP_TAGS = ("identity", "trim", "subset", "median", "optimal_weak", "optimal_u
 
 @dataclass(frozen=True)
 class Preprocessing:
-    """Sample transform T applied before assembling (1/m) sum T(y_i) a_i a_i^T.
+    """Sample transform T applied before assembling (1/m) sum T(y_i) a_i a_i^T,
+    named by ``tag`` with its one parameter, if any, in ``param``.
 
     trim(gamma)      keep y_i, zeroed when |y_i| exceeds gamma * mean(y)
     subset(c)        indicator of the ceil(c m) largest samples
@@ -129,18 +130,19 @@ class Preprocessing:
     """
 
     tag: str
-    gamma: float = None
-    c: float = None
-    alpha: float = None
+    param: float = None
 
     def __post_init__(self):
         if self.tag not in _PREP_TAGS:
             raise ValueError(f"unknown preprocessing tag {self.tag!r}")
-        if self.tag in ("trim", "median") and not (self.gamma is not None and self.gamma > 0):
+        p = self.param
+        if self.tag in ("identity", "optimal_uniform") and p is not None:
+            raise ValueError(f"{self.tag} takes no parameter")
+        if self.tag in ("trim", "median") and not (p is not None and p > 0):
             raise ValueError("trim/median need gamma > 0")
-        if self.tag == "subset" and not (self.c is not None and 0.0 < self.c < 1.0):
+        if self.tag == "subset" and not (p is not None and 0.0 < p < 1.0):
             raise ValueError("subset needs 0 < c < 1")
-        if self.tag == "optimal_weak" and not (self.alpha is not None and self.alpha > 0.5):
+        if self.tag == "optimal_weak" and not (p is not None and p > 0.5):
             raise ValueError("the weak-threshold transform needs alpha > 1/2")
 
     @classmethod
@@ -149,34 +151,26 @@ class Preprocessing:
 
     @classmethod
     def trim(cls, gamma=3.0):
-        return cls("trim", gamma=gamma)
+        return cls("trim", gamma)
 
     @classmethod
     def subset(cls, c=1.0 / 6.0):
-        return cls("subset", c=c)
+        return cls("subset", c)
 
     @classmethod
     def median_trim(cls, gamma=3.0):
-        return cls("median", gamma=gamma)
+        return cls("median", gamma)
 
     @classmethod
     def optimal_weak(cls, alpha):
-        return cls("optimal_weak", alpha=alpha)
+        return cls("optimal_weak", alpha)
 
     @classmethod
     def optimal_uniform(cls):
         return cls("optimal_uniform")
 
     def describe(self):
-        if self.tag == "trim":
-            return f"trim({self.gamma:g})"
-        if self.tag == "subset":
-            return f"subset({self.c:g})"
-        if self.tag == "median":
-            return f"median({self.gamma:g})"
-        if self.tag == "optimal_weak":
-            return f"optimal_weak({self.alpha:g})"
-        return self.tag
+        return self.tag if self.param is None else f"{self.tag}({self.param:g})"
 
 
 def optimal_T(y, variant="uniform", alpha=None):
@@ -206,17 +200,17 @@ def apply_preprocessing(prep, y):
     if prep.tag == "identity":
         w = y * 1.0
     elif prep.tag == "trim":
-        w = y * (np.abs(y) <= prep.gamma * np.mean(y))
+        w = y * (np.abs(y) <= prep.param * np.mean(y))
     elif prep.tag == "median":
-        w = y * (y <= prep.gamma * np.median(y))
+        w = y * (y <= prep.param * np.median(y))
     elif prep.tag == "subset":
-        k = min(m, max(1, int(round(prep.c * m))))
+        k = min(m, max(1, int(round(prep.param * m))))
         kth = np.partition(y, m - k)[m - k]
         w = (y >= kth).astype(float)
     elif prep.tag == "optimal_uniform":
         w = optimal_T(y / np.mean(y), "uniform")
     else:
-        w = optimal_T(y / np.mean(y), "weak", alpha=prep.alpha)
+        w = optimal_T(y / np.mean(y), "weak", alpha=prep.param)
     if not np.any(w != 0.0):
         raise ValueError("preprocessing removed every sample")
     return w
@@ -412,22 +406,27 @@ def hard_threshold(A, l_row, l_col):
     return np.where(keep, A, 0.0)
 
 
+def sparse_part(instance, e, c_thresh):
+    """The sparse-part estimate of robust PCA from residual values e on the
+    observed index: hard_threshold of their densified n1 x n2 matrix, with
+    the per-row budget ceil(c alpha p n2) and per-column ceil(c alpha p n1)
+    tracking how many corrupted entries a row or column of the observed set
+    is expected to carry."""
+    p = instance.params
+    budget = c_thresh * p["alpha_out"] * p["p"]
+    return hard_threshold(problems.linear_operator(instance).adjoint(e).toarray(),
+                          math.ceil(budget * p["n2"]), math.ceil(budget * p["n1"]))
+
+
 def init_rpca(instance, r, c_thresh=3.0):
     """Outlier-aware spectral initialization: hard-threshold the observed
-    matrix to guess the sparse part, then factor what remains.
-
-    The per-row budget is ceil(c alpha p n2) and per-column ceil(c alpha p n1),
-    tracking how many corrupted entries a row or column of the observed set is
-    expected to carry.  Returns (estimate, S0).
+    matrix to guess the sparse part (sparse_part), then factor what remains.
+    Returns (estimate, S0).
     """
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
-    p = instance.params
     op = problems.linear_operator(instance)
-    alpha, prob = p["alpha_out"], p["p"]
-    l_row = math.ceil(c_thresh * alpha * prob * p["n2"])
-    l_col = math.ceil(c_thresh * alpha * prob * p["n1"])
-    S0 = hard_threshold(op.adjoint(instance.y).toarray(), l_row, l_col)
+    S0 = sparse_part(instance, instance.y, c_thresh)
     # S0 is zero off the observed set, so the surrogate stays sparse
     Y = op.adjoint((instance.y - op.measure(S0)) / op.scale)
     return _matrix_estimate(instance, Y, r), S0

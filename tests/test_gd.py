@@ -134,6 +134,25 @@ def test_default_step_closed_forms():
     est = init_blind_deconv(bd)
     assert default_step_size(bd, est.point) == 0.1
 
+    # Asymmetric inits read sigma_1 as ||L||_2 ||R||_2 = 2 * 3.
+    L0, R0 = X2.copy(), np.zeros((8, 2))
+    R0[0, 0] = 3.0
+    asym = FactorPoint.asym(L0, R0)
+    sens_a = gen_matrix_sensing(8, 8, 2, 30, False, seed=8)
+    assert default_step_size(sens_a, asym) == pytest.approx(0.4 / 6.0)
+    mc_a = gen_matrix_completion(8, 8, 2, 0.5, False, seed=9)
+    assert default_step_size(mc_a, asym) == pytest.approx(0.25 / 6.0)
+
+    # Robust PCA keeps 0.25 / sigma_1, also for a rank-1 symmetric init at
+    # p = 1: the 1 / 4.5 constant is symmetric completion's alone.
+    rp = gen_rpca(8, 8, 1, 1.0, 0.05, 3.0, seed=10)
+    assert default_step_size(rp, FactorPoint.sym(X0)) == pytest.approx(0.25 / 4.0)
+    rp_a = gen_rpca(8, 6, 2, 0.5, 0.05, 3.0, seed=11)
+    assert default_step_size(rp_a, FactorPoint.asym(L0, R0[:6])) == pytest.approx(0.25 / 6.0)
+
+    with pytest.raises(ValueError):
+        default_step_size(sens2, FactorPoint.vector(np.ones(8)))
+
 
 def test_default_step_refuses_nonsmooth_families():
     ps = gen_phase_sync(6, 0.1, seed=0)

@@ -351,7 +351,7 @@ def test_hard_case_steps_with_a_nonzero_gradient():
 
 def test_random_init_study_matches_a_run_gd_loop_and_converges():
     n, m, seed = 32, 320, 5
-    out = random_init_gd_experiment("PhaseRetrieval", n, m, 3, seed)
+    out = random_init_gd_experiment(n, m, 3, seed)
     success, stage1, stage2 = [], [], []
     for t in range(3):
         inst = gen_phase_retrieval(n, m, derive_seed(seed, "random_init", t))
@@ -368,14 +368,12 @@ def test_random_init_study_matches_a_run_gd_loop_and_converges():
     # Random inits at m = 10n all reach the truth, through a short stage 1.
     assert all(success) and max(stage1) < min(stage2)
     # Without a stage-2 tolerance met in the budget, only stage 1 is counted.
-    short = random_init_gd_experiment("PhaseRetrieval", n, m, 3, seed, max_iters=max(stage1))
+    short = random_init_gd_experiment(n, m, 3, seed, max_iters=max(stage1))
     assert short["success"] == [False] * 3 and short["stage2_iters"] == [None] * 3
     assert short["stage1_iters"] == stage1
 
 
 def test_random_init_study_argument_errors():
-    with pytest.raises(ValueError, match="covers phase retrieval"):
-        random_init_gd_experiment("MatrixSensingSym", 8, 80, 1, 0)
     for trials in (0, -1, 1.5):
         with pytest.raises(ValueError, match="trials must be a positive integer"):
-            random_init_gd_experiment("PhaseRetrieval", 8, 80, trials, 0)
+            random_init_gd_experiment(8, 80, trials, 0)

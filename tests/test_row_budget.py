@@ -6,7 +6,9 @@ bd_incoherence some other way (a local alias, a private helper) silently
 drops out of the per-layer view.  The first tests wrap gd's bindings with
 counters and require one call per row.
 
-The last two count the Python function calls a row makes, as
+The next requires that no row builds a point through FactorPoint's checked
+constructor: one re-check per row fits inside the slack of the budgets
+below.  The last two count the Python function calls a row makes, as
 sys.setprofile reports them.  Unlike its wall time, that count is the same
 on every machine, so a row that gains interpreter work (a re-check, a
 re-lookup, a per-row counter) fails here instead of silently eating the
@@ -19,6 +21,7 @@ import sys
 import pytest
 
 from lowrank_ncvx import gd
+from lowrank_ncvx.core import FactorPoint
 from lowrank_ncvx.gd import SolverConfig, run_gd, run_truncated_gd
 from lowrank_ncvx.problems import gen_blind_deconv, gen_phase_retrieval
 from lowrank_ncvx.spectral import Preprocessing, init_blind_deconv, init_phase_retrieval
@@ -81,6 +84,32 @@ def test_blind_deconvolution_row_calls_the_traced_bindings_once(monkeypatch, bd)
     assert (len(tr), tr.outcome) == (ROWS, "max_iters")
     assert calls == {"loss_and_grad": ROWS, "twf_mask": 0, "median_mask": 0,
                      "dist_bd": ROWS, "bd_incoherence": ROWS}
+
+
+def _checked_points(monkeypatch, run):
+    # FactorPoint.__post_init__ calls (the checked constructor) during run.
+    calls, check = [], FactorPoint.__post_init__
+
+    def counted(self):
+        calls.append(self.kind)
+        check(self)
+
+    monkeypatch.setattr(FactorPoint, "__post_init__", counted)
+    _, tr = run()
+    assert (len(tr), tr.outcome) == (ROWS, "max_iters")
+    return len(calls)
+
+
+def test_descent_rows_build_no_checked_point(monkeypatch, pr, bd):
+    # Points derived from valid ones (the step, the copy, the gradients)
+    # skip the constructor's checks; a re-checked point in the row would
+    # hide inside the call budgets' slack below.
+    inst, x0, eta = pr
+    cfg = SolverConfig(eta=eta, max_iters=ROWS - 1)
+    assert _checked_points(monkeypatch, lambda: run_truncated_gd(inst, x0, cfg)) == 0
+    inst, x0, eta = bd
+    cfg = SolverConfig(eta=eta, max_iters=ROWS - 1)
+    assert _checked_points(monkeypatch, lambda: run_gd(inst, x0, cfg)) == 0
 
 
 def _python_calls_per_row(run):

@@ -8,8 +8,9 @@ it calls neither dist_to_truth nor incoherence_proxy, which share gd's row
 code.  The trajectories and every trace column must be bitwise equal.  The
 row subtracts A x*, formed once per instance, from the shared A x, and the
 reference's max|A (x - s x*)| must agree with it to round-off.  The rows of
-Error Reduction, symmetric descent and AltMin are checked the same way, by
-the design products and Procrustes rotations they make."""
+quadratic sensing, blind deconvolution, Error Reduction, symmetric descent
+and AltMin are checked the same way, by the design products and Procrustes
+rotations they make."""
 
 import math
 
@@ -42,6 +43,7 @@ from lowrank_ncvx.problems import (
     gen_matrix_completion,
     gen_matrix_sensing,
     gen_phase_retrieval,
+    gen_quadratic_sensing,
     loss_and_grad,
 )
 from lowrank_ncvx.spectral import (
@@ -49,6 +51,7 @@ from lowrank_ncvx.spectral import (
     init_blind_deconv,
     init_matrix_completion,
     init_phase_retrieval,
+    init_quadratic_sensing,
 )
 
 
@@ -245,6 +248,24 @@ def test_phase_retrieval_row_makes_one_forward_and_one_adjoint_product(pr, runne
         # first row of the first run.
         assert [k for k in log if k != "truth"] == ["forward", "adjoint"] * rows
         assert log.count("truth") == (1 if run == 0 else 0)
+
+
+@pytest.mark.parametrize("extra", [{}, {"batch_k": 60, "seed": 7}])
+def test_quadratic_sensing_row_makes_one_forward_and_one_adjoint_product(extra):
+    # Quadratic sensing shares A X the way phase retrieval shares A x.
+    inst = gen_quadratic_sensing(10, 2, 120, seed=38)
+    X0 = init_quadratic_sensing(inst, 2).point
+    log = []
+    inst.design["A"] = _counting(inst.design["A"], log)
+    rows = 6
+    _, tr = run_gd(inst, X0, SolverConfig(max_iters=rows - 1, **extra))
+    assert (len(tr), tr.outcome) == (rows, "max_iters")
+    assert log == ["forward", "adjoint"] * rows
+    C = inst.design["A"].view(np.ndarray) @ X0.X
+    for weights in (None, np.linspace(0.0, 2.0, 120)):
+        val, g = loss_and_grad(inst, X0, weights=weights)
+        val_c, g_c = loss_and_grad(inst, X0, weights=weights, forward=C)
+        assert val == val_c and np.array_equal(g.X, g_c.X)
 
 
 def _bd_product_logs(rows, loss="plain", given_mu=True):

@@ -243,6 +243,12 @@ def test_preprocessing_validation():
         Preprocessing.subset(1.5)
     with pytest.raises(ValueError):
         Preprocessing.optimal_weak(0.5)
+    # describe() prints the parameter, so a transform without one refuses it
+    for tag in ("identity", "optimal_uniform"):
+        with pytest.raises(ValueError, match=f"{tag} takes no parameter"):
+            Preprocessing(tag, 3.0)
+    assert Preprocessing.median_trim(2.5).describe() == "median(2.5)"
+    assert Preprocessing.optimal_uniform().describe() == "optimal_uniform"
 
 
 @given(
