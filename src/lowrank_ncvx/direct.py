@@ -110,9 +110,9 @@ def _resolve(config, cls):
     return cls() if config is None else config
 
 
-def _risk_row(instance, point, loss="plain", forward=None, **extras):
+def _risk_row(instance, point, loss="plain", forward=None):
     val, grad = loss_and_grad(instance, point, loss=loss, forward=forward)
-    return {**trace_row(instance, point, val, grad, forward), **extras}
+    return trace_row(instance, point, val, grad, forward)
 
 
 def _balanced(L, R):
@@ -463,21 +463,19 @@ def _vertex_project(v, n, m):
     return out.ravel()
 
 
-def ppm(instance, x0, eta=1.0, max_iters=100):
-    """Projected power iterations x <- P(eta L x).
+def ppm(instance, x0, max_iters=100):
+    """Projected power iterations x <- P(L x).
 
     Phase synchronization projects entrywise onto unit modulus (zeros map
     to 1); joint alignment projects each length-m block onto the nearest
-    one-hot vertex.  Both projections are scale-invariant, so eta only
-    matters through its sign and is kept at the documented default 1.  The
-    input point is projected before the first step, so every recorded
-    iterate is feasible.  Returns (x, trace).
+    one-hot vertex.  Both projections are invariant to a positive scaling,
+    so the iteration takes no step size.  The input point is projected
+    before the first step, so every recorded iterate is feasible.  Returns
+    (x, trace).
     """
     if instance.family not in ("PhaseSync", "JointAlignment"):
         raise ValueError("the projected power method handles phase "
                          "synchronization and joint alignment")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     if int(max_iters) != max_iters or max_iters < 0:
         raise ValueError("max_iters must be a nonnegative integer")
     if instance.family == "PhaseSync":
@@ -493,7 +491,7 @@ def ppm(instance, x0, eta=1.0, max_iters=100):
     def step(t, point, aux):
         nonlocal prev
         prev = point.x
-        return FactorPoint.vector(project(eta * (L @ point.x)))
+        return FactorPoint.vector(project(L @ point.x))
 
     def stop(trace, point):
         return prev is not None and np.array_equal(point.x, prev)

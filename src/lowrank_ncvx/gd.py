@@ -7,9 +7,10 @@ steps.  The loop variants differ only in the per-iteration weights or loss
 parameters they feed the shared loss dispatcher, so a variant configured to
 do nothing reproduces the plain run bit for bit.
 
-trace_row builds every solver's trace row, here and in ``direct``, from one
-alignment of the point with the truth; dist_to_truth and incoherence_proxy
-are two of its fields.
+trace_row builds every solver's trace row, here and in ``direct``.  Its
+truth fields, dist (dist_to_truth) and incoh (incoherence_proxy), come from
+one alignment of the point with the truth: the ``gap`` of the family's
+problems.FAMILIES record, which declares the family's ambiguity.
 """
 
 import math
@@ -17,20 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FactorPoint,
-    bd_incoherence,
-    derive_seed,
-    dist_bd,
-    dist_vector,
-    incoherence_mu,
-    iterate,
-    make_rng,
-    max_row_norm,
-    procrustes,
-)
-from .problems import (FAMILIES, EntryGroups, linear_operator, loss_and_grad,
-                       truth_forward)
+from .core import FactorPoint, derive_seed, incoherence_mu, iterate, make_rng
+from .problems import FAMILIES, EntryGroups, linear_operator, loss_and_grad
 from .spectral import sparse_part
 
 _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
@@ -124,87 +113,30 @@ def trace_row(instance, point, loss, grad, forward=None):
     gradient ``grad``: loss, grad_norm, dist (dist_to_truth), incoh
     (incoherence_proxy) and, for phase retrieval, regularity_witness's terms
     rc_ip = <g, d>, rc_g2 = ||g||^2 and rc_d2 = ||d||^2, d = x - s x*.  The
-    truth metrics share one alignment: a Procrustes rotation, a sign-aligned
-    difference, or dist_bd.  ``forward`` is the shared A x or B h, if held.
+    truth fields come from the ``gap`` of the family's problems.FAMILIES
+    record.  ``forward`` is the shared A x or B h, if held.
     """
     gnorm = grad.norm()
-    gap, d = _truth_gap(instance, point, forward)
+    gap, d = FAMILIES[instance.family].gap(instance, point, forward)
     row = {"loss": loss, "grad_norm": gnorm, **gap}
     if d is not None:  # the terms of 2<g, d> >= mu ||g||^2 + lam ||d||^2
         row["rc_ip"], row["rc_g2"] = float(grad.parts[0] @ d), gnorm * gnorm
     return row
 
 
-def _truth_gap(instance, point, forward):
-    # ({"dist", "incoh"[, "rc_d2"]}, d) for trace_row; d is the aligned
-    # difference of a phase-retrieval point and None elsewhere.
-    t, kind = instance.truth, point.kind
-    if kind == "pair":
-        h, x = point.parts
-        # A collapsed pair makes the scaling ambiguity vacuous.  An exact
-        # test: the norm of a tiny nonzero factor underflows to 0.
-        live = h.any()
-        dist = dist_bd(h, x, t["h"], t["x"]) if live and x.any() \
-            else float(np.hypot(np.linalg.norm(t["h"]), np.linalg.norm(t["x"])))
-        incoh = bd_incoherence(h, instance.design["B"], forward) if live else 0.0
-        return {"dist": dist, "incoh": incoh}, None
-    if kind in ("sym", "asym"):
-        F, Fs = (point.X, t["X"]) if kind == "sym" else (
-            np.vstack((point.L, point.R)), np.vstack((t["L"], t["R"])))
-        D = F @ procrustes(F, Fs) - Fs
-        dist = 0.0 if np.array_equal(F, Fs) else float(np.linalg.norm(D))
-        return {"dist": dist, "incoh": max_row_norm(D)}, None
-    if instance.family == "PhaseRetrieval":
-        (x,), xs = point.parts, t["x"]
-        c = instance.design["A"] @ x if forward is None else forward
-        # d = x - s x* and c - s A x*, s the sign that aligns x with x*
-        if float(x @ xs) < 0.0:
-            d, e = x + xs, c + truth_forward(instance)
-        else:
-            d, e = x - xs, c - truth_forward(instance)
-        d2 = float(d @ d)
-        return {"dist": math.sqrt(d2), "incoh": float(np.abs(e).max()), "rc_d2": d2}, d
-    if instance.family == "JointAlignment":
-        dist = alignment_mismatch(point.x, t["x"], instance.params["alphabet_m"])
-    else:
-        dist = 0.0 if np.array_equal(point.x, t["x"]) else dist_vector(point.x, t["x"])
-    return {"dist": dist, "incoh": 0.0}, None
-
-
 def dist_to_truth(instance, point):
-    """Family-appropriate distance: aligned factor distance for matrix
-    families (stacked factors when asymmetric), sign/phase-minimized l2 for
-    vector families, scale-minimized pair distance for bilinear pairs, and
-    shift-minimized label mismatch fraction for alignment.
-
-    A point that equals the truth bitwise reports exactly 0.0, so a solver
-    parked at the truth logs an identically zero column.  This is the dist
-    field of trace_row.
-    """
-    return _truth_gap(instance, point, None)[0]["dist"]
-
-
-def alignment_mismatch(x, labels, alphabet_m):
-    """Fraction of nodes whose decoded label misses the truth, minimized over
-    the global shift that pairwise offset measurements cannot determine.
-    Decoding is per-block argmax with ties to the lowest symbol."""
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    blocks = np.real(np.asarray(x)).reshape(n, alphabet_m)
-    decoded = np.argmax(blocks, axis=1)
-    offsets = (decoded - labels) % alphabet_m
-    agree = np.bincount(offsets, minlength=alphabet_m).max()
-    return 1.0 - float(agree) / n
+    """The dist field of trace_row: the distance to the truth modulo the
+    family's ambiguity (rotation, sign, complex scaling, phase or label
+    shift; the last as a mismatch fraction).  A point that equals the truth
+    bitwise reports exactly 0.0."""
+    return FAMILIES[instance.family].gap(instance, point, None)[0]["dist"]
 
 
 def incoherence_proxy(instance, point):
-    """Alignment between the error and the design: max_i |a_i^T (x - x*)|
-    for phase retrieval (sign-aligned, computed as max|A x - s A x*|), the
-    2,inf norm of the aligned factor error for matrix families, and the
-    design-coherence of h for bilinear pairs.  Families without a meaningful
-    proxy report 0.0.  This is the incoh field of trace_row.
-    """
-    return _truth_gap(instance, point, None)[0]["incoh"]
+    """The incoh field of trace_row: max|A x - s A x*| for phase retrieval,
+    the 2,inf norm of the aligned factor error for factor families, the
+    design coherence of h for blind deconvolution, and 0.0 elsewhere."""
+    return FAMILIES[instance.family].gap(instance, point, None)[0]["incoh"]
 
 
 # ---------------------------------------------------------------------------
@@ -492,28 +424,21 @@ def run_rpca(instance, init, S_init, config=None):
 # Geodesic and stochastic single steps
 # ---------------------------------------------------------------------------
 
-def grassmann_step(instance, L, eta, form="auto"):
+def grassmann_step(instance, L, eta):
     """One geodesic descent step on the orthonormal-basis formulation of
     completion: solve the observed-entry least squares for the right factor
     exactly, project the resulting gradient to the horizontal space, and move
-    along the geodesic with step eta.
-
-    form "general" uses the compact SVD of the negative projected gradient;
-    "rank1" uses the closed form cos(s eta) L - sin(s eta)/s * grad available
-    at r = 1; "auto" picks by column count.  The two agree at r = 1.
+    along the geodesic with step eta, from the compact SVD of the negative
+    projected gradient.
     """
     if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym"):
         raise ValueError("geodesic steps are defined for completion instances")
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
         raise ValueError("expected a 2-d basis matrix")
-    n1, r = L.shape
+    r = L.shape[1]
     if not np.allclose(L.T @ L, np.eye(r), atol=1e-8):
         raise ValueError("basis columns must be orthonormal within 1e-8")
-    if form not in ("auto", "general", "rank1"):
-        raise ValueError(f"unknown form {form!r}")
-    if form == "rank1" and r != 1:
-        raise ValueError("the rank-1 form needs a single column")
     n2 = instance.params["n2"]
     op = linear_operator(instance)
     rows, cols = op.index
@@ -526,11 +451,6 @@ def grassmann_step(instance, L, eta, form="auto"):
     R = np.linalg.solve(G, b[..., None])[..., 0]
     grad = -2.0 * (op.adjoint(instance.y - op.measure_factors(L, R)) @ R)
     grad -= L @ (L.T @ grad)
-    if form == "rank1" or (form == "auto" and r == 1):
-        s = float(np.linalg.norm(grad))
-        if s == 0.0:
-            return L.copy()
-        return math.cos(s * eta) * L - (math.sin(s * eta) / s) * grad
     U, sv, Vt = np.linalg.svd(-grad, full_matrices=False)
     if sv[0] == 0.0:
         return L.copy()

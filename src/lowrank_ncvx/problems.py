@@ -4,12 +4,13 @@ of generated instances.
 
 Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
-per-sample weights, shared design product, linear operator, default step);
-``forward_model``, ``loss_and_grad`` and ``gd.default_step_size`` read it
-rather than branch on the family name.  The five linear families (sensing,
-completion, robust PCA) share one forward model and one plain risk through
-their ``linear_operator``; phase retrieval and quadratic sensing share one
-forward model and one risk through their shared product A x or A X.
+per-sample weights, shared design product, linear operator, default step,
+truth gap); ``forward_model``, ``loss_and_grad``, ``gd.default_step_size``
+and ``gd.trace_row`` read it rather than branch on the family name.  The
+five linear families (sensing, completion, robust PCA) share one forward
+model and one plain risk through their ``linear_operator``; phase retrieval
+and quadratic sensing share one forward model and one risk through their
+shared product A x or A X.
 
 Conventions shared by every family:
 
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bd_incoherence, derive_seed, make_rng, FactorPoint
+from .core import (FactorPoint, bd_incoherence, derive_seed, dist_bd, dist_vector,
+                   make_rng, max_row_norm, procrustes)
 
 @dataclass
 class ProblemInstance:
@@ -520,12 +522,6 @@ def _observed_index(instance):
     return _memo(instance, "observed", (mask,), build)
 
 
-def truth_forward(instance):
-    """A x* of a phase retrieval instance, formed once per instance."""
-    A, x = instance.design["A"], instance.truth["x"]
-    return _memo(instance, "truth_forward", (A, x), lambda: A @ x)
-
-
 def observed_entries(instance):
     """(rows, cols) of the observed entries of a completion or robust PCA
     instance, in row-major order, which is the order of ``y``."""
@@ -713,16 +709,6 @@ def linear_operator(instance):
     return build(instance)
 
 
-def sensing_measurements(instance, T):
-    """<A_i, T> for each measurement of a sensing instance (unnormalized)."""
-    op = sensing_operator(instance)
-    T = np.asarray(T, dtype=float)
-    if T.shape != op.shape:
-        raise ValueError(f"expected a {op.shape[0]} x {op.shape[1]} matrix, "
-                         f"got shape {T.shape}")
-    return op.measure(T)
-
-
 def forward_model(instance):
     """Recompute the observation array from the stored truth and design."""
     return FAMILIES[instance.family].observe(instance)
@@ -757,10 +743,11 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     the same kind as ``point``.  ``weights`` applies per-sample factors, one
     per observation, to the families that are sample sums; it must be None
     elsewhere.
-    ``forward`` is the product A x of a phase-retrieval point, or B h of a
-    blind-deconvolution pair, when the caller already holds it; it must be
-    None elsewhere.  The family's FAMILIES record decides all of this, and
-    a call it does not allow raises a ValueError naming the family.
+    ``forward`` is the product A x (A X) of a phase-retrieval (quadratic
+    sensing) point, or B h of a blind-deconvolution pair, when the caller
+    already holds it, of shape y.shape + the point's trailing shape; it must
+    be None elsewhere.  The family's FAMILIES record decides all of this,
+    and a call it does not allow raises a ValueError naming the family.
     """
     fam = instance.family
     spec = FAMILIES[fam]
@@ -781,6 +768,10 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
             raise ValueError(f"{fam} takes no forward product")
     elif forward is None:
         forward = spec.shared(instance, point)
+    elif np.asarray(forward).shape != instance.y.shape + point.parts[0].shape[1:]:
+        want = instance.y.shape + point.parts[0].shape[1:]
+        raise ValueError(f"{fam} needs a forward product of shape {want}, "
+                         f"got {np.shape(forward)}")
     return spec.loss(instance, point, loss, dict(loss_params or {}), weights, forward)
 
 
@@ -968,6 +959,82 @@ def _loss_joint_alignment(instance, point, loss, lp, weights, c):
 
 
 # ---------------------------------------------------------------------------
+# Truth gaps: the distance to the truth modulo each family's ambiguity
+# ---------------------------------------------------------------------------
+
+# Each gap takes (instance, point, c), c the family's shared product at the
+# point if the caller holds it, and returns ({"dist", "incoh"[, "rc_d2"]}, d):
+# d is the aligned difference x - s x* of a phase-retrieval point, else None.
+# A point that equals the truth bitwise reads a dist of exactly 0.
+
+def _gap_procrustes(instance, point, c):
+    # Procrustes on X (sym) or the stacked [L; R] (asym); incoh is the 2,inf
+    # norm of the aligned factor error.
+    t = instance.truth
+    F, Fs = (point.X, t["X"]) if point.kind == "sym" else (
+        np.vstack((point.L, point.R)), np.vstack((t["L"], t["R"])))
+    D = F @ procrustes(F, Fs) - Fs
+    dist = 0.0 if np.array_equal(F, Fs) else float(np.linalg.norm(D))
+    return {"dist": dist, "incoh": max_row_norm(D)}, None
+
+
+def _gap_sign(instance, point, c):
+    # The global sign of phase retrieval: d = x - s x* and incoh =
+    # max|A x - s A x*|, A x* formed once per instance.
+    (x,), xs, A = point.parts, instance.truth["x"], instance.design["A"]
+    c = A @ x if c is None else c
+    truth = _memo(instance, "truth_forward", (A, xs), lambda: A @ xs)
+    if float(x @ xs) < 0.0:
+        d, e = x + xs, c + truth
+    else:
+        d, e = x - xs, c - truth
+    d2 = float(d @ d)
+    return {"dist": math.sqrt(d2), "incoh": float(np.abs(e).max()), "rc_d2": d2}, d
+
+
+def _gap_pair(instance, point, u):
+    # dist_bd over the complex scaling (h / conj(a), a x); incoh is
+    # bd_incoherence of h, from the shared u = B h if held.
+    (h, x), (hs, xs) = point.parts, (instance.truth["h"], instance.truth["x"])
+    # A collapsed pair makes the scaling ambiguity vacuous.  An exact test:
+    # the norm of a tiny nonzero factor underflows to 0.
+    live = h.any()
+    if not (live and x.any()):
+        dist = float(np.hypot(np.linalg.norm(hs), np.linalg.norm(xs)))
+    elif h[0] == hs[0] and np.array_equal(h, hs) and np.array_equal(x, xs):
+        dist = 0.0  # dist_bd leaves round-off here; h[0] is the cheap reject
+    else:
+        dist = dist_bd(h, x, hs, xs)
+    incoh = bd_incoherence(h, instance.design["B"], u) if live else 0.0
+    return {"dist": dist, "incoh": incoh}, None
+
+
+def _gap_phase(instance, point, c):
+    # The global phase of phase synchronization
+    x, xs = point.x, instance.truth["x"]
+    return {"dist": 0.0 if np.array_equal(x, xs) else dist_vector(x, xs), "incoh": 0.0}, None
+
+
+def _gap_alignment(instance, point, c):
+    # The global label shift of joint alignment
+    dist = alignment_mismatch(point.x, instance.truth["x"], instance.params["alphabet_m"])
+    return {"dist": dist, "incoh": 0.0}, None
+
+
+def alignment_mismatch(x, labels, alphabet_m):
+    """Fraction of nodes whose decoded label misses the truth, minimized over
+    the global shift that pairwise offset measurements cannot determine.
+    Decoding is per-block argmax with ties to the lowest symbol."""
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    blocks = np.real(np.asarray(x)).reshape(n, alphabet_m)
+    decoded = np.argmax(blocks, axis=1)
+    offsets = (decoded - labels) % alphabet_m
+    agree = np.bincount(offsets, minlength=alphabet_m).max()
+    return 1.0 - float(agree) / n
+
+
+# ---------------------------------------------------------------------------
 # The family table
 # ---------------------------------------------------------------------------
 
@@ -977,9 +1044,12 @@ class Family:
     forward_model replays it; loss takes points of ``kinds`` and the tags
     ``losses``, and per-sample weights if ``sample_sum``; shared(instance,
     point) is the design product the loss and a solver's row share;
-    operator(instance) builds a linear family's linear_operator; and
+    operator(instance) builds a linear family's linear_operator;
     step(instance, init) is the constant step gd.default_step_size gives,
-    scale-normalized by the init (None: the family has none)."""
+    scale-normalized by the init (None: the family has none); and
+    gap(instance, point, c) is the distance to the truth modulo the family's
+    ambiguity, with its incoherence proxy, that gd.trace_row records (a
+    rotation of the factors unless the record names another)."""
 
     observe: object
     loss: object
@@ -989,6 +1059,7 @@ class Family:
     shared: object = None
     operator: object = None
     step: object = None
+    gap: object = _gap_procrustes
 
 
 def _observe_linear(inst):
@@ -1042,7 +1113,8 @@ FAMILIES = {
     "PhaseRetrieval": Family(
         _observe_quadratic, _loss_quadratic, ("vector",), ("plain", "amplitude"),
         sample_sum=True, shared=_quadratic_forward,
-        step=lambda inst, init: 0.1 / max(float(np.sum(np.abs(init.x) ** 2)), _TINY)),
+        step=lambda inst, init: 0.1 / max(float(np.sum(np.abs(init.x) ** 2)), _TINY),
+        gap=_gap_sign),
     "QuadraticSensing": Family(_observe_quadratic, _loss_quadratic, ("sym",),
                                sample_sum=True, shared=_quadratic_forward,
                                step=_quadratic_sensing_step),
@@ -1057,17 +1129,17 @@ FAMILIES = {
         * (inst.design["A"] @ np.conj(inst.truth["x"])),
         _loss_blind_deconv, ("pair",), _REGULARIZED, sample_sum=True,
         shared=lambda inst, point: inst.design["B"] @ point.h,
-        step=lambda inst, init: 0.1),
+        step=lambda inst, init: 0.1, gap=_gap_pair),
     "RobustPCA": Family(_observe_linear, _loss_rpca, ("sym", "asym"),
                         operator=_EntrySampling, step=_factor_step),
     "PhaseSync": Family(
         lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
         + inst.params["sigma"] * inst.design["W"],
-        _loss_phase_sync, ("vector",)),
+        _loss_phase_sync, ("vector",), gap=_gap_phase),
     "JointAlignment": Family(
         lambda inst: (inst.truth["x"][:, None] - inst.truth["x"][None, :]
                       + inst.design["z"]) % inst.params["alphabet_m"],
-        _loss_joint_alignment, ("vector",)),
+        _loss_joint_alignment, ("vector",), gap=_gap_alignment),
 }
 
 

@@ -301,10 +301,18 @@ def init_sensing(instance, r):
     return _matrix_estimate(instance, surrogate_sensing(instance), r)
 
 
+def _require_observations(instance):
+    # An empty observation set has the all-zero surrogate, which ARPACK
+    # cannot start from; refuse it before anything is formed.
+    if instance.y.size == 0:
+        raise ValueError(f"{instance.family} instance has an empty observation set")
+
+
 def init_matrix_completion(instance, r):
     """Spectral initialization from the inverse-propensity-weighted entries."""
     if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym"):
         raise ValueError("expected a matrix completion instance")
+    _require_observations(instance)
     return _matrix_estimate(instance, surrogate_completion(instance), r)
 
 
@@ -425,6 +433,7 @@ def init_rpca(instance, r, c_thresh=3.0):
     """
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
+    _require_observations(instance)
     op = problems.linear_operator(instance)
     S0 = sparse_part(instance, instance.y, c_thresh)
     # S0 is zero off the observed set, so the surrogate stays sparse

@@ -13,7 +13,6 @@ from lowrank_ncvx.core import FactorPoint, derive_seed, make_rng
 from lowrank_ncvx.gd import (
     DEFAULT_TWF_THRESHOLDS,
     SolverConfig,
-    alignment_mismatch,
     default_step_size,
     dist_to_truth,
     fitted_rate,
@@ -33,6 +32,7 @@ from lowrank_ncvx.gd import (
 )
 from lowrank_ncvx.problems import (
     ProblemInstance,
+    alignment_mismatch,
     corrupt_outliers,
     gen_blind_deconv,
     gen_joint_alignment,
@@ -723,12 +723,21 @@ def test_grassmann_output_stays_orthonormal():
 
 
 def test_grassmann_rank1_form_matches_general():
+    # At r = 1 the geodesic has the closed form cos(s eta) L - sin(s eta)/s grad,
+    # s = ||grad||, grad the horizontal gradient at the exact right factor.
     rng = make_rng(9)
     inst = gen_matrix_completion(12, 10, 1, 0.6, False, seed=7)
     L = np.linalg.qr(rng.standard_normal((12, 1)))[0]
-    a = grassmann_step(inst, L, 0.05, form="rank1")
-    b = grassmann_step(inst, L, 0.05, form="general")
-    assert np.max(np.abs(a - b)) < 1e-10
+    rows, cols = np.nonzero(inst.design["mask"])
+    R = np.array([[inst.y[cols == j] @ L[rows[cols == j], 0]
+                   / (L[rows[cols == j], 0] @ L[rows[cols == j], 0])] for j in range(10)])
+    E = np.zeros((12, 10))
+    E[rows, cols] = inst.y - (L @ R.T)[rows, cols]
+    grad = -2.0 * E @ R
+    grad -= L @ (L.T @ grad)
+    s = float(np.linalg.norm(grad))
+    oracle = math.cos(0.05 * s) * L - (math.sin(0.05 * s) / s) * grad
+    assert np.max(np.abs(grassmann_step(inst, L, 0.05) - oracle)) < 1e-10
 
 
 def test_grassmann_guards_and_deficient_column():
@@ -740,10 +749,6 @@ def test_grassmann_guards_and_deficient_column():
         grassmann_step(pr, L2, 0.1)
     with pytest.raises(ValueError, match="orthonormal"):
         grassmann_step(inst, np.ones((10, 2)), 0.1)
-    with pytest.raises(ValueError, match="single column"):
-        grassmann_step(inst, L2, 0.1, form="rank1")
-    with pytest.raises(ValueError, match="form"):
-        grassmann_step(inst, L2, 0.1, form="geodesic?")
     mask = inst.design["mask"].copy()
     mask[:, 3] = False
     mask[0, 3] = True  # one observation cannot determine two coefficients

@@ -67,6 +67,66 @@ def test_forward_model_replays_observations(make):
 
 
 # ---------------------------------------------------------------------------
+# Truth gaps
+# ---------------------------------------------------------------------------
+
+# Each move returns the truth of an instance as a point and the truth moved
+# along the family's ambiguity by a random element of it.
+
+def _rotated(inst, rng):
+    t = inst.truth
+    key = "X" if "X" in t else "L"
+    Q = np.linalg.qr(rng.standard_normal((t[key].shape[1],) * 2))[0]
+    if key == "X":
+        return FactorPoint.sym(t["X"]), FactorPoint.sym(t["X"] @ Q)
+    return FactorPoint.asym(t["L"], t["R"]), FactorPoint.asym(t["L"] @ Q, t["R"] @ Q)
+
+
+def _negated(inst, rng):
+    x = inst.truth["x"]
+    return FactorPoint.vector(x), FactorPoint.vector(-x)
+
+
+def _scaled_pair(inst, rng):
+    (h, x), a = (inst.truth["h"], inst.truth["x"]), complex(*rng.standard_normal(2))
+    return FactorPoint.pair(h, x), FactorPoint.pair(h / np.conj(a), a * x)
+
+
+def _phased(inst, rng):
+    x = inst.truth["x"]
+    return (FactorPoint.vector(x),
+            FactorPoint.vector(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * x))
+
+
+def _shifted_labels(inst, rng):
+    labels, m = inst.truth["x"], inst.params["alphabet_m"]
+    return (FactorPoint.vector(lift_assignment(labels, m)),
+            FactorPoint.vector(lift_assignment(labels + rng.integers(1, m), m)))
+
+
+# The families whose ambiguity is not a rotation of the factors
+AMBIGUITY_MOVES = {"PhaseRetrieval": _negated, "BlindDeconv": _scaled_pair,
+                   "PhaseSync": _phased, "JointAlignment": _shifted_labels}
+
+
+@pytest.mark.parametrize("make", ALL_GENERATORS)
+def test_truth_gap_vanishes_on_the_ambiguity_orbit(make):
+    inst = make(1618)
+    rng = core.make_rng(1618)
+    move = AMBIGUITY_MOVES.get(inst.family, _rotated)
+    gap = problems.FAMILIES[inst.family].gap
+    for _ in range(3):
+        at, moved = move(inst, rng)
+        assert gap(inst, at, None)[0]["dist"] == 0.0
+        dist = gap(inst, moved, None)[0]["dist"]
+        if inst.family == "JointAlignment":
+            assert dist == 0.0
+        else:
+            scale = math.sqrt(sum(np.vdot(p, p).real for p in at.parts))
+            assert dist <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
 # Matrix sensing
 # ---------------------------------------------------------------------------
 
@@ -203,21 +263,6 @@ def test_gaussian_right_rows_do_not_copy_the_design():
     finally:
         tracemalloc.stop()
     assert peak < 2 * out.nbytes
-
-
-def test_sensing_measurements_reject_a_misshapen_matrix():
-    for make in SENSING_DESIGNS.values():
-        inst = make(4)
-        n1, n2 = inst.params["n1"], inst.params["n2"]
-        T = np.ones((n1, n2))
-        assert problems.sensing_measurements(inst, T).shape == (inst.params["m"],)
-        for bad in (np.ones(5), np.ones((n1 * n2,)), np.ones((n1, n2 + 1))):
-            with pytest.raises(ValueError, match="matrix"):
-                problems.sensing_measurements(inst, bad)
-    ident = gen_identity_sensing(4, 3, 1, seed=2)  # 12 measurements
-    for bad in (np.ones(5), np.ones((3, 4))):  # a short vector, a transpose
-        with pytest.raises(ValueError, match="4 x 3"):
-            problems.sensing_measurements(ident, bad)
 
 
 @settings(deadline=None, max_examples=40)

@@ -3,8 +3,9 @@
 A traced run replaces the module bindings of the library's functions with
 span wrappers, so a row that reaches loss_and_grad, the masks, dist_bd or
 bd_incoherence some other way (a local alias, a private helper) silently
-drops out of the per-layer view.  The first tests wrap gd's bindings with
-counters and require one call per row.
+drops out of the per-layer view.  The first tests wrap the module bindings
+the row calls through (gd's, and problems' for the truth gap's dist_bd and
+bd_incoherence) with counters and require one call per row.
 
 The next requires that no row builds a point through FactorPoint's checked
 constructor: one re-check per row fits inside the slack of the budgets
@@ -20,7 +21,7 @@ import sys
 
 import pytest
 
-from lowrank_ncvx import gd
+from lowrank_ncvx import gd, problems
 from lowrank_ncvx.core import FactorPoint
 from lowrank_ncvx.gd import SolverConfig, run_gd, run_truncated_gd
 from lowrank_ncvx.problems import gen_blind_deconv, gen_phase_retrieval
@@ -59,7 +60,8 @@ def _count_bound_calls(monkeypatch):
         return counted
 
     for name in _BOUND:
-        monkeypatch.setattr(gd, name, counting(name, getattr(gd, name)))
+        mod = problems if name in ("dist_bd", "bd_incoherence") else gd
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     return calls
 
 

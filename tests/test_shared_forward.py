@@ -4,10 +4,12 @@ difference x - s x* for the distance and the witness terms.  Checked against
 a hand-written loop that evaluates every term from its own product, through
 the public loss_and_grad, twf_mask and median_mask, with the distance from
 core.dist_vector and the proxy max|A x - s A x*| from its own two products;
-it calls neither dist_to_truth nor incoherence_proxy, which share gd's row
-code.  The trajectories and every trace column must be bitwise equal.  The
-row subtracts A x*, formed once per instance, from the shared A x, and the
-reference's max|A (x - s x*)| must agree with it to round-off.  The rows of
+it calls neither dist_to_truth nor incoherence_proxy, which share the row's
+truth fields: the ``gap`` of the family's problems.FAMILIES record, where
+the rows' truth metrics live.  The trajectories and every trace column
+must be bitwise equal.  The row subtracts A x*, formed once per instance,
+from the shared A x, and the reference's max|A (x - s x*)| must agree with
+it to round-off.  The rows of
 quadratic sensing, blind deconvolution, Error Reduction, symmetric descent
 and AltMin are checked the same way, by the design products and Procrustes
 rotations they make."""
@@ -17,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from lowrank_ncvx import core, gd
+from lowrank_ncvx import core, problems
 from lowrank_ncvx.core import (
     FactorPoint,
     bd_incoherence,
@@ -181,6 +183,21 @@ def test_precomputed_forward_product_is_bitwise_neutral(pr):
         loss_and_grad(sens, FactorPoint.sym(np.ones((6, 1))), forward=np.ones(12))
 
 
+def test_misshapen_forward_product_is_refused():
+    # An unchecked product of the wrong shape broadcasts into a gradient of the
+    # wrong shape: (6, 2) for the phase-retrieval vector, (6,) for the
+    # quadratic-sensing part.
+    pr = gen_phase_retrieval(6, 40, seed=0)
+    with pytest.raises(ValueError, match=r"shape \(40,\), got \(40, 2\)"):
+        loss_and_grad(pr, FactorPoint.vector(np.ones(6)), forward=np.ones((40, 2)))
+    qs = gen_quadratic_sensing(6, 2, 40, 0)
+    with pytest.raises(ValueError, match=r"shape \(40, 2\), got \(40,\)"):
+        loss_and_grad(qs, FactorPoint.sym(np.ones((6, 2))), forward=np.ones(40))
+    bd = gen_blind_deconv(3, 4, 9, seed=0)
+    with pytest.raises(ValueError, match=r"shape \(9,\), got \(3,\)"):
+        loss_and_grad(bd, FactorPoint.pair(np.ones(3), np.ones(4)), forward=np.ones(3))
+
+
 def test_blind_deconvolution_row_shares_b_h_bitwise():
     inst = gen_blind_deconv(8, 8, 64, seed=35)
     x0 = init_blind_deconv(inst).point
@@ -334,7 +351,7 @@ def test_error_reduction_row_makes_one_forward_product_and_shares_it_with_the_st
 
 def _procrustes_calls(monkeypatch):
     # The (F, Fs) pairs of every Procrustes rotation made through core's or
-    # gd's binding, core.dist_factors included.
+    # problems' binding (the rows' truth gap), core.dist_factors included.
     calls, procrustes = [], core.procrustes
 
     def counted(F, Fs):
@@ -342,7 +359,7 @@ def _procrustes_calls(monkeypatch):
         return procrustes(F, Fs)
 
     monkeypatch.setattr(core, "procrustes", counted)
-    monkeypatch.setattr(gd, "procrustes", counted)
+    monkeypatch.setattr(problems, "procrustes", counted)
     return calls
 
 

@@ -469,6 +469,23 @@ def test_init_mc_guards():
         init_matrix_completion(sens, 1)
 
 
+def test_empty_observation_set_is_refused_before_any_surrogate(monkeypatch):
+    # p = 0 gives the all-zero CSR surrogate, from which ARPACK cannot start
+    # ("Starting vector is zero").  The inits refuse the instance by name
+    # before forming a surrogate or robust PCA's dense residual.
+    def unreachable(*args):
+        raise AssertionError("formed a surrogate of an empty observation set")
+
+    monkeypatch.setattr(spectral, "surrogate_completion", unreachable)
+    monkeypatch.setattr(spectral, "sparse_part", unreachable)
+    for symmetric in (True, False):
+        inst = gen_matrix_completion(20, 20, 2, 0.0, symmetric, seed=0)
+        with pytest.raises(ValueError, match="empty observation set"):
+            init_matrix_completion(inst, 2)
+    with pytest.raises(ValueError, match="empty observation set"):
+        init_rpca(gen_rpca(20, 20, 2, 0.0, 0.05, 3.0, seed=0), 2)
+
+
 # ---------------------------------------------------------------------------
 # Robust PCA initialization
 # ---------------------------------------------------------------------------
