@@ -140,6 +140,7 @@ def _alternate(instance, L, R, cfg, right, left):
     gradient are those of the iterate.
     """
     half = None
+    op = linear_operator(instance)
 
     def solve(t, fixed, warm, half_step):
         if not np.isfinite(fixed).all():
@@ -149,7 +150,10 @@ def _alternate(instance, L, R, cfg, right, left):
     def step(t, point, aux):
         nonlocal half
         R = solve(t, point.L, point.R, right)
-        half, _ = loss_and_grad(instance, FactorPoint.asym(point.L, R))
+        # The plain risk, bit for bit loss_and_grad's value, without the
+        # adjoint products of its gradient.
+        e = op.measure_factors(point.L, R) - instance.y
+        half = float(e @ e) / (4.0 * op.scale)
         return FactorPoint.asym(solve(t, R, point.L, left), R)
 
     def evaluate(t, point):
@@ -245,14 +249,15 @@ def _split_parts(rows, cols, vals, parts):
 
 def _cond_bound(gram, limit=np.inf):
     """The bound ||G||_F ||C^-1||_F^2 >= kappa_2(G) for each of a stack of
-    symmetric Grams G = C C^T, shape (groups, r, r).
+    symmetric Grams G = C C^T, shape (groups, r, r), and the stack of C^-1.
 
     The bound holds because lambda_max(G^-1) = ||C^-1||_2^2 <= ||C^-1||_F^2,
     and it exceeds kappa_2(G) by at most r^1.5.  C and its inverse are built
     row by row in r vectorized steps of Cholesky and forward substitution.
     ||C^-1||_F^2 >= 1 / d_j for every pivot d_j = C_jj^2, so a group whose
     pivot has d_j limit <= ||G||_F, including every group that is not
-    positive definite, gets inf at once and leaves the factorization.
+    positive definite, gets inf at once and leaves the factorization; its
+    C^-1 is then meaningless.  Returns (bound, C^-1).
     """
     groups, r = gram.shape[0], gram.shape[1]
     norm = np.sqrt(np.einsum("gij,gij->g", gram, gram))
@@ -271,21 +276,23 @@ def _cond_bound(gram, limit=np.inf):
         inv[:, j, :j] = -np.einsum("gk,gkl->gl", row, inv[:, :j, :j]) / piv
         inv[:, j, j] = 1.0 / piv[:, 0]
         total += np.einsum("gk,gk->g", inv[:, j, :j + 1], inv[:, j, :j + 1])
-    return np.where(ok, norm * total, np.inf)
+    return np.where(ok, norm * total, np.inf), inv
 
 
 def _batchable(gram, rhs, counts, rcond):
     # The groups whose normal equations (gram, rhs) may be solved in one
     # batch: at least r observations (counts), finite and in-range numbers,
-    # and a Gram that _cond_bound certifies.
+    # and a Gram that _cond_bound certifies.  Returns the mask and the
+    # Cholesky inverses C^-1 of the batch's Grams, in group order.
     r = gram.shape[1]
     scale = np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
     batch = ((counts >= r) & np.isfinite(gram).all(axis=(1, 2))
              & np.isfinite(rhs).all(axis=1)
              & (scale >= _GRAM_RANGE[0]) & (scale <= _GRAM_RANGE[1]))
     limit = 0.5 / max(_GRAM_CUT, 4.0 * rcond * rcond)
-    batch[batch] = _cond_bound(gram[batch], limit) < limit
-    return batch
+    bound, inv = _cond_bound(gram[batch], limit)
+    batch[batch] = certified = bound < limit
+    return batch, inv[certified]
 
 
 def _decoupled_ls(basis, groups, axis_name, r, rcond):
@@ -298,9 +305,10 @@ def _decoupled_ls(basis, groups, axis_name, r, rcond):
     # Gram's round-off, and the bound is never below kappa, so the batch never
     # returns a solution lstsq would refuse.
     gram, rhs = groups.normal_equations(basis)
-    batch = _batchable(gram, rhs, np.diff(groups.ptr), rcond)
+    batch, inv = _batchable(gram, rhs, np.diff(groups.ptr), rcond)
     sol = np.empty((gram.shape[0], r))
-    sol[batch] = np.linalg.solve(gram[batch], rhs[batch][..., None])[..., 0]
+    # G^-1 b = C^-T (C^-1 b), with the inverses the certificate built.
+    sol[batch] = np.einsum("gji,gj->gi", inv, np.einsum("gij,gj->gi", inv, rhs[batch]))
     ptr, other, vals = groups.ptr, groups.other, groups.vals
     for j in np.flatnonzero(~batch).tolist():  # ascending: the lowest failure raises
         lo, hi = ptr[j], ptr[j + 1]
@@ -340,18 +348,19 @@ def altmin_mc(instance, L0, config=None):
     round; "sample_split" partitions the mask into config.splits parts
     round-robin and round t uses part t mod T; "regularized" solves ridge
     half-steps (weight config.lam) by inner gradient descent.  The trace
-    loss column is always the plain completion risk on the full mask.
+    loss column is always the plain completion risk on the full mask, and
+    extras["half_loss"] the same risk after each round's R half-step.
 
     An exact half-step fits each row (or column) of the free factor to its
     observed entries: O(|Omega| r^2) work for the r x r normal equations of
-    every group, solved in one batch.  A group whose Gram is non-finite or
-    out of range, or whose Gram a Cholesky bound cannot certify to have
-    condition number below 1e4 (basis rows below 100; groups above about
-    1e4 / (2 r^1.5) may miss the certificate), is solved by lstsq at
-    rcond = config.inner_tol instead, which raises when its rank falls
-    short of r.  A non-finite fixed factor gives a
-    non-finite half-step, so the run ends "diverged".
-    Returns (L, R, trace).
+    every group, solved in one batch as C^-T (C^-1 b) with the inverse
+    Cholesky factors of G = C C^T that certify the batch.  A group whose
+    Gram is non-finite or out of range, or whose Gram a Cholesky bound
+    cannot certify to have condition number below 1e4 (basis rows below
+    100; groups above about 1e4 / (2 r^1.5) may miss the certificate), is
+    solved by lstsq at rcond = config.inner_tol instead, which raises when
+    its rank falls short of r.  A non-finite fixed factor gives a non-finite
+    half-step, so the run ends "diverged".  Returns (L, R, trace).
     """
     if instance.family != "MatrixCompletionAsym":
         raise ValueError("alternating completion expects the asymmetric family")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPoint, derive_seed, incoherence_mu, iterate, make_rng
+from .core import FactorPoint, derive_seed, iterate, make_rng
 from .problems import FAMILIES, EntryGroups, linear_operator, loss_and_grad
 from .spectral import sparse_part
 
@@ -208,31 +208,30 @@ def make_incoherent_projector(instance, init, c=2.0, mu=None):
     The radius uses the planted matrix's incoherence (or an explicit mu) and
     the init's spectral norm as the scale estimate, mirroring how the
     constraint set is specified relative to the first iterate.  Asymmetric
-    points clip each factor against its own row count.
+    points clip each factor against its own row count.  The default mu is
+    core.incoherence_mu(M, r), computed from thin QRs Q T of the planted
+    factors (X, or L and R) instead of a dense SVD of M; M's singular
+    values, for its rank check, are those of the r x r product T1 T2^T.
     """
+    if init.kind not in ("sym", "asym"):
+        raise ValueError("incoherence projection applies to factor points only")
     t = instance.truth
     r = instance.params["r"]
     if mu is None:
-        mu = incoherence_mu(t["M"], r)
-    if init.kind == "sym":
-        bound = float(np.linalg.norm(init.X, 2))
+        Q1, T1 = np.linalg.qr(t["X"] if "X" in t else t["L"])
+        Q2, T2 = (Q1, T1) if "X" in t else np.linalg.qr(t["R"])
+        s = np.linalg.svd(T1 @ T2.T, compute_uv=False)
+        if s[-1] <= 1e-12 * max(s[0], _TINY):
+            raise ValueError(f"planted matrix is numerically rank-deficient at rank {r}: "
+                             f"sigma_r = {s[-1]:.3e}")
+        mu = max(Q.shape[0] / r * float(np.max(np.sum(Q * Q, axis=1))) for Q in (Q1, Q2))
+    bounds = [float(np.linalg.norm(F, 2)) for F in init.parts]
 
-        def proj(point):
-            return FactorPoint("sym", (project_incoherent(point.X, bound, c, mu, r),))
+    def proj(point):
+        return FactorPoint.derived(point.kind, tuple(
+            project_incoherent(F, b, c, mu, r) for F, b in zip(point.parts, bounds)))
 
-        return proj
-    if init.kind == "asym":
-        bl = float(np.linalg.norm(init.L, 2))
-        br = float(np.linalg.norm(init.R, 2))
-
-        def proj(point):
-            return FactorPoint("asym", (
-                project_incoherent(point.L, bl, c, mu, r),
-                project_incoherent(point.R, br, c, mu, r),
-            ))
-
-        return proj
-    raise ValueError("incoherence projection applies to factor points only")
+    return proj
 
 
 # ---------------------------------------------------------------------------

@@ -663,6 +663,7 @@ class _EntrySampling:
     def __init__(self, instance):
         rows, cols, self.indptr = _observed_index(instance)
         self.index = (rows, cols)
+        self.counts = np.diff(self.indptr)
         self.shape = (instance.params["n1"], instance.params["n2"])
         # Empty masks (p = 0) make the risk vacuous; keep it finite.
         self.scale = max(instance.params["p"], np.finfo(float).tiny)
@@ -671,10 +672,12 @@ class _EntrySampling:
         return T[self.index]
 
     def measure_factors(self, A, B):
-        # One r-term row dot per entry, never the n1 x n2 model; np.take
-        # gathers rows several times faster than A[rows].
-        rows, cols = self.index
-        return np.einsum("ij,ij->i", np.take(A, rows, axis=0), np.take(B, cols, axis=0))
+        """The entries of A B^T on the index as r-term row dots, never the
+        n1 x n2 model.  The index is row-major, so repeating A's columns by
+        the row counts gathers the left side, and the (r, |Omega|) operands
+        make the einsum r passes along the entries, not one short sum each."""
+        return np.einsum("ij,ij->j", np.repeat(A.T, self.counts, axis=1),
+                         np.take(B.T, self.index[1], axis=1))
 
     def adjoint(self, e):
         return csr(e, self.index[1], self.indptr, self.shape)

@@ -25,9 +25,10 @@ from lowrank_ncvx.direct import (
     ppm,
     svp,
 )
-from lowrank_ncvx.gd import dist_to_truth
+from lowrank_ncvx.gd import dist_to_truth, trace_row
 from lowrank_ncvx.problems import (
     EntryGroups,
+    ProblemInstance,
     estimate_rip,
     gen_identity_sensing,
     gen_joint_alignment,
@@ -36,6 +37,8 @@ from lowrank_ncvx.problems import (
     gen_phase_retrieval,
     gen_phase_sync,
     gen_rpca,
+    linear_operator,
+    loss_and_grad,
     observed_entries,
 )
 from lowrank_ncvx.spectral import (
@@ -235,6 +238,53 @@ def test_altmin_mc_full_observation_exact_after_one_round():
     assert np.linalg.norm(L @ R.T - inst.truth["M"]) < 1e-10
 
 
+@pytest.mark.parametrize("make, solver", [
+    (lambda: gen_matrix_completion(30, 24, 2, 0.5, False, seed=5), altmin_mc),
+    (lambda: gen_matrix_sensing(6, 5, 2, 80, False, seed=5), altmin_sensing),
+])
+def test_half_step_loss_is_the_plain_risk_bit_for_bit(make, solver):
+    inst = make()
+    L0 = make_rng(derive_seed(5, "L0")).standard_normal((inst.params["n1"], 2))
+    _, R1, tr = solver(inst, L0, AltMinConfig(max_outer=1))
+    assert tr.extras["half_loss"][0] == loss_and_grad(inst, FactorPoint.asym(L0, R1))[0]
+
+
+def test_completion_row_and_altmin_round_stay_entry_sized():
+    # At n = 3000 and p = 0.002 the n1 x n2 model would take 72 MB; a
+    # completion row (loss, gradient, trace fields) and an AltMin round
+    # allocate O((|Omega| + n1 + n2) r).  A band of r entries per row and
+    # column lets every AltMin group see r observations.
+    n, r = 3000, 3
+    inst = gen_matrix_completion(n, n, r, 0.002, False, seed=7)
+    rng = make_rng(derive_seed(7, "L0"))
+    point = FactorPoint.asym(rng.standard_normal((n, r)), rng.standard_normal((n, r)))
+    mask = inst.design["mask"].copy()
+    for k in range(r):
+        mask[np.arange(n), (np.arange(n) + k) % n] = True
+    banded = ProblemInstance("MatrixCompletionAsym", 7, dict(inst.params), inst.truth,
+                             {"mask": mask}, inst.truth["M"][mask])
+    loss_and_grad(inst, point)  # builds the observed index and imports scipy.sparse
+    linear_operator(banded)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def row():
+        val, grad = loss_and_grad(inst, point)
+        trace_row(inst, point, val, grad)
+
+    for run, entries in ((row, inst.y.shape[0]), (
+            lambda: altmin_mc(banded, point.L, AltMinConfig(max_outer=1)), banded.y.shape[0])):
+        used = peak(run)
+        assert used <= 16 * 8 * r * (entries + 2 * n), used
+        assert used <= n * n * 8 / 16, used
+
+
 def test_altmin_mc_guards_and_starved_indices():
     sym = gen_matrix_completion(8, 8, 2, 0.9, True, seed=1)
     with pytest.raises(ValueError, match="asymmetric"):
@@ -379,7 +429,7 @@ def test_cholesky_bound_brackets_the_condition_number(r, log_kappa, log_scale, s
     kappa = w[-1] / w[0]
     # Both sides carry rounding of relative size ~ r eps kappa.
     slack = 32 * r * _EPS * kappa
-    bound = _cond_bound(gram[None])[0]
+    bound = _cond_bound(gram[None])[0][0]
     assert bound >= kappa * (1.0 - slack)
     if kappa <= 1e8:
         assert bound <= r**1.5 * kappa * (1.0 + slack)
@@ -390,9 +440,9 @@ def test_cholesky_bound_flags_a_singular_or_indefinite_gram_on_its_own():
     singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     stack = np.stack([good, singular, indefinite, np.zeros((3, 3)), 4.0 * good])
-    bound = _cond_bound(stack, limit=5e3)
+    bound, _ = _cond_bound(stack, limit=5e3)
     assert np.isinf(bound[1:4]).all()
-    assert bound[0] == bound[4] == _cond_bound(good[None])[0]
+    assert bound[0] == bound[4] == _cond_bound(good[None])[0][0]
     w = np.linalg.eigvalsh(good)
     assert w[-1] / w[0] <= bound[0] <= 3**1.5 * w[-1] / w[0]
 
@@ -407,7 +457,7 @@ def test_altmin_mc_uncertified_group_reaches_lstsq():
     vals = make_rng(4).standard_normal(7)
     groups = EntryGroups.of(key, np.arange(7), vals, 3)
     gram, rhs = groups.normal_equations(basis)
-    assert _batchable(gram, rhs, np.diff(groups.ptr), 1e-10).tolist() == [True, False, False]
+    assert _batchable(gram, rhs, np.diff(groups.ptr), 1e-10)[0].tolist() == [True, False, False]
     with pytest.raises(ValueError, match="column 1 normal equations are rank-deficient"):
         _decoupled_ls(basis, groups, "column", 2, 1e-10)
     keep = key != 1
@@ -441,7 +491,7 @@ def test_certified_batch_is_within_the_eigenvalue_rule(n, r, p, seed, moved):
     L = make_rng(derive_seed(seed, "L0")).standard_normal((n, r))
     gram, rhs = groups.normal_equations(L)
     counts = np.diff(groups.ptr)
-    ours = _batchable(gram, rhs, counts, 1e-10)
+    ours, _ = _batchable(gram, rhs, counts, 1e-10)
     theirs = _eigvalsh_batch(gram, rhs, counts, 1e-10)
     assert not (ours & ~theirs).any()
     # Groups with condition below 1e4 / (2 r^1.5) are always certified.

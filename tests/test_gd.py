@@ -505,6 +505,42 @@ def test_incoherent_projector_factory_matches_rowwise_op():
         make_incoherent_projector(inst, FactorPoint.vector(np.ones(3)))
 
 
+def _planted_parts(truth):
+    return (truth["X"],) if "X" in truth else (truth["L"], truth["R"])
+
+
+def test_incoherent_projector_default_mu_is_the_planted_incoherence():
+    # The default mu comes from thin QRs of the planted factors, not an SVD
+    # of M.  Every row of a point this large is clipped to the radius, so the
+    # output moves with sqrt(mu): it must match incoherence_mu(M, r)'s to 1e-12.
+    rng = make_rng(20)
+    for inst in (gen_matrix_completion(20, 20, 3, 0.6, True, seed=19),
+                 gen_matrix_completion(24, 18, 3, 0.6, False, seed=19),
+                 gen_rpca(24, 18, 2, 0.6, 0.02, 3.0, seed=19),
+                 gen_matrix_sensing(6, 6, 2, 80, True, seed=19)):
+        r = inst.params["r"]
+        mu = core.incoherence_mu(inst.truth["M"], r)
+        parts = tuple(rng.standard_normal(F.shape) for F in _planted_parts(inst.truth))
+        init = FactorPoint.derived("sym" if len(parts) == 1 else "asym", parts)
+        point = FactorPoint.derived(init.kind, tuple(1e3 * F for F in parts))
+        out = make_incoherent_projector(inst, init)(point)
+        for F, F0, G in zip(point.parts, parts, out.parts):
+            want = project_incoherent(F, float(np.linalg.norm(F0, 2)), 2.0, mu, r)
+            assert (np.linalg.norm(want, axis=1) < 0.5 * np.linalg.norm(F, axis=1)).all()
+            assert np.max(np.abs(G - want)) <= 1e-12 * np.max(np.abs(want))
+    # A planted matrix of rank below r is refused, as incoherence_mu refuses it.
+    v = rng.standard_normal((8, 1))
+    for truth in ({"X": np.hstack((v, 2.0 * v))},
+                  {"L": np.hstack((v, 2.0 * v)), "R": rng.standard_normal((8, 2))}):
+        parts = tuple(np.ones((8, 2)) for _ in _planted_parts(truth))
+        inst = ProblemInstance("MatrixCompletionSym" if len(parts) == 1 else "MatrixCompletionAsym",
+                               0, {"n1": 8, "n2": 8, "r": 2, "p": 1.0}, truth,
+                               {"mask": np.ones((8, 8), dtype=bool)}, np.zeros(64))
+        init = FactorPoint.derived("sym" if len(parts) == 1 else "asym", parts)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            make_incoherent_projector(inst, init)
+
+
 # ---------------------------------------------------------------------------
 # Truncation masks
 # ---------------------------------------------------------------------------

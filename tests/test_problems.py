@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lowrank_ncvx import core, problems
 from lowrank_ncvx.core import FactorPoint
@@ -197,21 +197,36 @@ def test_sensing_operator_adjoint_and_rows(design, seed, r):
         assert np.array_equal(op.apply(T), T.ravel())
 
 
+def _rows_emptied(seed):
+    # A completion instance whose first, middle and last rows are unobserved.
+    inst = gen_matrix_completion(7, 5, 2, 0.6, False, seed)
+    mask = inst.design["mask"].copy()
+    mask[[0, 3, 6]] = False
+    return ProblemInstance(inst.family, seed, dict(inst.params), inst.truth,
+                           {"mask": mask}, inst.truth["M"][mask])
+
+
 SAMPLED_DESIGNS = {
     "completion_sym": lambda seed: gen_matrix_completion(6, 6, 2, 0.5, True, seed),
     "completion_asym": lambda seed: gen_matrix_completion(6, 4, 2, 0.5, False, seed),
     "rpca_sym": lambda seed: gen_rpca(6, 6, 2, 0.6, 0.1, 3.0, seed),
     "rpca_asym": lambda seed: gen_rpca(6, 4, 2, 0.6, 0.1, 3.0, seed),
     "empty_mask": lambda seed: gen_matrix_completion(5, 4, 2, 0.0, False, seed),
+    "full_mask": lambda seed: gen_matrix_completion(5, 4, 2, 1.0, False, seed),
+    "empty_rows": _rows_emptied,
 }
 
 
 @settings(deadline=None, max_examples=30)
 @given(design=st.sampled_from(sorted(SAMPLED_DESIGNS)),
        seed=st.integers(0, 2**32 - 1), r=st.integers(1, 3))
+@example(design="empty_mask", seed=0, r=2)
+@example(design="full_mask", seed=0, r=3)
+@example(design="empty_rows", seed=0, r=1)
 def test_entry_sampling_operator_adjoint_and_factors(design, seed, r):
     # P_Omega through the operator every linear family shares: <A(T), e> =
-    # <T, A*(e)>, and the row-dot model equals the measured product.
+    # <T, A*(e)>, and the row-dot model equals the measured product for
+    # C-ordered, F-ordered and strided (reversed, every other) factor views.
     inst = SAMPLED_DESIGNS[design](seed)
     op = problems.linear_operator(inst)
     n1, n2 = inst.params["n1"], inst.params["n2"]
@@ -222,9 +237,14 @@ def test_entry_sampling_operator_adjoint_and_factors(design, seed, r):
     lhs = float(op.measure(T) @ e)
     rhs = float(np.sum(T * op.adjoint(e).toarray()))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(op.measure(T)) * np.linalg.norm(e)
-    A, B = rng.standard_normal((n1, r)), rng.standard_normal((n2, r))
+    A = rng.standard_normal((2 * n1, 2 * r))[::2, ::2]
+    B = rng.standard_normal((n2, r))[::-1]
     want = op.measure(A @ B.T)
-    assert np.linalg.norm(op.measure_factors(A, B) - want) <= 1e-12 * np.linalg.norm(want)
+    for a, b in ((A, B), (np.asfortranarray(A), np.asfortranarray(B)),
+                 (np.ascontiguousarray(A), np.ascontiguousarray(B))):
+        got = op.measure_factors(a, b)
+        assert got.shape == inst.y.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_linear_operator_names_a_family_without_one():

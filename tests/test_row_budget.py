@@ -24,8 +24,13 @@ import pytest
 from lowrank_ncvx import gd, problems
 from lowrank_ncvx.core import FactorPoint
 from lowrank_ncvx.gd import SolverConfig, run_gd, run_truncated_gd
-from lowrank_ncvx.problems import gen_blind_deconv, gen_phase_retrieval
-from lowrank_ncvx.spectral import Preprocessing, init_blind_deconv, init_phase_retrieval
+from lowrank_ncvx.problems import gen_blind_deconv, gen_matrix_completion, gen_phase_retrieval
+from lowrank_ncvx.spectral import (
+    Preprocessing,
+    init_blind_deconv,
+    init_matrix_completion,
+    init_phase_retrieval,
+)
 
 ROWS = 20
 # Python calls per row of the runs below, with NumPy 2.4, whose own Python
@@ -111,6 +116,11 @@ def test_descent_rows_build_no_checked_point(monkeypatch, pr, bd):
     assert _checked_points(monkeypatch, lambda: run_truncated_gd(inst, x0, cfg)) == 0
     inst, x0, eta = bd
     cfg = SolverConfig(eta=eta, max_iters=ROWS - 1)
+    assert _checked_points(monkeypatch, lambda: run_gd(inst, x0, cfg)) == 0
+    # Projected completion descent: the projector returns a derived point.
+    inst = gen_matrix_completion(30, 30, 2, 0.5, True, seed=36)
+    x0 = init_matrix_completion(inst, 2).point
+    cfg = SolverConfig(max_iters=ROWS - 1, project=gd.make_incoherent_projector(inst, x0))
     assert _checked_points(monkeypatch, lambda: run_gd(inst, x0, cfg)) == 0
 
 
