@@ -161,6 +161,16 @@ class SubspaceEstimate:
     gap: float              # value r minus value r+1
 
 
+def factored_svd(L, R):
+    """The thin SVD of L R^T, never formed: L R^T = (Q1 U) diag(s) (Q2 V)^T
+    from thin QRs L = Q1 T1, R = Q2 T2 and the r x r SVD T1 T2^T = U diag(s)
+    V^T, O((n1 + n2) r^2) work.  Returns (Q1, U, s, V, Q2), so each caller
+    applies the r x r factors in the order its bits were defined in."""
+    (Q1, T1), (Q2, T2) = np.linalg.qr(L), np.linalg.qr(R)
+    U, s, Vt = np.linalg.svd(T1 @ T2.T)
+    return Q1, U, s, Vt.T, Q2
+
+
 # ---------------------------------------------------------------------------
 # Alignment and distances
 # ---------------------------------------------------------------------------
@@ -480,10 +490,6 @@ class Trace:
 
     def __len__(self):
         return len(self.iters)
-
-    @property
-    def final_loss(self):
-        return self.loss[-1] if self.loss else float("nan")
 
     @property
     def final_dist(self):

@@ -3,6 +3,11 @@ alternating least squares for sensing and completion, Error Reduction for
 amplitude phase retrieval, singular value projection in full matrix space,
 and the projected power method on unit-modulus and one-hot constraint sets.
 
+SVP takes its measurements, adjoint and default step from the instance's
+linear operator, and the projected power method its matrix and projection
+from the family's problems.FAMILIES record; neither names a family outside
+its input check.
+
 The loss column always carries the family's plain empirical risk (Error
 Reduction's the amplitude risk), whatever objective the half-steps optimize.
 Every row but SVP's, whose iterate is a full matrix, is gd.trace_row's.
@@ -12,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPoint, falls_to, iterate
+from .core import FactorPoint, factored_svd, falls_to, iterate
 from .gd import trace_row
 from .problems import (
+    FAMILIES,
     EntryGroups,
     estimate_rip,
     linear_operator,
@@ -80,10 +86,12 @@ class AltMinConfig:
 class SvpConfig:
     """Rank, step, and budget for singular value projection.
 
-    eta defaults per family: 1 for completion, 1/(1 + delta_hat_{2r}) for
-    sensing with the isometry constant probed empirically (rip_trials
-    probes from rip_seed).  tol, when set, stops a run once the recorded
-    loss falls to it; core.iterate owns the stop and divergence tests.
+    eta defaults by the instance's linear operator: 1/(1 + delta_hat_{2r})
+    for a sensing operator, the isometry constant of its normalized map
+    probed empirically (rip_trials probes from rip_seed), and 1 for sampled
+    entries, whose risk is normalized by p.  tol, when set, stops a run once
+    the recorded loss falls to it; core.iterate owns the stop and divergence
+    tests.
     """
 
     r: int
@@ -106,25 +114,19 @@ class SvpConfig:
             raise ValueError("rip_trials must be a positive integer")
 
 
-def _resolve(config, cls):
-    return cls() if config is None else config
-
-
 def _risk_row(instance, point, loss="plain", forward=None):
     val, grad = loss_and_grad(instance, point, loss=loss, forward=forward)
     return trace_row(instance, point, val, grad, forward)
 
 
 def _balanced(L, R):
-    """The balanced factors of L R^T: (Q1 U S^1/2, Q2 V S^1/2) from thin QRs
-    L = Q1 T1, R = Q2 T2 and the SVD T1 T2^T = U S V^T.  Non-finite factors
-    are returned as they are."""
+    """The balanced factors (Q1 U S^1/2, Q2 V S^1/2) of L R^T, from its
+    factored_svd.  Non-finite factors are returned as they are."""
     if not (np.isfinite(L).all() and np.isfinite(R).all()):
         return L, R
-    (Q1, T1), (Q2, T2) = np.linalg.qr(L), np.linalg.qr(R)
-    U, s, Vt = np.linalg.svd(T1 @ T2.T)
+    Q1, U, s, V, Q2 = factored_svd(L, R)
     root = np.sqrt(s)
-    return Q1 @ (U * root), Q2 @ (Vt.T * root)
+    return Q1 @ (U * root), Q2 @ (V * root)
 
 
 def _alternate(instance, L, R, cfg, right, left):
@@ -154,7 +156,7 @@ def _alternate(instance, L, R, cfg, right, left):
         # adjoint products of its gradient.
         e = op.measure_factors(point.L, R) - instance.y
         half = float(e @ e) / (4.0 * op.scale)
-        return FactorPoint.asym(solve(t, R, point.L, left), R)
+        return FactorPoint.derived("asym", (solve(t, R, point.L, left), R))
 
     def evaluate(t, point):
         val, grad = loss_and_grad(instance, point)
@@ -186,7 +188,7 @@ def altmin_sensing(instance, L0, config=None):
     """
     if instance.family != "MatrixSensingAsym":
         raise ValueError("alternating sensing expects the asymmetric family")
-    cfg = _resolve(config, AltMinConfig)
+    cfg = AltMinConfig() if config is None else config
     if cfg.variant != "reuse":
         raise ValueError("sensing half-steps are always exact; use variant 'reuse'")
     op = sensing_operator(instance)
@@ -218,7 +220,7 @@ def er_phase_retrieval(instance, x0, config=None):
     Rows record the amplitude risk; steps reuse the row's A x.  Returns (x, trace)."""
     if instance.family != "PhaseRetrieval":
         raise ValueError("Error Reduction expects a phase retrieval instance")
-    cfg = _resolve(config, AltMinConfig)
+    cfg = AltMinConfig() if config is None else config
     if cfg.variant != "reuse":
         raise ValueError("Error Reduction has no sampling variants")
     A, y = instance.design["A"], instance.y
@@ -230,8 +232,8 @@ def er_phase_retrieval(instance, x0, config=None):
 
     def step(t, point, c):
         b = np.where(c < 0.0, -1.0, 1.0)
-        return FactorPoint.vector(_solve_full_rank(A, b * root, cfg.inner_tol,
-                                                   "amplitude fit"))
+        return FactorPoint.derived("vector", (_solve_full_rank(A, b * root, cfg.inner_tol,
+                                                               "amplitude fit"),))
 
     point, trace = iterate(FactorPoint.vector(np.array(x0, dtype=float).ravel()),
                            evaluate, step, cfg.max_outer, stop=falls_to("loss", cfg.tol))
@@ -364,7 +366,7 @@ def altmin_mc(instance, L0, config=None):
     """
     if instance.family != "MatrixCompletionAsym":
         raise ValueError("alternating completion expects the asymmetric family")
-    cfg = _resolve(config, AltMinConfig)
+    cfg = AltMinConfig() if config is None else config
     n1, n2 = instance.params["n1"], instance.params["n2"]
     L = np.array(L0, dtype=float)
     if L.ndim != 2 or L.shape[0] != n1:
@@ -397,14 +399,15 @@ def svp(instance, config):
     """Projected gradient descent in full matrix space from M = 0.
 
     Each step moves along the gradient A*(A(M) - y) / s of ||A(M) - y||^2 / 2s,
-    A the instance's problems.linear_operator (made dense for completion),
-    and truncates back to rank r through a dense SVD; the iterate lives as
-    that truncated factorization (U_r s_r, V_r), so its rank stays at most r
-    by construction (recorded per row in extras["rank"]).  Returns (M, trace)
-    with M materialized dense.
+    A the instance's problems.linear_operator (its sparse adjoint made
+    dense), and truncates back to rank r through a dense SVD; the iterate
+    lives as that truncated factorization (U_r s_r, V_r), so its rank stays
+    at most r by construction (recorded per row in extras["rank"]).  The
+    default step is the operator's, see SvpConfig.  Returns (M, trace) with
+    M materialized dense.
     """
-    completion = instance.family in ("MatrixCompletionSym", "MatrixCompletionAsym")
-    if not (completion or instance.family in ("MatrixSensingSym", "MatrixSensingAsym")):
+    if instance.family not in ("MatrixSensingSym", "MatrixSensingAsym",
+                               "MatrixCompletionSym", "MatrixCompletionAsym"):
         raise ValueError("SVP handles sensing and completion instances")
     if not isinstance(config, SvpConfig):
         raise ValueError("svp needs an SvpConfig")
@@ -412,14 +415,9 @@ def svp(instance, config):
     n1, n2 = op.shape
     r = config.r
     eta = config.eta
-    if eta is None:
-        if completion:
-            eta = 1.0
-        else:
-            probe_rank = min(2 * r, n1, n2)
-            delta = estimate_rip(instance, probe_rank, config.rip_trials,
-                                 config.rip_seed).delta_hat
-            eta = 1.0 / (1.0 + delta)
+    if eta is None:  # only a sensing operator has a normalized map to probe
+        eta = 1.0 if not hasattr(op, "apply") else 1.0 / (1.0 + estimate_rip(
+            instance, min(2 * r, n1, n2), config.rip_trials, config.rip_seed).delta_hat)
     Mstar = instance.truth["M"]
 
     def evaluate(t, point):
@@ -428,7 +426,7 @@ def svp(instance, config):
         val = 0.5 * float(e @ e) / op.scale
         grad = op.adjoint(e)
         # dense before the division: a CSR divides by multiplying with 1 / s
-        grad = (grad.toarray() if completion else grad) / op.scale
+        grad = (grad if isinstance(grad, np.ndarray) else grad.toarray()) / op.scale
         # U has unit columns, so column k of U_r s_r is zero exactly when s_k is.
         return {"loss": val, "grad_norm": float(np.linalg.norm(grad)),
                 "dist": float(np.linalg.norm(M - Mstar)), "incoh": 0.0,
@@ -437,7 +435,7 @@ def svp(instance, config):
     def step(t, point, aux):
         M, grad = aux
         U, s, Vt = np.linalg.svd(M - eta * grad, full_matrices=False)
-        return FactorPoint.asym(U[:, :r] * s[:r], Vt[:r].T)
+        return FactorPoint.derived("asym", (U[:, :r] * s[:r], Vt[:r].T))
 
     point, trace = iterate(FactorPoint.asym(np.zeros((n1, r)), np.zeros((n2, r))),
                            evaluate, step, config.max_iters,
@@ -449,31 +447,9 @@ def svp(instance, config):
 # Projected power method
 # ---------------------------------------------------------------------------
 
-def _phase_project(v):
-    # Real and imaginary parts are divided by the modulus separately: complex
-    # division by a subnormal modulus overflows its reciprocal (5e-324j would
-    # map to nan+infj).  A subnormal modulus has also lost most of its digits,
-    # so those entries are first divided by their larger part; others by 1.
-    re, im = np.real(v), np.imag(v)
-    mag = np.abs(v)
-    sub = (mag > 0.0) & (mag < np.finfo(float).tiny)
-    scale = np.where(sub, np.maximum(np.abs(re), np.abs(im)), 1.0)
-    re, im = re / scale, im / scale
-    mag = np.where(sub, np.hypot(re, im), mag)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    unit = re / safe + 1j * (im / safe)
-    return np.where(mag > 0.0, unit, 1.0 + 0.0j).astype(complex)
-
-
-def _vertex_project(v, n, m):
-    blocks = np.real(v).reshape(n, m)
-    out = np.zeros_like(blocks)
-    out[np.arange(n), np.argmax(blocks, axis=1)] = 1.0  # ties to lowest index
-    return out.ravel()
-
-
 def ppm(instance, x0, max_iters=100):
-    """Projected power iterations x <- P(L x).
+    """Projected power iterations x <- P(L x) on a power family's matrix L
+    and projection P, as its problems.FAMILIES record declares them.
 
     Phase synchronization projects entrywise onto unit modulus (zeros map
     to 1); joint alignment projects each length-m block onto the nearest
@@ -482,30 +458,24 @@ def ppm(instance, x0, max_iters=100):
     before the first step, so every recorded iterate is feasible.  Returns
     (x, trace).
     """
-    if instance.family not in ("PhaseSync", "JointAlignment"):
+    spec = FAMILIES[instance.family]
+    if spec.project is None:
         raise ValueError("the projected power method handles phase "
                          "synchronization and joint alignment")
     if int(max_iters) != max_iters or max_iters < 0:
         raise ValueError("max_iters must be a nonnegative integer")
-    if instance.family == "PhaseSync":
-        L = instance.y
-        project = _phase_project
-    else:
-        L = instance.design["L"]
-        n, m = instance.params["n"], instance.params["alphabet_m"]
-        project = lambda v: _vertex_project(v, n, m)  # noqa: E731
-
+    L = spec.matrix(instance)
     prev = None  # the point the last step started from
 
     def step(t, point, aux):
         nonlocal prev
         prev = point.x
-        return FactorPoint.vector(project(L @ point.x))
+        return FactorPoint.derived("vector", (spec.project(instance, L @ point.x),))
 
     def stop(trace, point):
         return prev is not None and np.array_equal(point.x, prev)
 
-    point, trace = iterate(FactorPoint.vector(project(np.asarray(x0).ravel())),
+    point, trace = iterate(FactorPoint.vector(spec.project(instance, np.asarray(x0).ravel())),
                            lambda t, point: (_risk_row(instance, point), None),
                            step, int(max_iters), stop=stop)
     return point.x, trace

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPoint, derive_seed, iterate, make_rng
+from .core import FactorPoint, derive_seed, factored_svd, iterate, make_rng
 from .problems import FAMILIES, EntryGroups, linear_operator, loss_and_grad
 from .spectral import sparse_part
 
@@ -209,18 +209,17 @@ def make_incoherent_projector(instance, init, c=2.0, mu=None):
     the init's spectral norm as the scale estimate, mirroring how the
     constraint set is specified relative to the first iterate.  Asymmetric
     points clip each factor against its own row count.  The default mu is
-    core.incoherence_mu(M, r), computed from thin QRs Q T of the planted
-    factors (X, or L and R) instead of a dense SVD of M; M's singular
-    values, for its rank check, are those of the r x r product T1 T2^T.
+    core.incoherence_mu(M, r), computed from the core.factored_svd of the
+    planted factors (X X^T, or L R^T) instead of a dense SVD of M: the row
+    norms of its bases Q1, Q2 and, for the rank check, its values s.
     """
     if init.kind not in ("sym", "asym"):
         raise ValueError("incoherence projection applies to factor points only")
     t = instance.truth
     r = instance.params["r"]
     if mu is None:
-        Q1, T1 = np.linalg.qr(t["X"] if "X" in t else t["L"])
-        Q2, T2 = (Q1, T1) if "X" in t else np.linalg.qr(t["R"])
-        s = np.linalg.svd(T1 @ T2.T, compute_uv=False)
+        factors = (t["X"], t["X"]) if "X" in t else (t["L"], t["R"])
+        Q1, _, s, _, Q2 = factored_svd(*factors)
         if s[-1] <= 1e-12 * max(s[0], _TINY):
             raise ValueError(f"planted matrix is numerically rank-deficient at rank {r}: "
                              f"sigma_r = {s[-1]:.3e}")
@@ -286,10 +285,6 @@ def median_mask(instance, x, factor, c=None):
 # ---------------------------------------------------------------------------
 # The descent engine
 # ---------------------------------------------------------------------------
-
-def _resolve_config(config):
-    return SolverConfig() if config is None else config
-
 
 def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     """Shared constant-step loop on core.iterate: each row evaluates the loss
@@ -358,7 +353,7 @@ def run_gd(instance, init, config=None):
     "converged" (a stop rule fired), "max_iters", or "diverged" (non-finite
     numbers or loss blowup; never an exception).
     """
-    return _descend(instance, init, _resolve_config(config))
+    return _descend(instance, init, SolverConfig() if config is None else config)
 
 
 def run_truncated_gd(instance, init, config=None):
@@ -369,7 +364,7 @@ def run_truncated_gd(instance, init, config=None):
     set (setting both is an error).  Masked samples get weight zero, so a
     rule that keeps everything reproduces run_gd bit for bit.
     """
-    cfg = _resolve_config(config)
+    cfg = SolverConfig() if config is None else config
     if cfg.twf_thresholds is not None and cfg.median_factor is not None:
         raise ValueError("choose threshold or median truncation, not both")
     if cfg.batch_k is not None:
@@ -380,9 +375,7 @@ def run_truncated_gd(instance, init, config=None):
         def keep(point, c):
             return median_mask(instance, point.x, factor, c).astype(float)
     else:
-        thresholds = cfg.twf_thresholds
-        if thresholds is None:
-            thresholds = DEFAULT_TWF_THRESHOLDS
+        thresholds = DEFAULT_TWF_THRESHOLDS if cfg.twf_thresholds is None else cfg.twf_thresholds
 
         def keep(point, c):
             return twf_mask(instance, point.x, thresholds, c).astype(float)
@@ -400,7 +393,7 @@ def run_rpca(instance, init, S_init, config=None):
     """
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
-    cfg = _resolve_config(config)
+    cfg = SolverConfig() if config is None else config
     if cfg.batch_k is not None:
         raise ValueError("the sparse-plus-low-rank loop is full-gradient only")
     op = linear_operator(instance)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FactorPoint, derive_seed, falls_to, iterate, make_rng
 from .gd import SolverConfig, run_gd
-from .problems import ProblemInstance, gen_phase_retrieval, loss_and_grad
+from .problems import FAMILIES, gen_phase_retrieval, loss_and_grad
 
 _KINDS = ("global_min", "local_max", "strict_saddle", "degenerate")
 _DENSE_CAP = 200
@@ -235,13 +235,12 @@ def oracle_from_instance(instance):
     differentiates its exact gradient numerically.  Both attach the
     +-truth pair as minima.
     """
-    fam = instance.family
-    if fam == "PhaseRetrieval":
-        return _phase_retrieval_oracle(instance)
-    if fam == "MatrixSensingSym" and instance.params["r"] == 1:
-        return _sensing_rank1_oracle(instance)
-    raise ValueError(
-        "landscape oracles cover phase retrieval and rank-1 symmetric sensing")
+    build = {"PhaseRetrieval": _phase_retrieval_oracle,
+             "MatrixSensingSym": _sensing_rank1_oracle}.get(instance.family)
+    if build is None or instance.params.get("r", 1) != 1:  # phase retrieval has no r
+        raise ValueError(
+            "landscape oracles cover phase retrieval and rank-1 symmetric sensing")
+    return build(instance)
 
 
 def _phase_retrieval_oracle(instance):
@@ -457,7 +456,7 @@ def perturbed_gd(oracle, x0, config):
                 "perturbed": float(last_fire == t)}, g
 
     def step(t, point, g):
-        return FactorPoint.vector(perturb(t + 1, point.x - config.eta * g))
+        return FactorPoint.derived("vector", (perturb(t + 1, point.x - config.eta * g),))
 
     x0 = np.asarray(x0, dtype=float).ravel().copy()
     point, trace = iterate(FactorPoint.vector(perturb(0, x0)), evaluate, step,
@@ -468,12 +467,6 @@ def perturbed_gd(oracle, x0, config):
 # ---------------------------------------------------------------------------
 # Trust-region and cubic subproblem steps
 # ---------------------------------------------------------------------------
-
-def _check_dense_dim(n):
-    if n > _DENSE_CAP:
-        raise ValueError(f"dense landscape analysis is capped at {_DENSE_CAP} "
-                         "dimensions")
-
 
 _TINY = np.finfo(float).tiny  # brentq's xtol where only its rtol should bind
 
@@ -509,7 +502,8 @@ def _shifted_step(oracle, x, length):
     # delta for the root delta of length(shift) / ||s|| - 1, formed as
     # (w_i - w_0) + delta: w_0 + shift cancels next to a saddle.
     x = np.asarray(x, dtype=float).ravel()
-    _check_dense_dim(x.shape[0])
+    if x.shape[0] > _DENSE_CAP:
+        raise ValueError(f"dense landscape analysis is capped at {_DENSE_CAP} dimensions")
     g = np.asarray(oracle.grad(x), dtype=float).ravel()
     w, Q = np.linalg.eigh(np.asarray(oracle.hess(x), dtype=float))
     gh = Q.T @ g
@@ -613,10 +607,10 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
     (1/m) sum_i (<A_i, XX^T> - y_i)^2 with the full n x n factor in place
     of the rank-r one, evaluated as 4 times the family's (1/4m) plain risk
     through loss_and_grad; mind that factor 4 when carrying step sizes over
-    from the factored losses.  Symmetric sensing evaluates on the instance
-    itself.  Phase retrieval measures XX^T through the rank-1 sensors
-    a_i a_i^T, so its lift is quadratic sensing at rank n on the same
-    (A, y).  The init is small_init_scale times a standard Gaussian n x n
+    from the factored losses.  It is the loss of the family record's lift:
+    symmetric sensing itself, and for phase retrieval, which measures XX^T
+    through the rank-1 sensors a_i a_i^T, quadratic sensing at rank n on the
+    same (A, y).  The init is small_init_scale times a standard Gaussian n x n
     draw seeded from derive_seed(config.seed or 0, "overparam").  The trace
     distance column is ||XX^T - M*||_F and extras["effective_rank"] counts
     singular values of the estimate XX^T above 1e-3 times its largest.  A
@@ -627,20 +621,14 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
     if cfg.eta is None:
         raise ValueError("the over-parametrized walk needs an explicit step "
                          "size")
-    fam, p = instance.family, instance.params
-    if fam == "PhaseRetrieval":
-        dim = p["n"]
-        Mstar = np.outer(instance.truth["x"], instance.truth["x"])
-        lifted = ProblemInstance("QuadraticSensing", instance.seed,
-                                 {"n": dim, "r": dim, "m": p["m"]}, {"M": Mstar},
-                                 instance.design, instance.y)
-    elif fam == "MatrixSensingSym":
-        dim, Mstar, lifted = p["n1"], instance.truth["M"], instance
-    else:
+    lift = FAMILIES[instance.family].lift
+    if lift is None:
         raise ValueError("the over-parametrized walk covers phase retrieval "
                          "and symmetric sensing")
-    if n != dim:
-        raise ValueError(f"the lift must match the ambient dimension {dim}")
+    lifted = lift(instance)
+    Mstar = lifted.truth["M"]
+    if n != Mstar.shape[0]:
+        raise ValueError(f"the lift must match the ambient dimension {Mstar.shape[0]}")
     if small_init_scale < 0:
         raise ValueError("init scale must be nonnegative")
     rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0,
@@ -657,7 +645,7 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
                 "incoh": 0.0, "effective_rank": erank}, G
 
     def step(t, point, G):
-        return FactorPoint.sym(point.X - cfg.eta * G)
+        return FactorPoint.derived("sym", (point.X - cfg.eta * G,))
 
     return iterate(FactorPoint.sym(X), evaluate, step, cfg.max_iters,
                    stop=falls_to("dist", cfg.dist_tol))[1]

@@ -5,12 +5,14 @@ of generated instances.
 Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
 per-sample weights, shared design product, linear operator, default step,
-truth gap); ``forward_model``, ``loss_and_grad``, ``gd.default_step_size``
-and ``gd.trace_row`` read it rather than branch on the family name.  The
-five linear families (sensing, completion, robust PCA) share one forward
-model and one plain risk through their ``linear_operator``; phase retrieval
-and quadratic sensing share one forward model and one risk through their
-shared product A x or A X.
+truth gap, the power families' matrix and projection, the over-parametrized
+lift); ``forward_model``, ``loss_and_grad``, ``gd.default_step_size``,
+``gd.trace_row``, ``direct.ppm`` and ``landscape.overparam_gd_experiment``
+read it rather than branch on the family name.  The five linear families
+(sensing, completion, robust PCA) share one forward model and one plain risk
+through their ``linear_operator``; phase retrieval and quadratic sensing
+share one forward model and one risk through their shared product A x or
+A X; phase synchronization and joint alignment share the loss -Re x^H L x.
 
 Conventions shared by every family:
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FactorPoint, bd_incoherence, derive_seed, dist_bd, dist_vector,
-                   make_rng, max_row_norm, procrustes)
+                   factored_svd, make_rng, max_row_norm, procrustes)
 
 @dataclass
 class ProblemInstance:
@@ -113,22 +115,27 @@ def _sym_truth(rng, n, r, spectrum=None):
 def _asym_truth(rng, n1, n2, r, spectrum=None):
     """Planted truth M = L R^T with balanced factors L^T L = R^T R = diag(sigma).
 
-    The singular triples of the Gaussian product G = A B^T come from thin QRs
-    of the two factors and an r x r SVD of R_A R_B^T, so G itself is never
-    formed: the cost is O((n1 + n2) r^2), not a dense n1 x n2 SVD.
+    The singular triples of the Gaussian product G = A B^T come from
+    core.factored_svd, so G itself is never formed: the cost is
+    O((n1 + n2) r^2), not a dense n1 x n2 SVD.
     """
-    QA, RA = np.linalg.qr(rng.standard_normal((n1, r)))
-    QB, RB = np.linalg.qr(rng.standard_normal((n2, r)))
-    Uc, s, Vct = np.linalg.svd(RA @ RB.T)
+    QA, U, s, V, QB = factored_svd(rng.standard_normal((n1, r)), rng.standard_normal((n2, r)))
     sigma = s if spectrum is None else spectrum
-    L = (QA @ Uc) * np.sqrt(sigma)
-    R = (QB @ Vct.T) * np.sqrt(sigma)
+    L = (QA @ U) * np.sqrt(sigma)
+    R = (QB @ V) * np.sqrt(sigma)
     return L, R, L @ R.T, np.asarray(sigma, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+def _observed(inst):
+    # Every generator ends here: y = forward_model(inst), so replaying the
+    # forward model on a stored instance reproduces y bit for bit.
+    inst.y = forward_model(inst)
+    return inst
+
 
 def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     """Random Gaussian matrix sensing.
@@ -158,9 +165,8 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
         family = "MatrixSensingAsym"
         A = rng.standard_normal((m, n1, n2))
     params = {"n1": n1, "n2": n2, "r": r, "m": m, "symmetric": bool(symmetric)}
-    inst = ProblemInstance(family, seed, params, truth, {"kind": "gaussian", "A": A}, None)
-    inst.y = forward_model(inst)
-    return inst
+    design = {"kind": "gaussian", "A": A}
+    return _observed(ProblemInstance(family, seed, params, truth, design, None))
 
 
 def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
@@ -178,12 +184,10 @@ def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
     rng = make_rng(derive_seed(seed, "identity_sensing"))
     L, R, M, sigma = _asym_truth(rng, n1, n2, r, spectrum)
     params = {"n1": n1, "n2": n2, "r": r, "m": n1 * n2, "symmetric": False}
-    inst = ProblemInstance(
+    return _observed(ProblemInstance(
         "MatrixSensingAsym", seed, params,
         {"L": L, "R": R, "M": M, "sigma": sigma}, {"kind": "identity"}, None,
-    )
-    inst.y = forward_model(inst)
-    return inst
+    ))
 
 
 def gen_phase_retrieval(n, m, seed, norm=1.0):
@@ -197,9 +201,7 @@ def gen_phase_retrieval(n, m, seed, norm=1.0):
     x *= norm / np.linalg.norm(x)
     A = rng.standard_normal((m, n))
     params = {"n": n, "m": m, "norm": float(norm)}
-    inst = ProblemInstance("PhaseRetrieval", seed, params, {"x": x}, {"A": A}, None)
-    inst.y = forward_model(inst)
-    return inst
+    return _observed(ProblemInstance("PhaseRetrieval", seed, params, {"x": x}, {"A": A}, None))
 
 
 def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
@@ -214,12 +216,10 @@ def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
     X, M, sigma = _sym_truth(rng, n, r, spectrum)
     A = rng.standard_normal((m, n))
     params = {"n": n, "r": r, "m": m}
-    inst = ProblemInstance(
+    return _observed(ProblemInstance(
         "QuadraticSensing", seed, params,
         {"X": X, "M": M, "sigma": sigma}, {"A": A}, None,
-    )
-    inst.y = forward_model(inst)
-    return inst
+    ))
 
 
 def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
@@ -250,9 +250,7 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
         family = "MatrixCompletionAsym"
     mask = rng.random((n1, n2)) < p
     params = {"n1": n1, "n2": n2, "r": r, "p": float(p), "symmetric": bool(symmetric)}
-    inst = ProblemInstance(family, seed, params, truth, {"mask": mask}, None)
-    inst.y = forward_model(inst)
-    return inst
+    return _observed(ProblemInstance(family, seed, params, truth, {"mask": mask}, None))
 
 
 def gen_blind_deconv(K, N, m, seed, norm=1.0):
@@ -280,20 +278,28 @@ def gen_blind_deconv(K, N, m, seed, norm=1.0):
     h *= norm / np.linalg.norm(h)
     x *= norm / np.linalg.norm(x)
     params = {"K": K, "N": N, "m": m, "norm": float(norm)}
-    inst = ProblemInstance(
+    return _observed(ProblemInstance(
         "BlindDeconv", seed, params, {"h": h, "x": x}, {"B": B, "A": A}, None,
-    )
-    inst.y = forward_model(inst)
-    return inst
+    ))
 
 
 def _sparse_support(rng, n1, n2, count, row_cap, col_cap):
-    """Uniform support of the requested size respecting per-row/column budgets.
+    """A random support of ``count`` cells, at most row_cap of them in a row
+    and col_cap in a column, as a list of (row, column) pairs.
 
     Scans a random permutation of all cells and rejects any cell whose row or
-    column budget is exhausted; with the budgets used here the target count
-    is always reachable.
+    column budget is exhausted.  Tight budgets can stall the scan (count =
+    n1 row_cap needs every row full); it then leaves no free cell whose row
+    and column both have room, and each missing cell comes from a swap that
+    keeps it so.  For a row i and a column j with room, the col_cap cells of
+    a column j2 free in row i cannot all lie in the fewer rows picked in
+    column j, so some picked (i2, j2) has (i2, j) free; trading it for
+    (i, j2) and (i2, j) adds one.  Only a count above min(n1 row_cap,
+    n2 col_cap) is out of reach, and raises.
     """
+    row_cap, col_cap = min(row_cap, n2), min(col_cap, n1)
+    if count > min(n1 * row_cap, n2 * col_cap):
+        raise RuntimeError("could not place the outlier support under the row/column caps")
     rows = np.zeros(n1, dtype=int)
     cols = np.zeros(n2, dtype=int)
     picked = []
@@ -305,9 +311,15 @@ def _sparse_support(rng, n1, n2, count, row_cap, col_cap):
             rows[i] += 1
             cols[j] += 1
             picked.append((i, j))
-    if len(picked) < count:
-        raise RuntimeError("could not place the outlier support under the row/column caps")
-    return picked
+    if len(picked) == count:
+        return picked
+    S = np.zeros((n1, n2), dtype=bool)
+    S[tuple(np.array(picked, dtype=int).reshape(-1, 2).T)] = True
+    for _ in range(count - len(picked)):
+        i, j = np.argmax(S.sum(axis=1) < row_cap), np.argmax(S.sum(axis=0) < col_cap)
+        i2, j2 = np.argwhere(S & ~S[:, [j]] & ~S[i])[0]
+        S[i2, j2], S[i, j2], S[i2, j] = False, True, True
+    return list(zip(*np.nonzero(S)))
 
 
 def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
@@ -351,9 +363,7 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
         "n1": n1, "n2": n2, "r": r, "p": float(p),
         "alpha_out": float(alpha_out), "magnitude": float(magnitude),
     }
-    inst = ProblemInstance("RobustPCA", seed, params, truth, {"mask": mask}, None)
-    inst.y = forward_model(inst)
-    return inst
+    return _observed(ProblemInstance("RobustPCA", seed, params, truth, {"mask": mask}, None))
 
 
 def gen_phase_sync(n, sigma, seed):
@@ -373,9 +383,7 @@ def gen_phase_sync(n, sigma, seed):
     Wu = np.triu(G, 1)
     W = Wu + Wu.conj().T + np.diag(rng.standard_normal(n))
     params = {"n": n, "sigma": float(sigma)}
-    inst = ProblemInstance("PhaseSync", seed, params, {"x": x}, {"W": W}, None)
-    inst.y = forward_model(inst)
-    return inst
+    return _observed(ProblemInstance("PhaseSync", seed, params, {"x": x}, {"W": W}, None))
 
 
 def gen_joint_alignment(n, alphabet_m, noise_flip_prob, seed):
@@ -403,10 +411,7 @@ def gen_joint_alignment(n, alphabet_m, noise_flip_prob, seed):
                 z[i, j] = int(rng.integers(1, mm))
             z[j, i] = (-z[i, j]) % mm
     params = {"n": n, "alphabet_m": mm, "noise_flip_prob": float(noise_flip_prob)}
-    inst = ProblemInstance(
-        "JointAlignment", seed, params, {"x": x}, {"z": z}, None,
-    )
-    inst.y = forward_model(inst)
+    inst = _observed(ProblemInstance("JointAlignment", seed, params, {"x": x}, {"z": z}, None))
     inst.design["L"] = _alignment_certificate(inst.y, mm, noise_flip_prob)
     return inst
 
@@ -458,13 +463,11 @@ def factorization_instance(M, r):
     sigma = np.clip(w[:r], 0.0, None)
     X = V[:, :r] * np.sqrt(sigma)
     params = {"n1": n, "n2": n, "r": r, "p": 1.0, "symmetric": True}
-    inst = ProblemInstance(
+    return _observed(ProblemInstance(
         "MatrixCompletionSym", 0, params,
         {"X": X, "M": M, "sigma": sigma},
         {"mask": np.ones((n, n), dtype=bool)}, None,
-    )
-    inst.y = forward_model(inst)
-    return inst
+    ))
 
 
 def corrupt_outliers(instance, alpha_out, seed):
@@ -560,8 +563,10 @@ class EntryGroups:
 
     @classmethod
     def of(cls, key, other, vals, n):
-        """Group the entries (key, other, vals) by key in [0, n), stably."""
-        order = np.argsort(key, kind="stable")
+        """Group the entries (key, other, vals) by key in [0, n), stably.  The
+        keys sort as the narrowest unsigned type that holds n - 1, which
+        NumPy radix-sorts up to 16 bits (n <= 65536)."""
+        order = np.argsort(key.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
         return cls(key[order], other[order], vals[order], _offsets(key, n))
 
     def sparse(self, data, n_other):
@@ -803,7 +808,11 @@ def _linear_risk(instance, point, weights=None, offset=None):
 
 
 def _loss_linear(instance, point, loss, lp, weights, c):
-    val, parts = _linear_risk(instance, point, weights)
+    # The plain risk, of the model plus the loss parameter "S" if given:
+    # robust PCA's sparse part, measured on the index.
+    S = lp.get("S")
+    S = None if S is None else linear_operator(instance).measure(np.asarray(S, dtype=float))
+    val, parts = _linear_risk(instance, point, weights, S)
     return val, FactorPoint.derived(point.kind, parts)
 
 
@@ -938,27 +947,36 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
     return val, FactorPoint.derived("pair", (gh, gx))
 
 
-def _loss_rpca(instance, point, loss, lp, weights, c):
-    S = lp.get("S")
-    if S is not None:
-        S = linear_operator(instance).measure(np.asarray(S, dtype=float))
-    val, parts = _linear_risk(instance, point, offset=S)
-    return val, FactorPoint.derived(point.kind, parts)
+def _loss_power(instance, point, loss, lp, weights, c):
+    # -Re x^H L x on the power family's matrix L, with the Wirtinger gradient
+    # -L x of a complex L (phase synchronization) or the real -2 L x
+    L = FAMILIES[instance.family].matrix(instance)
+    Lx = L @ point.x
+    val = -float(np.real(np.conj(point.x) @ Lx))
+    return val, FactorPoint.derived("vector", (-(Lx if np.iscomplexobj(L) else 2.0 * Lx),))
 
 
-def _loss_phase_sync(instance, point, loss, lp, weights, c):
-    L = instance.y
-    x = point.x
-    val = -float(np.real(np.conj(x) @ (L @ x)))
-    g = -(L @ x)
-    return val, FactorPoint.derived("vector", (g,))
+def _phase_project(v):
+    # Entrywise onto unit modulus, zeros to 1.  Real and imaginary parts are
+    # divided by the modulus separately: complex division by a subnormal
+    # modulus overflows its reciprocal (5e-324j would map to nan+infj).  A
+    # subnormal modulus has also lost most of its digits, so those entries
+    # are first divided by their larger part; others by 1.
+    re, im = np.real(v), np.imag(v)
+    mag = np.abs(v)
+    sub = (mag > 0.0) & (mag < np.finfo(float).tiny)
+    scale = np.where(sub, np.maximum(np.abs(re), np.abs(im)), 1.0)
+    re, im = re / scale, im / scale
+    mag = np.where(sub, np.hypot(re, im), mag)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    unit = re / safe + 1j * (im / safe)
+    return np.where(mag > 0.0, unit, 1.0 + 0.0j).astype(complex)
 
 
-def _loss_joint_alignment(instance, point, loss, lp, weights, c):
-    L = instance.design["L"]
-    x = point.x
-    val = -float(x @ (L @ x))
-    return val, FactorPoint.derived("vector", (-2.0 * (L @ x),))
+def _vertex_project(inst, v):
+    # Each length-m block onto its nearest one-hot vertex, ties to the lowest symbol
+    m = inst.params["alphabet_m"]
+    return np.eye(m)[np.argmax(np.real(v).reshape(inst.params["n"], m), axis=1)].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1070,13 @@ class Family:
     scale-normalized by the init (None: the family has none); and
     gap(instance, point, c) is the distance to the truth modulo the family's
     ambiguity, with its incoherence proxy, that gd.trace_row records (a
-    rotation of the factors unless the record names another)."""
+    rotation of the factors unless the record names another).  A power
+    family declares matrix(instance), the L of its loss -Re x^H L x, and
+    project(instance, v), the projection onto its constraint set, which
+    direct.ppm iterates as x <- project(L x).  lift(instance) is the
+    instance whose loss at a square n x n factor X is the family's
+    over-parametrized lift, which landscape.overparam_gd_experiment descends
+    (None: the family has none)."""
 
     observe: object
     loss: object
@@ -1063,6 +1087,9 @@ class Family:
     operator: object = None
     step: object = None
     gap: object = _gap_procrustes
+    matrix: object = None
+    project: object = None
+    lift: object = None
 
 
 def _observe_linear(inst):
@@ -1076,6 +1103,14 @@ def _observe_quadratic(inst):
     # y_i = ||C_i||^2 for C = A x* (phase retrieval) or A X* (quadratic sensing)
     C = inst.design["A"] @ inst.truth["x" if "x" in inst.truth else "X"]
     return C * C if C.ndim == 1 else np.sum(C * C, axis=1)
+
+
+def _quadratic_lift(inst):
+    # Phase retrieval measures x x^T through the rank-1 sensors a_i a_i^T, so
+    # its lift is quadratic sensing at rank n on the same (A, y)
+    n, x = inst.params["n"], inst.truth["x"]
+    return ProblemInstance("QuadraticSensing", inst.seed, {"n": n, "r": n, "m": inst.params["m"]},
+                           {"M": np.outer(x, x)}, inst.design, inst.y)
 
 
 # The default steps.  Truth scales are never consulted: the init's norms
@@ -1109,7 +1144,8 @@ _TINY = np.finfo(float).tiny
 FAMILIES = {
     "MatrixSensingSym": Family(_observe_linear, _loss_linear, ("sym",),
                                sample_sum=True, operator=sensing_operator,
-                               step=lambda inst, init: _factor_step(inst, init, 0.4, 3.0)),
+                               step=lambda inst, init: _factor_step(inst, init, 0.4, 3.0),
+                               lift=lambda inst: inst),
     "MatrixSensingAsym": Family(_observe_linear, _loss_sensing_asym, ("asym",),
                                 _REGULARIZED, sample_sum=True, operator=sensing_operator,
                                 step=lambda inst, init: _factor_step(inst, init, 0.4)),
@@ -1117,7 +1153,7 @@ FAMILIES = {
         _observe_quadratic, _loss_quadratic, ("vector",), ("plain", "amplitude"),
         sample_sum=True, shared=_quadratic_forward,
         step=lambda inst, init: 0.1 / max(float(np.sum(np.abs(init.x) ** 2)), _TINY),
-        gap=_gap_sign),
+        gap=_gap_sign, lift=_quadratic_lift),
     "QuadraticSensing": Family(_observe_quadratic, _loss_quadratic, ("sym",),
                                sample_sum=True, shared=_quadratic_forward,
                                step=_quadratic_sensing_step),
@@ -1133,16 +1169,18 @@ FAMILIES = {
         _loss_blind_deconv, ("pair",), _REGULARIZED, sample_sum=True,
         shared=lambda inst, point: inst.design["B"] @ point.h,
         step=lambda inst, init: 0.1, gap=_gap_pair),
-    "RobustPCA": Family(_observe_linear, _loss_rpca, ("sym", "asym"),
+    "RobustPCA": Family(_observe_linear, _loss_linear, ("sym", "asym"),
                         operator=_EntrySampling, step=_factor_step),
     "PhaseSync": Family(
         lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
         + inst.params["sigma"] * inst.design["W"],
-        _loss_phase_sync, ("vector",), gap=_gap_phase),
+        _loss_power, ("vector",), gap=_gap_phase,
+        matrix=lambda inst: inst.y, project=lambda inst, v: _phase_project(v)),
     "JointAlignment": Family(
         lambda inst: (inst.truth["x"][:, None] - inst.truth["x"][None, :]
                       + inst.design["z"]) % inst.params["alphabet_m"],
-        _loss_joint_alignment, ("vector",), gap=_gap_alignment),
+        _loss_power, ("vector",), gap=_gap_alignment,
+        matrix=lambda inst: inst.design["L"], project=_vertex_project),
 }
 
 

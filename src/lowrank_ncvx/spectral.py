@@ -477,15 +477,15 @@ def init_sparse_pr(instance, k=None, gamma=None):
 
 def init_phase_sync(instance):
     """Leading eigenvector of the observation, projected onto unit-modulus
-    entries.  Entries where the eigenvector (measure-zero) vanishes get 1."""
+    entries by the family's projection, the one direct.ppm iterates.
+    Entries at or below 1e-15 max(max|u_i|, 1), where the eigenvector
+    (measure-zero) vanishes up to round-off, are zeroed first and get 1."""
     if instance.family != "PhaseSync":
         raise ValueError("expected a phase synchronization instance")
-    est = _eig_top(instance.y, 1)
-    u = est.basis[:, 0]
+    u = _eig_top(instance.y, 1).basis[:, 0]
     mag = np.abs(u)
-    floor = 1e-15 * max(float(mag.max()), 1.0)
-    x0 = np.where(mag > floor, u / np.where(mag > floor, mag, 1.0), 1.0 + 0.0j)
-    return FactorPoint.vector(x0)
+    u = np.where(mag > 1e-15 * max(float(mag.max()), 1.0), u, 0.0)
+    return FactorPoint.vector(problems.FAMILIES[instance.family].project(instance, u))
 
 
 # ---------------------------------------------------------------------------

@@ -744,3 +744,14 @@ def test_iterate_blow_up_is_relative_to_the_first_loss():
     # loss0 is the first recorded row's loss, also when rows start later.
     _, trace, _ = _walk(3, first=1, losses=[None, 1.0, 1e6 + 1.0, 1e6 + 1.5])
     assert trace.outcome == "diverged" and trace.iters == [1, 2, 3]
+
+
+def test_factored_svd_is_the_thin_svd_of_the_product():
+    rng = np.random.default_rng(3)
+    L, R = rng.standard_normal((9, 3)), rng.standard_normal((7, 3))
+    Q1, U, s, V, Q2 = core.factored_svd(L, R)
+    left, right = Q1 @ U, Q2 @ V
+    np.testing.assert_allclose((left * s) @ right.T, L @ R.T, atol=1e-12)
+    np.testing.assert_allclose(s, np.linalg.svd(L @ R.T, compute_uv=False)[:3], rtol=1e-12)
+    for B in (left, right):
+        np.testing.assert_allclose(B.T @ B, np.eye(3), atol=1e-12)

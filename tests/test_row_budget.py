@@ -23,13 +23,20 @@ import pytest
 
 from lowrank_ncvx import gd, problems
 from lowrank_ncvx.core import FactorPoint
+from lowrank_ncvx.direct import AltMinConfig, altmin_mc, ppm
 from lowrank_ncvx.gd import SolverConfig, run_gd, run_truncated_gd
-from lowrank_ncvx.problems import gen_blind_deconv, gen_matrix_completion, gen_phase_retrieval
+from lowrank_ncvx.problems import (
+    gen_blind_deconv,
+    gen_matrix_completion,
+    gen_phase_retrieval,
+    gen_phase_sync,
+)
 from lowrank_ncvx.spectral import (
     Preprocessing,
     init_blind_deconv,
     init_matrix_completion,
     init_phase_retrieval,
+    init_phase_sync,
 )
 
 ROWS = 20
@@ -122,6 +129,15 @@ def test_descent_rows_build_no_checked_point(monkeypatch, pr, bd):
     x0 = init_matrix_completion(inst, 2).point
     cfg = SolverConfig(max_iters=ROWS - 1, project=gd.make_incoherent_projector(inst, x0))
     assert _checked_points(monkeypatch, lambda: run_gd(inst, x0, cfg)) == 0
+    # AltMin rounds and projected power steps: the one checked point is the
+    # start, built where the input enters.
+    inst = gen_matrix_completion(30, 30, 2, 0.5, False, seed=36)
+    L0 = init_matrix_completion(inst, 2).point.L
+    cfg = AltMinConfig(max_outer=ROWS)
+    assert _checked_points(monkeypatch, lambda: altmin_mc(inst, L0, cfg)[1:]) == 1
+    inst = gen_phase_sync(30, 1.0, seed=37)
+    x0 = init_phase_sync(inst).x
+    assert _checked_points(monkeypatch, lambda: ppm(inst, x0, max_iters=ROWS - 1)) == 1
 
 
 def _python_calls_per_row(run):
