@@ -3,14 +3,18 @@ alternating least squares for sensing and completion, Error Reduction for
 amplitude phase retrieval, singular value projection in full matrix space,
 and the projected power method on unit-modulus and one-hot constraint sets.
 
+Every completion least-squares half-step, AltMin's (split or not, ridge or
+not) and gd.grassmann_step's, is one call of _decoupled_ls.
+
 SVP takes its measurements, adjoint and default step from the instance's
 linear operator, and the projected power method its matrix and projection
 from the family's problems.FAMILIES record; neither names a family outside
 its input check.
 
-The loss column always carries the family's plain empirical risk (Error
-Reduction's the amplitude risk), whatever objective the half-steps optimize.
-Every row but SVP's, whose iterate is a full matrix, is gd.trace_row's.
+The loss column carries the family's plain empirical risk (Error Reduction's
+the amplitude risk), whatever objective the half-steps optimize; SVP's
+carries its own objective ||A(M) - y||^2 / 2s, twice the plain risk.  Every
+row but SVP's, whose iterate is a full matrix, is gd.trace_row's.
 """
 
 from dataclasses import dataclass
@@ -29,8 +33,6 @@ from .problems import (
     sensing_operator,
 )
 
-_ALTMIN_VARIANTS = ("reuse", "sample_split", "regularized")
-_INNER_CAP = 10_000  # inner-GD guard for the regularized half-steps
 # A completion half-step solves a group's r x r normal equations directly when
 # its Gram G is certified to have lambda_min > _GRAM_CUT lambda_max, i.e. the
 # observed basis rows have condition number below 100, where the normal
@@ -50,19 +52,18 @@ _GRAM_RANGE = (np.finfo(float).tiny / np.finfo(float).eps,
 class AltMinConfig:
     """Knobs for the alternating solvers.
 
-    inner_tol is the least-squares cutoff: the lstsq rcond of the sensing
+    inner_tol is the least-squares cutoff, the lstsq rcond of the sensing
     and Error Reduction solves and of the completion groups that fall back
-    to lstsq (the others solve their normal equations, see altmin_mc), and
-    the gradient tolerance of the regularized variant's inner descent.
-    splits is the part count T of the sample_split variant; lam the ridge
-    weight of the regularized variant.  tol, when set, stops a run once the
-    recorded loss falls to it; core.iterate owns the stop and divergence
-    tests.
+    to lstsq (the others solve their normal equations, see altmin_mc).
+    splits > 1 makes completion AltMin sample-split: round t fits part
+    t mod splits of the mask.  lam > 0 adds the ridge lam ||sol||^2 / 2 to
+    each completion half-step.  The two compose; sensing and Error
+    Reduction take neither.  tol, when set, stops a run once the recorded
+    loss falls to it; core.iterate owns the stop and divergence tests.
     """
 
     max_outer: int = 30
     inner_tol: float = 1e-10
-    variant: str = "reuse"
     splits: int = 1
     lam: float = 0.0
     tol: float = None
@@ -72,8 +73,6 @@ class AltMinConfig:
             raise ValueError("max_outer must be a nonnegative integer")
         if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
-        if self.variant not in _ALTMIN_VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if int(self.splits) != self.splits or self.splits < 1:
             raise ValueError("splits must be a positive integer")
         if self.lam < 0:
@@ -90,8 +89,9 @@ class SvpConfig:
     for a sensing operator, the isometry constant of its normalized map
     probed empirically (rip_trials probes from rip_seed), and 1 for sampled
     entries, whose risk is normalized by p.  tol, when set, stops a run once
-    the recorded loss falls to it; core.iterate owns the stop and divergence
-    tests.
+    the recorded loss, SVP's objective ||A(M) - y||^2 / 2s (twice the
+    family's plain risk), falls to it; core.iterate owns the stop and
+    divergence tests.
     """
 
     r: int
@@ -131,10 +131,10 @@ def _balanced(L, R):
 
 def _alternate(instance, L, R, cfg, right, left):
     """AltMin rounds as rows 1..cfg.max_outer of core.iterate.  The round
-    after row t sets R = right(t, L, R), then L = left(t, R, L); the last
-    argument is the warm start.  A non-finite fixed factor gives an all-NaN
-    half-step, which core.iterate labels "diverged", rather than a solve that
-    raises on it.  Returns (L, R, trace), R None if no round ran.
+    after row t sets R = right(t, L), then L = left(t, R).  A non-finite
+    fixed factor gives an all-NaN half-step, which core.iterate labels
+    "diverged", rather than a solve that raises on it.  Returns (L, R,
+    trace), R None if no round ran.
 
     Alternating least squares leaves (L, R) unbalanced (any invertible r x r
     mix of a balanced pair), which a rotation cannot undo, so each row's
@@ -144,10 +144,10 @@ def _alternate(instance, L, R, cfg, right, left):
     half = None
     op = linear_operator(instance)
 
-    def solve(t, fixed, warm, half_step):
+    def solve(t, fixed, free, half_step):
         if not np.isfinite(fixed).all():
-            return np.full(warm.shape, np.nan)
-        return half_step(t, fixed, warm)
+            return np.full(free.shape, np.nan)
+        return half_step(t, fixed)
 
     def step(t, point, aux):
         nonlocal half
@@ -189,8 +189,8 @@ def altmin_sensing(instance, L0, config=None):
     if instance.family != "MatrixSensingAsym":
         raise ValueError("alternating sensing expects the asymmetric family")
     cfg = AltMinConfig() if config is None else config
-    if cfg.variant != "reuse":
-        raise ValueError("sensing half-steps are always exact; use variant 'reuse'")
+    if cfg.splits != 1 or cfg.lam != 0:
+        raise ValueError("sensing half-steps are exact on the full sample: splits=1, lam=0")
     op = sensing_operator(instance)
     y = instance.y
     n1, n2 = instance.params["n1"], instance.params["n2"]
@@ -199,11 +199,11 @@ def altmin_sensing(instance, L0, config=None):
         raise ValueError(f"initial left factor must be {n1} x r")
     r = L.shape[1]
 
-    def right(t, L, R):
+    def right(t, L):
         return _solve_full_rank(op.rows(L, 1), y, cfg.inner_tol,
                                 "right half-step").reshape(n2, r)
 
-    def left(t, R, L):
+    def left(t, R):
         return _solve_full_rank(op.rows(R, 2), y, cfg.inner_tol,
                                 "left half-step").reshape(n1, r)
 
@@ -221,7 +221,7 @@ def er_phase_retrieval(instance, x0, config=None):
     if instance.family != "PhaseRetrieval":
         raise ValueError("Error Reduction expects a phase retrieval instance")
     cfg = AltMinConfig() if config is None else config
-    if cfg.variant != "reuse":
+    if cfg.splits != 1 or cfg.lam != 0:
         raise ValueError("Error Reduction has no sampling variants")
     A, y = instance.design["A"], instance.y
     root = np.sqrt(y)
@@ -243,11 +243,6 @@ def er_phase_retrieval(instance, x0, config=None):
 # ---------------------------------------------------------------------------
 # Alternating least squares on completion
 # ---------------------------------------------------------------------------
-
-def _split_parts(rows, cols, vals, parts):
-    # Round-robin over the observed positions in row-major order.
-    return [(rows[k::parts], cols[k::parts], vals[k::parts]) for k in range(parts)]
-
 
 def _cond_bound(gram, limit=np.inf):
     """The bound ||G||_F ||C^-1||_F^2 >= kappa_2(G) for each of a stack of
@@ -297,9 +292,10 @@ def _batchable(gram, rhs, counts, rcond):
     return batch, inv[certified]
 
 
-def _decoupled_ls(basis, groups, axis_name, r, rcond):
-    # Solve min ||P_Omega(basis sol^T - obs)|| one group at a time; the
-    # observed rows of each group must pin down all r coefficients.  Groups
+def _decoupled_ls(basis, groups, axis_name, r, rcond, lam=0.0):
+    # Solve min ||P_Omega(basis sol^T - obs)||^2 + lam ||sol||^2 one group at
+    # a time; the ridge counts as r more observed rows sqrt(lam) I with value
+    # 0, and the rows of each group must pin down all r coefficients.  Groups
     # whose Grams the Cholesky bound certifies as well-conditioned solve their
     # normal equations in one batch; lstsq, with its checks, takes the rest.
     # The lstsq rank test rejects a group when lambda_min <= rcond^2
@@ -307,38 +303,25 @@ def _decoupled_ls(basis, groups, axis_name, r, rcond):
     # Gram's round-off, and the bound is never below kappa, so the batch never
     # returns a solution lstsq would refuse.
     gram, rhs = groups.normal_equations(basis)
-    batch, inv = _batchable(gram, rhs, np.diff(groups.ptr), rcond)
+    counts = np.diff(groups.ptr)
+    if lam:
+        gram += lam * np.eye(r)
+        counts = counts + r
+    batch, inv = _batchable(gram, rhs, counts, rcond)
     sol = np.empty((gram.shape[0], r))
     # G^-1 b = C^-T (C^-1 b), with the inverses the certificate built.
     sol[batch] = np.einsum("gji,gj->gi", inv, np.einsum("gij,gj->gi", inv, rhs[batch]))
     ptr, other, vals = groups.ptr, groups.other, groups.vals
     for j in np.flatnonzero(~batch).tolist():  # ascending: the lowest failure raises
-        lo, hi = ptr[j], ptr[j + 1]
-        if hi - lo < r:
-            raise ValueError(
-                f"{axis_name} {j} has fewer than {r} observations")
-        fit, _, rank, _ = np.linalg.lstsq(basis[other[lo:hi]], vals[lo:hi],
-                                          rcond=rcond)
+        if counts[j] < r:
+            raise ValueError(f"{axis_name} {j} has fewer than {r} observations")
+        rows, obs = basis[other[ptr[j]:ptr[j + 1]]], vals[ptr[j]:ptr[j + 1]]
+        if lam:  # the ridge rows
+            rows, obs = np.vstack([rows, np.sqrt(lam) * np.eye(r)]), np.append(obs, np.zeros(r))
+        fit, _, rank, _ = np.linalg.lstsq(rows, obs, rcond=rcond)
         if rank < r:
-            raise ValueError(
-                f"{axis_name} {j} normal equations are rank-deficient")
+            raise ValueError(f"{axis_name} {j} normal equations are rank-deficient")
         sol[j] = fit
-    return sol
-
-
-def _ridge_descent(basis, groups, start, lam, tol):
-    # Inner gradient descent for the regularized half-step: quadratic
-    # objective, fixed 1/Lipschitz step, run to the gradient tolerance.
-    sol = start.copy()
-    step = 1.0 / (float(np.linalg.norm(basis, 2)) ** 2 + lam
-                  + np.finfo(float).tiny)
-    for _ in range(_INNER_CAP):
-        resid = np.einsum("ij,ij->i", basis[groups.other], sol[groups.key]) \
-            - groups.vals
-        grad = groups.sparse(resid, basis.shape[0]) @ basis + lam * sol
-        if float(np.linalg.norm(grad)) <= tol * (1.0 + float(np.linalg.norm(sol))):
-            break
-        sol -= step * grad
     return sol
 
 
@@ -346,23 +329,24 @@ def altmin_mc(instance, L0, config=None):
     """Alternating least squares over the observed entries of an asymmetric
     completion instance.
 
-    Variants: "reuse" solves both half-steps exactly on the full mask every
-    round; "sample_split" partitions the mask into config.splits parts
-    round-robin and round t uses part t mod T; "regularized" solves ridge
-    half-steps (weight config.lam) by inner gradient descent.  The trace
-    loss column is always the plain completion risk on the full mask, and
-    extras["half_loss"] the same risk after each round's R half-step.
+    With config.splits = T > 1 the mask is split into T parts round-robin
+    and round t fits part t mod T only; config.lam > 0 adds the ridge
+    lam ||sol||^2 / 2 to each half-step, which then also fits a row (or
+    column) with fewer than r entries, and gives 0 for one with none.  The
+    trace loss column is always the plain completion risk on the full mask,
+    and extras["half_loss"] the same risk after each round's R half-step.
 
-    An exact half-step fits each row (or column) of the free factor to its
-    observed entries: O(|Omega| r^2) work for the r x r normal equations of
-    every group, solved in one batch as C^-T (C^-1 b) with the inverse
-    Cholesky factors of G = C C^T that certify the batch.  A group whose
-    Gram is non-finite or out of range, or whose Gram a Cholesky bound
-    cannot certify to have condition number below 1e4 (basis rows below
-    100; groups above about 1e4 / (2 r^1.5) may miss the certificate), is
-    solved by lstsq at rcond = config.inner_tol instead, which raises when
-    its rank falls short of r.  A non-finite fixed factor gives a non-finite
-    half-step, so the run ends "diverged".  Returns (L, R, trace).
+    A half-step fits each row (or column) of the free factor to its
+    observed entries: O(|Omega| r^2) work for the r x r normal equations
+    G = B^T B + lam I of every group, solved in one batch as C^-T (C^-1 b)
+    with the inverse Cholesky factors of G = C C^T that certify the batch.
+    A group whose Gram is non-finite or out of range, or whose Gram a
+    Cholesky bound cannot certify to have condition number below 1e4 (basis
+    rows below 100; groups above about 1e4 / (2 r^1.5) may miss the
+    certificate), is solved by lstsq at rcond = config.inner_tol instead,
+    which raises when its rank falls short of r.  A non-finite fixed factor
+    gives a non-finite half-step, so the run ends "diverged".  Returns
+    (L, R, trace).
     """
     if instance.family != "MatrixCompletionAsym":
         raise ValueError("alternating completion expects the asymmetric family")
@@ -373,22 +357,19 @@ def altmin_mc(instance, L0, config=None):
         raise ValueError(f"initial left factor must be {n1} x r")
     r = L.shape[1]
     rows, cols = observed_entries(instance)
-    parts = _split_parts(rows, cols, instance.y,
-                         cfg.splits if cfg.variant == "sample_split" else 1)
-    parts = [(EntryGroups.of(c, i, v, n2), EntryGroups.of(i, c, v, n1))
-             for i, c, v in parts]
-
-    def solve(basis, groups, warm, axis_name):
-        if cfg.variant == "regularized":
-            return _ridge_descent(basis, groups, warm, cfg.lam, cfg.inner_tol)
-        return _decoupled_ls(basis, groups, axis_name, r, cfg.inner_tol)
+    T, y = cfg.splits, instance.y
+    # Part k takes every T-th observed entry, row-major, from the k-th on.
+    parts = [(EntryGroups.of(cols[k::T], rows[k::T], y[k::T], n2),
+              EntryGroups.of(rows[k::T], cols[k::T], y[k::T], n1)) for k in range(T)]
 
     # Round t + 1 uses part t mod T: column groups feed the R half-step, row
     # groups the L half-step.
     return _alternate(
         instance, L, np.zeros((n2, r)), cfg,
-        lambda t, L, R: solve(L, parts[t % len(parts)][0], R, "column"),
-        lambda t, R, L: solve(R, parts[t % len(parts)][1], L, "row"))
+        lambda t, L: _decoupled_ls(L, parts[t % len(parts)][0], "column", r,
+                                   cfg.inner_tol, cfg.lam),
+        lambda t, R: _decoupled_ls(R, parts[t % len(parts)][1], "row", r,
+                                   cfg.inner_tol, cfg.lam))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ problems.FAMILIES record, which declares the family's ambiguity.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class SolverConfig:
     twf_thresholds = (alpha_lb, alpha_ub, alpha_h) and median_factor select
     the truncation rule in run_truncated_gd; batch_k turns run_gd into
     mini-batch descent seeded from `seed`; c_thresh scales the sparse
-    residual budget in run_rpca.
+    residual budget in run_rpca.  A field its entry point does not read
+    must stay at its default, or the call raises ValueError.
     """
 
     eta: float | None = None
@@ -92,6 +93,20 @@ class SolverConfig:
             raise ValueError("c_thresh must be positive")
         if self.project is not None and not callable(self.project):
             raise ValueError("project must be callable")
+
+
+# What _descend reads of a SolverConfig, but loss_params (see loss_params_fn)
+_DESCENT_FIELDS = ("eta", "max_iters", "grad_tol", "dist_tol", "plateau_tol", "loss", "project")
+
+
+def _reads_only(cfg, solver, reads):
+    # Raise on a field of cfg outside ``reads`` that is not at its default.
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name not in reads and (value is not None if f.default is None
+                                    else value != f.default):
+            raise ValueError(f"{solver} does not read SolverConfig.{f.name}; "
+                             "leave it at its default")
 
 
 def default_step_size(instance, init):
@@ -353,7 +368,9 @@ def run_gd(instance, init, config=None):
     "converged" (a stop rule fired), "max_iters", or "diverged" (non-finite
     numbers or loss blowup; never an exception).
     """
-    return _descend(instance, init, SolverConfig() if config is None else config)
+    cfg = SolverConfig() if config is None else config
+    _reads_only(cfg, "run_gd", _DESCENT_FIELDS + ("loss_params", "batch_k", "seed"))
+    return _descend(instance, init, cfg)
 
 
 def run_truncated_gd(instance, init, config=None):
@@ -369,6 +386,8 @@ def run_truncated_gd(instance, init, config=None):
         raise ValueError("choose threshold or median truncation, not both")
     if cfg.batch_k is not None:
         raise ValueError("truncation and mini-batching cannot be combined")
+    _reads_only(cfg, "run_truncated_gd",
+                _DESCENT_FIELDS + ("loss_params", "twf_thresholds", "median_factor"))
     if cfg.median_factor is not None:
         factor = cfg.median_factor
 
@@ -396,6 +415,7 @@ def run_rpca(instance, init, S_init, config=None):
     cfg = SolverConfig() if config is None else config
     if cfg.batch_k is not None:
         raise ValueError("the sparse-plus-low-rank loop is full-gradient only")
+    _reads_only(cfg, "run_rpca", _DESCENT_FIELDS + ("c_thresh",))
     op = linear_operator(instance)
     state = {"S": np.zeros(op.shape) if S_init is None else np.array(S_init, dtype=float),
              "fresh": False}
@@ -419,9 +439,10 @@ def run_rpca(instance, init, S_init, config=None):
 def grassmann_step(instance, L, eta):
     """One geodesic descent step on the orthonormal-basis formulation of
     completion: solve the observed-entry least squares for the right factor
-    exactly, project the resulting gradient to the horizontal space, and move
-    along the geodesic with step eta, from the compact SVD of the negative
-    projected gradient.
+    exactly (AltMin's half-step at rcond 1e-6, which raises on a column whose
+    Gram has eigenvalue ratio at most 1e-12), project the resulting gradient
+    to the horizontal space, and move along the geodesic with step eta, from
+    the compact SVD of the negative projected gradient.
     """
     if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym"):
         raise ValueError("geodesic steps are defined for completion instances")
@@ -431,16 +452,11 @@ def grassmann_step(instance, L, eta):
     r = L.shape[1]
     if not np.allclose(L.T @ L, np.eye(r), atol=1e-8):
         raise ValueError("basis columns must be orthonormal within 1e-8")
-    n2 = instance.params["n2"]
     op = linear_operator(instance)
     rows, cols = op.index
-    G, b = EntryGroups.of(cols, rows, instance.y, n2).normal_equations(L)
-    w = np.linalg.eigvalsh(G)
-    singular = w[:, 0] <= 1e-12 * np.maximum(w[:, -1], np.finfo(float).tiny)
-    if singular.any():
-        raise ValueError("least-squares normal matrix is singular at column "
-                         f"{np.argmax(singular)}")
-    R = np.linalg.solve(G, b[..., None])[..., 0]
+    from .direct import _decoupled_ls  # direct imports this module
+    groups = EntryGroups.of(cols, rows, instance.y, instance.params["n2"])
+    R = _decoupled_ls(L, groups, "column", r, 1e-6)
     grad = -2.0 * (op.adjoint(instance.y - op.measure_factors(L, R)) @ R)
     grad -= L @ (L.T @ grad)
     U, sv, Vt = np.linalg.svd(-grad, full_matrices=False)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FactorPoint, derive_seed, falls_to, iterate, make_rng
-from .gd import SolverConfig, run_gd
+from .gd import SolverConfig, _reads_only, run_gd
 from .problems import FAMILIES, gen_phase_retrieval, loss_and_grad
 
 _KINDS = ("global_min", "local_max", "strict_saddle", "degenerate")
@@ -618,6 +618,7 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
     of the lift; that is the caller's baseline, not an error.
     """
     cfg = SolverConfig() if config is None else config
+    _reads_only(cfg, "overparam_gd_experiment", ("eta", "max_iters", "dist_tol", "seed"))
     if cfg.eta is None:
         raise ValueError("the over-parametrized walk needs an explicit step "
                          "size")

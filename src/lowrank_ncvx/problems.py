@@ -556,7 +556,6 @@ class EntryGroups:
     for: group k holds ``other[ptr[k]:ptr[k + 1]]``, the rows of the fixed
     factor it sees (ascending), and the matching ``vals``."""
 
-    key: np.ndarray
     other: np.ndarray
     vals: np.ndarray
     ptr: np.ndarray
@@ -567,7 +566,7 @@ class EntryGroups:
         keys sort as the narrowest unsigned type that holds n - 1, which
         NumPy radix-sorts up to 16 bits (n <= 65536)."""
         order = np.argsort(key.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
-        return cls(key[order], other[order], vals[order], _offsets(key, n))
+        return cls(other[order], vals[order], _offsets(key, n))
 
     def sparse(self, data, n_other):
         """The len(ptr) - 1 by n_other CSR matrix with ``data`` on the grouped

@@ -72,7 +72,6 @@ def test_altmin_config_rejects_bad_fields():
         {"max_outer": -1},
         {"max_outer": 2.5},
         {"inner_tol": 0.0},
-        {"variant": "fresh"},
         {"splits": 0},
         {"splits": 1.5},
         {"lam": -0.1},
@@ -128,9 +127,8 @@ def test_altmin_sensing_guards():
     with pytest.raises(ValueError, match="asymmetric"):
         altmin_sensing(sym, np.ones((6, 1)))
     inst = gen_matrix_sensing(6, 5, 2, 80, False, seed=2)
-    with pytest.raises(ValueError, match="reuse"):
-        altmin_sensing(inst, np.ones((6, 2)),
-                       AltMinConfig(variant="sample_split", splits=2))
+    with pytest.raises(ValueError, match="exact on the full sample"):
+        altmin_sensing(inst, np.ones((6, 2)), AltMinConfig(splits=2))
     with pytest.raises(ValueError, match="6 x r"):
         altmin_sensing(inst, np.ones((5, 2)))
 
@@ -208,8 +206,7 @@ def test_er_guards():
         er_phase_retrieval(mc, np.ones(8))
     inst = gen_phase_retrieval(16, 64, seed=2)
     with pytest.raises(ValueError, match="no sampling variants"):
-        er_phase_retrieval(inst, np.ones(16),
-                           AltMinConfig(variant="regularized"))
+        er_phase_retrieval(inst, np.ones(16), AltMinConfig(lam=1.0))
 
 
 def test_er_battery_monotone_and_recovers():
@@ -345,9 +342,9 @@ def test_altmin_mc_error_names_the_lowest_failing_group():
 def test_altmin_mc_non_finite_factor_ends_diverged(capfd):
     inst = gen_matrix_completion(30, 30, 2, 0.5, False, 1)
     for bad in (np.nan, np.inf):
-        for variant in ("reuse", "sample_split", "regularized"):
+        for kw in ({}, {"splits": 2}, {"lam": 1e-6}):
             _, _, tr = altmin_mc(inst, np.full((30, 2), bad),
-                                 AltMinConfig(max_outer=2, variant=variant))
+                                 AltMinConfig(max_outer=2, **kw))
             assert tr.outcome == "diverged" and tr.iters == [1]
     assert capfd.readouterr().err == ""  # no LAPACK complaints
 
@@ -380,6 +377,29 @@ def test_altmin_mc_half_steps_match_per_group_lstsq():
         ref = _lstsq_half_step(scale * L, by_col, 3)
         R = _decoupled_ls(scale * L, by_col, "column", 3, 1e-10)
         assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_ridge_half_step_matches_the_dense_normal_equations():
+    # r = 2.  Column 0 sees nothing, column 1 one entry, column 2 two nearly
+    # parallel rows (Gram + lam I has condition ~2e4, past the certificate);
+    # columns 3-7 see four random rows each.
+    r, lam = 2, 1e-4
+    rng = make_rng(8)
+    basis = np.vstack([[[1.0, 2.0], [1.0, 0.0], [1.0, 1e-9]],
+                       rng.standard_normal((20, r))])
+    key = np.concatenate([[1, 2, 2], np.repeat(np.arange(3, 8), 4)])
+    vals = rng.standard_normal(key.shape[0])
+    groups = EntryGroups.of(key, np.arange(key.shape[0]), vals, 8)
+    gram, rhs = groups.normal_equations(basis)
+    batch, _ = _batchable(gram + lam * np.eye(r), rhs, np.diff(groups.ptr) + r, 1e-10)
+    assert batch.tolist() == [True, False, False] + [True] * 5
+    sol = _decoupled_ls(basis, groups, "column", r, 1e-10, lam)
+    for k in range(8):
+        B = basis[groups.other[groups.ptr[k]:groups.ptr[k + 1]]]
+        v = groups.vals[groups.ptr[k]:groups.ptr[k + 1]]
+        ref = np.linalg.solve(B.T @ B + lam * np.eye(r), B.T @ v)
+        assert np.linalg.norm(sol[k] - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.array_equal(sol[0], np.zeros(r))
 
 
 def test_altmin_mc_ill_conditioned_group_falls_back_to_lstsq():
@@ -500,16 +520,6 @@ def test_certified_batch_is_within_the_eigenvalue_rule(n, r, p, seed, moved):
     assert np.count_nonzero(theirs & ~ours) == moved
 
 
-def test_altmin_mc_single_split_matches_reuse_bitwise():
-    inst = gen_matrix_completion(8, 7, 2, 1.0, False, seed=3)
-    L0 = make_rng(derive_seed(3, "L0")).standard_normal((8, 2))
-    La, Ra, ta = altmin_mc(inst, L0, AltMinConfig(max_outer=4))
-    Lb, Rb, tb = altmin_mc(inst, L0, AltMinConfig(max_outer=4,
-                                                  variant="sample_split"))
-    assert np.array_equal(La, Lb) and np.array_equal(Ra, Rb)
-    assert ta.loss == tb.loss
-
-
 def test_altmin_mc_sample_split_round_uses_its_part():
     # Round one of a T=3 split must match a reuse round on the instance
     # whose mask is exactly the first round-robin part.
@@ -522,8 +532,7 @@ def test_altmin_mc_sample_split_round_uses_its_part():
     sub = gen_matrix_completion(8, 7, 2, 1.0, False, seed=3)
     sub.design["mask"] = part0
     sub.y = sub.truth["M"][part0]
-    La, Ra, _ = altmin_mc(inst, L0, AltMinConfig(max_outer=1,
-                                                 variant="sample_split", splits=3))
+    La, Ra, _ = altmin_mc(inst, L0, AltMinConfig(max_outer=1, splits=3))
     Lb, Rb, _ = altmin_mc(sub, L0, AltMinConfig(max_outer=1))
     assert np.array_equal(La, Lb) and np.array_equal(Ra, Rb)
 
@@ -534,21 +543,18 @@ def test_altmin_mc_sample_split_can_starve_a_column():
     inst = gen_matrix_completion(8, 8, 2, 1.0, False, seed=3)
     L0 = make_rng(derive_seed(3, "L0")).standard_normal((8, 2))
     with pytest.raises(ValueError, match="column 1 has fewer than 2"):
-        altmin_mc(inst, L0, AltMinConfig(max_outer=2,
-                                         variant="sample_split", splits=2))
+        altmin_mc(inst, L0, AltMinConfig(max_outer=2, splits=2))
 
 
 def test_altmin_mc_regularized_variant_converges():
     inst = gen_matrix_completion(8, 7, 2, 1.0, False, seed=3)
     L0 = make_rng(derive_seed(3, "L0")).standard_normal((8, 2))
     nrm = np.linalg.norm(inst.truth["M"])
-    L, R, _ = altmin_mc(inst, L0, AltMinConfig(max_outer=30, variant="regularized",
-                                               lam=1e-8, inner_tol=1e-12))
+    L, R, _ = altmin_mc(inst, L0, AltMinConfig(max_outer=30, lam=1e-8, inner_tol=1e-12))
     assert np.linalg.norm(L @ R.T - inst.truth["M"]) / nrm < 1e-6
     part = gen_matrix_completion(30, 30, 2, 0.5, False, seed=9)
     L0b = make_rng(derive_seed(9, "L0")).standard_normal((30, 2))
-    L, R, _ = altmin_mc(part, L0b, AltMinConfig(max_outer=40, variant="regularized",
-                                                lam=1e-6, inner_tol=1e-10))
+    L, R, _ = altmin_mc(part, L0b, AltMinConfig(max_outer=40, lam=1e-6, inner_tol=1e-10))
     rel = np.linalg.norm(L @ R.T - part.truth["M"]) / np.linalg.norm(part.truth["M"])
     assert rel < 1e-5
 
@@ -579,6 +585,14 @@ def test_svp_guards():
     mc = gen_matrix_completion(8, 8, 2, 0.5, False, seed=1)
     with pytest.raises(ValueError, match="SvpConfig"):
         svp(mc, AltMinConfig())
+
+
+def test_svp_loss_column_is_twice_the_plain_risk():
+    inst = gen_matrix_completion(9, 7, 2, 0.6, False, seed=4)
+    M, tr = svp(inst, SvpConfig(r=2, max_iters=2))
+    U, s, Vt = np.linalg.svd(M)
+    plain, _ = loss_and_grad(inst, FactorPoint.asym(U[:, :2] * s[:2], Vt[:2].T))
+    assert tr.loss[-1] == pytest.approx(2.0 * plain, rel=1e-12)
 
 
 def test_svp_identity_design_single_step():

@@ -680,6 +680,35 @@ def test_rpca_guards():
         run_rpca(inst, est.point, S0, SolverConfig(eta=0.01, batch_k=4))
 
 
+_UNREAD = {"median_factor": 5.0, "twf_thresholds": (0.3, 5.0, 5.0), "c_thresh": 2.0,
+           "seed": 3, "loss_params": {}}
+
+
+@pytest.mark.parametrize("solver, fields", [
+    (run_gd, ("median_factor", "twf_thresholds", "c_thresh")),
+    (run_truncated_gd, ("c_thresh", "seed")),
+    (run_rpca, ("median_factor", "twf_thresholds", "loss_params", "seed")),
+])
+def test_entry_point_refuses_config_fields_it_does_not_read(solver, fields):
+    if solver is run_rpca:
+        inst = gen_rpca(8, 8, 1, 0.8, 0.05, 5.0, seed=1)
+        est, S0 = init_rpca(inst, 1)
+
+        def run(cfg):
+            return run_rpca(inst, est.point, S0, cfg)
+    else:
+        pr = gen_phase_retrieval(8, 40, seed=1)
+
+        def run(cfg):
+            return solver(pr, FactorPoint.vector(np.ones(8)), cfg)
+    for name in fields:
+        with pytest.raises(ValueError, match=f"{solver.__name__} does not read "
+                                             f"SolverConfig.{name}"):
+            run(SolverConfig(max_iters=1, **{name: _UNREAD[name]}))
+    # A field at its default passes, whatever number type carries it.
+    assert len(run(SolverConfig(max_iters=1, c_thresh=np.float64(3.0)))[-1]) == 2
+
+
 def test_rpca_without_outliers_is_projected_completion():
     inst = gen_rpca(20, 20, 2, 0.6, 0.0, 1.0, seed=77)
     twin = ProblemInstance(
@@ -793,6 +822,32 @@ def test_grassmann_guards_and_deficient_column():
                               dict(inst.truth), {"mask": mask}, M[mask])
     with pytest.raises(ValueError, match="column 3"):
         grassmann_step(starved, L2, 0.1)
+
+
+@pytest.mark.parametrize("ratio, refused", [(1e-13, True), (1e-10, False)])
+def test_grassmann_refuses_a_column_at_gram_ratio_1e_12(ratio, refused):
+    # Orthonormal columns a e0 + ... and b e1 + ...: column 0 observes rows 0
+    # and 1 only, so its Gram is diag(a^2, b^2) with eigenvalue ratio
+    # b^2 / a^2; the other columns observe every row (Gram I).
+    a = 0.9
+    b = a * math.sqrt(ratio)
+    L = np.zeros((4, 2))
+    L[[0, 2], 0] = a, math.sqrt(1.0 - a * a)
+    L[[1, 3], 1] = b, math.sqrt(1.0 - b * b)
+    mask = np.ones((4, 3), dtype=bool)
+    mask[2:, 0] = False
+    M = make_rng(2).standard_normal((4, 3))
+    inst = ProblemInstance("MatrixCompletionAsym", 0,
+                           {"n1": 4, "n2": 3, "r": 2, "p": 1.0, "symmetric": False},
+                           {}, {"mask": mask}, M[mask])
+    w = np.linalg.eigvalsh(L[:2].T @ L[:2])
+    assert w[0] / w[-1] == pytest.approx(ratio, rel=1e-6)
+    if refused:
+        with pytest.raises(ValueError, match="column 0"):
+            grassmann_step(inst, L, 0.1)
+    else:
+        out = grassmann_step(inst, L, 0.1)
+        assert np.allclose(out.T @ out, np.eye(2), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

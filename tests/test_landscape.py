@@ -102,6 +102,15 @@ def _central_difference_grad(f, X, h=1e-5):
     return G
 
 
+def test_overparam_walk_refuses_config_fields_it_does_not_read():
+    inst = gen_phase_retrieval(4, 40, seed=5)
+    for kw in ({"grad_tol": 1e-6}, {"plateau_tol": 1e-6}, {"project": lambda p: p},
+               {"batch_k": 4}, {"median_factor": 5.0}, {"c_thresh": 2.0}):
+        with pytest.raises(ValueError, match="overparam_gd_experiment does not read "
+                                             f"SolverConfig.{next(iter(kw))}"):
+            overparam_gd_experiment(inst, 4, 0.1, SolverConfig(eta=0.01, max_iters=1, **kw))
+
+
 @pytest.mark.parametrize("family", ["PhaseRetrieval", "MatrixSensingSym"])
 def test_overparam_walk_from_nonzero_init_descends_the_lifted_loss(family):
     n, eta, scale, seed, steps = 4, 0.01, 0.3, 11, 5

@@ -963,7 +963,8 @@ def test_entry_groups_order_is_the_stable_int64_order(n):
     groups = problems.EntryGroups.of(key, np.arange(key.shape[0]), vals, n)
     order = np.argsort(key, kind="stable")
     assert np.array_equal(groups.other, order)
-    assert np.array_equal(groups.key, key[order]) and np.array_equal(groups.vals, vals[order])
+    assert np.array_equal(np.repeat(np.arange(n), np.diff(groups.ptr)), key[order])
+    assert np.array_equal(groups.vals, vals[order])
 
 
 def _family_dispatch_sites():
