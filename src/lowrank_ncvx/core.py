@@ -1,8 +1,8 @@
 """Shared numerical plumbing: seeded randomness, factor containers, the
 subspace estimate record that spectral's eigensolvers fill, the distance
 metrics that quotient out the global ambiguities (sign, rotation, complex
-scaling) of factored estimates, incoherence measures, and the iteration
-driver with its trace that every solver loop runs on.
+scaling) of factored estimates, incoherence measures, the settings check,
+and the iteration driver with its trace that every solver loop runs on.
 
 Everything here is pure and reentrant; workers own their Rng instances.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -200,10 +200,10 @@ def dist_factors(X, Xstar):
     return float(np.linalg.norm(np.asarray(X) @ H - np.asarray(Xstar)))
 
 
-def dist_subspace(U, Ustar, orth_tol=1e-8):
+def dist_subspace(U, Ustar):
     """Spectral norm of U U^H - U* U*^H, i.e. the sine of the largest principal angle.
 
-    Both inputs must have orthonormal columns (checked to orth_tol); computed
+    Both inputs must have orthonormal columns (||U^H U - I||_F <= 1e-8); computed
     as the spectral norm of the n x r residual U - U* (U*^H U), which never
     forms the n x n projectors.  The residual keeps full relative accuracy at
     small angles, where sqrt(1 - sigma_min(U^H U*)^2) cannot resolve a sine
@@ -220,7 +220,7 @@ def dist_subspace(U, Ustar, orth_tol=1e-8):
     r = U.shape[1]
     for name, A in (("first", U), ("second", Ustar)):
         err = np.linalg.norm(A.conj().T @ A - np.eye(r))
-        if err > orth_tol:
+        if err > 1e-8:
             raise ValueError(f"{name} argument is not orthonormal: ||U^H U - I|| = {err:.3e}")
     s = np.linalg.svd(U - Ustar @ (Ustar.conj().T @ U), compute_uv=False)
     return min(1.0, float(s[0])) if len(s) else 0.0
@@ -396,15 +396,16 @@ def dist_bd(h, x, hstar, xstar):
     return math.sqrt(best) if math.isfinite(best) else math.inf
 
 
-def incoherence_mu(M, r, rank_tol=1e-12):
+def incoherence_mu(M, r):
     """Smallest mu such that the rank-r SVD factors of M satisfy both
-    ||U||_{2,inf} <= sqrt(mu r / n1) and ||V||_{2,inf} <= sqrt(mu r / n2)."""
+    ||U||_{2,inf} <= sqrt(mu r / n1) and ||V||_{2,inf} <= sqrt(mu r / n2).
+    sigma_r <= 1e-12 sigma_1 is refused as rank-deficient."""
     M = np.asarray(M)
     n1, n2 = M.shape
     if not (1 <= r <= min(n1, n2)):
         raise ValueError(f"need 1 <= r <= min(n1,n2), got r={r}, shape={M.shape}")
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    if s[r - 1] <= rank_tol * max(s[0], np.finfo(float).tiny):
+    if s[r - 1] <= 1e-12 * max(s[0], np.finfo(float).tiny):
         raise ValueError(f"matrix is numerically rank-deficient at rank {r}: "
                          f"sigma_r = {s[r - 1]:.3e}")
     mu_u = n1 / r * float(np.max(np.sum(np.abs(U[:, :r]) ** 2, axis=1)))
@@ -439,6 +440,37 @@ def cosine_sq(x, xstar):
 def max_row_norm(X):
     """The 2,inf norm: largest row l2 norm."""
     return float(np.max(np.sqrt(np.sum(np.abs(np.asarray(X)) ** 2, axis=1))))
+
+
+# ---------------------------------------------------------------------------
+# Settings
+# ---------------------------------------------------------------------------
+
+def setting(name, value, rule, optional=False):
+    """``value`` checked as the solver setting ``name``: a "count" is a whole
+    number >= 0 and a "positive count" one >= 1, returned as an int (3.0
+    passes; 2.5, nan and inf do not); a "bound" is a number >= 0 and a
+    "positive bound" one > 0 (inf passes, nan does not).  None passes only
+    if ``optional``; any other refused value raises ValueError naming it."""
+    if value is None and optional:
+        return value
+    count, positive = rule.endswith("count"), rule.startswith("positive")
+    try:  # int() raises on inf
+        ok = bool(value > 0 if positive else value >= 0) and (not count or value == int(value))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        want = ("a positive integer", "a nonnegative integer") if count \
+            else ("positive", "nonnegative")
+        raise ValueError(f"{name} must be {want[not positive]}")
+    return int(value) if count else value
+
+
+def check_fields(config, **rules):
+    """``setting`` on each named field of a dataclass; None passes where the default is None."""
+    defaults = {f.name: f.default for f in fields(config)}
+    for name, rule in rules.items():
+        setattr(config, name, setting(name, getattr(config, name), rule, defaults[name] is None))
 
 
 # ---------------------------------------------------------------------------

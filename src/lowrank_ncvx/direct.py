@@ -4,7 +4,7 @@ amplitude phase retrieval, singular value projection in full matrix space,
 and the projected power method on unit-modulus and one-hot constraint sets.
 
 Every completion least-squares half-step, AltMin's (split or not, ridge or
-not) and gd.grassmann_step's, is one call of _decoupled_ls.
+not) and grassmann_step's, is one call of _decoupled_ls.
 
 SVP takes its measurements, adjoint and default step from the instance's
 linear operator, and the projected power method its matrix and projection
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPoint, factored_svd, falls_to, iterate
+from .core import FactorPoint, check_fields, factored_svd, falls_to, iterate, setting
 from .gd import trace_row
 from .problems import (
     FAMILIES,
@@ -69,16 +69,8 @@ class AltMinConfig:
     tol: float = None
 
     def __post_init__(self):
-        if int(self.max_outer) != self.max_outer or self.max_outer < 0:
-            raise ValueError("max_outer must be a nonnegative integer")
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
-        if int(self.splits) != self.splits or self.splits < 1:
-            raise ValueError("splits must be a positive integer")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.tol is not None and not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
+        check_fields(self, max_outer="count", inner_tol="positive bound",
+                     splits="positive count", lam="bound", tol="bound")
 
 
 @dataclass
@@ -87,31 +79,21 @@ class SvpConfig:
 
     eta defaults by the instance's linear operator: 1/(1 + delta_hat_{2r})
     for a sensing operator, the isometry constant of its normalized map
-    probed empirically (rip_trials probes from rip_seed), and 1 for sampled
-    entries, whose risk is normalized by p.  tol, when set, stops a run once
-    the recorded loss, SVP's objective ||A(M) - y||^2 / 2s (twice the
-    family's plain risk), falls to it; core.iterate owns the stop and
-    divergence tests.
+    probed empirically (problems.estimate_rip, 20 probes from seed 0), and 1
+    for sampled entries, whose risk is normalized by p.  tol, when set,
+    stops a run once the recorded loss, SVP's objective ||A(M) - y||^2 / 2s
+    (twice the family's plain risk), falls to it; core.iterate owns the stop
+    and divergence tests.
     """
 
     r: int
     eta: float = None
     max_iters: int = 200
     tol: float = None
-    rip_trials: int = 20
-    rip_seed: int = 0
 
     def __post_init__(self):
-        if int(self.r) != self.r or self.r < 1:
-            raise ValueError("rank must be a positive integer")
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 0:
-            raise ValueError("max_iters must be a nonnegative integer")
-        if self.tol is not None and not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
-        if int(self.rip_trials) != self.rip_trials or self.rip_trials < 1:
-            raise ValueError("rip_trials must be a positive integer")
+        check_fields(self, r="positive count", eta="positive bound", max_iters="count",
+                     tol="bound")
 
 
 def _risk_row(instance, point, loss="plain", forward=None):
@@ -325,6 +307,36 @@ def _decoupled_ls(basis, groups, axis_name, r, rcond, lam=0.0):
     return sol
 
 
+def grassmann_step(instance, L, eta):
+    """One geodesic descent step on the orthonormal-basis formulation of
+    completion: solve the observed-entry least squares for the right factor
+    exactly (AltMin's half-step at rcond 1e-6, which raises on a column whose
+    Gram has eigenvalue ratio at most 1e-12), project the resulting gradient
+    to the horizontal space, and move along the geodesic with step eta, from
+    the compact SVD of the negative projected gradient.
+    """
+    if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym"):
+        raise ValueError("geodesic steps are defined for completion instances")
+    eta = setting("eta", eta, "positive bound")
+    L = np.asarray(L, dtype=float)
+    if L.ndim != 2:
+        raise ValueError("expected a 2-d basis matrix")
+    r = L.shape[1]
+    if not np.allclose(L.T @ L, np.eye(r), atol=1e-8):
+        raise ValueError("basis columns must be orthonormal within 1e-8")
+    op = linear_operator(instance)
+    rows, cols = op.index
+    groups = EntryGroups.of(cols, rows, instance.y, instance.params["n2"])
+    R = _decoupled_ls(L, groups, "column", r, 1e-6)
+    grad = -2.0 * (op.adjoint(instance.y - op.measure_factors(L, R)) @ R)
+    grad -= L @ (L.T @ grad)
+    U, sv, Vt = np.linalg.svd(-grad, full_matrices=False)
+    if sv[0] == 0.0:
+        return L.copy()
+    return (L @ Vt.T) @ (np.cos(sv * eta)[:, None] * Vt) \
+        + U @ (np.sin(sv * eta)[:, None] * Vt)
+
+
 def altmin_mc(instance, L0, config=None):
     """Alternating least squares over the observed entries of an asymmetric
     completion instance.
@@ -398,7 +410,7 @@ def svp(instance, config):
     eta = config.eta
     if eta is None:  # only a sensing operator has a normalized map to probe
         eta = 1.0 if not hasattr(op, "apply") else 1.0 / (1.0 + estimate_rip(
-            instance, min(2 * r, n1, n2), config.rip_trials, config.rip_seed).delta_hat)
+            instance, min(2 * r, n1, n2), 20, 0).delta_hat)
     Mstar = instance.truth["M"]
 
     def evaluate(t, point):
@@ -443,8 +455,7 @@ def ppm(instance, x0, max_iters=100):
     if spec.project is None:
         raise ValueError("the projected power method handles phase "
                          "synchronization and joint alignment")
-    if int(max_iters) != max_iters or max_iters < 0:
-        raise ValueError("max_iters must be a nonnegative integer")
+    max_iters = setting("max_iters", max_iters, "count")
     L = spec.matrix(instance)
     prev = None  # the point the last step started from
 
@@ -458,5 +469,5 @@ def ppm(instance, x0, max_iters=100):
 
     point, trace = iterate(FactorPoint.vector(spec.project(instance, np.asarray(x0).ravel())),
                            lambda t, point: (_risk_row(instance, point), None),
-                           step, int(max_iters), stop=stop)
+                           step, max_iters, stop=stop)
     return point.x, trace

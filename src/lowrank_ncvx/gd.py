@@ -1,11 +1,10 @@
 """Gradient-descent solvers over the factor parameterizations.
 
 Vanilla and regularized descent, projected steps, truncated and
-median-truncated gradients, the alternating sparse-plus-low-rank loop,
-geodesic steps for completion with an orthonormal basis, and mini-batch
-steps.  The loop variants differ only in the per-iteration weights or loss
-parameters they feed the shared loss dispatcher, so a variant configured to
-do nothing reproduces the plain run bit for bit.
+median-truncated gradients, the alternating sparse-plus-low-rank loop, and
+mini-batch steps.  The loop variants differ only in the per-iteration
+weights or loss parameters they feed the shared loss dispatcher, so a
+variant configured to do nothing reproduces the plain run bit for bit.
 
 trace_row builds every solver's trace row, here and in ``direct``.  Its
 truth fields, dist (dist_to_truth) and incoh (incoherence_proxy), come from
@@ -18,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FactorPoint, derive_seed, factored_svd, iterate, make_rng
-from .problems import FAMILIES, EntryGroups, linear_operator, loss_and_grad
+from .core import FactorPoint, check_fields, derive_seed, factored_svd, iterate, make_rng, setting
+from .problems import FAMILIES, linear_operator, loss_and_grad
 from .spectral import sparse_part
 
 _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
@@ -27,7 +26,6 @@ _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
 # Truncation defaults; the radius pair brackets the bulk of |a_i^T x| / ||x||
 # for Gaussian designs and the residual budget keeps a 1/alpha_h fraction.
 DEFAULT_TWF_THRESHOLDS = (0.3, 5.0, 5.0)
-DEFAULT_MEDIAN_FACTOR = 5.0
 _TINY = np.finfo(float).tiny
 
 
@@ -48,9 +46,9 @@ class SolverConfig:
 
     twf_thresholds = (alpha_lb, alpha_ub, alpha_h) and median_factor select
     the truncation rule in run_truncated_gd; batch_k turns run_gd into
-    mini-batch descent seeded from `seed`; c_thresh scales the sparse
-    residual budget in run_rpca.  A field its entry point does not read
-    must stay at its default, or the call raises ValueError.
+    mini-batch descent seeded from `seed`; run_rpca's sparse budget is
+    spectral.sparse_part's constant c = 3.  A field its entry point does
+    not read must stay at its default, or the call raises ValueError.
     """
 
     eta: float | None = None
@@ -64,19 +62,12 @@ class SolverConfig:
     twf_thresholds: tuple | None = None
     median_factor: float | None = None
     batch_k: int | None = None
-    c_thresh: float = 3.0
     seed: int | None = None
 
     def __post_init__(self):
-        if self.eta is not None and not self.eta > 0:
-            raise ValueError("step size must be positive")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 0:
-            raise ValueError("max_iters must be a nonnegative integer")
-        self.max_iters = int(self.max_iters)
-        for name in ("grad_tol", "dist_tol", "plateau_tol"):
-            v = getattr(self, name)
-            if v is not None and not v >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+        check_fields(self, eta="positive bound", max_iters="count", grad_tol="bound",
+                     dist_tol="bound", plateau_tol="bound", median_factor="positive bound",
+                     batch_k="positive count")
         if self.loss not in _LOSS_TAGS:
             raise ValueError(f"unknown loss tag {self.loss!r}")
         if self.twf_thresholds is not None:
@@ -84,13 +75,6 @@ class SolverConfig:
             if not (0 <= lb <= ub and ub > 0 and ah > 0):
                 raise ValueError("truncation thresholds must satisfy "
                                  "0 <= alpha_lb <= alpha_ub and alpha_h > 0")
-        if self.median_factor is not None and not self.median_factor > 0:
-            raise ValueError("median factor must be positive")
-        if self.batch_k is not None and (int(self.batch_k) != self.batch_k
-                                         or self.batch_k < 1):
-            raise ValueError("batch size must be a positive integer")
-        if not self.c_thresh > 0:
-            raise ValueError("c_thresh must be positive")
         if self.project is not None and not callable(self.project):
             raise ValueError("project must be callable")
 
@@ -158,8 +142,8 @@ def incoherence_proxy(instance, point):
 # Projections
 # ---------------------------------------------------------------------------
 
-def project_incoherent(X, bound_matrix_norm, c, mu, r=None):
-    """Row-wise clip onto {X : ||X||_{2,inf} <= sqrt(c mu r / n) * bound}.
+def project_incoherent(X, bound_matrix_norm, mu, r=None):
+    """Row-wise clip onto {X : ||X||_{2,inf} <= sqrt(2 mu r / n) * bound}.
 
     Each row is scaled by min(1, radius / ||row||); rows already inside pass
     through untouched, so the operation is idempotent up to roundoff.
@@ -168,10 +152,9 @@ def project_incoherent(X, bound_matrix_norm, c, mu, r=None):
     if X.ndim != 2:
         raise ValueError("expected a 2-d factor matrix")
     n = X.shape[0]
-    r = X.shape[1] if r is None else int(r)
-    if bound_matrix_norm < 0 or c <= 0 or mu <= 0 or r < 1:
-        raise ValueError("need nonnegative bound and positive c, mu, r")
-    radius = math.sqrt(c * mu * r / n) * bound_matrix_norm
+    r = setting("r", X.shape[1] if r is None else r, "positive count")
+    radius = math.sqrt(2.0 * setting("mu", mu, "positive bound") * r / n) \
+        * setting("bound_matrix_norm", bound_matrix_norm, "bound")
     norms = np.sqrt(np.sum(X * X, axis=1))
     scale = np.ones(n)
     over = norms > radius
@@ -187,9 +170,7 @@ def project_l1(x, radius):
     in closed form.
     """
     x = np.asarray(x, dtype=float)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
+    if setting("radius", radius, "bound") == 0:
         return np.zeros_like(x)
     a = np.abs(x)
     if float(a.sum()) <= radius:
@@ -206,9 +187,7 @@ def project_sparse_k(x, k):
     """Best k-term approximation: keep the k largest magnitudes, zero the
     rest.  Ties break toward lower indices so the output is deterministic."""
     x = np.asarray(x)
-    if int(k) != k or k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    k = int(k)
+    k = setting("k", k, "count")
     if k >= x.shape[0]:
         return x.copy()
     keep = np.argsort(-np.abs(x), kind="stable")[:k]
@@ -217,8 +196,9 @@ def project_sparse_k(x, k):
     return out
 
 
-def make_incoherent_projector(instance, init, c=2.0, mu=None):
-    """Row-clip projector for completion-type runs, sized from the init.
+def make_incoherent_projector(instance, init, mu=None):
+    """Row-clip projector for completion-type runs, sized from the init:
+    project_incoherent on each factor, at its constant c = 2.
 
     The radius uses the planted matrix's incoherence (or an explicit mu) and
     the init's spectral norm as the scale estimate, mirroring how the
@@ -243,7 +223,7 @@ def make_incoherent_projector(instance, init, c=2.0, mu=None):
 
     def proj(point):
         return FactorPoint.derived(point.kind, tuple(
-            project_incoherent(F, b, c, mu, r) for F, b in zip(point.parts, bounds)))
+            project_incoherent(F, b, mu, r) for F, b in zip(point.parts, bounds)))
 
     return proj
 
@@ -286,8 +266,7 @@ def median_mask(instance, x, factor, c=None):
     product A x when the caller already holds it."""
     if instance.family != "PhaseRetrieval":
         raise ValueError("truncation masks are defined for phase retrieval")
-    if not factor > 0:
-        raise ValueError("factor must be positive")
+    setting("factor", factor, "positive bound")
     x = np.asarray(x, dtype=float).ravel()
     c = instance.design["A"] @ x if c is None else c
     resid = np.abs(instance.y - c * c)
@@ -349,12 +328,13 @@ def _batch_sampler(instance, k):
     m = instance.params.get("m")
     if m is None:
         raise ValueError(f"{instance.family} has no per-sample terms to subsample")
-    if int(k) != k or not 1 <= k <= m:
+    k = setting("batch size", k, "count")
+    if not 1 <= k <= m:
         raise ValueError(f"batch size must lie in [1, {m}]")
 
     def draw(rng):
         w = np.zeros(m)
-        w[rng.choice(m, size=int(k), replace=False)] = 1.0
+        w[rng.choice(m, size=k, replace=False)] = 1.0
         return w
 
     return draw
@@ -384,8 +364,6 @@ def run_truncated_gd(instance, init, config=None):
     cfg = SolverConfig() if config is None else config
     if cfg.twf_thresholds is not None and cfg.median_factor is not None:
         raise ValueError("choose threshold or median truncation, not both")
-    if cfg.batch_k is not None:
-        raise ValueError("truncation and mini-batching cannot be combined")
     _reads_only(cfg, "run_truncated_gd",
                 _DESCENT_FIELDS + ("loss_params", "twf_thresholds", "median_factor"))
     if cfg.median_factor is not None:
@@ -406,16 +384,14 @@ def run_rpca(instance, init, S_init, config=None):
     """Alternating sparse-residual thresholding and projected factor steps.
 
     Each iteration refreshes the sparse part S from the observed residual
-    by spectral.sparse_part at c_thresh, then takes one (optionally
+    by spectral.sparse_part (at its constant c = 3), then takes one (optionally
     projected) gradient step on the factor at the refreshed S.  The first
     step uses S_init.  Returns (final point, final S, trace).
     """
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
     cfg = SolverConfig() if config is None else config
-    if cfg.batch_k is not None:
-        raise ValueError("the sparse-plus-low-rank loop is full-gradient only")
-    _reads_only(cfg, "run_rpca", _DESCENT_FIELDS + ("c_thresh",))
+    _reads_only(cfg, "run_rpca", _DESCENT_FIELDS)
     op = linear_operator(instance)
     state = {"S": np.zeros(op.shape) if S_init is None else np.array(S_init, dtype=float),
              "fresh": False}
@@ -423,8 +399,7 @@ def run_rpca(instance, init, S_init, config=None):
     def refresh(point):
         if state["fresh"]:
             A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
-            state["S"] = sparse_part(instance, instance.y - op.measure_factors(A, B),
-                                     cfg.c_thresh)
+            state["S"] = sparse_part(instance, instance.y - op.measure_factors(A, B))
         state["fresh"] = True
         return {"S": state["S"]}
 
@@ -433,38 +408,8 @@ def run_rpca(instance, init, S_init, config=None):
 
 
 # ---------------------------------------------------------------------------
-# Geodesic and stochastic single steps
+# Stochastic single steps
 # ---------------------------------------------------------------------------
-
-def grassmann_step(instance, L, eta):
-    """One geodesic descent step on the orthonormal-basis formulation of
-    completion: solve the observed-entry least squares for the right factor
-    exactly (AltMin's half-step at rcond 1e-6, which raises on a column whose
-    Gram has eigenvalue ratio at most 1e-12), project the resulting gradient
-    to the horizontal space, and move along the geodesic with step eta, from
-    the compact SVD of the negative projected gradient.
-    """
-    if instance.family not in ("MatrixCompletionSym", "MatrixCompletionAsym"):
-        raise ValueError("geodesic steps are defined for completion instances")
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2:
-        raise ValueError("expected a 2-d basis matrix")
-    r = L.shape[1]
-    if not np.allclose(L.T @ L, np.eye(r), atol=1e-8):
-        raise ValueError("basis columns must be orthonormal within 1e-8")
-    op = linear_operator(instance)
-    rows, cols = op.index
-    from .direct import _decoupled_ls  # direct imports this module
-    groups = EntryGroups.of(cols, rows, instance.y, instance.params["n2"])
-    R = _decoupled_ls(L, groups, "column", r, 1e-6)
-    grad = -2.0 * (op.adjoint(instance.y - op.measure_factors(L, R)) @ R)
-    grad -= L @ (L.T @ grad)
-    U, sv, Vt = np.linalg.svd(-grad, full_matrices=False)
-    if sv[0] == 0.0:
-        return L.copy()
-    return (L @ Vt.T) @ (np.cos(sv * eta)[:, None] * Vt) \
-        + U @ (np.sin(sv * eta)[:, None] * Vt)
-
 
 def sgd_step(instance, point, k, eta, rng):
     """One mini-batch step: a uniform without-replacement batch of k sample
@@ -472,23 +417,21 @@ def sgd_step(instance, point, k, eta, rng):
     gradient step; at k < m the expected direction is (k/m) times the full
     gradient, so the scaling is conservative rather than unbiased."""
     _, grad = loss_and_grad(instance, point, weights=_batch_sampler(instance, k)(rng))
-    return point.add_scaled(-float(eta), grad.parts)
+    return point.add_scaled(-float(setting("eta", eta, "positive bound")), grad.parts)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory diagnostics
 # ---------------------------------------------------------------------------
 
-def fitted_rate(trace, tail=0.5):
+def fitted_rate(trace):
     """Least-squares slope of log(dist) against iteration over the trailing
-    fraction of the trace; returns (slope, per-iteration ratio)."""
-    if not 0 < tail <= 1:
-        raise ValueError("tail must lie in (0, 1]")
+    half of the positive distances; returns (slope, per-iteration ratio)."""
     d = np.asarray(trace.dist, dtype=float)
     t = np.asarray(trace.iters, dtype=float)
     keep = np.isfinite(d) & (d > 0)
     d, t = d[keep], t[keep]
-    start = int(round(d.shape[0] * (1.0 - tail)))
+    start = int(round(d.shape[0] * 0.5))
     d, t = d[start:], t[start:]
     if d.shape[0] < 2:
         raise ValueError("need at least two positive distances to fit a rate")
@@ -496,10 +439,10 @@ def fitted_rate(trace, tail=0.5):
     return slope, math.exp(slope)
 
 
-def regularity_witness(trace, mu_grid=None, lam_grid=None):
+def regularity_witness(trace):
     """Best fraction of iterations satisfying the two-point inequality
-    2<g, x - x*> >= mu ||g||^2 + lam ||x - x*||^2 over a log grid of
-    positive (mu, lam).
+    2<g, x - x*> >= mu ||g||^2 + lam ||x - x*||^2 over the log grid
+    logspace(-3, 3, 25) of each of mu and lam; the first best pair wins.
 
     A diagnostic, not a certificate: the constants are unobservable, so the
     fit simply reports how consistently the trajectory behaved like one with
@@ -510,14 +453,11 @@ def regularity_witness(trace, mu_grid=None, lam_grid=None):
         raise ValueError("trace carries no witness terms")
     g2 = np.asarray(trace.extras["rc_g2"], dtype=float)
     d2 = np.asarray(trace.extras["rc_d2"], dtype=float)
-    if mu_grid is None:
-        mu_grid = np.logspace(-3.0, 3.0, 25)
-    if lam_grid is None:
-        lam_grid = np.logspace(-3.0, 3.0, 25)
-    best = {"mu": float(mu_grid[0]), "lam": float(lam_grid[0]), "fraction": -1.0}
-    for mu in mu_grid:
+    grid = np.logspace(-3.0, 3.0, 25)
+    best = {"mu": float(grid[0]), "lam": float(grid[0]), "fraction": -1.0}
+    for mu in grid:
         slack = 2.0 * ip - mu * g2
-        for lam in lam_grid:
+        for lam in grid:
             frac = float(np.mean(slack - lam * d2 >= 0.0))
             if frac > best["fraction"]:
                 best = {"mu": float(mu), "lam": float(lam), "fraction": frac}

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPoint, derive_seed, falls_to, iterate, make_rng
+from .core import FactorPoint, check_fields, derive_seed, falls_to, iterate, make_rng, setting
 from .gd import SolverConfig, _reads_only, run_gd
 from .problems import FAMILIES, gen_phase_retrieval, loss_and_grad
 
-_KINDS = ("global_min", "local_max", "strict_saddle", "degenerate")
 _DENSE_CAP = 200
+_COOLDOWN = 25  # iterations perturbed descent waits between injections
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ class SaddleEscapeConfig:
     """Settings for perturbed descent and the escape subproblems.
 
     The perturbation fires when the gradient norm drops to `trigger` or
-    below and at least `cooldown` iterations have passed since the last
+    below and at least _COOLDOWN = 25 iterations have passed since the last
     injection; the iterate then moves by a uniform draw from the sphere of
     radius `radius` before the usual step.  A zero trigger disables
     injection outright, reducing the walk to plain descent.  grad_tol,
@@ -70,26 +70,13 @@ class SaddleEscapeConfig:
     eta: float
     radius: float = 1e-3
     trigger: float = 0.0
-    cooldown: int = 25
     max_iters: int = 1000
     grad_tol: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("step size must be positive")
-        if not self.radius > 0:
-            raise ValueError("perturbation radius must be positive")
-        if not self.trigger >= 0:
-            raise ValueError("trigger threshold must be nonnegative")
-        if int(self.cooldown) != self.cooldown or self.cooldown < 1:
-            raise ValueError("cooldown must be a positive integer")
-        self.cooldown = int(self.cooldown)
-        if int(self.max_iters) != self.max_iters or self.max_iters < 0:
-            raise ValueError("max_iters must be a nonnegative integer")
-        self.max_iters = int(self.max_iters)
-        if self.grad_tol is not None and not self.grad_tol >= 0:
-            raise ValueError("grad_tol must be nonnegative")
+        check_fields(self, eta="positive bound", radius="positive bound", trigger="bound",
+                     max_iters="count", grad_tol="bound")
 
 
 @dataclass(frozen=True)
@@ -136,19 +123,16 @@ def rank1_hessian(M, x):
     return H
 
 
-def fd_hessian(grad_fn, x, step=None):
+def fd_hessian(grad_fn, x):
     """Central-difference Hessian of a gradient callable, symmetrized.
 
-    The default step cbrt(eps) * (1 + max|x_i|) balances truncation against
+    The step cbrt(eps) * (1 + max|x_i|) balances truncation against
     cancellation for gradients whose curvature scale is O(1).
     """
     x = np.asarray(x, dtype=float).ravel()
     n = x.shape[0]
-    if step is None:
-        step = float(np.finfo(float).eps ** (1.0 / 3.0)) \
-            * (1.0 + float(np.max(np.abs(x), initial=0.0)))
-    if not step > 0:
-        raise ValueError("difference step must be positive")
+    step = float(np.finfo(float).eps ** (1.0 / 3.0)) \
+        * (1.0 + float(np.max(np.abs(x), initial=0.0)))
     H = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
@@ -195,9 +179,9 @@ def factored_oracle(Mstar, r):
     """
     M = _check_symmetric(Mstar)
     n = M.shape[0]
-    if int(r) != r or not 1 <= r <= n:
+    r = setting("r", r, "positive count")
+    if r > n:
         raise ValueError("need an integer rank with 1 <= r <= n")
-    r = int(r)
 
     def unpack(v):
         v = np.asarray(v, dtype=float).ravel()
@@ -283,15 +267,15 @@ def _column_point(x):
 # Critical-point classification
 # ---------------------------------------------------------------------------
 
-def classify_rank1_criticals(M, tol=None):
+def classify_rank1_criticals(M):
     """Closed-form census of the critical points of ||xx^T - M||_F^2 / 4.
 
     Requires M PSD with a spectral gap lam_1 > lam_2.  Candidates are the
     origin and +-sqrt(lam_k) u_k over the eigenpairs; the top pair are the
     global minima, every lower pair with lam_k > 0 is a strict saddle, and
     the origin is a local max when M is positive definite, else a strict
-    saddle.  Candidates at zero eigenvalues coincide with the origin and
-    fold into it, so the census returns 2 #{lam_k > tol} + 1 points.
+    saddle.  Candidates at eigenvalues within tol = 1e-8 ||M||_2 of zero
+    fold into the origin, so the census returns 2 #{lam_k > tol} + 1 points.
 
     Hessian extremes come from the census eigenvalue rules (the Hessian at
     +-sqrt(lam_k) u_k has spectrum {lam_k - lam_i, i != k} plus 2 lam_k,
@@ -302,8 +286,7 @@ def classify_rank1_criticals(M, tol=None):
     n = M.shape[0]
     if n < 2:
         raise ValueError("the census needs at least a 2 x 2 matrix")
-    if tol is None:
-        tol = 1e-8 * float(np.linalg.norm(M, 2))
+    tol = 1e-8 * float(np.linalg.norm(M, 2))
     lam, U = np.linalg.eigh(M)
     lam, U = lam[::-1], U[:, ::-1]
     if lam[-1] < -tol:
@@ -333,21 +316,20 @@ def classify_rank1_criticals(M, tol=None):
     return points
 
 
-def classify_point(oracle, x, tol=None):
+def classify_point(oracle, x):
     """Second-order label for an arbitrary point from dense Hessian extremes.
 
     A trusted positive bottom eigenvalue gives "global_min" (the models
     treated here prove every second-order minimum is global), a trusted
     negative top gives "local_max", a trusted negative bottom otherwise
     gives "strict_saddle", and a bottom within tol of zero gives
-    "degenerate".  tol defaults to 1e-8 times the Hessian's spectral
-    scale.
+    "degenerate", where tol is 1e-8 times the Hessian's spectral scale
+    max(|lambda_min|, |lambda_max|).
     """
     x = np.asarray(x, dtype=float).ravel()
     w = np.linalg.eigvalsh(np.asarray(oracle.hess(x), dtype=float))
     lo, hi = float(w[0]), float(w[-1])
-    if tol is None:
-        tol = 1e-8 * max(abs(lo), abs(hi))
+    tol = 1e-8 * max(abs(lo), abs(hi))
     if lo > tol:
         kind = "global_min"
     elif lo >= -tol:
@@ -434,7 +416,7 @@ def perturbed_gd(oracle, x0, config):
     if not isinstance(config, SaddleEscapeConfig):
         raise ValueError("perturbed descent needs a SaddleEscapeConfig")
     rng = make_rng(derive_seed(config.seed, "saddle_noise"))
-    last_fire = -config.cooldown  # a quiet start may fire at t = 0
+    last_fire = -_COOLDOWN  # a quiet start may fire at t = 0
 
     def grad(x):
         g = np.asarray(oracle.grad(x), dtype=float).ravel()
@@ -443,7 +425,7 @@ def perturbed_gd(oracle, x0, config):
     def perturb(t, x):
         # The point recorded at row t: x, or x plus sphere noise.
         nonlocal last_fire
-        if config.trigger > 0.0 and t - last_fire >= config.cooldown \
+        if config.trigger > 0.0 and t - last_fire >= _COOLDOWN \
                 and grad(x)[1] <= config.trigger:
             last_fire = t
             return x + _sphere_noise(rng, x.shape[0], config.radius)
@@ -544,8 +526,7 @@ def trust_region_step(oracle, x, radius):
     eigenspace and the limiting solution interior) pads along a bottom
     eigenvector to the boundary.  Returns the new point x + s.
     """
-    if not radius > 0:
-        raise ValueError("trust-region radius must be positive")
+    setting("radius", radius, "positive bound")
     return np.asarray(x, dtype=float).ravel() + _shifted_step(oracle, x, lambda shift: radius)
 
 
@@ -558,8 +539,7 @@ def cubic_step(oracle, x, lipschitz):
     the radius; the hard case pads along a bottom eigenvector as there.
     Returns the new point x + s.
     """
-    if not lipschitz > 0:
-        raise ValueError("Hessian Lipschitz estimate must be positive")
+    setting("lipschitz", lipschitz, "positive bound")
     return np.asarray(x, dtype=float).ravel() + _shifted_step(
         oracle, x, lambda shift: 2.0 * shift / lipschitz)
 
@@ -568,25 +548,23 @@ def cubic_step(oracle, x, lipschitz):
 # Descent studies
 # ---------------------------------------------------------------------------
 
-def random_init_gd_experiment(n, m, trials, seed, eta=0.1, max_iters=5000,
-                              stage2_tol=1e-5):
+def random_init_gd_experiment(n, m, trials, seed, max_iters=5000):
     """Vanilla GD on fresh phase retrieval instances from wide random inits.
 
     Each trial draws a new instance and an init x0 ~ N(0, ||x*||^2 / n I),
-    then runs plain constant-step descent.  Returned per trial: whether
-    the distance fell to stage2_tol within the budget, the first iteration
-    at or below 0.5 ||x*|| (stage 1), and the further count from there to
-    stage2_tol (stage 2).
+    then runs plain descent at the constant step 0.1.  Returned per trial:
+    whether the distance fell to the stage-2 tolerance 1e-5 within the
+    budget, the first iteration at or below 0.5 ||x*|| (stage 1), and the
+    further count from there to 1e-5 (stage 2).
     """
-    if int(trials) != trials or trials < 1:
-        raise ValueError("trials must be a positive integer")
+    trials = setting("trials", trials, "positive count")
     success, stage1, stage2 = [], [], []
-    for t in range(int(trials)):
+    for t in range(trials):
         inst = gen_phase_retrieval(n, m, derive_seed(seed, "random_init", t))
         nx = float(np.linalg.norm(inst.truth["x"]))
         rng = make_rng(derive_seed(seed, "random_init_x0", t))
         x0 = rng.standard_normal(n) * (nx / math.sqrt(n))
-        cfg = SolverConfig(eta=eta, max_iters=max_iters, dist_tol=stage2_tol)
+        cfg = SolverConfig(eta=0.1, max_iters=max_iters, dist_tol=1e-5)
         _, trace = run_gd(inst, FactorPoint.vector(x0), cfg)
         d = np.asarray(trace.dist)
         ok = trace.outcome == "converged"
@@ -595,7 +573,7 @@ def random_init_gd_experiment(n, m, trials, seed, eta=0.1, max_iters=5000,
         stage1.append(int(half[0]) if half.size else None)
         stage2.append(len(trace) - 1 - int(half[0]) if ok and half.size
                       else None)
-    return {"family": "PhaseRetrieval", "n": int(n), "m": int(m), "trials": int(trials),
+    return {"family": "PhaseRetrieval", "n": int(n), "m": int(m), "trials": trials,
             "seed": seed, "success": success, "stage1_iters": stage1,
             "stage2_iters": stage2}
 
@@ -630,8 +608,7 @@ def overparam_gd_experiment(instance, n, small_init_scale, config=None):
     Mstar = lifted.truth["M"]
     if n != Mstar.shape[0]:
         raise ValueError(f"the lift must match the ambient dimension {Mstar.shape[0]}")
-    if small_init_scale < 0:
-        raise ValueError("init scale must be nonnegative")
+    setting("small_init_scale", small_init_scale, "bound")
     rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0,
                                "overparam"))
     X = small_init_scale * rng.standard_normal((n, n))

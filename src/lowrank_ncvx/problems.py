@@ -36,12 +36,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FactorPoint, bd_incoherence, derive_seed, dist_bd, dist_vector,
-                   factored_svd, make_rng, max_row_norm, procrustes)
+from .core import (FactorPoint, bd_incoherence, check_fields, derive_seed, dist_bd,
+                   dist_vector, factored_svd, make_rng, max_row_norm, procrustes, setting)
 
 @dataclass
 class ProblemInstance:
@@ -77,8 +77,7 @@ class RipEstimate:
     trials: int
 
     def __post_init__(self):
-        if self.delta_hat < 0:
-            raise ValueError("delta_hat must be nonnegative")
+        check_fields(self, delta_hat="bound")
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +390,11 @@ def gen_joint_alignment(n, alphabet_m, noise_flip_prob, seed):
 
     y_ij = x_i - x_j + z_ij (mod m) for i < j, where z_ij is 0 with
     probability 1 - q and otherwise uniform over the m - 1 wrong offsets;
-    y_ji is the mirrored measurement -y_ij.  The lifted certificate matrix L
-    holds per-pair log-likelihood blocks, floored at 1e-12 before the log so
-    noiseless instances stay finite, with zero diagonal blocks.
+    y_ji is the mirrored measurement -y_ij.  The labels x are drawn first,
+    then one flip and one wrong offset for every pair i < j, row-major.  The
+    lifted certificate matrix L holds per-pair log-likelihood blocks,
+    floored at 1e-12 before the log so noiseless instances stay finite, with
+    zero diagonal blocks.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -404,12 +405,11 @@ def gen_joint_alignment(n, alphabet_m, noise_flip_prob, seed):
     mm = int(alphabet_m)
     rng = make_rng(derive_seed(seed, "joint_alignment"))
     x = rng.integers(0, mm, size=n)
+    upper = np.triu_indices(n, 1)
+    flip = rng.random(upper[0].shape[0]) < noise_flip_prob
     z = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if noise_flip_prob > 0.0 and rng.random() < noise_flip_prob:
-                z[i, j] = int(rng.integers(1, mm))
-            z[j, i] = (-z[i, j]) % mm
+    z[upper] = np.where(flip, rng.integers(1, mm, size=flip.shape[0]), 0)
+    z[upper[::-1]] = (-z[upper]) % mm
     params = {"n": n, "alphabet_m": mm, "noise_flip_prob": float(noise_flip_prob)}
     inst = _observed(ProblemInstance("JointAlignment", seed, params, {"x": x}, {"z": z}, None))
     inst.design["L"] = _alignment_certificate(inst.y, mm, noise_flip_prob)
@@ -754,7 +754,8 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     sensing) point, or B h of a blind-deconvolution pair, when the caller
     already holds it, of shape y.shape + the point's trailing shape; it must
     be None elsewhere.  The family's FAMILIES record decides all of this,
-    and a call it does not allow raises a ValueError naming the family.
+    and a call it does not allow raises a ValueError naming the family; so
+    does a ``loss_params`` key that the tag's loss does not read.
     """
     fam = instance.family
     spec = FAMILIES[fam]
@@ -764,6 +765,9 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     if loss not in spec.losses:
         raise ValueError(f"unknown loss tag {loss!r} for {fam}, which defines "
                          f"{', '.join(spec.losses)}")
+    for key in loss_params or ():
+        if key not in spec.losses[loss]:
+            raise ValueError(f"{fam}'s {loss!r} loss does not read the loss parameter {key!r}")
     if weights is not None:
         if not spec.sample_sum:
             raise ValueError(f"{fam} has no per-sample weights")
@@ -1061,9 +1065,10 @@ def alignment_mismatch(x, labels, alphabet_m):
 @dataclass(frozen=True)
 class Family:
     """One family's contract: observe(instance) forms y = A(M*), as
-    forward_model replays it; loss takes points of ``kinds`` and the tags
-    ``losses``, and per-sample weights if ``sample_sum``; shared(instance,
-    point) is the design product the loss and a solver's row share;
+    forward_model replays it; loss takes points of ``kinds``, the tags of
+    ``losses`` (each mapped to the loss_params keys its loss reads), and
+    per-sample weights if ``sample_sum``; shared(instance, point) is the
+    design product the loss and a solver's row share;
     operator(instance) builds a linear family's linear_operator;
     step(instance, init) is the constant step gd.default_step_size gives,
     scale-normalized by the init (None: the family has none); and
@@ -1080,7 +1085,7 @@ class Family:
     observe: object
     loss: object
     kinds: tuple
-    losses: tuple = ("plain",)
+    losses: dict = field(default_factory=lambda: {"plain": ()})
     sample_sum: bool = False
     shared: object = None
     operator: object = None
@@ -1137,7 +1142,6 @@ def _quadratic_sensing_step(inst, init):
                      _TINY)
 
 
-_REGULARIZED = ("plain", "regularized")
 _TINY = np.finfo(float).tiny
 
 FAMILIES = {
@@ -1146,10 +1150,11 @@ FAMILIES = {
                                step=lambda inst, init: _factor_step(inst, init, 0.4, 3.0),
                                lift=lambda inst: inst),
     "MatrixSensingAsym": Family(_observe_linear, _loss_sensing_asym, ("asym",),
-                                _REGULARIZED, sample_sum=True, operator=sensing_operator,
+                                {"plain": (), "regularized": ("lam",)},
+                                sample_sum=True, operator=sensing_operator,
                                 step=lambda inst, init: _factor_step(inst, init, 0.4)),
     "PhaseRetrieval": Family(
-        _observe_quadratic, _loss_quadratic, ("vector",), ("plain", "amplitude"),
+        _observe_quadratic, _loss_quadratic, ("vector",), {"plain": (), "amplitude": ()},
         sample_sum=True, shared=_quadratic_forward,
         step=lambda inst, init: 0.1 / max(float(np.sum(np.abs(init.x) ** 2)), _TINY),
         gap=_gap_sign, lift=_quadratic_lift),
@@ -1157,19 +1162,22 @@ FAMILIES = {
                                sample_sum=True, shared=_quadratic_forward,
                                step=_quadratic_sensing_step),
     "MatrixCompletionSym": Family(
-        _observe_linear, _loss_completion_sym, ("sym",), _REGULARIZED,
-        operator=_EntrySampling, step=lambda inst, init: _factor_step(
+        _observe_linear, _loss_completion_sym, ("sym",),
+        {"plain": (), "regularized": ("lam", "alpha")}, operator=_EntrySampling,
+        step=lambda inst, init: _factor_step(
             inst, init, sharp=4.5 if inst.params["p"] == 1.0 else None)),
-    "MatrixCompletionAsym": Family(_observe_linear, _loss_completion_asym, ("asym",),
-                                   _REGULARIZED, operator=_EntrySampling, step=_factor_step),
+    "MatrixCompletionAsym": Family(
+        _observe_linear, _loss_completion_asym, ("asym",),
+        {"plain": (), "regularized": ("lam", "alpha1", "alpha2", "alpha3", "alpha4")},
+        operator=_EntrySampling, step=_factor_step),
     "BlindDeconv": Family(
         lambda inst: (inst.design["B"] @ inst.truth["h"])
         * (inst.design["A"] @ np.conj(inst.truth["x"])),
-        _loss_blind_deconv, ("pair",), _REGULARIZED, sample_sum=True,
-        shared=lambda inst, point: inst.design["B"] @ point.h,
+        _loss_blind_deconv, ("pair",), {"plain": (), "regularized": ("lam", "mu", "d0")},
+        sample_sum=True, shared=lambda inst, point: inst.design["B"] @ point.h,
         step=lambda inst, init: 0.1, gap=_gap_pair),
     "RobustPCA": Family(_observe_linear, _loss_linear, ("sym", "asym"),
-                        operator=_EntrySampling, step=_factor_step),
+                        {"plain": ("S",)}, operator=_EntrySampling, step=_factor_step),
     "PhaseSync": Family(
         lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
         + inst.params["sigma"] * inst.design["W"],
@@ -1196,11 +1204,10 @@ def estimate_rip(instance, r, trials, seed):
     (seed, t), so the estimate is monotone in the trial count.
     """
     op = sensing_operator(instance)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    r, trials = setting("r", r, "positive count"), setting("trials", trials, "positive count")
     p = instance.params
     n1, n2 = p["n1"], p["n2"]
-    if not (1 <= r <= min(n1, n2)):
+    if r > min(n1, n2):
         raise ValueError("need 1 <= r <= min(n1, n2)")
     worst = 0.0
     for t in range(trials):
@@ -1241,8 +1248,8 @@ def _decode_value(v):
         dtype = np.dtype(v["__array__"])
         shape = tuple(v["shape"])
         if dtype.kind == "c":
-            flat = np.asarray(v["data"], dtype=float).reshape(-1, 2)
-            arr = (flat[:, 0] + 1j * flat[:, 1]).astype(dtype)
+            # a view, since x + 1j y turns a real part of -0.0 into 0.0
+            arr = np.asarray(v["data"], dtype=float).view(complex).astype(dtype)
         elif dtype.kind == "b":
             arr = np.asarray(v["data"], dtype=int).astype(bool)
         else:

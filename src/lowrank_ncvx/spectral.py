@@ -414,28 +414,28 @@ def hard_threshold(A, l_row, l_col):
     return np.where(keep, A, 0.0)
 
 
-def sparse_part(instance, e, c_thresh):
+def sparse_part(instance, e):
     """The sparse-part estimate of robust PCA from residual values e on the
     observed index: hard_threshold of their densified n1 x n2 matrix, with
-    the per-row budget ceil(c alpha p n2) and per-column ceil(c alpha p n1)
-    tracking how many corrupted entries a row or column of the observed set
-    is expected to carry."""
+    the per-row budget ceil(c alpha p n2) and per-column ceil(c alpha p n1),
+    c = 3 times how many corrupted entries a row or column of the observed
+    set is expected to carry."""
     p = instance.params
-    budget = c_thresh * p["alpha_out"] * p["p"]
+    budget = 3.0 * p["alpha_out"] * p["p"]
     return hard_threshold(problems.linear_operator(instance).adjoint(e).toarray(),
                           math.ceil(budget * p["n2"]), math.ceil(budget * p["n1"]))
 
 
-def init_rpca(instance, r, c_thresh=3.0):
+def init_rpca(instance, r):
     """Outlier-aware spectral initialization: hard-threshold the observed
-    matrix to guess the sparse part (sparse_part), then factor what remains.
-    Returns (estimate, S0).
+    matrix to guess the sparse part (sparse_part, at its budget constant
+    c = 3), then factor what remains.  Returns (estimate, S0).
     """
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
     _require_observations(instance)
     op = problems.linear_operator(instance)
-    S0 = sparse_part(instance, instance.y, c_thresh)
+    S0 = sparse_part(instance, instance.y)
     # S0 is zero off the observed set, so the surrogate stays sparse
     Y = op.adjoint((instance.y - op.measure(S0)) / op.scale)
     return _matrix_estimate(instance, Y, r), S0

@@ -89,7 +89,6 @@ def test_svp_config_rejects_bad_fields():
         {"eta": -1.0},
         {"max_iters": -1},
         {"tol": -1e-3},
-        {"rip_trials": 0},
     ):
         with pytest.raises(ValueError):
             SvpConfig(**dict({"r": 2}, **kw))

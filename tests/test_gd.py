@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from lowrank_ncvx import core
 from lowrank_ncvx.core import FactorPoint, derive_seed, make_rng
+from lowrank_ncvx.direct import grassmann_step
 from lowrank_ncvx.gd import (
     DEFAULT_TWF_THRESHOLDS,
     SolverConfig,
     default_step_size,
     dist_to_truth,
     fitted_rate,
-    grassmann_step,
     incoherence_proxy,
     make_incoherent_projector,
     median_mask,
@@ -96,7 +96,6 @@ def test_config_rejects_bad_fields():
         {"twf_thresholds": (0.1, 0.5, 0.0)},
         {"median_factor": 0.0},
         {"batch_k": 0},
-        {"c_thresh": 0.0},
         {"project": 7},
     ):
         with pytest.raises(ValueError):
@@ -330,9 +329,6 @@ def test_fitted_rate_guards():
     tr, _ = _pr_run(inst, max_iters=0)
     with pytest.raises(ValueError, match="two positive"):
         fitted_rate(tr)
-    tr2, _ = _pr_run(inst)
-    with pytest.raises(ValueError, match="tail"):
-        fitted_rate(tr2, tail=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +392,11 @@ def test_incoherence_proxy_matches_direct_formula():
 def test_project_incoherent_clips_only_offending_rows():
     X = np.vstack([np.eye(4), 10.0 * np.ones((1, 4))])
     radius = math.sqrt(2.0 * 1.0 * 4 / 5) * 2.0
-    out = project_incoherent(X, 2.0, 2.0, 1.0, 4)
+    out = project_incoherent(X, 2.0, 1.0, 4)
     np.testing.assert_array_equal(out[:4], X[:4])  # inside rows untouched
     assert np.linalg.norm(out[4]) == pytest.approx(radius, rel=1e-12)
     inside = 0.1 * np.eye(4)
-    np.testing.assert_array_equal(project_incoherent(inside, 2.0, 2.0, 1.0, 4),
+    np.testing.assert_array_equal(project_incoherent(inside, 2.0, 1.0, 4),
                                   inside)
 
 
@@ -408,10 +404,10 @@ def test_project_incoherent_idempotent_and_nonexpansive():
     rng = make_rng(15)
     for _ in range(100):
         X = rng.standard_normal((12, 3)) * rng.uniform(0.1, 5.0)
-        once = project_incoherent(X, 1.0, 2.0, 1.0, 3)
-        twice = project_incoherent(once, 1.0, 2.0, 1.0, 3)
+        once = project_incoherent(X, 1.0, 1.0, 3)
+        twice = project_incoherent(once, 1.0, 1.0, 3)
         assert np.max(np.abs(twice - once)) <= 1e-12 * max(np.abs(once).max(), 1.0)
-        feasible = project_incoherent(rng.standard_normal((12, 3)), 1.0, 2.0, 1.0, 3)
+        feasible = project_incoherent(rng.standard_normal((12, 3)), 1.0, 1.0, 3)
         assert (np.linalg.norm(once - feasible)
                 <= np.linalg.norm(X - feasible) + 1e-12)
 
@@ -494,13 +490,13 @@ def test_project_sparse_k_exhaustive_and_edges():
 def test_incoherent_projector_factory_matches_rowwise_op():
     inst = gen_matrix_completion(12, 12, 2, 0.7, True, seed=18)
     est = init_matrix_completion(inst, 2)
-    proj = make_incoherent_projector(inst, est.point, c=2.0)
+    proj = make_incoherent_projector(inst, est.point)
     point = FactorPoint.sym(est.point.X * 3.0)
     out = proj(point)
     mu = core.incoherence_mu(inst.truth["M"], 2)
     bound = float(np.linalg.norm(est.point.X, 2))
     np.testing.assert_array_equal(
-        out.X, project_incoherent(point.X, bound, 2.0, mu, 2))
+        out.X, project_incoherent(point.X, bound, mu, 2))
     with pytest.raises(ValueError):
         make_incoherent_projector(inst, FactorPoint.vector(np.ones(3)))
 
@@ -525,7 +521,7 @@ def test_incoherent_projector_default_mu_is_the_planted_incoherence():
         point = FactorPoint.derived(init.kind, tuple(1e3 * F for F in parts))
         out = make_incoherent_projector(inst, init)(point)
         for F, F0, G in zip(point.parts, parts, out.parts):
-            want = project_incoherent(F, float(np.linalg.norm(F0, 2)), 2.0, mu, r)
+            want = project_incoherent(F, float(np.linalg.norm(F0, 2)), mu, r)
             assert (np.linalg.norm(want, axis=1) < 0.5 * np.linalg.norm(F, axis=1)).all()
             assert np.max(np.abs(G - want)) <= 1e-12 * np.max(np.abs(want))
     # A planted matrix of rank below r is refused, as incoherence_mu refuses it.
@@ -631,7 +627,7 @@ def test_truncated_config_conflicts():
     with pytest.raises(ValueError, match="not both"):
         run_truncated_gd(inst, x0, SolverConfig(
             eta=0.1, twf_thresholds=DEFAULT_TWF_THRESHOLDS, median_factor=5.0))
-    with pytest.raises(ValueError, match="mini-batch"):
+    with pytest.raises(ValueError, match="run_truncated_gd does not read SolverConfig.batch_k"):
         run_truncated_gd(inst, x0, SolverConfig(eta=0.1, batch_k=4))
 
 
@@ -676,17 +672,17 @@ def test_rpca_guards():
         run_rpca(mc, FactorPoint.sym(np.ones((8, 2))), None, None)
     inst = gen_rpca(8, 8, 2, 0.5, 0.05, 1.0, seed=0)
     est, S0 = init_rpca(inst, 2)
-    with pytest.raises(ValueError, match="full-gradient"):
+    with pytest.raises(ValueError, match="run_rpca does not read SolverConfig.batch_k"):
         run_rpca(inst, est.point, S0, SolverConfig(eta=0.01, batch_k=4))
 
 
-_UNREAD = {"median_factor": 5.0, "twf_thresholds": (0.3, 5.0, 5.0), "c_thresh": 2.0,
-           "seed": 3, "loss_params": {}}
+_UNREAD = {"median_factor": 5.0, "twf_thresholds": (0.3, 5.0, 5.0), "seed": 3,
+           "loss_params": {}}
 
 
 @pytest.mark.parametrize("solver, fields", [
-    (run_gd, ("median_factor", "twf_thresholds", "c_thresh")),
-    (run_truncated_gd, ("c_thresh", "seed")),
+    (run_gd, ("median_factor", "twf_thresholds")),
+    (run_truncated_gd, ("seed",)),
     (run_rpca, ("median_factor", "twf_thresholds", "loss_params", "seed")),
 ])
 def test_entry_point_refuses_config_fields_it_does_not_read(solver, fields):
@@ -705,8 +701,6 @@ def test_entry_point_refuses_config_fields_it_does_not_read(solver, fields):
         with pytest.raises(ValueError, match=f"{solver.__name__} does not read "
                                              f"SolverConfig.{name}"):
             run(SolverConfig(max_iters=1, **{name: _UNREAD[name]}))
-    # A field at its default passes, whatever number type carries it.
-    assert len(run(SolverConfig(max_iters=1, c_thresh=np.float64(3.0)))[-1]) == 2
 
 
 def test_rpca_without_outliers_is_projected_completion():

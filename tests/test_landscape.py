@@ -105,7 +105,7 @@ def _central_difference_grad(f, X, h=1e-5):
 def test_overparam_walk_refuses_config_fields_it_does_not_read():
     inst = gen_phase_retrieval(4, 40, seed=5)
     for kw in ({"grad_tol": 1e-6}, {"plateau_tol": 1e-6}, {"project": lambda p: p},
-               {"batch_k": 4}, {"median_factor": 5.0}, {"c_thresh": 2.0}):
+               {"batch_k": 4}, {"median_factor": 5.0}):
         with pytest.raises(ValueError, match="overparam_gd_experiment does not read "
                                              f"SolverConfig.{next(iter(kw))}"):
             overparam_gd_experiment(inst, 4, 0.1, SolverConfig(eta=0.01, max_iters=1, **kw))

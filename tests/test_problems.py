@@ -769,6 +769,9 @@ def test_weights_of_the_wrong_shape_are_rejected_at_loss_and_grad(make, point):
     assert val == loss_and_grad(inst, point)[0]
 
 
+_EVERY_LOSS_KEY = {key for spec in problems.FAMILIES.values()
+                   for keys in spec.losses.values() for key in keys} | {"lamda"}
+
 _ANY_POINT = {
     "sym": FactorPoint.sym(np.ones((2, 1))),
     "asym": FactorPoint.asym(np.ones((2, 1)), np.ones((2, 1))),
@@ -797,6 +800,31 @@ def test_loss_contract_errors_name_the_family(make):
     if spec.shared is None:
         with pytest.raises(ValueError, match=f"{fam} takes no forward product"):
             loss_and_grad(inst, ok, forward=np.ones(3))
+    # A loss parameter the tag's loss does not read: a typo, or a key another
+    # tag or family reads (lam of the plain loss, robust PCA's S on sensing).
+    for tag, reads in spec.losses.items():
+        for key in sorted(_EVERY_LOSS_KEY - set(reads)):
+            with pytest.raises(ValueError, match=f"{fam}'s {tag!r} loss does not read "
+                                                 f"the loss parameter {key!r}"):
+                loss_and_grad(inst, ok, loss=tag, loss_params={key: 1.0})
+
+
+def test_loss_parameters_change_the_loss_only_where_read():
+    # Before loss parameters were checked, these three calls returned a loss:
+    # the first two the unparametrized one, the third one that adds A(S).
+    mc = gen_matrix_completion(7, 5, 2, 0.6, False, 3)
+    sens = gen_matrix_sensing(5, 5, 2, 12, True, 3)
+    rng = np.random.default_rng(3)
+    p_mc = FactorPoint.asym(rng.standard_normal((7, 2)), rng.standard_normal((5, 2)))
+    p_sens = FactorPoint.sym(rng.standard_normal((5, 2)))
+    for inst, point, loss, lp in ((mc, p_mc, "regularized", {"lamda": 100.0}),
+                                  (mc, p_mc, "plain", {"lam": 100.0}),
+                                  (sens, p_sens, "plain", {"S": np.ones((5, 5))})):
+        with pytest.raises(ValueError, match=f"does not read the loss parameter "
+                                             f"{next(iter(lp))!r}"):
+            loss_and_grad(inst, point, loss=loss, loss_params=lp)
+    base = loss_and_grad(mc, p_mc, loss="regularized")[0]
+    assert loss_and_grad(mc, p_mc, loss="regularized", loss_params={"lam": 100.0})[0] != base
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +922,7 @@ def test_json_round_trip_is_bit_exact(make):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, len(ALL_GENERATORS) - 1), st.integers(0, 2**32 - 1),
        st.floats(allow_nan=False, allow_subnormal=True))
+@example(10, 0, -0.0)  # a complex observation with real part -0.0
 def test_json_round_trip_is_bit_exact_for_any_seed_and_float(k, seed, value):
     # Every family at any seed, with one observation replaced by any finite
     # or infinite float (-0.0 and subnormals included) where y is not integer.

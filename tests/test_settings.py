@@ -1,0 +1,237 @@
+"""The one rule for solver settings: every count and bound of the configs and
+the count-taking functions goes through core.setting, so each refuses the
+same values with the same message, and an integral float is used as an int.
+"""
+
+import ast
+import math
+import pathlib
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from lowrank_ncvx import core
+from lowrank_ncvx.core import FactorPoint, make_rng
+from lowrank_ncvx.direct import AltMinConfig, SvpConfig, altmin_mc, grassmann_step, ppm, svp
+from lowrank_ncvx.gd import (
+    SolverConfig,
+    median_mask,
+    project_incoherent,
+    project_l1,
+    project_sparse_k,
+    run_gd,
+    sgd_step,
+)
+from lowrank_ncvx.landscape import (
+    SaddleEscapeConfig,
+    cubic_step,
+    factored_oracle,
+    overparam_gd_experiment,
+    random_init_gd_experiment,
+    rank1_oracle,
+    trust_region_step,
+)
+from lowrank_ncvx.problems import (
+    estimate_rip,
+    gen_matrix_completion,
+    gen_matrix_sensing,
+    gen_phase_retrieval,
+    gen_phase_sync,
+)
+from lowrank_ncvx.spectral import init_matrix_completion, init_phase_retrieval
+
+_BAD_COUNTS = (2.5, -1, math.nan, math.inf, "3")
+_BAD_BOUNDS = (-1.0, math.nan, "1")
+
+
+def test_setting_rule():
+    assert core.setting("k", 3.0, "count") == 3 and type(core.setting("k", 3.0, "count")) is int
+    assert type(core.setting("k", np.float64(0.0), "count")) is int
+    assert core.setting("b", math.inf, "positive bound") == math.inf
+    assert core.setting("b", 0.0, "bound") == 0.0
+    assert core.setting("b", None, "bound", optional=True) is None
+    for rule, bad, want in (("count", -1, "a nonnegative integer"),
+                            ("positive count", 0, "a positive integer"),
+                            ("bound", -1e-300, "nonnegative"),
+                            ("positive bound", 0.0, "positive")):
+        with pytest.raises(ValueError, match=f"^v must be {want}$"):
+            core.setting("v", bad, rule)
+        with pytest.raises(ValueError, match=f"^v must be {want}$"):
+            core.setting("v", None, rule)
+        for value in (math.nan, np.ones(2)):
+            with pytest.raises(ValueError, match=f"^v must be {want}$"):
+                core.setting("v", value, rule)
+
+
+# (config class, required fields, field, rule) for every count and bound.
+_CONFIG_FIELDS = [
+    (SolverConfig, {}, "eta", "positive bound"),
+    (SolverConfig, {}, "max_iters", "count"),
+    (SolverConfig, {}, "grad_tol", "bound"),
+    (SolverConfig, {}, "dist_tol", "bound"),
+    (SolverConfig, {}, "plateau_tol", "bound"),
+    (SolverConfig, {}, "median_factor", "positive bound"),
+    (SolverConfig, {}, "batch_k", "positive count"),
+    (AltMinConfig, {}, "max_outer", "count"),
+    (AltMinConfig, {}, "inner_tol", "positive bound"),
+    (AltMinConfig, {}, "splits", "positive count"),
+    (AltMinConfig, {}, "lam", "bound"),
+    (AltMinConfig, {}, "tol", "bound"),
+    (SvpConfig, {"r": 2}, "r", "positive count"),
+    (SvpConfig, {"r": 2}, "eta", "positive bound"),
+    (SvpConfig, {"r": 2}, "max_iters", "count"),
+    (SvpConfig, {"r": 2}, "tol", "bound"),
+    (SaddleEscapeConfig, {"eta": 0.1}, "eta", "positive bound"),
+    (SaddleEscapeConfig, {"eta": 0.1}, "radius", "positive bound"),
+    (SaddleEscapeConfig, {"eta": 0.1}, "trigger", "bound"),
+    (SaddleEscapeConfig, {"eta": 0.1}, "max_iters", "count"),
+    (SaddleEscapeConfig, {"eta": 0.1}, "grad_tol", "bound"),
+]
+
+
+@pytest.mark.parametrize("cls, base, name, rule", _CONFIG_FIELDS,
+                         ids=[f"{c[0].__name__}.{c[2]}" for c in _CONFIG_FIELDS])
+def test_config_fields_follow_the_one_rule(cls, base, name, rule):
+    def make(value):
+        return cls(**{**base, name: value})
+
+    if rule.endswith("count"):
+        cfg = make(3.0)
+        assert getattr(cfg, name) == 3 and type(getattr(cfg, name)) is int
+        bad = _BAD_COUNTS + ((0,) if rule.startswith("positive") else ())
+    else:
+        assert getattr(make(0.5), name) == 0.5
+        bad = _BAD_BOUNDS + ((0.0,) if rule.startswith("positive") else ())
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make(value)
+    default = next(f.default for f in fields(cls) if f.name == name)
+    if default is None:
+        assert getattr(make(None), name) is None
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make(None)
+
+
+@pytest.fixture(scope="module")
+def count_calls():
+    # name -> (setting name in the message, call(value) returning a plain
+    # value whose repr shows the type the count was used as)
+    sync = gen_phase_sync(6, 0.5, seed=1)
+    sens = gen_matrix_sensing(4, 4, 2, 30, True, seed=1)
+    pr = gen_phase_retrieval(8, 40, seed=13)
+    x = init_phase_retrieval(pr).point
+    M = np.diag([3.0, 2.0, 1.0])
+    return {
+        "ppm": ("max_iters", lambda v: ppm(sync, np.ones(6), max_iters=v)[1].loss),
+        "estimate_rip.r": ("r", lambda v: estimate_rip(sens, v, 2, 0)),
+        "estimate_rip.trials": ("trials", lambda v: estimate_rip(sens, 1, v, 0)),
+        "random_init_gd_experiment": (
+            "trials", lambda v: random_init_gd_experiment(8, 80, v, 0, max_iters=2)),
+        "factored_oracle": ("r", lambda v: factored_oracle(M, v).grad(np.ones(3 * 2)).tolist()),
+        "project_sparse_k": ("k", lambda v: project_sparse_k(np.arange(5.0), v).tolist()),
+        "sgd_step": ("batch size", lambda v: sgd_step(pr, x, v, 0.01, make_rng(0)).x.tolist()),
+    }
+
+
+@pytest.mark.parametrize("entry", ["ppm", "estimate_rip.r", "estimate_rip.trials",
+                                   "random_init_gd_experiment", "factored_oracle",
+                                   "project_sparse_k", "sgd_step"])
+def test_count_arguments_follow_the_one_rule(count_calls, entry):
+    name, call = count_calls[entry]
+    good = 2 if entry != "ppm" else 3
+    assert repr(call(float(good))) == repr(call(good))
+    zero = () if entry in ("ppm", "project_sparse_k") else (0,)
+    for value in _BAD_COUNTS + zero + (None,):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call(value)
+
+
+def test_integral_float_counts_run_where_they_used_to_crash():
+    # Each of these passed its check before and then raised TypeError where
+    # the count met range() or a shape.
+    mc = gen_matrix_completion(30, 25, 2, 0.8, False, seed=4)
+    L0 = init_matrix_completion(mc, 2).point.L
+    _, _, tr = altmin_mc(mc, L0, AltMinConfig(max_outer=3.0))
+    assert tr.iters == [1, 2, 3]
+    _, _, split = altmin_mc(mc, L0, AltMinConfig(max_outer=2, splits=2.0))
+    assert split.iters == [1, 2]
+    sens = gen_matrix_sensing(6, 5, 2, 80, False, seed=4)
+    _, tr = svp(sens, SvpConfig(r=2.0, max_iters=3.0))
+    assert len(tr) == 4 and tr.outcome == "max_iters"
+    assert estimate_rip(sens, 1, 2.0, 0).trials == 2
+    pr = gen_phase_retrieval(8, 40, seed=2)
+    _, tr = run_gd(pr, FactorPoint.vector(np.ones(8)), SolverConfig(eta=0.01, max_iters=3.0))
+    assert len(tr) == 4
+
+
+def test_nan_ridge_is_refused_at_construction():
+    # A nan lam used to pass (nan < 0 is False) and reach LAPACK.
+    with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+        AltMinConfig(lam=math.nan)
+
+
+def _integer_equality_sites():
+    # Comparisons of a value with int() of itself (v != int(v), int(v) == v)
+    # in the library, outside the one rule in core.setting.
+    sites = []
+    for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "setting"
+                  and path.name == "core.py" for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare) or id(node) in inside:
+                continue
+            sides = [node.left, *node.comparators]
+            args = {ast.dump(s.args[0]) for s in sides
+                    if isinstance(s, ast.Call) and isinstance(s.func, ast.Name)
+                    and s.func.id == "int" and len(s.args) == 1}
+            if args & {ast.dump(s) for s in sides}:
+                sites.append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_settings_are_checked_in_one_place_and_stay_few():
+    assert _integer_equality_sites() == []
+    counts = {cls.__name__: len(fields(cls))
+              for cls in (SolverConfig, AltMinConfig, SvpConfig, SaddleEscapeConfig)}
+    assert counts["SolverConfig"] <= 12
+    assert counts["AltMinConfig"] <= 5
+    assert counts["SvpConfig"] <= 4
+    assert counts["SaddleEscapeConfig"] <= 6
+
+
+@pytest.fixture(scope="module")
+def bound_calls():
+    # name -> call(value) of each function whose bound goes through the rule
+    pr = gen_phase_retrieval(8, 40, seed=13)
+    x = init_phase_retrieval(pr).point
+    mc = gen_matrix_completion(12, 10, 2, 0.8, False, seed=5)
+    L = np.linalg.qr(init_matrix_completion(mc, 2).point.L)[0]
+    oracle = rank1_oracle(np.diag([3.0, 1.0]))
+    X = np.ones((6, 2))
+    return {
+        "mu": lambda v: project_incoherent(X, 1.0, v, 2),
+        "bound_matrix_norm": lambda v: project_incoherent(X, v, 1.0, 2),
+        "radius": lambda v: project_l1(np.ones(3), v),
+        "factor": lambda v: median_mask(pr, x.x, v),
+        "eta": lambda v: sgd_step(pr, x, 5, v, make_rng(0)),
+        "grassmann eta": lambda v: grassmann_step(mc, L, v),
+        "trust-region radius": lambda v: trust_region_step(oracle, np.ones(2), v),
+        "lipschitz": lambda v: cubic_step(oracle, np.ones(2), v),
+        "small_init_scale": lambda v: overparam_gd_experiment(
+            pr, 8, v, SolverConfig(eta=0.01, max_iters=1)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["mu", "bound_matrix_norm", "radius", "factor", "eta",
+                                   "grassmann eta", "trust-region radius", "lipschitz",
+                                   "small_init_scale"])
+def test_bound_arguments_follow_the_one_rule(bound_calls, entry):
+    call, name = bound_calls[entry], entry.split()[-1]
+    call(0.5)
+    for value in _BAD_BOUNDS + (None,):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(value)
