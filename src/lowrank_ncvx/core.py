@@ -447,22 +447,25 @@ def max_row_norm(X):
 # ---------------------------------------------------------------------------
 
 def setting(name, value, rule, optional=False):
-    """``value`` checked as the solver setting ``name``: a "count" is a whole
-    number >= 0 and a "positive count" one >= 1, returned as an int (3.0
-    passes; 2.5, nan and inf do not); a "bound" is a number >= 0 and a
-    "positive bound" one > 0 (inf passes, nan does not).  None passes only
-    if ``optional``; any other refused value raises ValueError naming it."""
+    """``value`` checked as the setting ``name``: a "count" is a whole number
+    >= 0 and a "positive count" one >= 1, returned as an int (3.0 passes;
+    2.5, nan and inf do not); a "bound" is a number >= 0 and a "positive
+    bound" one > 0 (inf passes, nan does not), and a "finite bound" or
+    "finite positive bound" refuses inf as well.  None passes only if
+    ``optional``; any other refused value raises ValueError naming it."""
     if value is None and optional:
         return value
-    count, positive = rule.endswith("count"), rule.startswith("positive")
+    finite = rule.startswith("finite")
+    count, positive = rule.endswith("count"), "positive" in rule
     try:  # int() raises on inf
-        ok = bool(value > 0 if positive else value >= 0) and (not count or value == int(value))
+        ok = bool(value > 0 if positive else value >= 0) and (not count or value == int(value)) \
+            and (not finite or math.isfinite(value))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         want = ("a positive integer", "a nonnegative integer") if count \
             else ("positive", "nonnegative")
-        raise ValueError(f"{name} must be {want[not positive]}")
+        raise ValueError(f"{name} must be {'finite and ' if finite else ''}{want[not positive]}")
     return int(value) if count else value
 
 
@@ -551,9 +554,9 @@ def iterate(start, evaluate, step, last, first=0, stop=None):
     or the point is not finite, or when the loss exceeds the first row's
     loss0 by more than 1e6 |loss0| (a loss0 of exactly 0 leaves only the
     finiteness test); it ends "converged" when stop(trace, point) holds, and
-    "max_iters" at row `last`.  Evaluations run with NumPy's overflow and
-    invalid-value warnings off, since overflow on the way to a diverged label
-    is expected.
+    "max_iters" at row `last`.  Steps and evaluations run with NumPy's
+    overflow and invalid-value warnings off, since overflow on the way to a
+    diverged label is expected.
 
     Inputs are validated where they enter the library (the point
     constructors, the solver configs, the public losses, masks and
@@ -565,11 +568,11 @@ def iterate(start, evaluate, step, last, first=0, stop=None):
     trace.start_clock()
     point, aux = start, None
     for t in range(last + 1):
-        if t > 0:
-            point = step(t - 1, point, aux)
-        if t < first:
-            continue
         with np.errstate(over="ignore", invalid="ignore"):
+            if t > 0:
+                point = step(t - 1, point, aux)
+            if t < first:
+                continue
             row, aux = evaluate(t, point)
         trace.append(t, **row)
         loss, loss0 = trace.loss[-1], trace.loss[0]

@@ -5,6 +5,7 @@ median-truncated gradients, the alternating sparse-plus-low-rank loop, and
 mini-batch steps.  The loop variants differ only in the per-iteration
 weights or loss parameters they feed the shared loss dispatcher, so a
 variant configured to do nothing reproduces the plain run bit for bit.
+Without an explicit step they backtrack from the family's default step.
 
 trace_row builds every solver's trace row, here and in ``direct``.  Its
 truth fields, dist (dist_to_truth) and incoh (incoherence_proxy), come from
@@ -28,6 +29,12 @@ _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
 DEFAULT_TWF_THRESHOLDS = (0.3, 5.0, 5.0)
 _TINY = np.finfo(float).tiny
 
+# The backtracking line search of default-step descent: a failed trial halves
+# the step, at most _HALVINGS times in a row, and an accepted step that moved
+# the point grows it by _GROW.
+_HALVINGS = 60
+_GROW = 1.2
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -35,13 +42,17 @@ _TINY = np.finfo(float).tiny
 
 @dataclass
 class SolverConfig:
-    """Constant-step solver settings.
+    """Descent solver settings.
 
-    eta None defers to default_step_size at run time.  Stop rules are all
-    optional: gradient norm <= grad_tol, distance to truth <= dist_tol, or a
-    relative loss plateau |loss_prev - loss| <= plateau_tol * max(|loss_prev|,
-    tiny).  Whichever fires first ends the run with outcome "converged";
-    otherwise the run ends at max_iters, or earlier "diverged" by the single
+    An explicit eta is a constant step.  eta None backtracks from
+    default_step_size (see _descend), except in mini-batch runs, which take
+    default_step_size as their constant step.  max_iters counts trace rows,
+    not loss evaluations: a backtracking row also evaluates the trials it
+    rejects, which its trace records.  Stop rules are all optional:
+    gradient norm <= grad_tol, distance to truth <= dist_tol, or a relative
+    loss plateau |loss_prev - loss| <= plateau_tol * max(|loss_prev|, tiny).
+    Whichever fires first ends the run with outcome "converged"; otherwise
+    the run ends at max_iters, or earlier "diverged" by the single
     divergence rule of core.iterate.
 
     twf_thresholds = (alpha_lb, alpha_ub, alpha_h) and median_factor select
@@ -94,9 +105,11 @@ def _reads_only(cfg, solver, reads):
 
 
 def default_step_size(instance, init):
-    """The constant step of the instance's family at init, scale-normalized
+    """The default step of the instance's family at init, scale-normalized
     by the init: the ``step`` rule of its problems.FAMILIES record, where
-    the rules are declared.  A family without one raises."""
+    the rules are declared.  It is the first trial step of a default-step
+    run's line search, and the constant step of a default-step mini-batch
+    run.  A family without one raises."""
     step = FAMILIES[instance.family].step
     if step is None:
         raise ValueError(f"no default step for {instance.family}; pass eta explicitly")
@@ -281,33 +294,99 @@ def median_mask(instance, x, factor, c=None):
 # ---------------------------------------------------------------------------
 
 def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
-    """Shared constant-step loop on core.iterate: each row evaluates the loss
-    and gradient with the variant's weights and loss parameters, and the
-    step moves along the negative gradient, then projects.
+    """Shared descent loop on core.iterate: each row evaluates the loss and
+    gradient with the variant's weights and loss parameters, and the step
+    moves along the negative gradient, then projects.
 
     A family with a shared product in its FAMILIES record (A x, B h) forms it
     once per row, for weights_fn(point, c), the loss and trace_row.
+
+    With an explicit cfg.eta, or in mini-batch runs, the step is constant.
+    Otherwise it backtracks (Armijo): the first trial step is
+    default_step_size, and a trial x+ passes if
+
+        f(x+) <= f(x) - ||x+ - x||_M^2 / (2 eta),
+
+    with the family's step metric ||.||_M (its FAMILIES record) and the
+    row's weights and loss parameters frozen; without a projection this is
+    f(x+) <= f(x) - eta ||g||_M^2 / 2.  A projected run tests x+ after the
+    projection in the proximal-gradient form of Beck and Teboulle,
+    f(x+) <= f(x) + <g, x+ - x> + ||x+ - x||^2 / (2 eta), with the real
+    inner product of the real factor points the projectors act on.  From x
+    in a convex constraint set this implies the test above; from an init
+    outside the set, where the test above can fail at every eta (x+ tends
+    to the projection of x, not to x), a small enough eta still passes it.
+    A failed trial halves eta, at most _HALVINGS times, after which the
+    step is null (x+ = x) and the next row starts from the same eta; an
+    accepted step that moved the point grows eta by _GROW for the next row.
+    A plain run (no weights or loss parameters that move with x) hands the
+    accepted trial's loss, gradient and shared product to the next row, so
+    that row evaluates nothing again; truncated and robust PCA runs reuse
+    its shared product.
     """
+    search = cfg.eta is None and cfg.batch_k is None
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
     if weights_fn is None and cfg.batch_k is not None:
         draw = _batch_sampler(instance, cfg.batch_k)
         rng = make_rng(derive_seed(cfg.seed if cfg.seed is not None else 0, "minibatch"))
         weights_fn = lambda _point, _c: draw(rng)  # noqa: E731
-    shared = FAMILIES[instance.family].shared
+    spec = FAMILIES[instance.family]
+    shared, metric = spec.shared, spec.metric
+    plain = weights_fn is None and loss_params_fn is None
     loss, params, project = cfg.loss, cfg.loss_params, cfg.project
     grad_tol, dist_tol, plateau_tol = cfg.grad_tol, cfg.dist_tol, cfg.plateau_tol
+    # The line search's state: the next first trial step, and the accepted
+    # trial (point, shared product, plain (loss, gradient) or None) with its
+    # step and rejected trials, which the next row reads.
+    held = {"eta": eta, "point": None}
 
     def evaluate(t, point):
-        c = shared(instance, point) if shared is not None else None
+        if held["point"] is point:
+            c, fg = held["c"], held["fg"]
+        else:
+            c = shared(instance, point) if shared is not None else None
+            fg = None
         w = weights_fn(point, c) if weights_fn is not None else None
         lp = loss_params_fn(point) if loss_params_fn is not None else params
-        val, grad = loss_and_grad(instance, point, loss=loss,
-                                  loss_params=lp, weights=w, forward=c)
-        return trace_row(instance, point, val, grad, c), grad
+        val, grad = fg if fg is not None else loss_and_grad(
+            instance, point, loss=loss, loss_params=lp, weights=w, forward=c)
+        row = trace_row(instance, point, val, grad, c)
+        if search:
+            row["eta"], row["rejected"] = (held["taken"], held["rejected"]) if t else (math.nan, 0)
+        return row, (val, grad, c, w, lp)
 
-    def step(t, point, grad):
-        point = point.add_scaled(-eta, grad.parts)
+    def trial(point, grad, step):
+        point = point.add_scaled(-step, grad.parts)
         return point if project is None else project(point)
+
+    def constant(t, point, aux):
+        return trial(point, aux[1], eta)
+
+    def backtrack(t, point, aux):
+        val, grad, c, w, lp = aux
+        step, rejected = held["eta"], 0
+        while True:
+            new = trial(point, grad, step)
+            delta = [q - p for p, q in zip(point.parts, new.parts)]
+            moved = metric(point, delta)
+            if project is None:
+                bound = val - moved / (2.0 * step)
+            else:  # the proximal-gradient form
+                linear = sum([float(np.vdot(g, d).real) for g, d in zip(grad.parts, delta)])
+                bound = val + linear + moved / (2.0 * step)
+            c_new = shared(instance, new) if shared is not None else None
+            fg = loss_and_grad(instance, new, loss=loss, loss_params=lp, weights=w, forward=c_new)
+            if fg[0] <= bound:
+                break
+            rejected += 1
+            if rejected > _HALVINGS:  # no decrease found: a null step
+                held.update(point=point, c=c, fg=(val, grad) if plain else None,
+                            rejected=rejected, taken=0.0)
+                return point
+            step *= 0.5
+        held.update(point=new, c=c_new, fg=fg if plain else None, rejected=rejected,
+                    taken=step, eta=step * _GROW if moved > 0.0 else step)
+        return new
 
     def stop(trace, point):
         if grad_tol is not None and trace.grad_norm[-1] <= grad_tol:
@@ -319,7 +398,8 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
         prev, val = trace.loss[-2:]
         return abs(prev - val) <= plateau_tol * max(abs(prev), _TINY)
 
-    return iterate(init.copy(), evaluate, step, cfg.max_iters, stop=stop)
+    return iterate(init.copy(), evaluate, backtrack if search else constant, cfg.max_iters,
+                   stop=stop)
 
 
 def _batch_sampler(instance, k):
@@ -341,12 +421,18 @@ def _batch_sampler(instance, k):
 
 
 def run_gd(instance, init, config=None):
-    """Constant-step gradient descent from init.
+    """Gradient descent from init: at the constant step config.eta, or, with
+    eta None, at a backtracking step that starts from default_step_size.
 
     Returns (final point, trace).  The trace holds one row per visited
     iterate including the init, and trace.outcome reports how the run ended:
     "converged" (a stop rule fired), "max_iters", or "diverged" (non-finite
-    numbers or loss blowup; never an exception).
+    numbers or loss blowup; never an exception).  A backtracking run's trace
+    has two extra columns: "eta", the step that produced the row, and
+    "rejected", the trials the line search refused before it.  Row 0, the
+    init, holds eta nan and rejected 0; a null step (see _descend) holds
+    eta 0.0.  So the run evaluates the loss len(trace) + sum(rejected)
+    times.
     """
     cfg = SolverConfig() if config is None else config
     _reads_only(cfg, "run_gd", _DESCENT_FIELDS + ("loss_params", "batch_k", "seed"))

@@ -4,11 +4,12 @@ of generated instances.
 
 Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
-per-sample weights, shared design product, linear operator, default step,
-truth gap, the power families' matrix and projection, the over-parametrized
-lift); ``forward_model``, ``loss_and_grad``, ``gd.default_step_size``,
-``gd.trace_row``, ``direct.ppm`` and ``landscape.overparam_gd_experiment``
-read it rather than branch on the family name.  The five linear families
+per-sample weights, shared design product, linear operator, default step
+and step metric, truth gap, the power families' matrix and projection, the
+over-parametrized lift); ``forward_model``, ``loss_and_grad``,
+``gd.default_step_size``, ``gd.trace_row``, ``gd.run_gd``, ``direct.ppm``
+and ``landscape.overparam_gd_experiment`` read it rather than branch on the
+family name.  The five linear families
 (sensing, completion, robust PCA) share one forward model and one plain risk
 through their ``linear_operator``; phase retrieval and quadratic sensing
 share one forward model and one risk through their shared product A x or
@@ -129,6 +130,26 @@ def _asym_truth(rng, n1, n2, r, spectrum=None):
 # Generators
 # ---------------------------------------------------------------------------
 
+def _shape(r, **sides):
+    # The sides and rank of a planted factor, each checked by core.setting,
+    # with r at most the smallest side.
+    checked = [setting(name, v, "positive count") for name, v in sides.items()]
+    r = setting("r", r, "positive count")
+    if r > min(checked):
+        top = ", ".join(sides)
+        raise ValueError(f"need 1 <= r <= {top if len(sides) == 1 else f'min({top})'}")
+    return (*checked, r)
+
+
+def _fraction(name, value, closed=False):
+    # A probability or fraction: core.setting's bound, at most 1, and below 1
+    # unless closed.
+    value = setting(name, value, "bound")
+    if value > 1.0 or (value == 1.0 and not closed):
+        raise ValueError(f"{name} must lie in [0, 1{']' if closed else ')'}")
+    return value
+
+
 def _observed(inst):
     # Every generator ends here: y = forward_model(inst), so replaying the
     # forward model on a stored instance reproduces y bit for bit.
@@ -144,10 +165,8 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     design is isotropic over symmetric probes.  Asymmetric instances use iid
     standard Gaussian matrices.
     """
-    if not (1 <= r <= min(n1, n2)):
-        raise ValueError("need 1 <= r <= min(n1, n2)")
-    if m < 1:
-        raise ValueError("need at least one measurement")
+    n1, n2, r = _shape(r, n1=n1, n2=n2)
+    m = setting("m", m, "positive count")
     if symmetric and n1 != n2:
         raise ValueError("symmetric sensing needs n1 == n2")
     spectrum = _check_spectrum(spectrum, r)
@@ -177,8 +196,7 @@ def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
     m x n1 x n2 basis tensor.  Empirical RIP probes of this instance report
     exactly 0.
     """
-    if not (1 <= r <= min(n1, n2)):
-        raise ValueError("need 1 <= r <= min(n1, n2)")
+    n1, n2, r = _shape(r, n1=n1, n2=n2)
     spectrum = _check_spectrum(spectrum, r)
     rng = make_rng(derive_seed(seed, "identity_sensing"))
     L, R, M, sigma = _asym_truth(rng, n1, n2, r, spectrum)
@@ -191,10 +209,8 @@ def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
 
 def gen_phase_retrieval(n, m, seed, norm=1.0):
     """Real Gaussian phase retrieval: y_i = (a_i^T x)^2, a_i ~ N(0, I_n)."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    if norm <= 0:
-        raise ValueError("truth norm must be positive")
+    n, m = setting("n", n, "positive count"), setting("m", m, "positive count")
+    norm = setting("norm", norm, "finite positive bound")
     rng = make_rng(derive_seed(seed, "phase_retrieval"))
     x = rng.standard_normal(n)
     x *= norm / np.linalg.norm(x)
@@ -206,10 +222,8 @@ def gen_phase_retrieval(n, m, seed, norm=1.0):
 def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
     """Quadratic sensing: y_i = ||a_i^T X||^2.  Rank one recovers the phase
     retrieval observation model."""
-    if not (1 <= r <= n):
-        raise ValueError("need 1 <= r <= n")
-    if m < 1:
-        raise ValueError("need at least one measurement")
+    n, r = _shape(r, n=n)
+    m = setting("m", m, "positive count")
     spectrum = _check_spectrum(spectrum, r)
     rng = make_rng(derive_seed(seed, "quadratic_sensing"))
     X, M, sigma = _sym_truth(rng, n, r, spectrum)
@@ -231,10 +245,8 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     y = P_Omega(M) lists M on that index in row-major order.  p = 0 is legal
     and produces an empty observation set.
     """
-    if not (1 <= r <= min(n1, n2)):
-        raise ValueError("need 1 <= r <= min(n1, n2)")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("sampling probability must lie in [0, 1]")
+    n1, n2, r = _shape(r, n1=n1, n2=n2)
+    p = _fraction("p", p, closed=True)
     if symmetric and n1 != n2:
         raise ValueError("symmetric completion needs n1 == n2")
     spectrum = _check_spectrum(spectrum, r)
@@ -260,12 +272,10 @@ def gen_blind_deconv(K, N, m, seed, norm=1.0):
     rescaled to a common norm, removing the scale ambiguity from the planted
     pair itself (solvers still have to resolve it).
     """
-    if K < 1 or N < 1:
-        raise ValueError("need K >= 1 and N >= 1")
+    K, N, m = (setting(name, v, "positive count") for name, v in (("K", K), ("N", N), ("m", m)))
     if m < K:
         raise ValueError("need m >= K so the subspace map is injective")
-    if norm <= 0:
-        raise ValueError("truth norm must be positive")
+    norm = setting("norm", norm, "finite positive bound")
     rng = make_rng(derive_seed(seed, "blind_deconv"))
     # first K columns of the unitary m-point DFT, built directly so that a
     # large m never materializes the full m x m transform
@@ -330,14 +340,9 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
     in gen_matrix_completion, the boolean mask is the stored form, and
     y = P_Omega(M + S) is read through the same sampling operator.
     """
-    if not (1 <= r <= min(n1, n2)):
-        raise ValueError("need 1 <= r <= min(n1, n2)")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("sampling probability must lie in [0, 1]")
-    if not (0.0 <= alpha_out < 1.0):
-        raise ValueError("outlier fraction must lie in [0, 1)")
-    if magnitude <= 0:
-        raise ValueError("outlier magnitude must be positive")
+    n1, n2, r = _shape(r, n1=n1, n2=n2)
+    p, alpha_out = _fraction("p", p, closed=True), _fraction("alpha_out", alpha_out)
+    magnitude = setting("magnitude", magnitude, "finite positive bound")
     spectrum = _check_spectrum(spectrum, r)
     rng = make_rng(derive_seed(seed, "rpca"))
     if n1 == n2:
@@ -372,10 +377,7 @@ def gen_phase_sync(n, sigma, seed):
     diagonal and standard real Gaussian entries on it, so E ||W||_F^2 = n^2.
     The observation is the matrix L itself.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if sigma < 0:
-        raise ValueError("noise level must be nonnegative")
+    n, sigma = setting("n", n, "positive count"), setting("sigma", sigma, "finite bound")
     rng = make_rng(derive_seed(seed, "phase_sync"))
     x = np.exp(2j * np.pi * rng.random(n))
     G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
@@ -396,13 +398,12 @@ def gen_joint_alignment(n, alphabet_m, noise_flip_prob, seed):
     floored at 1e-12 before the log so noiseless instances stay finite, with
     zero diagonal blocks.
     """
+    n, mm = setting("n", n, "count"), setting("alphabet_m", alphabet_m, "count")
     if n < 2:
         raise ValueError("need at least two nodes")
-    if alphabet_m < 2:
+    if mm < 2:
         raise ValueError("alphabet must have at least two symbols")
-    if not (0.0 <= noise_flip_prob < 1.0):
-        raise ValueError("flip probability must lie in [0, 1)")
-    mm = int(alphabet_m)
+    noise_flip_prob = _fraction("noise_flip_prob", noise_flip_prob)
     rng = make_rng(derive_seed(seed, "joint_alignment"))
     x = rng.integers(0, mm, size=n)
     upper = np.triu_indices(n, 1)
@@ -453,9 +454,7 @@ def factorization_instance(M, r):
         raise ValueError("M must be square")
     if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.linalg.norm(M))):
         raise ValueError("M must be symmetric")
-    n = M.shape[0]
-    if not (1 <= r <= n):
-        raise ValueError("need 1 <= r <= n")
+    n, r = _shape(r, n=M.shape[0])
     M = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(M)
     order = np.argsort(w)[::-1]
@@ -479,8 +478,7 @@ def corrupt_outliers(instance, alpha_out, seed):
     """
     if instance.family != "PhaseRetrieval":
         raise ValueError("outlier corruption is defined for phase retrieval instances")
-    if not (0.0 <= alpha_out < 1.0):
-        raise ValueError("outlier fraction must lie in [0, 1)")
+    alpha_out = _fraction("alpha_out", alpha_out)
     m = instance.params["m"]
     k = int(round(alpha_out * m))
     rng = make_rng(derive_seed(seed, "outliers"))
@@ -1059,6 +1057,24 @@ def alignment_mismatch(x, labels, alphabet_m):
 
 
 # ---------------------------------------------------------------------------
+# Step metrics: ||delta||_M^2 of a step delta (a parts tuple) from a point
+# ---------------------------------------------------------------------------
+
+def _euclidean_metric(point, delta):
+    return sum([float(np.vdot(d, d).real) for d in delta])
+
+
+def _pair_metric(point, delta):
+    # ||dh||^2 ||x||^2 + ||dx||^2 ||h||^2 at the point (h, x).  Blind
+    # deconvolution reports the Wirtinger gradients divided by ||x||^2 and
+    # ||h||^2, so in this metric a step -eta g is predicted to lower the loss
+    # by 2 eta ||g||_M^2 at every scale of the pair.
+    (h, x), (dh, dx) = point.parts, delta
+    return float(np.vdot(dh, dh).real * np.vdot(x, x).real
+                 + np.vdot(dx, dx).real * np.vdot(h, h).real)
+
+
+# ---------------------------------------------------------------------------
 # The family table
 # ---------------------------------------------------------------------------
 
@@ -1070,9 +1086,14 @@ class Family:
     per-sample weights if ``sample_sum``; shared(instance, point) is the
     design product the loss and a solver's row share;
     operator(instance) builds a linear family's linear_operator;
-    step(instance, init) is the constant step gd.default_step_size gives,
-    scale-normalized by the init (None: the family has none); and
-    gap(instance, point, c) is the distance to the truth modulo the family's
+    step(instance, init) is the step gd.default_step_size gives,
+    scale-normalized by the init (None: the family has none): the first
+    trial of gd's backtracking line search, and the constant step of a
+    mini-batch run; metric(point, delta) is ||delta||_M^2, the squared
+    length of a step delta (a parts tuple) from point, in the metric at
+    point that the family's reported gradient is scaled for, as that line
+    search's decrease test reads it (Euclidean unless the record names
+    another); and gap(instance, point, c) is the distance to the truth modulo the family's
     ambiguity, with its incoherence proxy, that gd.trace_row records (a
     rotation of the factors unless the record names another).  A power
     family declares matrix(instance), the L of its loss -Re x^H L x, and
@@ -1090,6 +1111,7 @@ class Family:
     shared: object = None
     operator: object = None
     step: object = None
+    metric: object = _euclidean_metric
     gap: object = _gap_procrustes
     matrix: object = None
     project: object = None
@@ -1117,9 +1139,9 @@ def _quadratic_lift(inst):
                            {"M": np.outer(x, x)}, inst.design, inst.y)
 
 
-# The default steps.  Truth scales are never consulted: the init's norms
-# stand in for them, which is what a spectral initialization estimates
-# anyway.  Rank-1 factorization and rank-1 sensing use the sharper
+# The default steps, where gd's line search starts.  Truth scales are never
+# consulted: the init's norms stand in for them, which is what a spectral
+# initialization estimates anyway.  Rank-1 factorization and rank-1 sensing use the sharper
 # constants their local convergence rates allow; the remaining factor
 # families use conservative fractions of 1/sigma_1.
 def _factor_step(inst, init, const=0.25, sharp=None):
@@ -1175,7 +1197,7 @@ FAMILIES = {
         * (inst.design["A"] @ np.conj(inst.truth["x"])),
         _loss_blind_deconv, ("pair",), {"plain": (), "regularized": ("lam", "mu", "d0")},
         sample_sum=True, shared=lambda inst, point: inst.design["B"] @ point.h,
-        step=lambda inst, init: 0.1, gap=_gap_pair),
+        step=lambda inst, init: 0.1, metric=_pair_metric, gap=_gap_pair),
     "RobustPCA": Family(_observe_linear, _loss_linear, ("sym", "asym"),
                         {"plain": ("S",)}, operator=_EntrySampling, step=_factor_step),
     "PhaseSync": Family(

@@ -1,0 +1,251 @@
+"""The backtracking default step of gd's descent runs.
+
+With eta None (and no mini-batch), each row's step comes from an Armijo line
+search: the first trial is default_step_size, a trial x+ passes if
+f(x+) <= f(x) - ||x+ - x||_M^2 / (2 eta), each failure halves eta, and an
+accepted step that moved the point grows it by 1.2.  The trace records the
+accepted step ("eta") and the refused trials ("rejected") of every row.
+
+A projected run tests its trials in the proximal-gradient form
+f(x+) <= f(x) + <g, x+ - x> + ||x+ - x||^2 / (2 eta), which implies the test
+above from a point inside the convex constraint set and, unlike it, passes
+at a small enough eta from an init outside the set.
+
+The oracle below replays a run from those two columns alone, through the
+public loss_and_grad and the run's projector, with the step metric written
+out here: every row must be the replayed point, satisfy the decrease test,
+and be the first trial of its row's halving sequence that does.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lowrank_ncvx.core import FactorPoint
+from lowrank_ncvx.gd import (
+    SolverConfig,
+    default_step_size,
+    make_incoherent_projector,
+    run_gd,
+    run_rpca,
+    run_truncated_gd,
+)
+from lowrank_ncvx.problems import (
+    gen_blind_deconv,
+    gen_matrix_completion,
+    gen_phase_retrieval,
+    gen_rpca,
+    loss_and_grad,
+)
+from lowrank_ncvx.spectral import (
+    Preprocessing,
+    init_blind_deconv,
+    init_matrix_completion,
+    init_phase_retrieval,
+    init_rpca,
+)
+
+
+def _metric(point, new):
+    # ||new - point||_M^2: Euclidean, except ||dh||^2 ||x||^2 + ||dx||^2 ||h||^2
+    # for a blind-deconvolution pair.
+    d = [np.linalg.norm(a - b) ** 2 for a, b in zip(new.parts, point.parts)]
+    if point.kind == "pair":
+        h, x = point.parts
+        return d[0] * np.linalg.norm(x) ** 2 + d[1] * np.linalg.norm(h) ** 2
+    return sum(d)
+
+
+def _replay(inst, x0, tr, project=None):
+    """Check every row of the default-step run ``tr`` from x0 against its
+    eta and rejected columns; return the number of trials that refused."""
+    etas, rejected = tr.extras["eta"], tr.extras["rejected"]
+    assert math.isnan(etas[0]) and rejected[0] == 0
+    first = default_step_size(inst, x0)
+    point, refused = x0, 0
+    val, grad = loss_and_grad(inst, point)
+    assert val == tr.loss[0]
+
+    def trial(step):
+        # (x+, the run's test, the Armijo test); a round-off allowance covers
+        # the other summation order of the metric and inner product here.
+        new = point.add_scaled(-step, grad.parts)
+        new = new if project is None else project(new)
+        fval, slack = loss_and_grad(inst, new)[0], 1e-13 * abs(val)
+        armijo = fval <= val - _metric(point, new) / (2.0 * step) + slack
+        if project is None:
+            return new, armijo, armijo
+        linear = sum(float(np.sum(g * (a - b))) for g, a, b in zip(grad.parts, new.parts,
+                                                                  point.parts))
+        return new, fval <= val + linear + _metric(point, new) / (2.0 * step) + slack, armijo
+
+    for t in range(1, len(tr)):
+        k = rejected[t]
+        assert etas[t] == first * 0.5 ** k, t
+        for j in range(k):  # the larger trials of the row all failed
+            assert not trial(first * 0.5 ** j)[1], (t, j)
+        new, ok, armijo = trial(etas[t])
+        assert ok and armijo, t
+        moved = _metric(point, new) > 0.0
+        point = new
+        val, grad = loss_and_grad(inst, point)
+        assert val == tr.loss[t], t
+        refused += k
+        first = etas[t] * 1.2 if moved else etas[t]
+    return point, refused
+
+
+def _pr():
+    inst = gen_phase_retrieval(16, 160, seed=31)
+    return inst, init_phase_retrieval(inst, Preprocessing.trim(9.0)).point
+
+
+def _bd():
+    inst = gen_blind_deconv(8, 8, 64, seed=35)
+    return inst, init_blind_deconv(inst).point
+
+
+def _mc(symmetric):
+    def make():
+        inst = gen_matrix_completion(30, 30, 2, 0.5, symmetric, seed=36)
+        return inst, init_matrix_completion(inst, 2).point
+    return make
+
+
+@pytest.mark.parametrize("make, projected", [
+    (_pr, False), (_mc(True), False), (_mc(False), False), (_mc(True), True), (_bd, False),
+], ids=["phase-retrieval", "sym-completion", "asym-completion", "projected-completion",
+        "blind-deconvolution"])
+def test_every_default_step_row_passes_the_decrease_test(make, projected):
+    inst, x0 = make()
+    proj = make_incoherent_projector(inst, x0) if projected else None
+    final, tr = run_gd(inst, x0, SolverConfig(max_iters=80, project=proj))
+    assert tr.outcome == "max_iters"
+    replayed, refused = _replay(inst, x0, tr, proj)
+    assert all(np.array_equal(a, b) for a, b in zip(replayed.parts, final.parts))
+    assert refused == sum(tr.extras["rejected"]) > 0
+    assert all(b <= a for a, b in zip(tr.loss, tr.loss[1:]))
+
+
+def test_projected_run_from_an_init_outside_the_set_converges():
+    # A spiky init row that the projector clips: from x0 the Armijo test
+    # fails at every trial step, since x+ tends to the clipped x0 and not to
+    # x0, and the proximal-gradient test passes at the first.
+    inst, x0 = _mc(True)()
+    X0 = x0.X.copy()
+    X0[0] *= 20.0
+    spiky = FactorPoint.sym(X0)
+    proj = make_incoherent_projector(inst, x0)
+    assert not np.array_equal(proj(spiky).X, X0)
+    val, grad = loss_and_grad(inst, spiky)
+    eta = default_step_size(inst, spiky)
+    for k in (0, 10, 30, 60):
+        new = proj(spiky.add_scaled(-eta * 0.5 ** k, grad.parts))
+        assert loss_and_grad(inst, new)[0] > val - _metric(spiky, new) / (2.0 * eta * 0.5 ** k)
+    tol = 1e-8 * float(np.linalg.norm(inst.truth["X"]))
+    _, tr = run_gd(inst, spiky, SolverConfig(max_iters=500, project=proj, dist_tol=tol))
+    assert tr.outcome == "converged" and tr.extras["rejected"][1] == 0
+    assert all(b <= a for a, b in zip(tr.loss, tr.loss[1:]))
+
+
+def test_blind_deconvolution_backtracking_is_scale_invariant():
+    # The pair metric makes the test read the same at every scale of the
+    # truth; a Euclidean test stalls the small-norm instance.
+    runs = []
+    for norm in (0.01, 1.0, 100.0):
+        inst = gen_blind_deconv(16, 16, 256, seed=5, norm=norm)
+        x0 = init_blind_deconv(inst).point
+        tol = 1e-6 * math.sqrt(2.0) * norm
+        _, tr = run_gd(inst, x0, SolverConfig(max_iters=3000, dist_tol=tol))
+        assert tr.outcome == "converged" and tr.dist[-1] <= tol
+        runs.append((len(tr), sum(tr.extras["rejected"])))
+    assert runs[0] == runs[1] == runs[2] and runs[0][0] < 60
+
+
+def _counting(M, log, truth):
+    # M as an ndarray subclass that logs each product with it: "forward" for
+    # M @ v, "adjoint" for M^T @ v, and "truth" for M @ truth.
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            kind = "forward" if self.shape == M.shape else "adjoint"
+            log.append("truth" if other is truth else kind)
+            return np.matmul(self.view(np.ndarray), other)
+
+    return M.view(Counted)
+
+
+def test_plain_default_step_run_evaluates_rows_plus_rejections():
+    # The accepted trial's evaluation is the next row's: each evaluation is
+    # one A x and one A^T r, and there are len(trace) + sum(rejected) of them.
+    inst, x0 = _pr()
+    ref, ref_tr = run_gd(inst, x0, SolverConfig(max_iters=40))
+    log = []
+    inst.design["A"] = _counting(inst.design["A"], log, inst.truth["x"])
+    final, tr = run_gd(inst, x0, SolverConfig(max_iters=40))
+    assert np.array_equal(final.x, ref.x) and tr.loss == ref_tr.loss
+    evaluations = len(tr) + sum(tr.extras["rejected"])
+    assert sum(tr.extras["rejected"]) > 0
+    assert log.count("forward") == log.count("adjoint") == evaluations
+    assert log.count("truth") == 1  # A x*, once per instance, for the trace's gap
+
+
+@pytest.mark.parametrize("make", [_pr, _bd], ids=["phase-retrieval", "blind-deconvolution"])
+def test_run_started_at_the_truth_rejects_nothing(make):
+    inst, _ = make()
+    t = inst.truth
+    x = FactorPoint.vector(t["x"]) if "h" not in t else FactorPoint.pair(t["h"], t["x"])
+    _, tr = run_gd(inst, x, SolverConfig(max_iters=200))
+    assert (len(tr), tr.outcome) == (201, "max_iters")
+    assert tr.loss == [0.0] * 201
+    assert sum(tr.extras["rejected"]) == 0
+    # A null step never grows the step, so no row tries an overflowing one.
+    assert set(tr.extras["eta"][1:]) == {default_step_size(inst, x)}
+
+
+@pytest.mark.parametrize("make", [_pr, _bd], ids=["phase-retrieval", "blind-deconvolution"])
+def test_run_past_the_round_off_floor_ends_in_bounded_evaluations(make):
+    inst, x0 = make()
+    # Rows to the floor: the first row whose distance no later row beats.
+    _, probe = run_gd(inst, x0, SolverConfig(max_iters=300))
+    floor = int(np.argmin(probe.dist))
+    assert probe.dist[floor] <= 1e-14
+    _, tr = run_gd(inst, x0, SolverConfig(max_iters=floor + 400))
+    assert (len(tr), tr.outcome) == (floor + 401, "max_iters")
+    assert tr.dist[-1] <= 1e-14
+    # Each row tried at most 61 steps; on these instances the rows past the
+    # floor take null or round-off steps at one evaluation each.
+    assert sum(tr.extras["rejected"]) <= len(tr)
+    assert sum(tr.extras["rejected"][floor:]) <= 20
+
+
+def test_mini_batch_default_step_is_the_constant_default_step():
+    inst, x0 = _pr()
+    cfg = SolverConfig(max_iters=30, batch_k=40, seed=5)
+    fa, ta = run_gd(inst, x0, cfg)
+    fb, tb = run_gd(inst, x0, SolverConfig(max_iters=30, batch_k=40, seed=5,
+                                           eta=default_step_size(inst, x0)))
+    assert np.array_equal(fa.x, fb.x)
+    assert (ta.loss, ta.grad_norm, ta.dist) == (tb.loss, tb.grad_norm, tb.dist)
+    assert "eta" not in ta.extras and "rejected" not in ta.extras
+
+
+def test_truncated_and_rpca_runs_backtrack_with_the_row_weights_frozen():
+    inst, x0 = _pr()
+    nx = float(np.linalg.norm(inst.truth["x"]))
+    for extra in ({}, {"median_factor": 5.0}):
+        _, tr = run_truncated_gd(inst, x0, SolverConfig(max_iters=3000, dist_tol=1e-7 * nx,
+                                                        **extra))
+        assert tr.outcome == "converged" and len(tr) < 300
+        assert all(math.isfinite(e) and e > 0 for e in tr.extras["eta"][1:])
+    inst = gen_rpca(60, 60, 2, 0.5, 0.02, 1.0, seed=7)
+    est, S0 = init_rpca(inst, 2)
+    sr = float(inst.truth["sigma"][-1])
+    cfg = SolverConfig(max_iters=600, project=make_incoherent_projector(inst, est.point),
+                       dist_tol=math.sqrt(1e-8 * sr))
+    _, _, tr = run_rpca(inst, est.point, S0, cfg)
+    _, _, const = run_rpca(inst, est.point, S0,
+                           SolverConfig(eta=default_step_size(inst, est.point), max_iters=600,
+                                        project=cfg.project, dist_tol=cfg.dist_tol))
+    assert tr.outcome == const.outcome == "converged"
+    assert len(tr) < len(const)

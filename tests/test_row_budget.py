@@ -9,7 +9,8 @@ bd_incoherence) with counters and require one call per row.
 
 The next requires that no row builds a point through FactorPoint's checked
 constructor: one re-check per row fits inside the slack of the budgets
-below.  The last two count the Python function calls a row makes, as
+below.  The last three count the Python function calls a row makes (the
+default-step row: per loss evaluation, rejected trials included), as
 sys.setprofile reports them.  Unlike its wall time, that count is the same
 on every machine, so a row that gains interpreter work (a re-check, a
 re-lookup, a per-row counter) fails here instead of silently eating the
@@ -46,6 +47,9 @@ ROWS = 20
 # and lookups they read 67.4 and 105.3.
 TWF_CALLS_PER_ROW = 35.4
 BD_CALLS_PER_ROW = 55.4
+# Per loss evaluation (row or rejected trial) of the default-step
+# blind-deconvolution run, whose line search adds the step metric.
+BD_SEARCH_CALLS_PER_EVALUATION = 62.8
 _BOUND = ("loss_and_grad", "twf_mask", "median_mask", "dist_bd", "bd_incoherence")
 
 
@@ -140,9 +144,9 @@ def test_descent_rows_build_no_checked_point(monkeypatch, pr, bd):
     assert _checked_points(monkeypatch, lambda: ppm(inst, x0, max_iters=ROWS - 1)) == 1
 
 
-def _python_calls_per_row(run):
+def _python_calls_per_row(run, per_evaluation=False):
     # Python-level function calls (sys.setprofile "call" events) of one run,
-    # per recorded row.
+    # per recorded row, or per loss evaluation: rows plus rejected trials.
     count = 0
 
     def profile(frame, event, arg):
@@ -156,7 +160,7 @@ def _python_calls_per_row(run):
     finally:
         sys.setprofile(None)
     assert (len(tr), tr.outcome) == (ROWS, "max_iters")
-    return count / ROWS
+    return count / (ROWS + (sum(tr.extras["rejected"]) if per_evaluation else 0))
 
 
 def test_truncated_phase_retrieval_row_python_call_budget(pr):
@@ -172,3 +176,9 @@ def test_blind_deconvolution_row_python_call_budget(bd):
     per_row = _python_calls_per_row(lambda: run_gd(inst, x0, cfg))
     assert per_row <= 1.2 * BD_CALLS_PER_ROW, per_row
 
+
+def test_default_step_blind_deconvolution_python_call_budget(bd):
+    inst, x0, _ = bd
+    cfg = SolverConfig(max_iters=ROWS - 1)
+    per_evaluation = _python_calls_per_row(lambda: run_gd(inst, x0, cfg), per_evaluation=True)
+    assert per_evaluation <= 1.2 * BD_SEARCH_CALLS_PER_EVALUATION, per_evaluation

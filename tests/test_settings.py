@@ -1,6 +1,7 @@
-"""The one rule for solver settings: every count and bound of the configs and
-the count-taking functions goes through core.setting, so each refuses the
-same values with the same message, and an integral float is used as an int.
+"""The one rule for settings: every count and bound of the configs, the
+count-taking functions and the instance generators goes through
+core.setting, so each refuses the same values with the same message, and an
+integral float is used as an int.
 """
 
 import ast
@@ -33,11 +34,19 @@ from lowrank_ncvx.landscape import (
     trust_region_step,
 )
 from lowrank_ncvx.problems import (
+    corrupt_outliers,
     estimate_rip,
+    factorization_instance,
+    gen_blind_deconv,
+    gen_identity_sensing,
+    gen_joint_alignment,
     gen_matrix_completion,
     gen_matrix_sensing,
     gen_phase_retrieval,
     gen_phase_sync,
+    gen_quadratic_sensing,
+    gen_rpca,
+    instances_equal,
 )
 from lowrank_ncvx.spectral import init_matrix_completion, init_phase_retrieval
 
@@ -166,6 +175,17 @@ def test_integral_float_counts_run_where_they_used_to_crash():
     assert len(tr) == 4
 
 
+def test_finite_rules_refuse_inf():
+    assert core.setting("b", 0.0, "finite bound") == 0.0
+    assert core.setting("b", 2.5, "finite positive bound") == 2.5
+    for rule, bad, want in (("finite bound", math.inf, "finite and nonnegative"),
+                            ("finite bound", math.nan, "finite and nonnegative"),
+                            ("finite positive bound", 0.0, "finite and positive"),
+                            ("finite positive bound", -math.inf, "finite and positive")):
+        with pytest.raises(ValueError, match=f"^b must be {want}$"):
+            core.setting("b", bad, rule)
+
+
 def test_nan_ridge_is_refused_at_construction():
     # A nan lam used to pass (nan < 0 is False) and reach LAPACK.
     with pytest.raises(ValueError, match="^lam must be nonnegative$"):
@@ -235,3 +255,79 @@ def test_bound_arguments_follow_the_one_rule(bound_calls, entry):
     for value in _BAD_BOUNDS + (None,):
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(value)
+
+
+# (entry, setting name, rule, call(value)) for every count and bound of the
+# generators; a "fraction" is a bound below 1 (p: at most 1).
+_PR8 = gen_phase_retrieval(6, 30, 2)
+_POS = "positive count"
+_GENERATOR_SETTINGS = [
+    ("gen_matrix_sensing", "n1", _POS, lambda v: gen_matrix_sensing(v, 3, 1, 10, False, 0)),
+    ("gen_matrix_sensing", "n2", _POS, lambda v: gen_matrix_sensing(4, v, 1, 10, False, 0)),
+    ("gen_matrix_sensing", "r", _POS, lambda v: gen_matrix_sensing(4, 3, v, 10, False, 0)),
+    ("gen_matrix_sensing", "m", _POS, lambda v: gen_matrix_sensing(4, 3, 1, v, False, 0)),
+    ("gen_identity_sensing", "n1", _POS, lambda v: gen_identity_sensing(v, 3, 1, 0)),
+    ("gen_identity_sensing", "r", _POS, lambda v: gen_identity_sensing(3, 3, v, 0)),
+    ("gen_phase_retrieval", "n", _POS, lambda v: gen_phase_retrieval(v, 8, 0)),
+    ("gen_phase_retrieval", "m", _POS, lambda v: gen_phase_retrieval(4, v, 0)),
+    ("gen_phase_retrieval", "norm", "finite positive bound",
+     lambda v: gen_phase_retrieval(4, 8, 0, norm=v)),
+    ("gen_quadratic_sensing", "n", _POS, lambda v: gen_quadratic_sensing(v, 1, 8, 0)),
+    ("gen_quadratic_sensing", "r", _POS, lambda v: gen_quadratic_sensing(4, v, 8, 0)),
+    ("gen_quadratic_sensing", "m", _POS, lambda v: gen_quadratic_sensing(4, 1, v, 0)),
+    ("gen_matrix_completion", "n1", _POS,
+     lambda v: gen_matrix_completion(v, 4, 1, 0.5, False, 0)),
+    ("gen_matrix_completion", "r", _POS,
+     lambda v: gen_matrix_completion(4, 4, v, 0.5, True, 0)),
+    ("gen_matrix_completion", "p", "closed fraction",
+     lambda v: gen_matrix_completion(4, 4, 1, v, False, 0)),
+    ("gen_blind_deconv", "K", _POS, lambda v: gen_blind_deconv(v, 2, 4, 0)),
+    ("gen_blind_deconv", "N", _POS, lambda v: gen_blind_deconv(2, v, 4, 0)),
+    ("gen_blind_deconv", "m", _POS, lambda v: gen_blind_deconv(1, 2, v, 0)),
+    ("gen_blind_deconv", "norm", "finite positive bound",
+     lambda v: gen_blind_deconv(2, 2, 4, 0, norm=v)),
+    ("gen_rpca", "n2", _POS, lambda v: gen_rpca(6, v, 1, 0.5, 0.1, 1.0, 0)),
+    ("gen_rpca", "r", _POS, lambda v: gen_rpca(6, 6, v, 0.5, 0.1, 1.0, 0)),
+    ("gen_rpca", "p", "closed fraction", lambda v: gen_rpca(6, 6, 1, v, 0.1, 1.0, 0)),
+    ("gen_rpca", "alpha_out", "fraction", lambda v: gen_rpca(6, 6, 1, 0.5, v, 1.0, 0)),
+    ("gen_rpca", "magnitude", "finite positive bound",
+     lambda v: gen_rpca(6, 6, 1, 0.5, 0.1, v, 0)),
+    ("gen_phase_sync", "n", _POS, lambda v: gen_phase_sync(v, 0.5, 0)),
+    ("gen_phase_sync", "sigma", "finite bound", lambda v: gen_phase_sync(4, v, 0)),
+    ("gen_joint_alignment", "n", "count", lambda v: gen_joint_alignment(v, 2, 0.1, 0)),
+    ("gen_joint_alignment", "alphabet_m", "count", lambda v: gen_joint_alignment(3, v, 0.1, 0)),
+    ("gen_joint_alignment", "noise_flip_prob", "fraction",
+     lambda v: gen_joint_alignment(3, 2, v, 0)),
+    ("factorization_instance", "r", _POS,
+     lambda v: factorization_instance(np.diag([3.0, 2.0, 1.0]), v)),
+    ("corrupt_outliers", "alpha_out", "fraction", lambda v: corrupt_outliers(_PR8, v, 1)),
+]
+
+
+@pytest.mark.parametrize("entry, name, rule, call", _GENERATOR_SETTINGS,
+                         ids=[f"{e}.{n}" for e, n, *_ in _GENERATOR_SETTINGS])
+def test_generator_settings_follow_the_one_rule(entry, name, rule, call):
+    if rule.endswith("count"):
+        good, bad = 3, _BAD_COUNTS + ((0,) if rule.startswith("positive") else ())
+        assert instances_equal(call(float(good)), call(good))
+    else:
+        good, bad = 0.5, _BAD_BOUNDS
+        if rule.startswith("finite"):
+            bad += (math.inf,) + ((0.0,) if "positive" in rule else ())
+        elif rule.endswith("fraction"):
+            bad += (1.5,) + ((1.0,) if rule == "fraction" else ())
+        assert instances_equal(call(good), call(np.float64(good)))
+    for value in bad + (None,):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call(value)
+
+
+def test_generators_refuse_what_used_to_give_a_non_finite_y():
+    for call in (lambda: gen_phase_retrieval(4, 8, 0, norm=math.nan),
+                 lambda: gen_blind_deconv(2, 2, 4, 0, norm=math.nan),
+                 lambda: gen_rpca(6, 6, 1, 0.5, 0.1, math.nan, 0),
+                 lambda: gen_phase_sync(4, math.nan, 0),
+                 lambda: gen_phase_retrieval(4, 8, 0, norm=math.inf),
+                 lambda: gen_matrix_sensing(4, 4, 1, 10.5, True, 0)):
+        with pytest.raises(ValueError, match=" must be "):
+            call()
