@@ -29,6 +29,7 @@ from .problems import (
     estimate_rip,
     linear_operator,
     loss_and_grad,
+    loss_value,
     observed_entries,
     sensing_operator,
 )
@@ -121,10 +122,11 @@ def _alternate(instance, L, R, cfg, right, left):
     Alternating least squares leaves (L, R) unbalanced (any invertible r x r
     mix of a balanced pair), which a rotation cannot undo, so each row's
     dist and incoh are those of the balanced factors of L R^T; its loss and
-    gradient are those of the iterate.
+    gradient are those of the iterate.  Its half_loss is the plain risk
+    after the round's first half-step, at (L, R), from loss_value: no
+    gradient is formed for it.
     """
     half = None
-    op = linear_operator(instance)
 
     def solve(t, fixed, free, half_step):
         if not np.isfinite(fixed).all():
@@ -134,10 +136,7 @@ def _alternate(instance, L, R, cfg, right, left):
     def step(t, point, aux):
         nonlocal half
         R = solve(t, point.L, point.R, right)
-        # The plain risk, bit for bit loss_and_grad's value, without the
-        # adjoint products of its gradient.
-        e = op.measure_factors(point.L, R) - instance.y
-        half = float(e @ e) / (4.0 * op.scale)
+        half = loss_value(instance, FactorPoint.derived("asym", (point.L, R)))[0]
         return FactorPoint.derived("asym", (solve(t, R, point.L, left), R))
 
     def evaluate(t, point):

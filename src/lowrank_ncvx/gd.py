@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import FactorPoint, check_fields, derive_seed, factored_svd, iterate, make_rng, setting
-from .problems import FAMILIES, linear_operator, loss_and_grad
+from .problems import FAMILIES, linear_operator, loss_and_grad, loss_value
 from .spectral import sparse_part
 
 _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
@@ -48,9 +48,11 @@ class SolverConfig:
     default_step_size (see _descend), except in mini-batch runs, which take
     default_step_size as their constant step.  max_iters counts trace rows,
     not loss evaluations: a backtracking row also evaluates the trials it
-    rejects, which its trace records.  Stop rules are all optional:
-    gradient norm <= grad_tol, distance to truth <= dist_tol, or a relative
-    loss plateau |loss_prev - loss| <= plateau_tol * max(|loss_prev|, tiny).
+    rejects, which its trace records, so a run values len(trace) +
+    sum(rejected) points and forms the gradient len(trace) times.  Stop
+    rules are all optional: gradient norm <= grad_tol, distance to truth
+    <= dist_tol, or a relative loss plateau |loss_prev - loss| <=
+    plateau_tol * max(|loss_prev|, tiny).
     Whichever fires first ends the run with outcome "converged"; otherwise
     the run ends at max_iters, or earlier "diverged" by the single
     divergence rule of core.iterate.
@@ -319,10 +321,14 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     A failed trial halves eta, at most _HALVINGS times, after which the
     step is null (x+ = x) and the next row starts from the same eta; an
     accepted step that moved the point grows eta by _GROW for the next row.
-    A plain run (no weights or loss parameters that move with x) hands the
-    accepted trial's loss, gradient and shared product to the next row, so
-    that row evaluates nothing again; truncated and robust PCA runs reuse
-    its shared product.
+    Each trial is valued through problems.loss_value, which defers the
+    gradient.  A plain run (no weights or loss parameters that move with x)
+    hands the accepted trial's loss_value pair and shared product to the
+    next row, which forms the gradient from it and evaluates nothing again;
+    truncated and robust PCA rows reuse its shared product, value the point
+    again with the gradient under their fresh weights or S, and drop the
+    trial's gradient unformed.  So a run values len(trace) + sum(rejected)
+    points and forms the gradient len(trace) times.
     """
     search = cfg.eta is None and cfg.batch_k is None
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
@@ -336,7 +342,7 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     loss, params, project = cfg.loss, cfg.loss_params, cfg.project
     grad_tol, dist_tol, plateau_tol = cfg.grad_tol, cfg.dist_tol, cfg.plateau_tol
     # The line search's state: the next first trial step, and the accepted
-    # trial (point, shared product, plain (loss, gradient) or None) with its
+    # trial (point, shared product, plain loss_value pair or None) with its
     # step and rejected trials, which the next row reads.
     held = {"eta": eta, "point": None}
 
@@ -348,8 +354,11 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
             fg = None
         w = weights_fn(point, c) if weights_fn is not None else None
         lp = loss_params_fn(point) if loss_params_fn is not None else params
-        val, grad = fg if fg is not None else loss_and_grad(
-            instance, point, loss=loss, loss_params=lp, weights=w, forward=c)
+        if fg is None:
+            val, grad = loss_and_grad(instance, point, loss=loss, loss_params=lp, weights=w,
+                                      forward=c)
+        else:
+            val, grad = fg[0], fg[1]()
         row = trace_row(instance, point, val, grad, c)
         if search:
             row["eta"], row["rejected"] = (held["taken"], held["rejected"]) if t else (math.nan, 0)
@@ -375,12 +384,12 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
                 linear = sum([float(np.vdot(g, d).real) for g, d in zip(grad.parts, delta)])
                 bound = val + linear + moved / (2.0 * step)
             c_new = shared(instance, new) if shared is not None else None
-            fg = loss_and_grad(instance, new, loss=loss, loss_params=lp, weights=w, forward=c_new)
+            fg = loss_value(instance, new, loss=loss, loss_params=lp, weights=w, forward=c_new)
             if fg[0] <= bound:
                 break
             rejected += 1
             if rejected > _HALVINGS:  # no decrease found: a null step
-                held.update(point=point, c=c, fg=(val, grad) if plain else None,
+                held.update(point=point, c=c, fg=(val, lambda: grad) if plain else None,
                             rejected=rejected, taken=0.0)
                 return point
             step *= 0.5
@@ -432,7 +441,7 @@ def run_gd(instance, init, config=None):
     "rejected", the trials the line search refused before it.  Row 0, the
     init, holds eta nan and rejected 0; a null step (see _descend) holds
     eta 0.0.  So the run evaluates the loss len(trace) + sum(rejected)
-    times.
+    times and forms the gradient len(trace) times, once per row.
     """
     cfg = SolverConfig() if config is None else config
     _reads_only(cfg, "run_gd", _DESCENT_FIELDS + ("loss_params", "batch_k", "seed"))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import FactorPoint, check_fields, derive_seed, falls_to, iterate, make_rng, setting
 from .gd import SolverConfig, _reads_only, run_gd
-from .problems import FAMILIES, gen_phase_retrieval, loss_and_grad
+from .problems import FAMILIES, gen_phase_retrieval, loss_and_grad, loss_value
 
 _DENSE_CAP = 200
 _COOLDOWN = 25  # iterations perturbed descent waits between injections
@@ -233,7 +233,7 @@ def _phase_retrieval_oracle(instance):
     xs = np.asarray(instance.truth["x"], dtype=float).copy()
 
     def loss(x):
-        return loss_and_grad(instance, FactorPoint.vector(x))[0]
+        return loss_value(instance, FactorPoint.vector(x))[0]
 
     def grad(x):
         return loss_and_grad(instance, FactorPoint.vector(x))[1].x
@@ -250,7 +250,7 @@ def _sensing_rank1_oracle(instance):
     xs = np.asarray(instance.truth["X"], dtype=float).ravel().copy()
 
     def loss(x):
-        return loss_and_grad(instance, _column_point(x))[0]
+        return loss_value(instance, _column_point(x))[0]
 
     def grad(x):
         return loss_and_grad(instance, _column_point(x))[1].X.ravel()

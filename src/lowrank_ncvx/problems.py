@@ -6,7 +6,7 @@ Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
 per-sample weights, shared design product, linear operator, default step
 and step metric, truth gap, the power families' matrix and projection, the
-over-parametrized lift); ``forward_model``, ``loss_and_grad``,
+over-parametrized lift); ``forward_model``, ``loss_value``, ``loss_and_grad``,
 ``gd.default_step_size``, ``gd.trace_row``, ``gd.run_gd``, ``direct.ppm``
 and ``landscape.overparam_gd_experiment`` read it rather than branch on the
 family name.  The five linear families
@@ -22,6 +22,8 @@ Conventions shared by every family:
     model on a stored instance reproduces the observations bit for bit,
   * losses over sample sums accept per-sample weights, so truncated and
     stochastic variants reuse the exact arithmetic of the full loss,
+  * a loss forms its value first and its gradient only on demand
+    (loss_value), so a caller that needs the value alone pays no adjoint,
   * data derived from the stored arrays (the observed-entry index, A x*) is
     memoized on the instance outside its fields, never reaching the JSON.
 
@@ -754,6 +756,24 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     be None elsewhere.  The family's FAMILIES record decides all of this,
     and a call it does not allow raises a ValueError naming the family; so
     does a ``loss_params`` key that the tag's loss does not read.
+
+    This is loss_value with its gradient formed at once.  A default-step
+    descent run values its line-search trials through loss_value and forms
+    the gradient len(trace) times, one per row.
+    """
+    val, finish = loss_value(instance, point, loss, loss_params, weights, forward)
+    return val, finish()
+
+
+def loss_value(instance, point, loss="plain", loss_params=None, weights=None, forward=None):
+    """loss_and_grad's value, with its gradient deferred.
+
+    Takes loss_and_grad's arguments, checked the same way, and returns
+    (value, finish): value is loss_and_grad's bit for bit, and finish()
+    builds its gradient from the intermediates the value left (the residual,
+    the shared product), by the same operations in the same order.  A
+    caller that needs only the value (a line-search trial, a half-step
+    loss) never calls finish and skips the gradient's adjoint products.
     """
     fam = instance.family
     spec = FAMILIES[fam]
@@ -788,24 +808,30 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
 # parameters and c the family's shared product (None for families without
 # one), with the kind, tag and weights already checked against its record;
 # weights is None (unit weights, which are skipped) or a float array of shape
-# (m,).  The gradient is a derived point, built without the constructors'
-# checks.
+# (m,).  It forms the value first and returns (value, finish), finish() the
+# gradient from the intermediates the value holds: a derived point, built
+# without the constructors' checks.  Forcing finish repeats nothing the
+# value did, and forcing it twice gives equal gradients.
 
 def _linear_risk(instance, point, weights=None, offset=None):
-    # The plain risk sum_i w_i e_i^2 / 4s of a linear family and its gradient
-    # parts, e = A(X X^T) (sym) or A(L R^T) (asym), plus offset, minus y.
-    # Sensing, completion and robust PCA share it; unit weights are skipped.
+    # The plain risk sum_i w_i e_i^2 / 4s of a linear family, e = A(X X^T)
+    # (sym) or A(L R^T) (asym), plus offset, minus y, and the callable that
+    # forms its gradient parts.  Sensing, completion and robust PCA share
+    # it; unit weights are skipped.
     op = linear_operator(instance)
     s = op.scale
     A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
     model = op.measure_factors(A, B)
     e = (model if offset is None else model + offset) - instance.y
     we = e if weights is None else weights * e
-    val = float(we @ e) / (4.0 * s)
-    S = op.adjoint(we)
-    if point.kind == "sym":
-        return val, ((S @ A + S.T @ A) / (2.0 * s),)
-    return val, (S @ B / (2.0 * s), S.T @ A / (2.0 * s))
+
+    def parts():
+        S = op.adjoint(we)
+        if point.kind == "sym":
+            return ((S @ A + S.T @ A) / (2.0 * s),)
+        return (S @ B / (2.0 * s), S.T @ A / (2.0 * s))
+
+    return float(we @ e) / (4.0 * s), parts
 
 
 def _loss_linear(instance, point, loss, lp, weights, c):
@@ -814,20 +840,26 @@ def _loss_linear(instance, point, loss, lp, weights, c):
     S = lp.get("S")
     S = None if S is None else linear_operator(instance).measure(np.asarray(S, dtype=float))
     val, parts = _linear_risk(instance, point, weights, S)
-    return val, FactorPoint.derived(point.kind, parts)
+    return val, lambda: FactorPoint.derived(point.kind, parts())
 
 
 def _loss_sensing_asym(instance, point, loss, lp, weights, c):
-    val, (gL, gR) = _linear_risk(instance, point, weights)
+    val, parts = _linear_risk(instance, point, weights)
     if loss == "regularized":
         # Balancing penalty lam * ||L^T L - R^T R||_F^2; lam = 1/32 by default.
         L, R = point.L, point.R
         lam = float(lp.get("lam", 1.0 / 32.0))
         D = L.T @ L - R.T @ R
         val += lam * float(np.sum(D * D))
-        gL += 4.0 * lam * (L @ D)
-        gR -= 4.0 * lam * (R @ D)
-    return val, FactorPoint.derived("asym", (gL, gR))
+
+    def finish():
+        gL, gR = parts()
+        if loss == "regularized":
+            gL += 4.0 * lam * (L @ D)
+            gR -= 4.0 * lam * (R @ D)
+        return FactorPoint.derived("asym", (gL, gR))
+
+    return val, finish
 
 
 def _quadratic_forward(inst, point):
@@ -847,20 +879,27 @@ def _loss_quadratic(instance, point, loss, lp, weights, c):
         e = (c * c if vec else np.sum(c * c, axis=1)) - y
         we = e if weights is None else weights * e
         val = float(we @ e) / (4.0 * m)
-        g = A.T @ (we * c if vec else we[:, None] * c) / m
+
+        def finish():
+            g = A.T @ (we * c if vec else we[:, None] * c) / m
+            return FactorPoint.derived(point.kind, (g,))
     else:
         # sign(0) = 0 picks the zero subgradient at kinks.
         root = np.sqrt(y)
         e = np.abs(c) - root
         we = e if weights is None else weights * e
-        r = c - root * np.sign(c)
         val = float(np.sum(we * e)) / (2.0 * m)
-        g = A.T @ (r if weights is None else weights * r) / m
-    return val, FactorPoint.derived(point.kind, (g,))
+
+        def finish():
+            r = c - root * np.sign(c)
+            g = A.T @ (r if weights is None else weights * r) / m
+            return FactorPoint.derived(point.kind, (g,))
+
+    return val, finish
 
 
 def _loss_completion_sym(instance, point, loss, lp, weights, c):
-    val, (g,) = _linear_risk(instance, point)
+    val, parts = _linear_risk(instance, point)
     if loss == "regularized":
         # Row-norm hinge sum_i max(||X_i|| - alpha, 0)^4, discouraging spiky rows.
         X = point.X
@@ -869,10 +908,16 @@ def _loss_completion_sym(instance, point, loss, lp, weights, c):
         rn = np.sqrt(np.sum(X * X, axis=1))
         h, dh = _quartic_hinge(rn, alpha)
         val += lam * float(np.sum(h))
-        active = dh > 0
-        if np.any(active):
-            g[active] += lam * (dh[active] / rn[active])[:, None] * X[active]
-    return val, FactorPoint.derived("sym", (g,))
+
+    def finish():
+        (g,) = parts()
+        if loss == "regularized":
+            active = dh > 0
+            if np.any(active):
+                g[active] += lam * (dh[active] / rn[active])[:, None] * X[active]
+        return FactorPoint.derived("sym", (g,))
+
+    return val, finish
 
 
 def _completion_reg_scales(instance, lp):
@@ -891,7 +936,7 @@ def _completion_reg_scales(instance, lp):
 
 
 def _loss_completion_asym(instance, point, loss, lp, weights, c):
-    val, (gL, gR) = _linear_risk(instance, point)
+    val, parts = _linear_risk(instance, point)
     if loss == "regularized":
         L, R = point.L, point.R
         lam = float(lp.get("lam", 1.0))
@@ -899,15 +944,21 @@ def _loss_completion_asym(instance, point, loss, lp, weights, c):
         h1, d1 = _square_hinge(a1 * np.sum(L * L))
         h2, d2 = _square_hinge(a2 * np.sum(R * R))
         val += lam * (float(h1) + float(h2))
-        gL += lam * d1 * a1 * 2.0 * L
-        gR += lam * d2 * a2 * 2.0 * R
         hr, dr = _square_hinge(a3 * np.sum(L * L, axis=1))
         val += lam * float(np.sum(hr))
-        gL += lam * (dr * a3 * 2.0)[:, None] * L
         hc, dc = _square_hinge(a4 * np.sum(R * R, axis=1))
         val += lam * float(np.sum(hc))
-        gR += lam * (dc * a4 * 2.0)[:, None] * R
-    return val, FactorPoint.derived("asym", (gL, gR))
+
+    def finish():
+        gL, gR = parts()
+        if loss == "regularized":
+            gL += lam * d1 * a1 * 2.0 * L
+            gR += lam * d2 * a2 * 2.0 * R
+            gL += lam * (dr * a3 * 2.0)[:, None] * L
+            gR += lam * (dc * a4 * 2.0)[:, None] * R
+        return FactorPoint.derived("asym", (gL, gR))
+
+    return val, finish
 
 
 def _loss_blind_deconv(instance, point, loss, lp, weights, u):
@@ -919,8 +970,6 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
     # Unit weights are skipped; multiplying by them is exact anyway.
     we, e2 = (e, np.abs(e) ** 2) if weights is None else (weights * e, weights * np.abs(e) ** 2)
     val = float(e2.sum())
-    coef = we * np.conj(c)  # gh's B^H coefficients
-    gx = A.T @ (np.conj(we) * u)
     if loss == "regularized":
         # Incoherence and norm hinges.
         lam = float(lp.get("lam", 1.0))
@@ -933,19 +982,26 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
         row = m * np.abs(u) ** 2 / (8.0 * mu**2 * d0)
         hr, dr = _square_hinge(row)
         val += lam * float(np.sum(hr))
-        coef += lam * dr * m / (8.0 * mu**2 * d0) * u  # one B^H product for both
         hn, dn = _square_hinge(np.sum(np.abs(h) ** 2) / (2.0 * d0))
         val += lam * float(hn)
         xn, dxn = _square_hinge(np.sum(np.abs(x) ** 2) / (2.0 * d0))
         val += lam * float(xn)
-        gx += lam * dxn / (2.0 * d0) * x
-    gh = np.conj(B.T @ np.conj(coef))  # B^H coef, without copying conj(B)
-    if loss == "regularized":
-        gh += lam * dn / (2.0 * d0) * h
-    # Fold the customary norm scalings into the reported direction.
-    gh /= float((np.abs(x) ** 2).sum())
-    gx /= float((np.abs(h) ** 2).sum())
-    return val, FactorPoint.derived("pair", (gh, gx))
+
+    def finish():
+        coef = we * np.conj(c)  # gh's B^H coefficients
+        gx = A.T @ (np.conj(we) * u)
+        if loss == "regularized":
+            coef += lam * dr * m / (8.0 * mu**2 * d0) * u  # one B^H product for both
+            gx += lam * dxn / (2.0 * d0) * x
+        gh = np.conj(B.T @ np.conj(coef))  # B^H coef, without copying conj(B)
+        if loss == "regularized":
+            gh += lam * dn / (2.0 * d0) * h
+        # Fold the customary norm scalings into the reported direction.
+        gh /= float((np.abs(x) ** 2).sum())
+        gx /= float((np.abs(h) ** 2).sum())
+        return FactorPoint.derived("pair", (gh, gx))
+
+    return val, finish
 
 
 def _loss_power(instance, point, loss, lp, weights, c):
@@ -954,7 +1010,8 @@ def _loss_power(instance, point, loss, lp, weights, c):
     L = FAMILIES[instance.family].matrix(instance)
     Lx = L @ point.x
     val = -float(np.real(np.conj(point.x) @ Lx))
-    return val, FactorPoint.derived("vector", (-(Lx if np.iscomplexobj(L) else 2.0 * Lx),))
+    return val, lambda: FactorPoint.derived(
+        "vector", (-(Lx if np.iscomplexobj(L) else 2.0 * Lx),))
 
 
 def _phase_project(v):

@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from lowrank_ncvx import problems
 from lowrank_ncvx.core import FactorPoint
 from lowrank_ncvx.gd import (
     SolverConfig,
@@ -176,8 +177,9 @@ def _counting(M, log, truth):
 
 
 def test_plain_default_step_run_evaluates_rows_plus_rejections():
-    # The accepted trial's evaluation is the next row's: each evaluation is
-    # one A x and one A^T r, and there are len(trace) + sum(rejected) of them.
+    # The accepted trial's evaluation is the next row's: each of the
+    # len(trace) + sum(rejected) evaluations is one A x, and only a row forms
+    # its gradient, one A^T r, from the accepted trial's deferred value.
     inst, x0 = _pr()
     ref, ref_tr = run_gd(inst, x0, SolverConfig(max_iters=40))
     log = []
@@ -186,8 +188,55 @@ def test_plain_default_step_run_evaluates_rows_plus_rejections():
     assert np.array_equal(final.x, ref.x) and tr.loss == ref_tr.loss
     evaluations = len(tr) + sum(tr.extras["rejected"])
     assert sum(tr.extras["rejected"]) > 0
-    assert log.count("forward") == log.count("adjoint") == evaluations
+    assert log.count("forward") == evaluations
+    assert log.count("adjoint") == len(tr)
     assert log.count("truth") == 1  # A x*, once per instance, for the trace's gap
+
+
+@pytest.mark.parametrize("extra", [{}, {"median_factor": 5.0}], ids=["threshold", "median"])
+def test_truncated_default_step_run_forms_one_gradient_per_row(extra):
+    # A trial is valued with the row's mask frozen and its gradient is never
+    # formed; the next row values the accepted trial again under its fresh
+    # mask, from the trial's A x, and forms that row's one A^T r.
+    inst, x0 = _pr()
+    cfg = SolverConfig(max_iters=40, **extra)
+    ref, ref_tr = run_truncated_gd(inst, x0, cfg)
+    log = []
+    inst.design["A"] = _counting(inst.design["A"], log, inst.truth["x"])
+    final, tr = run_truncated_gd(inst, x0, cfg)
+    assert np.array_equal(final.x, ref.x) and tr.loss == ref_tr.loss
+    assert sum(tr.extras["rejected"]) > 0
+    assert log.count("forward") == len(tr) + sum(tr.extras["rejected"])
+    assert log.count("adjoint") == len(tr)
+    assert log.count("truth") == 1
+
+
+def test_rpca_default_step_run_forms_one_gradient_per_row(monkeypatch):
+    # Products of the sampling operator.  Each trial is valued at the row's
+    # S and each row again at its fresh S, measuring the model on the index
+    # once each; only a row forms a gradient, one adjoint.  Each row after
+    # the first also refreshes S from one residual, one more of each.
+    inst = gen_rpca(60, 60, 2, 0.5, 0.02, 1.0, seed=7)
+    est, S0 = init_rpca(inst, 2)
+    cfg = SolverConfig(max_iters=40, project=make_incoherent_projector(inst, est.point))
+    ref, ref_S, ref_tr = run_rpca(inst, est.point, S0, cfg)
+    calls = {"measure_factors": 0, "adjoint": 0}
+    for name in calls:
+        method = getattr(problems._EntrySampling, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(problems._EntrySampling, name, counted)
+    final, S, tr = run_rpca(inst, est.point, S0, cfg)
+    assert np.array_equal(final.X, ref.X) and np.array_equal(S, ref_S)
+    assert tr.loss == ref_tr.loss
+    assert sum(tr.extras["rejected"]) > 0
+    refreshes = len(tr) - 1
+    trials = len(tr) - 1 + sum(tr.extras["rejected"])
+    assert calls["measure_factors"] == len(tr) + trials + refreshes
+    assert calls["adjoint"] == len(tr) + refreshes
 
 
 @pytest.mark.parametrize("make", [_pr, _bd], ids=["phase-retrieval", "blind-deconvolution"])

@@ -2,12 +2,15 @@
 degenerate instance its generator accepts (p = 0, p = 1, r = min(n1, n2),
 alpha_out = 0, m = 1, K = N = m = 1) goes through generate, initialize and
 one solver with warnings raised as errors, and must return or raise
-ValueError."""
+ValueError.  The same instances check that every family loss defers its
+gradient exactly: loss_value's value and forced gradient are loss_and_grad's
+bit for bit."""
 
 import numpy as np
 import pytest
 
 from lowrank_ncvx import direct, gd, spectral
+from lowrank_ncvx.core import FactorPoint
 from lowrank_ncvx.problems import (
     FAMILIES,
     gen_blind_deconv,
@@ -18,6 +21,9 @@ from lowrank_ncvx.problems import (
     gen_phase_sync,
     gen_quadratic_sensing,
     gen_rpca,
+    lift_assignment,
+    loss_and_grad,
+    loss_value,
 )
 
 _CFG = gd.SolverConfig(max_iters=3)
@@ -114,3 +120,69 @@ def test_ridge_altmin_gives_unobserved_columns_zero_rows():
                                    direct.AltMinConfig(max_outer=3, lam=1e-3))
     assert np.array_equal(R[unseen], np.zeros((2, 1)))
     assert np.isfinite(R).all() and np.isfinite(L).all() and len(trace) == 3
+
+
+def _jitter(rng, a):
+    # 2 a plus noise: off the truth, with the regularizers' hinges active.
+    noise = rng.standard_normal(a.shape)
+    if np.iscomplexobj(a):
+        noise = noise + 1j * rng.standard_normal(a.shape)
+    return 2.0 * a + 0.3 * noise
+
+
+def _points(inst, rng):
+    # A point off the truth of every kind the family's record accepts.
+    t = inst.truth
+    for kind in FAMILIES[inst.family].kinds:
+        if kind == "pair":
+            yield FactorPoint.derived(kind, (_jitter(rng, t["h"]), _jitter(rng, t["x"])))
+        elif kind == "vector":
+            x = t["x"] if inst.family != "JointAlignment" \
+                else lift_assignment(t["x"], inst.params["alphabet_m"])
+            yield FactorPoint.derived(kind, (_jitter(rng, x),))
+        elif kind == "sym" and "X" in t:
+            yield FactorPoint.derived(kind, (_jitter(rng, t["X"]),))
+        elif kind == "asym":
+            L, R = (t["L"], t["R"]) if "L" in t else (t["X"], t["X"])
+            yield FactorPoint.derived(kind, (_jitter(rng, L), _jitter(rng, R)))
+
+
+def _loss_params(inst, keys, rng):
+    # No parameters, and then every key the tag's loss reads, given.
+    yield None
+    if keys:
+        yield {k: rng.standard_normal(inst.truth["M"].shape) if k == "S" else 0.7 for k in keys}
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@pytest.mark.parametrize("family, edge, gen", [e[:3] for e in EDGES],
+                         ids=[f"{family}-{edge}" for family, edge, *_ in EDGES])
+def test_loss_value_defers_exactly_loss_and_grads_gradient(family, edge, gen):
+    # Every loss tag, with and without loss parameters, weights and the
+    # shared product where the record allows them.  All values are taken
+    # before any gradient is forced, and each gradient is forced twice, in
+    # reverse order: a finish that read state another call changed, or that
+    # changed its own intermediates, would differ from loss_and_grad's.
+    inst = gen()
+    spec = FAMILIES[family]
+    rng = np.random.default_rng(7)
+    pending = []
+    with np.errstate(all="ignore"):
+        for point in _points(inst, rng):
+            forwards = [None] + ([spec.shared(inst, point)] if spec.shared else [])
+            weights = [None] + ([rng.uniform(0.0, 2.0, inst.y.shape)] if spec.sample_sum else [])
+            for tag, keys in spec.losses.items():
+                for lp in _loss_params(inst, keys, rng):
+                    for w in weights:
+                        for c in forwards:
+                            args = (inst, point, tag, lp, w, c)
+                            pending.append((loss_value(*args), loss_and_grad(*args)))
+        assert pending
+        for (val, finish), (ref_val, ref_grad) in reversed(pending):
+            assert _same(val, ref_val)
+            for grad in (finish(), finish()):
+                assert grad.kind == ref_grad.kind
+                assert all(map(_same, grad.parts, ref_grad.parts))

@@ -5,11 +5,12 @@ span wrappers, so a row that reaches loss_and_grad, the masks, dist_bd or
 bd_incoherence some other way (a local alias, a private helper) silently
 drops out of the per-layer view.  The first tests wrap the module bindings
 the row calls through (gd's, and problems' for the truth gap's dist_bd and
-bd_incoherence) with counters and require one call per row.
+bd_incoherence) with counters and require one call per row; a default-step
+row also values each line-search trial through gd's loss_value binding.
 
 The next requires that no row builds a point through FactorPoint's checked
 constructor: one re-check per row fits inside the slack of the budgets
-below.  The last three count the Python function calls a row makes (the
+below.  The last four count the Python function calls a row makes (the
 default-step row: per loss evaluation, rejected trials included), as
 sys.setprofile reports them.  Unlike its wall time, that count is the same
 on every machine, so a row that gains interpreter work (a re-check, a
@@ -50,7 +51,11 @@ BD_CALLS_PER_ROW = 55.4
 # Per loss evaluation (row or rejected trial) of the default-step
 # blind-deconvolution run, whose line search adds the step metric.
 BD_SEARCH_CALLS_PER_EVALUATION = 62.8
-_BOUND = ("loss_and_grad", "twf_mask", "median_mask", "dist_bd", "bd_incoherence")
+# Per loss evaluation of the default-step truncated phase-retrieval run,
+# whose rows also value the accepted trial again under their fresh mask.
+TWF_SEARCH_CALLS_PER_EVALUATION = 39.1
+_BOUND = ("loss_and_grad", "loss_value", "twf_mask", "median_mask", "dist_bd",
+          "bd_incoherence")
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +105,24 @@ def test_blind_deconvolution_row_calls_the_traced_bindings_once(monkeypatch, bd)
     calls = _count_bound_calls(monkeypatch)
     _, tr = run_gd(inst, x0, SolverConfig(eta=eta, max_iters=ROWS - 1))
     assert (len(tr), tr.outcome) == (ROWS, "max_iters")
-    assert calls == {"loss_and_grad": ROWS, "twf_mask": 0, "median_mask": 0,
+    assert calls == {"loss_and_grad": ROWS, "loss_value": 0, "twf_mask": 0, "median_mask": 0,
                      "dist_bd": ROWS, "bd_incoherence": ROWS}
+
+
+@pytest.mark.parametrize("extra, mask", [
+    ({}, "twf_mask"), ({"median_factor": 5.0}, "median_mask"),
+])
+def test_default_step_truncated_row_values_its_trials_through_loss_value(monkeypatch, pr, extra,
+                                                                          mask):
+    # Each row forms its one gradient through loss_and_grad, under its own
+    # mask; each trial, rejected or accepted, is only valued.
+    inst, x0, _ = pr
+    calls = _count_bound_calls(monkeypatch)
+    _, tr = run_truncated_gd(inst, x0, SolverConfig(max_iters=ROWS - 1, **extra))
+    assert (len(tr), tr.outcome) == (ROWS, "max_iters")
+    trials = ROWS - 1 + sum(tr.extras["rejected"])
+    assert calls == {name: 0 for name in _BOUND} | {"loss_and_grad": ROWS, "loss_value": trials,
+                                                    mask: ROWS}
 
 
 def _checked_points(monkeypatch, run):
@@ -175,6 +196,14 @@ def test_blind_deconvolution_row_python_call_budget(bd):
     cfg = SolverConfig(eta=eta, max_iters=ROWS - 1)
     per_row = _python_calls_per_row(lambda: run_gd(inst, x0, cfg))
     assert per_row <= 1.2 * BD_CALLS_PER_ROW, per_row
+
+
+def test_default_step_truncated_phase_retrieval_python_call_budget(pr):
+    inst, x0, _ = pr
+    cfg = SolverConfig(max_iters=ROWS - 1)
+    per_evaluation = _python_calls_per_row(lambda: run_truncated_gd(inst, x0, cfg),
+                                           per_evaluation=True)
+    assert per_evaluation <= 1.2 * TWF_SEARCH_CALLS_PER_EVALUATION, per_evaluation
 
 
 def test_default_step_blind_deconvolution_python_call_budget(bd):

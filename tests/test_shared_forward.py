@@ -269,7 +269,9 @@ def test_phase_retrieval_row_makes_one_forward_and_one_adjoint_product(pr, runne
 
 @pytest.mark.parametrize("extra", [{}, {"batch_k": 60, "seed": 7}])
 def test_quadratic_sensing_row_makes_one_forward_and_one_adjoint_product(extra):
-    # Quadratic sensing shares A X the way phase retrieval shares A x.
+    # Quadratic sensing shares A X the way phase retrieval shares A x: one
+    # A X per loss evaluation, row or rejected trial of the default step's
+    # line search, and one A^T r per row.
     inst = gen_quadratic_sensing(10, 2, 120, seed=38)
     X0 = init_quadratic_sensing(inst, 2).point
     log = []
@@ -277,7 +279,9 @@ def test_quadratic_sensing_row_makes_one_forward_and_one_adjoint_product(extra):
     rows = 6
     _, tr = run_gd(inst, X0, SolverConfig(max_iters=rows - 1, **extra))
     assert (len(tr), tr.outcome) == (rows, "max_iters")
-    assert log == ["forward", "adjoint"] * rows
+    evaluations = rows + sum(tr.extras.get("rejected", ()))
+    assert (log.count("forward"), log.count("adjoint"), len(log)) \
+        == (evaluations, rows, evaluations + rows)
     C = inst.design["A"].view(np.ndarray) @ X0.X
     for weights in (None, np.linspace(0.0, 2.0, 120)):
         val, g = loss_and_grad(inst, X0, weights=weights)
@@ -298,31 +302,36 @@ def _bd_product_logs(rows, loss="plain", given_mu=True):
         inst.design[key] = _counting(inst.design[key], logs[key])
     _, tr = run_gd(inst, x0, SolverConfig(max_iters=rows - 1, loss=loss, loss_params=params))
     assert (len(tr), tr.outcome) == (rows, "max_iters")
-    return logs
+    return logs, rows + sum(tr.extras["rejected"])
 
+
+# A default-step run values the loss once per row and once per rejected
+# trial: one forward product with each of A and B per evaluation, and one
+# adjoint product with each per row, for that row's gradient.
 
 def test_blind_deconvolution_row_makes_one_product_per_factor_and_side():
     rows = 6
-    for key, log in _bd_product_logs(rows).items():
-        assert sorted(log) == ["adjoint"] * rows + ["forward"] * rows, key
+    logs, evaluations = _bd_product_logs(rows)
+    for key, log in logs.items():
+        assert sorted(log) == ["adjoint"] * rows + ["forward"] * evaluations, key
 
 
 def test_regularized_blind_deconvolution_row_with_mu_makes_one_forward_b_product():
     # A given mu is the only incoherence scale the regularized row needs;
     # its hinge gradient rides on the data term's adjoint B product.
     rows = 6
-    logs = _bd_product_logs(rows, loss="regularized")
-    assert sorted(logs["A"]) == ["adjoint"] * rows + ["forward"] * rows
-    assert sorted(logs["B"]) == ["adjoint"] * rows + ["forward"] * rows
+    logs, evaluations = _bd_product_logs(rows, loss="regularized")
+    assert sorted(logs["A"]) == ["adjoint"] * rows + ["forward"] * evaluations
+    assert sorted(logs["B"]) == ["adjoint"] * rows + ["forward"] * evaluations
 
 
 def test_regularized_blind_deconvolution_default_mu_is_formed_once_per_instance():
     # Without mu the row takes the planted pair's incoherence, one forward B
     # product formed once per instance; the losses are those of the given mu.
     rows = 6
-    logs = _bd_product_logs(rows, loss="regularized", given_mu=False)
-    assert sorted(logs["A"]) == ["adjoint"] * rows + ["forward"] * rows
-    assert sorted(logs["B"]) == ["adjoint"] * rows + ["forward"] * (rows + 1)
+    logs, evaluations = _bd_product_logs(rows, loss="regularized", given_mu=False)
+    assert sorted(logs["A"]) == ["adjoint"] * rows + ["forward"] * evaluations
+    assert sorted(logs["B"]) == ["adjoint"] * rows + ["forward"] * (evaluations + 1)
     inst = gen_blind_deconv(8, 8, 64, seed=35)
     x0 = init_blind_deconv(inst).point
     mu = bd_incoherence(inst.truth["h"], inst.design["B"])
