@@ -5,7 +5,8 @@ median-truncated gradients, the alternating sparse-plus-low-rank loop, and
 mini-batch steps.  The loop variants differ only in the per-iteration
 weights or loss parameters they feed the shared loss dispatcher, so a
 variant configured to do nothing reproduces the plain run bit for bit.
-Without an explicit step they backtrack from the family's default step.
+Without an explicit step they backtrack from the two-point step of Barzilai
+and Borwein (1988), falling back to the last accepted step (see _descend).
 
 trace_row builds every solver's trace row, here and in ``direct``.  Its
 truth fields, dist (dist_to_truth) and incoh (incoherence_proxy), come from
@@ -30,10 +31,8 @@ DEFAULT_TWF_THRESHOLDS = (0.3, 5.0, 5.0)
 _TINY = np.finfo(float).tiny
 
 # The backtracking line search of default-step descent: a failed trial halves
-# the step, at most _HALVINGS times in a row, and an accepted step that moved
-# the point grows it by _GROW.
+# the step, at most _HALVINGS times in a row.
 _HALVINGS = 60
-_GROW = 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +43,9 @@ _GROW = 1.2
 class SolverConfig:
     """Descent solver settings.
 
-    An explicit eta is a constant step.  eta None backtracks from
-    default_step_size (see _descend), except in mini-batch runs, which take
+    An explicit eta is a constant step.  eta None backtracks from the
+    two-point step of Barzilai and Borwein (1988), falling back to the last
+    accepted step (see _descend), except in mini-batch runs, which take
     default_step_size as their constant step.  max_iters counts trace rows,
     not loss evaluations: a backtracking row also evaluates the trials it
     rejects, which its trace records, so a run values len(trace) +
@@ -110,8 +110,8 @@ def default_step_size(instance, init):
     """The default step of the instance's family at init, scale-normalized
     by the init: the ``step`` rule of its problems.FAMILIES record, where
     the rules are declared.  It is the first trial step of a default-step
-    run's line search, and the constant step of a default-step mini-batch
-    run.  A family without one raises."""
+    run's line search (see _descend), and the constant step of a
+    default-step mini-batch run.  A family without one raises."""
     step = FAMILIES[instance.family].step
     if step is None:
         raise ValueError(f"no default step for {instance.family}; pass eta explicitly")
@@ -304,8 +304,19 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     once per row, for weights_fn(point, c), the loss and trace_row.
 
     With an explicit cfg.eta, or in mini-batch runs, the step is constant.
-    Otherwise it backtracks (Armijo): the first trial step is
-    default_step_size, and a trial x+ passes if
+    Otherwise it backtracks (Armijo).  The first trial step is the two-point
+    (BB2) step of Barzilai and Borwein (1988),
+
+        eta0 = <s, y>_M / <y, y>_M,
+
+    with s = x_t - x_{t-1} the last accepted trial's step (the delta the
+    search formed for its test) and y = g_t - g_{t-1} the change of the
+    reported gradient across it, both in the family's step metric at x_t.
+    It falls back to the held step, default_step_size until a row accepts a
+    step and the last accepted step from then on, on the first row, after a
+    null step, and where <s, y>_M <= 0 or <y, y>_M = 0 (negative curvature,
+    or a step that did not move the point, as at the truth).  A trial x+
+    passes if
 
         f(x+) <= f(x) - ||x+ - x||_M^2 / (2 eta),
 
@@ -319,8 +330,7 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     outside the set, where the test above can fail at every eta (x+ tends
     to the projection of x, not to x), a small enough eta still passes it.
     A failed trial halves eta, at most _HALVINGS times, after which the
-    step is null (x+ = x) and the next row starts from the same eta; an
-    accepted step that moved the point grows eta by _GROW for the next row.
+    step is null (x+ = x) and the next row starts from the held step.
     Each trial is valued through problems.loss_value, which defers the
     gradient.  A plain run (no weights or loss parameters that move with x)
     hands the accepted trial's loss_value pair and shared product to the
@@ -341,10 +351,12 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     plain = weights_fn is None and loss_params_fn is None
     loss, params, project = cfg.loss, cfg.loss_params, cfg.project
     grad_tol, dist_tol, plateau_tol = cfg.grad_tol, cfg.dist_tol, cfg.plateau_tol
-    # The line search's state: the next first trial step, and the accepted
-    # trial (point, shared product, plain loss_value pair or None) with its
-    # step and rejected trials, which the next row reads.
-    held = {"eta": eta, "point": None}
+    # The line search's state: the fallback first trial step, the last row's
+    # step s and gradient parts (s None before the first row and after a
+    # null step), and the accepted trial (point, shared product, plain
+    # loss_value pair or None) with its step and rejected trials, which the
+    # next row reads.
+    held = {"eta": eta, "point": None, "s": None}
 
     def evaluate(t, point):
         if held["point"] is point:
@@ -373,11 +385,16 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
 
     def backtrack(t, point, aux):
         val, grad, c, w, lp = aux
-        step, rejected = held["eta"], 0
+        step, s, rejected = held["eta"], held["s"], 0
+        if s is not None:  # the two-point (BB2) step <s, y>_M / <y, y>_M
+            y = [a - b for a, b in zip(grad.parts, held["grad"])]
+            sy, yy = metric(point, s, y), metric(point, y, y)
+            if sy > 0.0 and yy > 0.0:
+                step = sy / yy
         while True:
             new = trial(point, grad, step)
             delta = [q - p for p, q in zip(point.parts, new.parts)]
-            moved = metric(point, delta)
+            moved = metric(point, delta, delta)
             if project is None:
                 bound = val - moved / (2.0 * step)
             else:  # the proximal-gradient form
@@ -390,11 +407,11 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
             rejected += 1
             if rejected > _HALVINGS:  # no decrease found: a null step
                 held.update(point=point, c=c, fg=(val, lambda: grad) if plain else None,
-                            rejected=rejected, taken=0.0)
+                            rejected=rejected, taken=0.0, s=None)
                 return point
             step *= 0.5
         held.update(point=new, c=c_new, fg=fg if plain else None, rejected=rejected,
-                    taken=step, eta=step * _GROW if moved > 0.0 else step)
+                    taken=step, eta=step, s=delta, grad=grad.parts)
         return new
 
     def stop(trace, point):
@@ -431,7 +448,8 @@ def _batch_sampler(instance, k):
 
 def run_gd(instance, init, config=None):
     """Gradient descent from init: at the constant step config.eta, or, with
-    eta None, at a backtracking step that starts from default_step_size.
+    eta None, at a backtracking step from the two-point step of Barzilai and
+    Borwein (1988), falling back to the last accepted step (see _descend).
 
     Returns (final point, trace).  The trace holds one row per visited
     iterate including the init, and trace.outcome reports how the run ended:

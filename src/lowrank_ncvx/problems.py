@@ -1114,21 +1114,22 @@ def alignment_mismatch(x, labels, alphabet_m):
 
 
 # ---------------------------------------------------------------------------
-# Step metrics: ||delta||_M^2 of a step delta (a parts tuple) from a point
+# Step metrics: the inner product <a, b>_M of two steps (parts tuples) from
+# a point, so ||delta||_M^2 = metric(point, delta, delta)
 # ---------------------------------------------------------------------------
 
-def _euclidean_metric(point, delta):
-    return sum([float(np.vdot(d, d).real) for d in delta])
+def _euclidean_metric(point, a, b):
+    return sum([float(np.vdot(u, v).real) for u, v in zip(a, b)])
 
 
-def _pair_metric(point, delta):
-    # ||dh||^2 ||x||^2 + ||dx||^2 ||h||^2 at the point (h, x).  Blind
+def _pair_metric(point, a, b):
+    # Re<a_h, b_h> ||x||^2 + Re<a_x, b_x> ||h||^2 at the point (h, x).  Blind
     # deconvolution reports the Wirtinger gradients divided by ||x||^2 and
     # ||h||^2, so in this metric a step -eta g is predicted to lower the loss
     # by 2 eta ||g||_M^2 at every scale of the pair.
-    (h, x), (dh, dx) = point.parts, delta
-    return float(np.vdot(dh, dh).real * np.vdot(x, x).real
-                 + np.vdot(dx, dx).real * np.vdot(h, h).real)
+    (h, x), (ah, ax), (bh, bx) = point.parts, a, b
+    return float(np.vdot(ah, bh).real * np.vdot(x, x).real
+                 + np.vdot(ax, bx).real * np.vdot(h, h).real)
 
 
 # ---------------------------------------------------------------------------
@@ -1144,21 +1145,25 @@ class Family:
     design product the loss and a solver's row share;
     operator(instance) builds a linear family's linear_operator;
     step(instance, init) is the step gd.default_step_size gives,
-    scale-normalized by the init (None: the family has none): the first
-    trial of gd's backtracking line search, and the constant step of a
-    mini-batch run; metric(point, delta) is ||delta||_M^2, the squared
-    length of a step delta (a parts tuple) from point, in the metric at
-    point that the family's reported gradient is scaled for, as that line
-    search's decrease test reads it (Euclidean unless the record names
-    another); and gap(instance, point, c) is the distance to the truth modulo the family's
-    ambiguity, with its incoherence proxy, that gd.trace_row records (a
-    rotation of the factors unless the record names another).  A power
-    family declares matrix(instance), the L of its loss -Re x^H L x, and
-    project(instance, v), the projection onto its constraint set, which
-    direct.ppm iterates as x <- project(L x).  lift(instance) is the
-    instance whose loss at a square n x n factor X is the family's
-    over-parametrized lift, which landscape.overparam_gd_experiment descends
-    (None: the family has none)."""
+    scale-normalized by the init (None: the family has none): where gd's
+    backtracking line search starts (see gd._descend), and the constant
+    step of a mini-batch run; metric(point, a, b) is <a, b>_M, the real
+    inner product of two steps a and b (parts tuples) from point, in the
+    metric at point that the family's reported gradient is scaled for
+    (Euclidean unless the record names another), which that line search
+    reads as ||delta||_M^2 = metric(point, delta, delta) in its decrease
+    test and as <s, y>_M / <y, y>_M in its two-point first trial (Barzilai
+    and Borwein 1988, falling back to the last accepted step); and
+    gap(instance, point, c) is the distance to the truth modulo the
+    family's ambiguity, with its incoherence proxy, that gd.trace_row
+    records (a rotation of the factors unless the record names another).
+    A power family declares matrix(instance), the L of its loss
+    -Re x^H L x, and project(instance, v), the projection onto its
+    constraint set, which direct.ppm iterates as x <- project(L x).
+    lift(instance) is the instance whose loss at a square n x n factor X is
+    the family's over-parametrized lift, which
+    landscape.overparam_gd_experiment descends (None: the family has
+    none)."""
 
     observe: object
     loss: object

@@ -1,10 +1,11 @@
 """The backtracking default step of gd's descent runs.
 
 With eta None (and no mini-batch), each row's step comes from an Armijo line
-search: the first trial is default_step_size, a trial x+ passes if
-f(x+) <= f(x) - ||x+ - x||_M^2 / (2 eta), each failure halves eta, and an
-accepted step that moved the point grows it by 1.2.  The trace records the
-accepted step ("eta") and the refused trials ("rejected") of every row.
+search: a trial x+ passes if f(x+) <= f(x) - ||x+ - x||_M^2 / (2 eta), and
+each failure halves eta.  The first trial is the two-point step of Barzilai
+and Borwein (1988), falling back to the last accepted step (gd._descend
+gives the rule).  The trace records the accepted step ("eta") and the
+refused trials ("rejected") of every row.
 
 A projected run tests its trials in the proximal-gradient form
 f(x+) <= f(x) + <g, x+ - x> + ||x+ - x||^2 / (2 eta), which implies the test
@@ -12,9 +13,11 @@ above from a point inside the convex constraint set and, unlike it, passes
 at a small enough eta from an init outside the set.
 
 The oracle below replays a run from those two columns alone, through the
-public loss_and_grad and the run's projector, with the step metric written
-out here: every row must be the replayed point, satisfy the decrease test,
-and be the first trial of its row's halving sequence that does.
+public loss_and_grad and the run's projector, with the step metric and the
+first-trial rule written out here: every row must be the replayed point,
+satisfy the decrease test, and be the first trial of its row's halving
+sequence that does, and that sequence must start from the replayed first
+trial (to the round-off of a two-point step's inner products).
 """
 
 import math
@@ -22,7 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from lowrank_ncvx import problems
+from lowrank_ncvx import gd, problems
 from lowrank_ncvx.core import FactorPoint
 from lowrank_ncvx.gd import (
     SolverConfig,
@@ -48,23 +51,39 @@ from lowrank_ncvx.spectral import (
 )
 
 
-def _metric(point, new):
-    # ||new - point||_M^2: Euclidean, except ||dh||^2 ||x||^2 + ||dx||^2 ||h||^2
-    # for a blind-deconvolution pair.
-    d = [np.linalg.norm(a - b) ** 2 for a, b in zip(new.parts, point.parts)]
+def _metric(point, a, b):
+    # <a, b>_M for steps a, b (parts lists) from point: Euclidean, except
+    # Re<a_h, b_h> ||x||^2 + Re<a_x, b_x> ||h||^2 for a blind-deconvolution pair.
+    d = [float(np.sum(np.conj(u) * v).real) for u, v in zip(a, b)]
     if point.kind == "pair":
         h, x = point.parts
         return d[0] * np.linalg.norm(x) ** 2 + d[1] * np.linalg.norm(h) ** 2
     return sum(d)
 
 
+def _minus(a, b):
+    return [u - v for u, v in zip(a, b)]
+
+
+def _abs(a):
+    return [np.abs(u) for u in a]
+
+
+_EPS = np.finfo(float).eps
+
+
 def _replay(inst, x0, tr, project=None):
     """Check every row of the default-step run ``tr`` from x0 against its
-    eta and rejected columns; return the number of trials that refused."""
+    eta and rejected columns; return the replayed final point, the number of
+    trials that refused, and each row's first-trial rule: "held" (no last
+    step: the first row, or the row after a null step), "flat" (<y, y>_M =
+    0), "negative" (<s, y>_M < 0), "bb2", or None where round-off leaves the
+    sign of <s, y>_M open.  The first three start from the held step.  A row with eta 0.0 is a null step: all of its trials
+    refused and the point stays."""
     etas, rejected = tr.extras["eta"], tr.extras["rejected"]
     assert math.isnan(etas[0]) and rejected[0] == 0
-    first = default_step_size(inst, x0)
-    point, refused = x0, 0
+    held = default_step_size(inst, x0)
+    point, refused, kinds, s, prev = x0, 0, [None], None, None
     val, grad = loss_and_grad(inst, point)
     assert val == tr.loss[0]
 
@@ -73,28 +92,71 @@ def _replay(inst, x0, tr, project=None):
         # the other summation order of the metric and inner product here.
         new = point.add_scaled(-step, grad.parts)
         new = new if project is None else project(new)
+        d = _minus(new.parts, point.parts)
         fval, slack = loss_and_grad(inst, new)[0], 1e-13 * abs(val)
-        armijo = fval <= val - _metric(point, new) / (2.0 * step) + slack
+        decrease = _metric(point, d, d) / (2.0 * step)
         if project is None:
+            armijo = fval <= val - decrease + slack
             return new, armijo, armijo
-        linear = sum(float(np.sum(g * (a - b))) for g, a, b in zip(grad.parts, new.parts,
-                                                                  point.parts))
-        return new, fval <= val + linear + _metric(point, new) / (2.0 * step) + slack, armijo
+        linear = sum(float(np.sum(g * e)) for g, e in zip(grad.parts, d))
+        prox = fval <= val + linear + decrease + slack
+        # The proximal test implies the Armijo test when <g + d / step, d>
+        # <= 0, which the projection gives in exact arithmetic.  Rounding the
+        # free point x - step g and the difference d = x+ - x errs by
+        # |e_i| <= b_i = 2 eps (|x_i| + |x+_i|), moving that product by at
+        # most sum |g_i| b_i + sum b_i^2 / step; unclipped, d = -step g + e
+        # and the product is exactly <e, e / step - g>.
+        b = [2.0 * _EPS * (np.abs(p) + np.abs(q)) for p, q in zip(point.parts, new.parts)]
+        rounding = sum(float(np.sum(np.abs(g) * c + c * c / step))
+                       for g, c in zip(grad.parts, b))
+        return new, prox, fval <= val - decrease + slack + rounding
 
     for t in range(1, len(tr)):
-        k = rejected[t]
-        assert etas[t] == first * 0.5 ** k, t
+        k, kind, first = rejected[t], "held", held
+        if s is not None:
+            # The run sums <s, y>_M and <y, y>_M over the n entries in another
+            # order; each order errs by at most (n + 2) eps <|s|, |y|>_M, so
+            # the two two-point steps agree to rel, and the sign of <s, y>_M
+            # is known where |<s, y>_M| exceeds twice that.
+            y = _minus(grad.parts, prev)
+            sy, yy = _metric(point, s, y), _metric(point, y, y)
+            c = 2.0 * (sum(u.size for u in s) + 2) * _EPS
+            mag = _metric(point, _abs(s), _abs(y))
+            if yy == 0.0:
+                kind = "flat"
+            elif sy < -c * mag:
+                kind = "negative"
+            elif sy > c * mag:
+                kind, first, rel = "bb2", sy / yy, c * (mag / sy + 2.0)
+            else:
+                kind = None
+        kinds.append(kind)
+        refused += k
+        if etas[t] == 0.0:  # a null step
+            assert k == gd._HALVINGS + 1, t
+            s = None
+            assert loss_and_grad(inst, point)[0] == tr.loss[t], t
+            # The run's first trial is known exactly only where it is the
+            # held step; one known to round-off cannot replay trials at the
+            # floor, where null steps happen.
+            if kind in ("held", "flat", "negative"):
+                for j in range(k):
+                    assert not trial(first * 0.5 ** j)[1], (t, j)
+            continue
+        eta0 = etas[t] * 2.0 ** k  # the run's first trial, exactly
+        if kind in ("held", "flat", "negative"):
+            assert eta0 == first, t
+        elif kind == "bb2":
+            assert math.isclose(eta0, first, rel_tol=rel), t
         for j in range(k):  # the larger trials of the row all failed
-            assert not trial(first * 0.5 ** j)[1], (t, j)
+            assert not trial(eta0 * 0.5 ** j)[1], (t, j)
         new, ok, armijo = trial(etas[t])
         assert ok and armijo, t
-        moved = _metric(point, new) > 0.0
+        s, prev, held = _minus(new.parts, point.parts), grad.parts, etas[t]
         point = new
         val, grad = loss_and_grad(inst, point)
         assert val == tr.loss[t], t
-        refused += k
-        first = etas[t] * 1.2 if moved else etas[t]
-    return point, refused
+    return point, refused, kinds
 
 
 def _pr():
@@ -114,19 +176,29 @@ def _mc(symmetric):
     return make
 
 
+def _pr_random():
+    # Far from the truth, where the loss has negative curvature and the
+    # two-point step meets <s, y> <= 0.
+    inst = gen_phase_retrieval(16, 160, seed=31)
+    return inst, FactorPoint.vector(np.random.default_rng(0).standard_normal(16))
+
+
 @pytest.mark.parametrize("make, projected", [
-    (_pr, False), (_mc(True), False), (_mc(False), False), (_mc(True), True), (_bd, False),
-], ids=["phase-retrieval", "sym-completion", "asym-completion", "projected-completion",
-        "blind-deconvolution"])
+    (_pr, False), (_pr_random, False), (_mc(True), False), (_mc(False), False),
+    (_mc(True), True), (_bd, False),
+], ids=["phase-retrieval", "phase-retrieval-random-init", "sym-completion", "asym-completion",
+        "projected-completion", "blind-deconvolution"])
 def test_every_default_step_row_passes_the_decrease_test(make, projected):
     inst, x0 = make()
     proj = make_incoherent_projector(inst, x0) if projected else None
     final, tr = run_gd(inst, x0, SolverConfig(max_iters=80, project=proj))
     assert tr.outcome == "max_iters"
-    replayed, refused = _replay(inst, x0, tr, proj)
+    replayed, refused, kinds = _replay(inst, x0, tr, proj)
     assert all(np.array_equal(a, b) for a, b in zip(replayed.parts, final.parts))
     assert refused == sum(tr.extras["rejected"]) > 0
     assert all(b <= a for a, b in zip(tr.loss, tr.loss[1:]))
+    if make is _pr_random:
+        assert "negative" in kinds
 
 
 def test_projected_run_from_an_init_outside_the_set_converges():
@@ -143,7 +215,8 @@ def test_projected_run_from_an_init_outside_the_set_converges():
     eta = default_step_size(inst, spiky)
     for k in (0, 10, 30, 60):
         new = proj(spiky.add_scaled(-eta * 0.5 ** k, grad.parts))
-        assert loss_and_grad(inst, new)[0] > val - _metric(spiky, new) / (2.0 * eta * 0.5 ** k)
+        d = _minus(new.parts, spiky.parts)
+        assert loss_and_grad(inst, new)[0] > val - _metric(spiky, d, d) / (2.0 * eta * 0.5 ** k)
     tol = 1e-8 * float(np.linalg.norm(inst.truth["X"]))
     _, tr = run_gd(inst, spiky, SolverConfig(max_iters=500, project=proj, dist_tol=tol))
     assert tr.outcome == "converged" and tr.extras["rejected"][1] == 0
@@ -250,6 +323,40 @@ def test_run_started_at_the_truth_rejects_nothing(make):
     assert sum(tr.extras["rejected"]) == 0
     # A null step never grows the step, so no row tries an overflowing one.
     assert set(tr.extras["eta"][1:]) == {default_step_size(inst, x)}
+
+
+def test_row_after_a_null_step_starts_from_the_held_step(monkeypatch):
+    # With at most three halvings a row, phase retrieval meets null steps at
+    # its round-off floor.  A null step leaves no last step to take a
+    # two-point step from, so the next row's first trial is the held step:
+    # exactly the last accepted step.
+    monkeypatch.setattr(gd, "_HALVINGS", 3)
+    inst, x0 = _pr()
+    final, tr = run_gd(inst, x0, SolverConfig(max_iters=200))
+    etas, rejected = tr.extras["eta"], tr.extras["rejected"]
+    null = [t for t, eta in enumerate(etas) if eta == 0.0]
+    replayed, _, kinds = _replay(inst, x0, tr)
+    assert np.array_equal(replayed.x, final.x)
+    assert all(b <= a for a, b in zip(tr.loss, tr.loss[1:]))
+    after = [t + 1 for t in null if t + 1 < len(tr) and etas[t + 1] > 0.0]
+    assert after
+    for t in after:
+        last = [eta for eta in etas[1:t] if eta > 0.0][-1]
+        assert kinds[t] == "held" and etas[t] * 2.0 ** rejected[t] == last, t
+
+
+def test_unprojected_default_step_converges_where_the_constant_step_diverges():
+    # Symmetric completion at n = 2000, p = 0.02: the spectral init has a row
+    # of norm 26.5 against at most 5.4 in the truth, and the constant default
+    # step diverges within a few rows.
+    inst = gen_matrix_completion(2000, 2000, 5, 0.02, True, 6000)
+    x0 = init_matrix_completion(inst, 5).point
+    tol = 1e-6 * float(np.linalg.norm(inst.truth["X"]))
+    _, const = run_gd(inst, x0, SolverConfig(eta=default_step_size(inst, x0), max_iters=50))
+    assert const.outcome == "diverged"
+    _, tr = run_gd(inst, x0, SolverConfig(max_iters=500, dist_tol=tol))
+    assert tr.outcome == "converged" and tr.dist[-1] <= tol
+    assert all(b <= a for a, b in zip(tr.loss, tr.loss[1:]))
 
 
 @pytest.mark.parametrize("make", [_pr, _bd], ids=["phase-retrieval", "blind-deconvolution"])
