@@ -13,6 +13,12 @@ evaluates the families' own losses through loss_and_grad.  The perturbed
 walk and the lifted descent run on core.iterate, which owns their stop and
 divergence rules.
 
+One oracle, oracle_from_instance, serves every objective from the family
+table: loss_value and loss_and_grad give loss and gradient, the record's hvp
+the Hessian, and the factorization objective of any rank is that oracle on
+problems.factorization_instance.  rank1_hessian and fd_hessian are the
+closed-form and finite-difference references it is checked against.
+
 Everything here is an analysis tool, not a production solver: Hessians are
 formed explicitly and eigendecomposed, so the subproblem solvers refuse
 inputs beyond a small dense cap.
@@ -26,7 +32,8 @@ import numpy as np
 
 from .core import FactorPoint, check_fields, derive_seed, falls_to, iterate, make_rng, setting
 from .gd import SolverConfig, _reads_only, run_gd
-from .problems import FAMILIES, gen_phase_retrieval, loss_and_grad, loss_value
+from .problems import (FAMILIES, _check_symmetric, factorization_instance, gen_phase_retrieval,
+                       loss_and_grad, loss_value)
 
 _DENSE_CAP = 200
 _COOLDOWN = 25  # iterations perturbed descent waits between injections
@@ -83,34 +90,20 @@ class SaddleEscapeConfig:
 class LandscapeOracle:
     """Loss, gradient, and Hessian of a scalar objective over flat vectors.
 
-    hess_source records how the Hessian is produced: "analytic" when a
-    closed form is implemented, "finite_difference" otherwise.  minima
-    lists known global minimizers (both signs where the model has the sign
-    ambiguity); the escape walks use it for their distance column and it
-    defaults empty.
+    minima lists known global minimizers (both signs where the model has the
+    sign ambiguity); the escape walks use it for their distance column and
+    it defaults empty.
     """
 
     loss: object
     grad: object
     hess: object
-    hess_source: str
     minima: tuple = ()
 
 
 # ---------------------------------------------------------------------------
-# Hessians and oracle factories
+# Hessians and oracles
 # ---------------------------------------------------------------------------
-
-def _check_symmetric(M, what="M"):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{what} must be a square matrix")
-    scale = float(np.max(np.abs(M), initial=0.0))
-    if float(np.max(np.abs(M - M.T), initial=0.0)) > 1e-12 * (1.0 + scale):
-        raise ValueError(f"{what} must be symmetric")
-    # Kill roundoff skew so downstream algebra stays exactly symmetric.
-    return 0.5 * (M + M.T)
-
 
 def rank1_hessian(M, x):
     """Hessian of f(x) = ||xx^T - M||_F^2 / 4 at x: ||x||^2 I + 2 xx^T - M."""
@@ -143,124 +136,54 @@ def fd_hessian(grad_fn, x):
 
 
 def rank1_oracle(M):
-    """Oracle for the rank-1 factorization objective on a symmetric M.
-
-    Gradient (xx^T - M)x with the closed-form Hessian.  When the top
-    eigenvalue is positive the two global minimizers +-sqrt(lam_1) u_1 are
-    attached as minima.
-    """
-    M = _check_symmetric(M)
-    lam, U = np.linalg.eigh(M)
-    minima = ()
-    if lam[-1] > 0.0:
-        top = math.sqrt(lam[-1]) * U[:, -1]
-        minima = (top, -top)
-
-    def loss(x):
-        x = np.asarray(x, dtype=float).ravel()
-        E = np.outer(x, x) - M
-        return 0.25 * float(np.sum(E * E))
-
-    def grad(x):
-        x = np.asarray(x, dtype=float).ravel()
-        return float(x @ x) * x - M @ x
-
-    return LandscapeOracle(loss, grad, lambda x: rank1_hessian(M, x),
-                           "analytic", minima)
+    """Oracle for the rank-1 factorization objective ||xx^T - M||_F^2 / 4 on
+    a symmetric M, with minima +-sqrt(lam_1) u_1 when lam_1 > 0."""
+    return oracle_from_instance(factorization_instance(M, 1))
 
 
 def factored_oracle(Mstar, r):
-    """Oracle for f(X) = ||XX^T - Mstar||_F^2 / 4 over vectorized factors.
-
-    Points are row-major vec(X) with X of shape (n, r), matching numpy's
-    reshape.  The Hessian acts on vec(Z) through the directional rule
-    D^2 f(X)[Z] = (XZ^T + ZX^T)X + (XX^T - Mstar)Z and is assembled column
-    by column, so it stays closed-form at any rank.
-    """
-    M = _check_symmetric(Mstar)
-    n = M.shape[0]
-    r = setting("r", r, "positive count")
-    if r > n:
-        raise ValueError("need an integer rank with 1 <= r <= n")
-
-    def unpack(v):
-        v = np.asarray(v, dtype=float).ravel()
-        if v.shape[0] != n * r:
-            raise ValueError(f"expected a flat factor of length {n * r}")
-        return v.reshape(n, r)
-
-    def loss(v):
-        X = unpack(v)
-        E = X @ X.T - M
-        return 0.25 * float(np.sum(E * E))
-
-    def grad(v):
-        X = unpack(v)
-        return ((X @ X.T - M) @ X).ravel()
-
-    def hess(v):
-        X = unpack(v)
-        E = X @ X.T - M
-        H = np.empty((n * r, n * r))
-        for k in range(n * r):
-            Z = np.zeros((n, r))
-            Z[divmod(k, r)] = 1.0
-            H[:, k] = ((X @ Z.T + Z @ X.T) @ X + E @ Z).ravel()
-        return 0.5 * (H + H.T)
-
-    return LandscapeOracle(loss, grad, hess, "analytic")
+    """Oracle for f(X) = ||XX^T - Mstar||_F^2 / 4 over row-major vec(X), X of
+    shape (n, r)."""
+    return oracle_from_instance(factorization_instance(Mstar, r))
 
 
 def oracle_from_instance(instance):
-    """Flat-vector oracle over an instance's empirical risk.
+    """Flat-vector oracle over an instance's plain empirical risk.
 
-    Phase retrieval gets the closed-form Hessian
-    (1/m) sum_i (3 (a_i^T x)^2 - y_i) a_i a_i^T; rank-1 symmetric sensing
-    differentiates its exact gradient numerically.  Both attach the
-    +-truth pair as minima.
+    Points are the flat x of a vector family or the row-major vec(X) of an
+    (n, r) factor, shaped like the truth.  Loss and gradient come from
+    loss_value and loss_and_grad; the Hessian is assembled column by column
+    from the family record's hvp and symmetrized, so it is analytic for
+    every family that declares one (phase retrieval, quadratic sensing,
+    symmetric sensing and completion, factorization_instance among them).
+    A rank-1 point with a nonzero truth gets the +-truth pair as minima.
+    A family without an hvp raises ValueError.
     """
-    build = {"PhaseRetrieval": _phase_retrieval_oracle,
-             "MatrixSensingSym": _sensing_rank1_oracle}.get(instance.family)
-    if build is None or instance.params.get("r", 1) != 1:  # phase retrieval has no r
-        raise ValueError(
-            "landscape oracles cover phase retrieval and rank-1 symmetric sensing")
-    return build(instance)
+    spec = FAMILIES[instance.family]
+    if spec.hvp is None:
+        raise ValueError(f"{instance.family} has no Hessian-vector product, "
+                         "so no landscape oracle")
+    kind = spec.kinds[0]
+    truth = instance.truth["x" if kind == "vector" else "X"]
+    size, shape = truth.size, truth.shape
 
+    def point(v):
+        v = np.asarray(v, dtype=float).ravel()
+        if v.shape[0] != size:
+            raise ValueError(f"expected a flat point of length {size}")
+        return FactorPoint.derived(kind, (v.reshape(shape),))
 
-def _phase_retrieval_oracle(instance):
-    A, y = instance.design["A"], instance.y
-    m = instance.params["m"]
-    xs = np.asarray(instance.truth["x"], dtype=float).copy()
-
-    def loss(x):
-        return loss_value(instance, FactorPoint.vector(x))[0]
-
-    def grad(x):
-        return loss_and_grad(instance, FactorPoint.vector(x))[1].x
-
-    def hess(x):
-        c = A @ np.asarray(x, dtype=float).ravel()
-        H = (A * (3.0 * c * c - y)[:, None]).T @ A / m
+    def hess(v):
+        at = point(v)
+        H = np.column_stack([spec.hvp(instance, at, (e.reshape(shape),))[0].ravel()
+                             for e in np.eye(size)])
         return 0.5 * (H + H.T)
 
-    return LandscapeOracle(loss, grad, hess, "analytic", (xs, -xs))
-
-
-def _sensing_rank1_oracle(instance):
-    xs = np.asarray(instance.truth["X"], dtype=float).ravel().copy()
-
-    def loss(x):
-        return loss_value(instance, _column_point(x))[0]
-
-    def grad(x):
-        return loss_and_grad(instance, _column_point(x))[1].X.ravel()
-
-    return LandscapeOracle(loss, grad, lambda x: fd_hessian(grad, x),
-                           "finite_difference", (xs, -xs))
-
-
-def _column_point(x):
-    return FactorPoint.sym(np.reshape(np.asarray(x, dtype=float), (-1, 1)))
+    xs = truth.ravel().copy()
+    return LandscapeOracle(
+        lambda v: loss_value(instance, point(v))[0],
+        lambda v: loss_and_grad(instance, point(v))[1].parts[0].ravel(), hess,
+        (xs, -xs) if size == shape[0] and xs.any() else ())
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +334,15 @@ def perturbed_gd(oracle, x0, config):
     point the step is then taken from, with extras["perturbed"] marking
     injection rows.  The distance column is the gap to the nearest oracle
     minimum, zero when the oracle lists none.  A zero trigger reproduces
-    plain descent on the same objective.
+    plain descent on the same objective.  A run makes one gradient call per
+    row plus one per injection: a trigger test that moves nothing hands its
+    gradient on to the row.
     """
     if not isinstance(config, SaddleEscapeConfig):
         raise ValueError("perturbed descent needs a SaddleEscapeConfig")
     rng = make_rng(derive_seed(config.seed, "saddle_noise"))
     last_fire = -_COOLDOWN  # a quiet start may fire at t = 0
+    tested = None  # (g, ||g||) of the trigger test at a point it left in place
 
     def grad(x):
         g = np.asarray(oracle.grad(x), dtype=float).ravel()
@@ -424,15 +350,17 @@ def perturbed_gd(oracle, x0, config):
 
     def perturb(t, x):
         # The point recorded at row t: x, or x plus sphere noise.
-        nonlocal last_fire
-        if config.trigger > 0.0 and t - last_fire >= _COOLDOWN \
-                and grad(x)[1] <= config.trigger:
-            last_fire = t
-            return x + _sphere_noise(rng, x.shape[0], config.radius)
+        nonlocal last_fire, tested
+        if config.trigger > 0.0 and t - last_fire >= _COOLDOWN:
+            tested = grad(x)
+            if tested[1] <= config.trigger:
+                last_fire, tested = t, None
+                return x + _sphere_noise(rng, x.shape[0], config.radius)
         return x
 
     def evaluate(t, point):
-        g, gnorm = grad(point.x)
+        nonlocal tested
+        (g, gnorm), tested = tested or grad(point.x), None
         return {"loss": float(oracle.loss(point.x)), "grad_norm": gnorm,
                 "dist": _min_dist(oracle.minima, point.x), "incoh": 0.0,
                 "perturbed": float(last_fire == t)}, g

@@ -6,10 +6,11 @@ Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
 per-sample weights, shared design product, linear operator, default step
 and step metric, truth gap, the power families' matrix and projection, the
-over-parametrized lift); ``forward_model``, ``loss_value``, ``loss_and_grad``,
-``gd.default_step_size``, ``gd.trace_row``, ``gd.run_gd``, ``direct.ppm``
-and ``landscape.overparam_gd_experiment`` read it rather than branch on the
-family name.  The five linear families
+over-parametrized lift, the plain risk's Hessian-vector product);
+``forward_model``, ``loss_value``, ``loss_and_grad``, ``gd.default_step_size``,
+``gd.trace_row``, ``gd.run_gd``, ``direct.ppm``,
+``landscape.overparam_gd_experiment`` and ``landscape.oracle_from_instance``
+read it rather than branch on the family name.  The five linear families
 (sensing, completion, robust PCA) share one forward model and one plain risk
 through their ``linear_operator``; phase retrieval and quadratic sensing
 share one forward model and one risk through their shared product A x or
@@ -443,6 +444,18 @@ def lift_assignment(assignment, alphabet_m):
     return v
 
 
+def _check_symmetric(M):
+    # The one symmetry rule of every explicit matrix: square, with a skew of
+    # at most 1e-12 (1 + max|M|), symmetrized so downstream algebra is exact.
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("M must be a square matrix")
+    scale = float(np.max(np.abs(M), initial=0.0))
+    if float(np.max(np.abs(M - M.T), initial=0.0)) > 1e-12 * (1.0 + scale):
+        raise ValueError("M must be symmetric")
+    return 0.5 * (M + M.T)
+
+
 def factorization_instance(M, r):
     """Wrap an explicit symmetric matrix as a fully observed completion problem.
 
@@ -451,13 +464,8 @@ def factorization_instance(M, r):
     the landscape analyses.  Truth factors come from the top-r eigenpairs
     with negative eigenvalues clamped to zero.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("M must be square")
-    if not np.allclose(M, M.T, atol=1e-10 * max(1.0, np.linalg.norm(M))):
-        raise ValueError("M must be symmetric")
+    M = _check_symmetric(M)
     n, r = _shape(r, n=M.shape[0])
-    M = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(M)
     order = np.argsort(w)[::-1]
     w, V = w[order], V[:, order]
@@ -1038,6 +1046,35 @@ def _vertex_project(inst, v):
 
 
 # ---------------------------------------------------------------------------
+# Hessian-vector products of the plain risk
+# ---------------------------------------------------------------------------
+
+# Each hvp takes (instance, point, direction), direction a parts tuple
+# shaped like the point's, and returns the plain risk's Hessian applied to
+# it as a parts tuple: the derivative of loss_and_grad's gradient along it.
+
+def _hvp_quadratic(instance, point, direction):
+    # (1/m) A^T (e o D + 2 rowsum(C o D) o C) with C = A X, D = A Z and
+    # e = rowsum(C o C) - y; phase retrieval's x and z enter as one column,
+    # where this is (1/m) A^T ((3 c^2 - y) o d).
+    A, (X,), (Z,) = instance.design["A"], point.parts, direction
+    C, D = A @ X.reshape(X.shape[0], -1), A @ Z.reshape(X.shape[0], -1)
+    e = np.sum(C * C, axis=1) - instance.y
+    H = A.T @ (e[:, None] * D + 2.0 * np.sum(C * D, axis=1)[:, None] * C)
+    return ((H / instance.params["m"]).reshape(Z.shape),)
+
+
+def _hvp_linear(instance, point, direction):
+    # ((S + S^T) Z + (T + T^T) X) / 2s with S = A*(A(X X^T) - y) and
+    # T = A*(A(X Z^T + Z X^T)), on a symmetric linear family's operator
+    op = linear_operator(instance)
+    (X,), (Z,) = point.parts, direction
+    S = op.adjoint(op.measure_factors(X, X) - instance.y)
+    T = op.adjoint(op.measure(X @ Z.T + Z @ X.T))
+    return ((S @ Z + S.T @ Z + T @ X + T.T @ X) / (2.0 * op.scale),)
+
+
+# ---------------------------------------------------------------------------
 # Truth gaps: the distance to the truth modulo each family's ambiguity
 # ---------------------------------------------------------------------------
 
@@ -1163,7 +1200,10 @@ class Family:
     lift(instance) is the instance whose loss at a square n x n factor X is
     the family's over-parametrized lift, which
     landscape.overparam_gd_experiment descends (None: the family has
-    none)."""
+    none).  hvp(instance, point, direction) is the plain risk's
+    Hessian-vector product, a parts tuple, from which
+    landscape.oracle_from_instance assembles its dense Hessians (None: the
+    family has no landscape oracle)."""
 
     observe: object
     loss: object
@@ -1178,6 +1218,7 @@ class Family:
     matrix: object = None
     project: object = None
     lift: object = None
+    hvp: object = None
 
 
 def _observe_linear(inst):
@@ -1232,7 +1273,7 @@ FAMILIES = {
     "MatrixSensingSym": Family(_observe_linear, _loss_linear, ("sym",),
                                sample_sum=True, operator=sensing_operator,
                                step=lambda inst, init: _factor_step(inst, init, 0.4, 3.0),
-                               lift=lambda inst: inst),
+                               lift=lambda inst: inst, hvp=_hvp_linear),
     "MatrixSensingAsym": Family(_observe_linear, _loss_sensing_asym, ("asym",),
                                 {"plain": (), "regularized": ("lam",)},
                                 sample_sum=True, operator=sensing_operator,
@@ -1241,15 +1282,16 @@ FAMILIES = {
         _observe_quadratic, _loss_quadratic, ("vector",), {"plain": (), "amplitude": ()},
         sample_sum=True, shared=_quadratic_forward,
         step=lambda inst, init: 0.1 / max(float(np.sum(np.abs(init.x) ** 2)), _TINY),
-        gap=_gap_sign, lift=_quadratic_lift),
+        gap=_gap_sign, lift=_quadratic_lift, hvp=_hvp_quadratic),
     "QuadraticSensing": Family(_observe_quadratic, _loss_quadratic, ("sym",),
                                sample_sum=True, shared=_quadratic_forward,
-                               step=_quadratic_sensing_step),
+                               step=_quadratic_sensing_step, hvp=_hvp_quadratic),
     "MatrixCompletionSym": Family(
         _observe_linear, _loss_completion_sym, ("sym",),
         {"plain": (), "regularized": ("lam", "alpha")}, operator=_EntrySampling,
         step=lambda inst, init: _factor_step(
-            inst, init, sharp=4.5 if inst.params["p"] == 1.0 else None)),
+            inst, init, sharp=4.5 if inst.params["p"] == 1.0 else None),
+        hvp=_hvp_linear),
     "MatrixCompletionAsym": Family(
         _observe_linear, _loss_completion_asym, ("asym",),
         {"plain": (), "regularized": ("lam", "alpha1", "alpha2", "alpha3", "alpha4")},

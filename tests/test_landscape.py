@@ -38,7 +38,18 @@ from lowrank_ncvx.landscape import (
     _shifted_step,
     trust_region_step,
 )
-from lowrank_ncvx.problems import gen_matrix_sensing, gen_phase_retrieval
+from lowrank_ncvx.problems import (
+    FAMILIES,
+    factorization_instance,
+    gen_blind_deconv,
+    gen_joint_alignment,
+    gen_matrix_completion,
+    gen_matrix_sensing,
+    gen_phase_retrieval,
+    gen_phase_sync,
+    gen_quadratic_sensing,
+    gen_rpca,
+)
 
 M_DIAG = np.diag([2.0, 1.0, -0.5])
 X0 = np.array([0.3, 0.2, 0.1])
@@ -74,6 +85,20 @@ def test_perturbed_gd_escapes_exact_saddle_only_with_noise():
         eta=0.05, trigger=0.0, max_iters=400))
     assert np.array_equal(x, saddle)
     assert abs(trace.dist[-1] - math.sqrt(3.0)) < 1e-12
+
+
+def test_perturbed_gd_makes_one_gradient_call_per_row_and_injection():
+    # A trigger test that moves nothing hands its gradient on to the row.
+    oracle = rank1_oracle(M_DIAG)
+    for trigger in (0.0, 1e-3):
+        calls = []
+        counted = LandscapeOracle(oracle.loss, lambda x: calls.append(x) or oracle.grad(x),
+                                  oracle.hess, oracle.minima)
+        _, trace = perturbed_gd(counted, X0, SaddleEscapeConfig(eta=0.1, trigger=trigger,
+                                                                max_iters=100))
+        injections = int(sum(trace.extras["perturbed"]))
+        assert len(calls) == len(trace) + injections
+    assert injections > 0
 
 
 def test_overparam_walk_from_zero_init_parks_at_origin():
@@ -150,7 +175,7 @@ def test_perturbed_gd_outcome_ignores_an_additive_constant():
     oracle = rank1_oracle(M_DIAG)
     shift = float(np.sum(M_DIAG * M_DIAG)) / 4.0
     shifted = LandscapeOracle(lambda x: oracle.loss(x) - shift, oracle.grad,
-                              oracle.hess, oracle.hess_source, oracle.minima)
+                              oracle.hess, oracle.minima)
     assert shifted.loss(X0) < 0.0
     cfg = SaddleEscapeConfig(eta=0.1, max_iters=200)
     x, trace = perturbed_gd(oracle, X0, cfg)
@@ -184,7 +209,6 @@ def test_analytic_hessians_match_finite_differences(n):
     H = rank1_hessian(M, x)
     np.testing.assert_allclose(fd_hessian(rank1_oracle(M).grad, x), H,
                                rtol=0, atol=1e-9 * np.max(np.abs(H)))
-    assert np.array_equal(rank1_oracle(M).hess(x), H)
     fo = factored_oracle(M, 2)
     v = rng.standard_normal(2 * n)
     H2 = fo.hess(v)
@@ -196,6 +220,67 @@ def test_analytic_hessians_match_finite_differences(n):
     H3 = po.hess(x)
     np.testing.assert_allclose(fd_hessian(po.grad, x), H3,
                                rtol=0, atol=1e-9 * np.max(np.abs(H3)))
+
+
+HVP_RECORDS = {
+    "phase_retrieval": lambda: gen_phase_retrieval(8, 80, seed=21),
+    "quadratic_sensing_r2": lambda: gen_quadratic_sensing(5, 2, 60, seed=22),
+    "sensing_sym_r1": lambda: gen_matrix_sensing(5, 5, 1, 60, True, seed=23),
+    "sensing_sym_r2": lambda: gen_matrix_sensing(5, 5, 2, 60, True, seed=24),
+    "completion_sym_p06": lambda: gen_matrix_completion(6, 6, 1, 0.6, True, seed=25),
+    "factorization_r3": lambda: factorization_instance(_sym(make_rng(26), 5), 3),
+}
+
+
+def test_every_record_with_an_hvp_is_covered():
+    covered = {make().family for make in HVP_RECORDS.values()}
+    assert covered == {name for name, spec in FAMILIES.items() if spec.hvp is not None}
+
+
+@pytest.mark.parametrize("name", sorted(HVP_RECORDS))
+def test_one_oracle_assembles_each_hvp_into_the_finite_difference_hessian(name):
+    inst = HVP_RECORDS[name]()
+    oracle = oracle_from_instance(inst)
+    truth = inst.truth["x" if "x" in inst.truth else "X"]
+    v = make_rng(derive_seed(27, name)).standard_normal(truth.size)
+    H = oracle.hess(v)
+    assert np.array_equal(H, H.T)
+    np.testing.assert_allclose(fd_hessian(oracle.grad, v), H,
+                               rtol=0, atol=1e-9 * np.max(np.abs(H)))
+    # The minima are the +-truth pair exactly when the truth is rank 1.
+    if truth.size == truth.shape[0]:
+        xs = truth.ravel()
+        assert len(oracle.minima) == 2
+        assert np.array_equal(oracle.minima[0], xs)
+        assert np.array_equal(oracle.minima[1], -xs)
+        for m in oracle.minima:
+            assert np.linalg.norm(oracle.grad(m)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
+    else:
+        assert oracle.minima == ()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_matrix_sensing(4, 3, 1, 20, False, seed=1),
+    lambda: gen_matrix_completion(4, 3, 1, 0.5, False, seed=1),
+    lambda: gen_rpca(4, 4, 1, 0.5, 0.1, 1.0, seed=1),
+    lambda: gen_blind_deconv(3, 3, 8, seed=1),
+    lambda: gen_phase_sync(4, 0.1, seed=1),
+    lambda: gen_joint_alignment(3, 2, 0.1, seed=1),
+])
+def test_one_oracle_refuses_a_record_without_an_hvp(make):
+    inst = make()
+    assert FAMILIES[inst.family].hvp is None
+    with pytest.raises(ValueError, match=f"^{inst.family} has no Hessian-vector product"):
+        oracle_from_instance(inst)
+
+
+def test_one_symmetry_rule_for_every_explicit_matrix_entry():
+    # A skew of 5e-6 passed np.allclose's default rtol of 1e-5.
+    M = np.array([[3.0, 1.0], [1.0 + 5e-6, 2.0]])
+    for call in (lambda: factorization_instance(M, 1), lambda: rank1_oracle(M),
+                 lambda: factored_oracle(M, 2), lambda: classify_rank1_criticals(M)):
+        with pytest.raises(ValueError, match="^M must be symmetric$"):
+            call()
 
 
 @pytest.mark.parametrize("lam", [

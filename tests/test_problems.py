@@ -996,25 +996,43 @@ def test_entry_groups_order_is_the_stable_int64_order(n):
     assert np.array_equal(groups.vals, vals[order])
 
 
-def _family_dispatch_sites():
+def _family_dispatch_sites(package=pathlib.Path(problems.__file__).parent):
     # Comparisons with a family-name literal (or a tuple of them) in the
     # library, except in the test of an ``if`` whose body ends in ``raise``:
-    # those are input checks.
+    # those are input checks.  Dict and set literals keyed by family names
+    # count too (a dict lookup on the family name is the same branch), all
+    # but the FAMILIES table itself.
     names = set(problems.FAMILIES)
     sites = []
-    for path in sorted(pathlib.Path(problems.__file__).parent.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         checks = {id(n) for node in ast.walk(tree)
                   if isinstance(node, ast.If) and isinstance(node.body[-1], ast.Raise)
                   for n in ast.walk(node.test)}
+        table = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "FAMILIES" for t in node.targets)}
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare) or id(node) in checks:
+            if isinstance(node, ast.Compare) and id(node) not in checks:
+                sides = [node.left, *node.comparators]
+                consts = [e for s in sides for e in (s.elts if isinstance(s, ast.Tuple) else [s])]
+            elif isinstance(node, ast.Dict) and id(node) not in table:
+                consts = node.keys
+            elif isinstance(node, ast.Set):
+                consts = node.elts
+            else:
                 continue
-            sides = [node.left, *node.comparators]
-            consts = [e for s in sides for e in (s.elts if isinstance(s, ast.Tuple) else [s])]
             if any(isinstance(c, ast.Constant) and c.value in names for c in consts):
                 sites.append(f"{path.name}:{node.lineno}")
     return sites
+
+
+def test_family_dispatch_guard_counts_dict_and_set_literals(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        'FAMILIES = {"PhaseRetrieval": 1}\n'
+        'pick = {"PhaseRetrieval": 1}.get(family)\n'
+        'seen = family in {"BlindDeconv"}\n'
+        'meta = {"family": "PhaseSync"}\n')
+    assert sorted(_family_dispatch_sites(tmp_path)) == ["mod.py:2", "mod.py:3"]
 
 
 def test_family_names_decide_nothing_outside_input_checks():
