@@ -265,21 +265,15 @@ def classify_point(oracle, x):
     return CriticalPoint(x.copy(), kind, g, (lo, hi))
 
 
-def critical_report(points, hessian_source=None):
+def critical_report(points):
     """JSON array of critical-point records for external consumers."""
-    rows = []
-    for p in points:
-        row = {
-            "location": [float(v) for v in np.asarray(p.location).ravel()],
-            "kind": p.kind,
-            "lambda_min": float(p.hessian_extremes[0]),
-            "lambda_max": float(p.hessian_extremes[1]),
-            "grad_norm": float(p.grad_norm),
-        }
-        if hessian_source is not None:
-            row["hessian_source"] = hessian_source
-        rows.append(row)
-    return json.dumps(rows, indent=2)
+    return json.dumps([{
+        "location": [float(v) for v in np.asarray(p.location).ravel()],
+        "kind": p.kind,
+        "lambda_min": float(p.hessian_extremes[0]),
+        "lambda_max": float(p.hessian_extremes[1]),
+        "grad_norm": float(p.grad_norm),
+    } for p in points], indent=2)
 
 
 def strict_saddle_check(oracle, x, eps, gamma, zeta, minima):

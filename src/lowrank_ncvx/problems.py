@@ -6,15 +6,23 @@ Each family is declared once, as a ``Family`` record in the ``FAMILIES``
 table (observation map y = A(M*), loss, accepted point kinds and loss tags,
 per-sample weights, shared design product, linear operator, default step
 and step metric, truth gap, the power families' matrix and projection, the
-over-parametrized lift, the plain risk's Hessian-vector product);
-``forward_model``, ``loss_value``, ``loss_and_grad``, ``gd.default_step_size``,
-``gd.trace_row``, ``gd.run_gd``, ``direct.ppm``,
-``landscape.overparam_gd_experiment`` and ``landscape.oracle_from_instance``
-read it rather than branch on the family name.  The five linear families
-(sensing, completion, robust PCA) share one forward model and one plain risk
-through their ``linear_operator``; phase retrieval and quadratic sensing
-share one forward model and one risk through their shared product A x or
-A X; phase synchronization and joint alignment share the loss -Re x^H L x.
+over-parametrized lift, the plain risk's Hessian-vector product, the
+regularized loss's penalty); ``forward_model``, ``loss_value``,
+``loss_and_grad``, ``gd.default_step_size``, ``gd.trace_row``, ``gd.run_gd``,
+``direct.ppm``, ``landscape.overparam_gd_experiment`` and
+``landscape.oracle_from_instance`` read it rather than branch on the family
+name.
+
+The six matrix generators (Gaussian and identity sensing, quadratic sensing,
+completion, robust PCA) plant their low-rank truth, X X^T or L R^T with
+balanced factors, through one function, ``_planted``.  The five linear
+families (sensing, completion, robust PCA) share one forward model and one
+loss, ``_loss_linear``, through their ``linear_operator``: the plain
+least-squares risk, to which the "regularized" tag adds the record's
+penalty (the balancing term of asymmetric sensing, the incoherence hinges of
+completion).  Phase retrieval and quadratic sensing share one forward model
+and one risk through their shared product A x or A X; phase synchronization
+and joint alignment share the loss -Re x^H L x.
 
 Conventions shared by every family:
 
@@ -88,45 +96,37 @@ class RipEstimate:
 # Ground truth synthesis
 # ---------------------------------------------------------------------------
 
-def _check_spectrum(spectrum, r):
-    if spectrum is None:
-        return None
-    s = np.asarray(spectrum, dtype=float)
-    if s.shape != (r,):
-        raise ValueError(f"spectrum must have length {r}")
-    if np.any(s <= 0):
-        raise ValueError("spectrum entries must be positive")
-    if np.any(np.diff(s) > 0):
-        raise ValueError("spectrum must be non-increasing")
-    return s
+def _planted(rng, n1, n2, r, symmetric, spectrum):
+    """The planted rank-r truth of every matrix generator, drawn from rng.
 
-
-def _sym_truth(rng, n, r, spectrum=None):
-    """Planted PSD truth M = X X^T with X = U diag(sqrt(sigma)).
-
-    Draws a Gaussian factor, keeps its left singular subspace, and either
-    keeps the squared singular values as the spectrum or substitutes the
-    requested one.  The factor is balanced by construction: X^T X = diag(sigma).
+    Symmetric: the PSD M = X X^T, X = U diag(sqrt(sigma)) with U the left
+    singular subspace of a Gaussian n1 x r draw.  Asymmetric: M = L R^T with
+    L = U diag(sqrt(sigma)) and R = V diag(sqrt(sigma)) from the singular
+    triples of a Gaussian product G = A B^T, which core.factored_svd gives
+    without forming G: O((n1 + n2) r^2), not a dense n1 x n2 SVD.  Either
+    way the factors are balanced, X^T X (and L^T L = R^T R) = diag(sigma).
+    sigma is the draw's own (squared singular values of the symmetric
+    draw, singular values of G) unless ``spectrum`` replaces it: r finite,
+    positive, non-increasing values, checked before the first draw.
+    Returns the truth dict, {"X", "M", "sigma"} or {"L", "R", "M", "sigma"}.
     """
-    G = rng.standard_normal((n, r))
-    U, s, _ = np.linalg.svd(G, full_matrices=False)
-    sigma = s**2 if spectrum is None else spectrum
-    X = U * np.sqrt(sigma)
-    return X, X @ X.T, np.asarray(sigma, dtype=float)
-
-
-def _asym_truth(rng, n1, n2, r, spectrum=None):
-    """Planted truth M = L R^T with balanced factors L^T L = R^T R = diag(sigma).
-
-    The singular triples of the Gaussian product G = A B^T come from
-    core.factored_svd, so G itself is never formed: the cost is
-    O((n1 + n2) r^2), not a dense n1 x n2 SVD.
-    """
+    if spectrum is not None:
+        spectrum = np.asarray(spectrum, dtype=float)
+        if spectrum.shape != (r,):
+            raise ValueError(f"spectrum must have length {r}")
+        if not np.all(np.isfinite(spectrum) & (spectrum > 0)):
+            raise ValueError("spectrum entries must be finite and positive")
+        if np.any(np.diff(spectrum) > 0):
+            raise ValueError("spectrum must be non-increasing")
+    if symmetric:
+        U, s, _ = np.linalg.svd(rng.standard_normal((n1, r)), full_matrices=False)
+        sigma = s**2 if spectrum is None else spectrum
+        X = U * np.sqrt(sigma)
+        return {"X": X, "M": X @ X.T, "sigma": np.asarray(sigma, dtype=float)}
     QA, U, s, V, QB = factored_svd(rng.standard_normal((n1, r)), rng.standard_normal((n2, r)))
     sigma = s if spectrum is None else spectrum
-    L = (QA @ U) * np.sqrt(sigma)
-    R = (QB @ V) * np.sqrt(sigma)
-    return L, R, L @ R.T, np.asarray(sigma, dtype=float)
+    L, R = (QA @ U) * np.sqrt(sigma), (QB @ V) * np.sqrt(sigma)
+    return {"L": L, "R": R, "M": L @ R.T, "sigma": np.asarray(sigma, dtype=float)}
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +172,12 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     m = setting("m", m, "positive count")
     if symmetric and n1 != n2:
         raise ValueError("symmetric sensing needs n1 == n2")
-    spectrum = _check_spectrum(spectrum, r)
     rng = make_rng(derive_seed(seed, "matrix_sensing", int(symmetric)))
+    truth = _planted(rng, n1, n2, r, symmetric, spectrum)
+    A = rng.standard_normal((m, n1, n2))
     if symmetric:
-        X, M, sigma = _sym_truth(rng, n1, r, spectrum)
-        truth = {"X": X, "M": M, "sigma": sigma}
-        family = "MatrixSensingSym"
-        G = rng.standard_normal((m, n1, n2))
-        A = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-    else:
-        L, R, M, sigma = _asym_truth(rng, n1, n2, r, spectrum)
-        truth = {"L": L, "R": R, "M": M, "sigma": sigma}
-        family = "MatrixSensingAsym"
-        A = rng.standard_normal((m, n1, n2))
+        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+    family = "MatrixSensingSym" if symmetric else "MatrixSensingAsym"
     params = {"n1": n1, "n2": n2, "r": r, "m": m, "symmetric": bool(symmetric)}
     design = {"kind": "gaussian", "A": A}
     return _observed(ProblemInstance(family, seed, params, truth, design, None))
@@ -200,14 +193,10 @@ def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
     exactly 0.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
-    spectrum = _check_spectrum(spectrum, r)
-    rng = make_rng(derive_seed(seed, "identity_sensing"))
-    L, R, M, sigma = _asym_truth(rng, n1, n2, r, spectrum)
+    truth = _planted(make_rng(derive_seed(seed, "identity_sensing")), n1, n2, r, False, spectrum)
     params = {"n1": n1, "n2": n2, "r": r, "m": n1 * n2, "symmetric": False}
     return _observed(ProblemInstance(
-        "MatrixSensingAsym", seed, params,
-        {"L": L, "R": R, "M": M, "sigma": sigma}, {"kind": "identity"}, None,
-    ))
+        "MatrixSensingAsym", seed, params, truth, {"kind": "identity"}, None))
 
 
 def gen_phase_retrieval(n, m, seed, norm=1.0):
@@ -227,15 +216,11 @@ def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
     retrieval observation model."""
     n, r = _shape(r, n=n)
     m = setting("m", m, "positive count")
-    spectrum = _check_spectrum(spectrum, r)
     rng = make_rng(derive_seed(seed, "quadratic_sensing"))
-    X, M, sigma = _sym_truth(rng, n, r, spectrum)
+    truth = _planted(rng, n, n, r, True, spectrum)
     A = rng.standard_normal((m, n))
     params = {"n": n, "r": r, "m": m}
-    return _observed(ProblemInstance(
-        "QuadraticSensing", seed, params,
-        {"X": X, "M": M, "sigma": sigma}, {"A": A}, None,
-    ))
+    return _observed(ProblemInstance("QuadraticSensing", seed, params, truth, {"A": A}, None))
 
 
 def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
@@ -252,16 +237,9 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     p = _fraction("p", p, closed=True)
     if symmetric and n1 != n2:
         raise ValueError("symmetric completion needs n1 == n2")
-    spectrum = _check_spectrum(spectrum, r)
     rng = make_rng(derive_seed(seed, "matrix_completion", int(symmetric)))
-    if symmetric:
-        X, M, sigma = _sym_truth(rng, n1, r, spectrum)
-        truth = {"X": X, "M": M, "sigma": sigma}
-        family = "MatrixCompletionSym"
-    else:
-        L, R, M, sigma = _asym_truth(rng, n1, n2, r, spectrum)
-        truth = {"L": L, "R": R, "M": M, "sigma": sigma}
-        family = "MatrixCompletionAsym"
+    truth = _planted(rng, n1, n2, r, symmetric, spectrum)
+    family = "MatrixCompletionSym" if symmetric else "MatrixCompletionAsym"
     mask = rng.random((n1, n2)) < p
     params = {"n1": n1, "n2": n2, "r": r, "p": float(p), "symmetric": bool(symmetric)}
     return _observed(ProblemInstance(family, seed, params, truth, {"mask": mask}, None))
@@ -346,14 +324,8 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     p, alpha_out = _fraction("p", p, closed=True), _fraction("alpha_out", alpha_out)
     magnitude = setting("magnitude", magnitude, "finite positive bound")
-    spectrum = _check_spectrum(spectrum, r)
     rng = make_rng(derive_seed(seed, "rpca"))
-    if n1 == n2:
-        X, M, sigma = _sym_truth(rng, n1, r, spectrum)
-        truth = {"X": X, "M": M, "sigma": sigma}
-    else:
-        L, R, M, sigma = _asym_truth(rng, n1, n2, r, spectrum)
-        truth = {"L": L, "R": R, "M": M, "sigma": sigma}
+    truth = _planted(rng, n1, n2, r, n1 == n2, spectrum)
     S = np.zeros((n1, n2))
     count = int(round(alpha_out * n1 * n2))
     if count:
@@ -844,30 +816,83 @@ def _linear_risk(instance, point, weights=None, offset=None):
 
 def _loss_linear(instance, point, loss, lp, weights, c):
     # The plain risk, of the model plus the loss parameter "S" if given:
-    # robust PCA's sparse part, measured on the index.
+    # robust PCA's sparse part, measured on the index; "regularized" adds
+    # the record's penalty.
     S = lp.get("S")
     S = None if S is None else linear_operator(instance).measure(np.asarray(S, dtype=float))
     val, parts = _linear_risk(instance, point, weights, S)
+    if loss == "regularized":
+        val, parts = FAMILIES[instance.family].penalty(instance, point, lp, val, parts)
     return val, lambda: FactorPoint.derived(point.kind, parts())
 
 
-def _loss_sensing_asym(instance, point, loss, lp, weights, c):
-    val, parts = _linear_risk(instance, point, weights)
-    if loss == "regularized":
-        # Balancing penalty lam * ||L^T L - R^T R||_F^2; lam = 1/32 by default.
-        L, R = point.L, point.R
-        lam = float(lp.get("lam", 1.0 / 32.0))
-        D = L.T @ L - R.T @ R
-        val += lam * float(np.sum(D * D))
+# Each penalty takes (instance, point, lp, val, parts), the plain risk's
+# value and gradient-parts callable, and returns them with the family's
+# regularizer added: its value terms now, its gradient in place on the
+# risk's parts when the returned callable runs.
 
-    def finish():
+def _balance_penalty(instance, point, lp, val, parts):
+    # lam ||L^T L - R^T R||_F^2, lam = 1/32 by default
+    L, R = point.L, point.R
+    lam = float(lp.get("lam", 1.0 / 32.0))
+    D = L.T @ L - R.T @ R
+
+    def penalized():
         gL, gR = parts()
-        if loss == "regularized":
-            gL += 4.0 * lam * (L @ D)
-            gR -= 4.0 * lam * (R @ D)
-        return FactorPoint.derived("asym", (gL, gR))
+        gL += 4.0 * lam * (L @ D)
+        gR -= 4.0 * lam * (R @ D)
+        return gL, gR
 
-    return val, finish
+    return val + lam * float(np.sum(D * D)), penalized
+
+
+def _row_hinge_penalty(instance, point, lp, val, parts):
+    # lam sum_i max(||X_i|| - alpha, 0)^4, discouraging spiky rows; lam and
+    # alpha are 1 by default
+    X = point.X
+    lam, alpha = float(lp.get("lam", 1.0)), float(lp.get("alpha", 1.0))
+    rn = np.sqrt(np.sum(X * X, axis=1))
+    h, dh = _quartic_hinge(rn, alpha)
+
+    def penalized():
+        (g,) = parts()
+        active = dh > 0
+        if np.any(active):
+            g[active] += lam * (dh[active] / rn[active])[:, None] * X[active]
+        return (g,)
+
+    return val + lam * float(np.sum(h)), penalized
+
+
+def _completion_penalty(instance, point, lp, val, parts):
+    # lam times the square hinges max(z - 1, 0)^2 of alpha1 ||L||_F^2,
+    # alpha2 ||R||_F^2 and, row by row, alpha3 ||L_i||^2 and alpha4 ||R_j||^2.
+    # The default alphas make each hinge activate just above the planted
+    # truth's Frobenius mass and row norms; explicit ones decouple the
+    # penalty from the truth.  lam is 1 by default.
+    L, R, t = point.L, point.R, instance.truth
+    lam = float(lp.get("lam", 1.0))
+    a1 = float(lp.get("alpha1", 1.0 / np.sum(t["L"] ** 2)))
+    a2 = float(lp.get("alpha2", 1.0 / np.sum(t["R"] ** 2)))
+    a3 = float(lp.get("alpha3", 1.0 / np.max(np.sum(t["L"] ** 2, axis=1))))
+    a4 = float(lp.get("alpha4", 1.0 / np.max(np.sum(t["R"] ** 2, axis=1))))
+    h1, d1 = _square_hinge(a1 * np.sum(L * L))
+    h2, d2 = _square_hinge(a2 * np.sum(R * R))
+    val += lam * (float(h1) + float(h2))
+    hr, dr = _square_hinge(a3 * np.sum(L * L, axis=1))
+    val += lam * float(np.sum(hr))
+    hc, dc = _square_hinge(a4 * np.sum(R * R, axis=1))
+    val += lam * float(np.sum(hc))
+
+    def penalized():
+        gL, gR = parts()
+        gL += lam * d1 * a1 * 2.0 * L
+        gR += lam * d2 * a2 * 2.0 * R
+        gL += lam * (dr * a3 * 2.0)[:, None] * L
+        gR += lam * (dc * a4 * 2.0)[:, None] * R
+        return gL, gR
+
+    return val, penalized
 
 
 def _quadratic_forward(inst, point):
@@ -902,69 +927,6 @@ def _loss_quadratic(instance, point, loss, lp, weights, c):
             r = c - root * np.sign(c)
             g = A.T @ (r if weights is None else weights * r) / m
             return FactorPoint.derived(point.kind, (g,))
-
-    return val, finish
-
-
-def _loss_completion_sym(instance, point, loss, lp, weights, c):
-    val, parts = _linear_risk(instance, point)
-    if loss == "regularized":
-        # Row-norm hinge sum_i max(||X_i|| - alpha, 0)^4, discouraging spiky rows.
-        X = point.X
-        lam = float(lp.get("lam", 1.0))
-        alpha = float(lp.get("alpha", 1.0))
-        rn = np.sqrt(np.sum(X * X, axis=1))
-        h, dh = _quartic_hinge(rn, alpha)
-        val += lam * float(np.sum(h))
-
-    def finish():
-        (g,) = parts()
-        if loss == "regularized":
-            active = dh > 0
-            if np.any(active):
-                g[active] += lam * (dh[active] / rn[active])[:, None] * X[active]
-        return FactorPoint.derived("sym", (g,))
-
-    return val, finish
-
-
-def _completion_reg_scales(instance, lp):
-    """Penalty scales for the asymmetric completion regularizer.
-
-    Defaults calibrate each hinge to activate just above the planted truth's
-    Frobenius mass and row norms; pass explicit values to decouple the
-    penalty from the truth.
-    """
-    t = instance.truth
-    a1 = float(lp.get("alpha1", 1.0 / np.sum(t["L"] ** 2)))
-    a2 = float(lp.get("alpha2", 1.0 / np.sum(t["R"] ** 2)))
-    a3 = float(lp.get("alpha3", 1.0 / np.max(np.sum(t["L"] ** 2, axis=1))))
-    a4 = float(lp.get("alpha4", 1.0 / np.max(np.sum(t["R"] ** 2, axis=1))))
-    return a1, a2, a3, a4
-
-
-def _loss_completion_asym(instance, point, loss, lp, weights, c):
-    val, parts = _linear_risk(instance, point)
-    if loss == "regularized":
-        L, R = point.L, point.R
-        lam = float(lp.get("lam", 1.0))
-        a1, a2, a3, a4 = _completion_reg_scales(instance, lp)
-        h1, d1 = _square_hinge(a1 * np.sum(L * L))
-        h2, d2 = _square_hinge(a2 * np.sum(R * R))
-        val += lam * (float(h1) + float(h2))
-        hr, dr = _square_hinge(a3 * np.sum(L * L, axis=1))
-        val += lam * float(np.sum(hr))
-        hc, dc = _square_hinge(a4 * np.sum(R * R, axis=1))
-        val += lam * float(np.sum(hc))
-
-    def finish():
-        gL, gR = parts()
-        if loss == "regularized":
-            gL += lam * d1 * a1 * 2.0 * L
-            gR += lam * d2 * a2 * 2.0 * R
-            gL += lam * (dr * a3 * 2.0)[:, None] * L
-            gR += lam * (dc * a4 * 2.0)[:, None] * R
-        return FactorPoint.derived("asym", (gL, gR))
 
     return val, finish
 
@@ -1203,7 +1165,12 @@ class Family:
     none).  hvp(instance, point, direction) is the plain risk's
     Hessian-vector product, a parts tuple, from which
     landscape.oracle_from_instance assembles its dense Hessians (None: the
-    family has no landscape oracle)."""
+    family has no landscape oracle).  A linear family's loss is
+    _loss_linear, and penalty(instance, point, lp, val, parts) is what its
+    "regularized" tag adds to that plain risk: given the risk's value and
+    the callable forming its gradient parts, it returns both with the
+    regularizer added (None: the family has no regularized tag, or, as
+    blind deconvolution, keeps its regularizer inside its own loss)."""
 
     observe: object
     loss: object
@@ -1219,6 +1186,7 @@ class Family:
     project: object = None
     lift: object = None
     hvp: object = None
+    penalty: object = None
 
 
 def _observe_linear(inst):
@@ -1274,10 +1242,11 @@ FAMILIES = {
                                sample_sum=True, operator=sensing_operator,
                                step=lambda inst, init: _factor_step(inst, init, 0.4, 3.0),
                                lift=lambda inst: inst, hvp=_hvp_linear),
-    "MatrixSensingAsym": Family(_observe_linear, _loss_sensing_asym, ("asym",),
+    "MatrixSensingAsym": Family(_observe_linear, _loss_linear, ("asym",),
                                 {"plain": (), "regularized": ("lam",)},
                                 sample_sum=True, operator=sensing_operator,
-                                step=lambda inst, init: _factor_step(inst, init, 0.4)),
+                                step=lambda inst, init: _factor_step(inst, init, 0.4),
+                                penalty=_balance_penalty),
     "PhaseRetrieval": Family(
         _observe_quadratic, _loss_quadratic, ("vector",), {"plain": (), "amplitude": ()},
         sample_sum=True, shared=_quadratic_forward,
@@ -1287,15 +1256,15 @@ FAMILIES = {
                                sample_sum=True, shared=_quadratic_forward,
                                step=_quadratic_sensing_step, hvp=_hvp_quadratic),
     "MatrixCompletionSym": Family(
-        _observe_linear, _loss_completion_sym, ("sym",),
+        _observe_linear, _loss_linear, ("sym",),
         {"plain": (), "regularized": ("lam", "alpha")}, operator=_EntrySampling,
         step=lambda inst, init: _factor_step(
             inst, init, sharp=4.5 if inst.params["p"] == 1.0 else None),
-        hvp=_hvp_linear),
+        hvp=_hvp_linear, penalty=_row_hinge_penalty),
     "MatrixCompletionAsym": Family(
-        _observe_linear, _loss_completion_asym, ("asym",),
+        _observe_linear, _loss_linear, ("asym",),
         {"plain": (), "regularized": ("lam", "alpha1", "alpha2", "alpha3", "alpha4")},
-        operator=_EntrySampling, step=_factor_step),
+        operator=_EntrySampling, step=_factor_step, penalty=_completion_penalty),
     "BlindDeconv": Family(
         lambda inst: (inst.design["B"] @ inst.truth["h"])
         * (inst.design["A"] @ np.conj(inst.truth["x"])),

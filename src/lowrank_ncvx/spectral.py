@@ -43,6 +43,7 @@ from .core import (
     cosine_sq,
     derive_seed,
     make_rng,
+    setting,
 )
 from . import problems
 
@@ -284,8 +285,8 @@ def factors_from_surrogate(Y, r, symmetric):
 def _matrix_estimate(instance, Y, r):
     # Rank-r factors of the surrogate Y of an n1 x n2 matrix instance: the
     # symmetric route, on (Y + Y^T)/2, when the planted truth is X X^T.
-    p = instance.params
-    if not (1 <= r <= min(p["n1"], p["n2"])):
+    p, r = instance.params, setting("r", r, "positive count")
+    if r > min(p["n1"], p["n2"]):
         raise ValueError("r out of range for this instance")
     symmetric = "X" in instance.truth
     if symmetric:
@@ -373,8 +374,8 @@ def qs_estimate_from_surrogate(Y, sigma, r):
 def init_quadratic_sensing(instance, r):
     if instance.family != "QuadraticSensing":
         raise ValueError("expected a quadratic sensing instance")
-    n = instance.params["n"]
-    if not (1 <= r < n):
+    r = setting("r", r, "positive count")
+    if r >= instance.params["n"]:
         raise ValueError("r out of range for this instance")
     A, y = instance.design["A"], instance.y
     Y = surrogate_quadratic(y, A)
@@ -447,10 +448,13 @@ def init_sparse_pr(instance, k=None, gamma=None):
     The surrogate's diagonal estimates ||x||^2 + 2 x_i^2, so coordinates with
     oversized diagonal entries flag the support.  Pass gamma to threshold the
     diagonal, or k to keep the k largest entries (ties resolved to the lowest
-    index).  Returns (estimate, support); the estimate is zero off-support.
+    index), not both.  Returns (estimate, support); the estimate is zero
+    off-support.
     """
     if instance.family != "PhaseRetrieval":
         raise ValueError("expected a phase retrieval instance")
+    if k is not None and gamma is not None:
+        raise ValueError("choose a support size k or a diagonal threshold gamma, not both")
     if k is None and gamma is None:
         raise ValueError("need a support size k or a diagonal threshold gamma")
     A, y = instance.design["A"], instance.y
@@ -459,7 +463,8 @@ def init_sparse_pr(instance, k=None, gamma=None):
     if gamma is not None:
         support = np.flatnonzero(diag > gamma)
     else:
-        if not (1 <= k <= n):
+        k = setting("k", k, "positive count")
+        if k > n:
             raise ValueError("support size out of range")
         support = np.sort(np.argsort(-diag, kind="stable")[:k])
     if support.size == 0:
@@ -501,6 +506,7 @@ def rho_vs_alpha_experiment(n, alphas, prep, trials, seed):
     depends only on (seed, alpha, t), so runs with different preprocessing
     are paired sample for sample.
     """
+    trials = setting("trials", trials, "positive count")
     rows = []
     for alpha in alphas:
         m = int(math.ceil(alpha * n))

@@ -69,6 +69,37 @@ def test_forward_model_replays_observations(make):
     assert np.array_equal(forward_model(inst), inst.y)
 
 
+# The first 16 hex digits of a SHA-256 over the arrays each ALL_GENERATORS
+# entry takes straight from its random stream through elementwise arithmetic
+# (the designs A, mask, W and z, robust PCA's S, joint alignment's labels x),
+# at seeds 0 and 1.  Arrays that pass through LAPACK or libm (truth factors,
+# M, y, the DFT block B) are left out.  Every matrix generator draws its truth
+# before its design, so a change in how the truth uses the stream shows here.
+# Identity sensing stores no drawn array: its digest is that of no bytes.
+STREAM_DIGESTS = [
+    ("0aec4fbfecbbe7bc", "76a6aefeb5724599"), ("f1c098161ba82a4f", "9e6ef1942aa38c1b"),
+    ("e3b0c44298fc1c14", "e3b0c44298fc1c14"), ("b8f75a7f9fd108ab", "bb61837356603051"),
+    ("fbc1f5af9dba30a2", "e9e3096f35eb67c1"), ("48f6845593f5e9fd", "5012c43aec96e963"),
+    ("42cacd7390b3979d", "b2767a071e4fe1f6"), ("71593365dfd7f1bb", "68465c312df6bcb8"),
+    ("de0e25c4e6b31b58", "75fbf55577621925"), ("791edd03afea07a4", "a021982c5ba934b9"),
+    ("f0aac9a9eb1d5d10", "1c244ac16cae6359"), ("588f7b076a726b39", "ceb45ef16a76137f"),
+]
+
+
+@pytest.mark.parametrize("make, digests", zip(ALL_GENERATORS, STREAM_DIGESTS))
+def test_generator_random_streams_are_pinned(make, digests):
+    for seed, want in enumerate(digests):
+        inst = make(seed)
+        arrays = [inst.design[k] for k in ("A", "mask", "W", "z") if k in inst.design]
+        arrays += [inst.truth["S"]] if "S" in inst.truth else []
+        arrays += [inst.truth["x"]] if inst.family == "JointAlignment" else []
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        assert h.hexdigest()[:16] == want, (inst.family, seed)
+
+
 # ---------------------------------------------------------------------------
 # Truth gaps
 # ---------------------------------------------------------------------------
@@ -288,18 +319,34 @@ def test_gaussian_right_rows_do_not_copy_the_design():
     assert peak < 2 * out.nbytes
 
 
+# Every matrix generator, each symmetric/asymmetric branch, as
+# make(n1, n2, r, seed); robust PCA plants a symmetric truth when n1 == n2.
+MATRIX_GENERATORS = [
+    lambda n1, n2, r, seed: gen_matrix_sensing(n1, n2, r, 1, False, seed),
+    lambda n1, n2, r, seed: gen_matrix_sensing(n1, n1, r, 1, True, seed),
+    lambda n1, n2, r, seed: gen_identity_sensing(n1, n2, r, seed),
+    lambda n1, n2, r, seed: gen_quadratic_sensing(n1, r, 1, seed),
+    lambda n1, n2, r, seed: gen_matrix_completion(n1, n2, r, 0.5, False, seed),
+    lambda n1, n2, r, seed: gen_matrix_completion(n1, n1, r, 0.5, True, seed),
+    lambda n1, n2, r, seed: gen_rpca(n1, n2, r, 0.5, 0.0, 1.0, seed),
+    lambda n1, n2, r, seed: gen_rpca(n1, n1, r, 0.5, 0.0, 1.0, seed),
+]
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     n1=st.integers(2, 6), n2=st.integers(2, 6),
     r=st.integers(1, 2), seed=st.integers(0, 10_000),
 )
 def test_truth_factors_are_balanced(n1, n2, r, seed):
-    # L^T L = R^T R = diag(sigma) for every planted asymmetric truth.
+    # X^T X = diag(sigma) for every planted symmetric truth, and L^T L =
+    # R^T R = diag(sigma) for every asymmetric one.
     r = min(r, n1, n2)
-    inst = gen_matrix_sensing(n1, n2, r, 1, False, seed)
-    L, R, sigma = inst.truth["L"], inst.truth["R"], inst.truth["sigma"]
-    np.testing.assert_allclose(L.T @ L, np.diag(sigma), atol=1e-8 * max(1.0, sigma[0]))
-    np.testing.assert_allclose(R.T @ R, np.diag(sigma), atol=1e-8 * max(1.0, sigma[0]))
+    for make in MATRIX_GENERATORS:
+        t = make(n1, n2, r, seed).truth
+        sigma = t["sigma"]
+        for F in ([t["X"]] if "X" in t else [t["L"], t["R"]]):
+            np.testing.assert_allclose(F.T @ F, np.diag(sigma), atol=1e-8 * max(1.0, sigma[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -974,6 +1021,18 @@ def test_generator_argument_validation():
         gen_phase_sync(4, -0.1, seed=0)
     with pytest.raises(ValueError, match="phase retrieval"):
         corrupt_outliers(gen_quadratic_sensing(4, 1, 6, 0), 0.1, seed=0)
+    # A non-finite spectrum used to plant a non-finite truth and observations.
+    for spectrum in ([math.nan, 1.0], [math.inf, 1.0], [2.0, math.nan]):
+        for make in (lambda s: gen_matrix_sensing(4, 4, 2, 3, True, 0, spectrum=s),
+                     lambda s: gen_matrix_sensing(4, 3, 2, 3, False, 0, spectrum=s),
+                     lambda s: gen_identity_sensing(4, 3, 2, 0, spectrum=s),
+                     lambda s: gen_quadratic_sensing(4, 2, 6, 0, spectrum=s),
+                     lambda s: gen_matrix_completion(5, 5, 2, 0.5, True, 0, spectrum=s),
+                     lambda s: gen_matrix_completion(5, 4, 2, 0.5, False, 0, spectrum=s),
+                     lambda s: gen_rpca(5, 5, 2, 0.5, 0.1, 1.0, 0, spectrum=s),
+                     lambda s: gen_rpca(5, 4, 2, 0.5, 0.1, 1.0, 0, spectrum=s)):
+            with pytest.raises(ValueError, match="^spectrum entries must be finite and positive$"):
+                make(spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,6 +1083,18 @@ def _family_dispatch_sites(package=pathlib.Path(problems.__file__).parent):
             if any(isinstance(c, ast.Constant) and c.value in names for c in consts):
                 sites.append(f"{path.name}:{node.lineno}")
     return sites
+
+
+def test_every_linear_family_loss_is_the_one_linear_risk():
+    # A linear family's loss is _loss_linear, whose "regularized" tag adds the
+    # record's penalty: the tag is listed exactly when a penalty is declared.
+    # A family without a linear operator declares no penalty.
+    for name, spec in problems.FAMILIES.items():
+        if spec.operator is None:
+            assert spec.penalty is None, name
+        else:
+            assert spec.loss is problems._loss_linear, name
+            assert ("regularized" in spec.losses) == (spec.penalty is not None), name
 
 
 def test_family_dispatch_guard_counts_dict_and_set_literals(tmp_path):

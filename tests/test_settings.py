@@ -48,7 +48,16 @@ from lowrank_ncvx.problems import (
     gen_rpca,
     instances_equal,
 )
-from lowrank_ncvx.spectral import init_matrix_completion, init_phase_retrieval
+from lowrank_ncvx.spectral import (
+    Preprocessing,
+    init_matrix_completion,
+    init_phase_retrieval,
+    init_quadratic_sensing,
+    init_rpca,
+    init_sensing,
+    init_sparse_pr,
+    rho_vs_alpha_experiment,
+)
 
 _BAD_COUNTS = (2.5, -1, math.nan, math.inf, "3")
 _BAD_BOUNDS = (-1.0, math.nan, "1")
@@ -132,6 +141,9 @@ def count_calls():
     pr = gen_phase_retrieval(8, 40, seed=13)
     x = init_phase_retrieval(pr).point
     M = np.diag([3.0, 2.0, 1.0])
+    qs = gen_quadratic_sensing(6, 2, 40, seed=1)
+    mc = gen_matrix_completion(8, 8, 2, 0.6, False, seed=1)
+    rpca = gen_rpca(8, 8, 2, 0.7, 0.05, 3.0, seed=1)
     return {
         "ppm": ("max_iters", lambda v: ppm(sync, np.ones(6), max_iters=v)[1].loss),
         "estimate_rip.r": ("r", lambda v: estimate_rip(sens, v, 2, 0)),
@@ -141,20 +153,42 @@ def count_calls():
         "factored_oracle": ("r", lambda v: factored_oracle(M, v).grad(np.ones(3 * 2)).tolist()),
         "project_sparse_k": ("k", lambda v: project_sparse_k(np.arange(5.0), v).tolist()),
         "sgd_step": ("batch size", lambda v: sgd_step(pr, x, v, 0.01, make_rng(0)).x.tolist()),
+        "init_sensing": ("r", lambda v: init_sensing(sens, v).point.X.tolist()),
+        "init_quadratic_sensing": ("r", lambda v: init_quadratic_sensing(qs, v).point.X.tolist()),
+        "init_matrix_completion": (
+            "r", lambda v: init_matrix_completion(mc, v).point.L.tolist()),
+        "init_rpca": ("r", lambda v: init_rpca(rpca, v)[0].point.X.tolist()),
+        "init_sparse_pr": ("k", lambda v: init_sparse_pr(pr, k=v)[0].point.x.tolist()),
+        "rho_vs_alpha_experiment": (
+            "trials", lambda v: rho_vs_alpha_experiment(8, [2.0], Preprocessing.identity(), v, 0)),
     }
 
 
 @pytest.mark.parametrize("entry", ["ppm", "estimate_rip.r", "estimate_rip.trials",
                                    "random_init_gd_experiment", "factored_oracle",
-                                   "project_sparse_k", "sgd_step"])
+                                   "project_sparse_k", "sgd_step", "init_sensing",
+                                   "init_quadratic_sensing", "init_matrix_completion",
+                                   "init_rpca", "init_sparse_pr", "rho_vs_alpha_experiment"])
 def test_count_arguments_follow_the_one_rule(count_calls, entry):
     name, call = count_calls[entry]
     good = 2 if entry != "ppm" else 3
     assert repr(call(float(good))) == repr(call(good))
     zero = () if entry in ("ppm", "project_sparse_k") else (0,)
-    for value in _BAD_COUNTS + zero + (None,):
+    # A missing support size k is refused as one of two support rules
+    # (test_sparse_pr_takes_exactly_one_support_rule).
+    none = () if entry == "init_sparse_pr" else (None,)
+    for value in _BAD_COUNTS + zero + none:
         with pytest.raises(ValueError, match=f"^{name} must "):
             call(value)
+
+
+def test_sparse_pr_takes_exactly_one_support_rule():
+    # k and gamma together used to keep gamma's support and ignore k.
+    pr = gen_phase_retrieval(8, 40, seed=13)
+    with pytest.raises(ValueError, match="^need a support size k or a diagonal threshold gamma$"):
+        init_sparse_pr(pr)
+    with pytest.raises(ValueError, match="not both$"):
+        init_sparse_pr(pr, k=3, gamma=0.5)
 
 
 def test_integral_float_counts_run_where_they_used_to_crash():
