@@ -452,9 +452,12 @@ def setting(name, value, rule, optional=False):
     2.5, nan and inf do not); a "bound" is a number >= 0 and a "positive
     bound" one > 0 (inf passes, nan does not), and a "finite bound" or
     "finite positive bound" refuses inf as well.  None passes only if
-    ``optional``; any other refused value raises ValueError naming it."""
+    ``optional``; a bool (or NumPy bool) passes no rule, being most likely a
+    misplaced flag; any other refused value raises ValueError naming it."""
     if value is None and optional:
         return value
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not the bool {bool(value)}")
     finite = rule.startswith("finite")
     count, positive = rule.endswith("count"), "positive" in rule
     try:  # int() raises on inf

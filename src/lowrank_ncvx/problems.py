@@ -160,6 +160,29 @@ def _observed(inst):
     return inst
 
 
+# Doubles per block of the mask draw: 125 KiB, under glibc's default 128 KiB
+# mmap threshold, so the buffer comes from the heap.
+_MASK_BLOCK = 16000
+
+
+def _bernoulli_mask(rng, n1, n2, p):
+    """The n1 x n2 Bernoulli(p) mask ``rng.random((n1, n2)) < p``, bit for bit
+    and leaving rng where that draw leaves it.
+
+    The uniforms are drawn in blocks of consecutive row-major entries into
+    one reused buffer (Philox's stream of doubles does not depend on how the
+    draw is chunked), so no n1 x n2 float array exists.
+    """
+    mask = np.empty((n1, n2), dtype=bool)
+    flat = mask.reshape(-1)
+    buf = np.empty(min(_MASK_BLOCK, flat.size))
+    for start in range(0, flat.size, buf.size):
+        block = buf[:flat.size - start]
+        rng.random(out=block)
+        np.less(block, p, out=flat[start:start + buf.size])
+    return mask
+
+
 def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     """Random Gaussian matrix sensing.
 
@@ -226,12 +249,14 @@ def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
 def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     """Bernoulli-sampled matrix completion.
 
-    Each entry lands in the observed set independently with probability p.
-    The boolean mask is the stored form of the design (and of its JSON);
-    every computation reads the sampling operator P_Omega that
-    linear_operator builds on the observed-entry index derived from it, and
-    y = P_Omega(M) lists M on that index in row-major order.  p = 0 is legal
-    and produces an empty observation set.
+    Each entry lands in the observed set independently with probability p:
+    the mask is drawn in row-major blocks from the same stream as one
+    n1 x n2 uniform draw (_bernoulli_mask), bit for bit.  The boolean mask
+    is the stored form of the design (and of its JSON); every computation
+    reads the sampling operator P_Omega that linear_operator builds on the
+    observed-entry index derived from it, and y = P_Omega(M) lists M on that
+    index in row-major order.  p = 0 is legal and produces an empty
+    observation set.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     p = _fraction("p", p, closed=True)
@@ -240,7 +265,7 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     rng = make_rng(derive_seed(seed, "matrix_completion", int(symmetric)))
     truth = _planted(rng, n1, n2, r, symmetric, spectrum)
     family = "MatrixCompletionSym" if symmetric else "MatrixCompletionAsym"
-    mask = rng.random((n1, n2)) < p
+    mask = _bernoulli_mask(rng, n1, n2, p)
     params = {"n1": n1, "n2": n2, "r": r, "p": float(p), "symmetric": bool(symmetric)}
     return _observed(ProblemInstance(family, seed, params, truth, {"mask": mask}, None))
 
@@ -318,8 +343,9 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
     S has round(alpha_out * n1 * n2) entries of size +-magnitude, placed so
     that no row holds more than ceil(alpha_out * n2) outliers and no column
     more than ceil(alpha_out * n1).  Square instances plant a PSD truth.  As
-    in gen_matrix_completion, the boolean mask is the stored form, and
-    y = P_Omega(M + S) is read through the same sampling operator.
+    in gen_matrix_completion, the mask is drawn in row-major blocks from the
+    same stream as one n1 x n2 uniform draw; the boolean mask is the stored
+    form, and y = P_Omega(M + S) is read through the same sampling operator.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     p, alpha_out = _fraction("p", p, closed=True), _fraction("alpha_out", alpha_out)
@@ -337,7 +363,7 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
         for (i, j), s in zip(support, signs):
             S[i, j] = s * magnitude
     truth["S"] = S
-    mask = rng.random((n1, n2)) < p
+    mask = _bernoulli_mask(rng, n1, n2, p)
     params = {
         "n1": n1, "n2": n2, "r": r, "p": float(p),
         "alpha_out": float(alpha_out), "magnitude": float(magnitude),
@@ -495,11 +521,12 @@ def _memo(instance, name, sources, build):
 
 
 def _observed_index(instance):
-    # (rows, cols, indptr) of the mask
+    # (rows, cols, indptr) of the mask, built once per mask from its flat
+    # row-major indices (the same int64 arrays as a 2-D np.nonzero, faster)
     mask = instance.design["mask"]
 
     def build():
-        rows, cols = np.nonzero(mask)
+        rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
         return rows, cols, _offsets(rows, mask.shape[0])
 
     return _memo(instance, "observed", (mask,), build)

@@ -282,16 +282,22 @@ def factors_from_surrogate(Y, r, symmetric):
     return point, (left, right), float(left.values[0])
 
 
-def _matrix_estimate(instance, Y, r):
-    # Rank-r factors of the surrogate Y of an n1 x n2 matrix instance: the
-    # symmetric route, on (Y + Y^T)/2, when the planted truth is X X^T.
+def _rank(instance, r):
+    # r checked as the rank of an estimate of an n1 x n2 matrix instance
     p, r = instance.params, setting("r", r, "positive count")
     if r > min(p["n1"], p["n2"]):
         raise ValueError("r out of range for this instance")
+    if "X" in instance.truth and r >= p["n1"]:
+        raise ValueError("the symmetric route needs r < n")
+    return r
+
+
+def _matrix_estimate(instance, Y, r):
+    # Rank-r factors of the surrogate Y of an n1 x n2 matrix instance: the
+    # symmetric route, on (Y + Y^T)/2, when the planted truth is X X^T.
+    r = _rank(instance, r)
     symmetric = "X" in instance.truth
     if symmetric:
-        if r >= p["n1"]:
-            raise ValueError("the symmetric route needs r < n")
         Y = 0.5 * (Y + Y.T)
     point, subspaces, scale = factors_from_surrogate(Y, r, symmetric)
     return SpectralEstimate(point=point, subspaces=subspaces, scale=scale)
@@ -435,6 +441,7 @@ def init_rpca(instance, r):
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
     _require_observations(instance)
+    r = _rank(instance, r)  # before sparse_part's dense residual
     op = problems.linear_operator(instance)
     S0 = sparse_part(instance, instance.y)
     # S0 is zero off the observed set, so the surrogate stays sparse

@@ -423,6 +423,35 @@ def test_completion_mask_density_concentrates():
     assert abs(frac - p) <= 4.0 * math.sqrt(p / (n * n))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 50000), (2001, 7), (257, 2000)])
+@pytest.mark.parametrize("p", [0, 0.02, 0.5, 1])
+def test_blocked_mask_draw_is_the_one_shot_draw(shape, p):
+    # Rows longer than a block, blocks spanning rows and a last partial
+    # block: the mask and the generator state after it are those of one
+    # n1 x n2 draw.
+    for seed in (0, 1):
+        rng, ref = core.make_rng(seed), core.make_rng(seed)
+        mask = problems._bernoulli_mask(rng, *shape, p)
+        want = ref.random(shape) < p
+        assert mask.dtype == want.dtype and np.array_equal(mask, want)
+        assert rng.random() == ref.random()
+
+
+def test_completion_instance_peak_is_its_truth_and_mask():
+    # No n1 x n2 float array besides M: the mask is drawn through one small
+    # reused buffer.  The bound is M (8 n1 n2 bytes) plus the mask (n1 n2)
+    # plus 2 MiB.
+    gen_matrix_completion(20, 20, 5, 0.02, False, 0)  # one-time imports, untraced
+    n1 = n2 = 1000
+    tracemalloc.start()
+    try:
+        gen_matrix_completion(n1, n2, 5, 0.02, False, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * n1 * n2 + 2**21
+
+
 def test_completion_truth_has_computable_incoherence():
     inst = gen_matrix_completion(30, 30, 2, 0.5, True, seed=2)
     mu = core.incoherence_mu(inst.truth["M"], 2)

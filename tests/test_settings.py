@@ -59,8 +59,11 @@ from lowrank_ncvx.spectral import (
     rho_vs_alpha_experiment,
 )
 
-_BAD_COUNTS = (2.5, -1, math.nan, math.inf, "3")
-_BAD_BOUNDS = (-1.0, math.nan, "1")
+# A bool is most likely a misplaced flag (the positional symmetric of
+# gen_matrix_completion landing in r); it passes no rule.
+_BOOLS = (True, False, np.True_, np.False_)
+_BAD_COUNTS = (2.5, -1, math.nan, math.inf, "3") + _BOOLS
+_BAD_BOUNDS = (-1.0, math.nan, "1") + _BOOLS
 
 
 def test_setting_rule():
@@ -69,6 +72,8 @@ def test_setting_rule():
     assert core.setting("b", math.inf, "positive bound") == math.inf
     assert core.setting("b", 0.0, "bound") == 0.0
     assert core.setting("b", None, "bound", optional=True) is None
+    with pytest.raises(ValueError, match="^v must be a number, not the bool True$"):
+        core.setting("v", np.True_, "positive count", optional=True)
     for rule, bad, want in (("count", -1, "a nonnegative integer"),
                             ("positive count", 0, "a positive integer"),
                             ("bound", -1e-300, "nonnegative"),

@@ -486,6 +486,22 @@ def test_empty_observation_set_is_refused_before_any_surrogate(monkeypatch):
         init_rpca(gen_rpca(20, 20, 2, 0.0, 0.05, 3.0, seed=0), 2)
 
 
+def test_init_rpca_refuses_a_bad_rank_before_the_sparse_part(monkeypatch):
+    # sparse_part densifies the residual and runs two full partitions; a rank
+    # the estimate would refuse is refused before it.
+    def unreachable(*args):
+        raise AssertionError("ran sparse_part for a refused rank")
+
+    monkeypatch.setattr(spectral, "sparse_part", unreachable)
+    for n2 in (12, 10):  # symmetric and asymmetric truth
+        inst = gen_rpca(12, n2, 2, 0.7, 0.05, 3.0, seed=1)
+        for r in (0, n2 + 1):
+            with pytest.raises(ValueError, match="^r must be |^r out of range"):
+                init_rpca(inst, r)
+    with pytest.raises(ValueError, match="^the symmetric route needs r < n$"):
+        init_rpca(gen_rpca(12, 12, 2, 0.7, 0.05, 3.0, seed=1), 12)
+
+
 # ---------------------------------------------------------------------------
 # Robust PCA initialization
 # ---------------------------------------------------------------------------
