@@ -1,8 +1,9 @@
 """Shared numerical plumbing: seeded randomness, factor containers, the
 subspace estimate record that spectral's eigensolvers fill, the distance
 metrics that quotient out the global ambiguities (sign, rotation, complex
-scaling) of factored estimates, incoherence measures, the settings check,
-and the iteration driver with its trace that every solver loop runs on.
+scaling; factored_svd balances out the mix (L G, R G^-T) of asymmetric
+factors first) of factored estimates, incoherence measures, the settings
+check, and the iteration driver with its trace that every solver loop runs on.
 
 Everything here is pure and reentrant; workers own their Rng instances.
 """
@@ -402,7 +403,8 @@ def incoherence_mu(M, r):
     sigma_r <= 1e-12 sigma_1 is refused as rank-deficient."""
     M = np.asarray(M)
     n1, n2 = M.shape
-    if not (1 <= r <= min(n1, n2)):
+    r = setting("r", r, "positive count")
+    if r > min(n1, n2):
         raise ValueError(f"need 1 <= r <= min(n1,n2), got r={r}, shape={M.shape}")
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     if s[r - 1] <= 1e-12 * max(s[0], np.finfo(float).tiny):

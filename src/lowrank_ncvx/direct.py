@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPoint, check_fields, factored_svd, falls_to, iterate, setting
+from .core import FactorPoint, check_fields, falls_to, iterate, setting
 from .gd import trace_row
 from .problems import (
     FAMILIES,
     EntryGroups,
+    _shape,
     estimate_rip,
     linear_operator,
     loss_and_grad,
@@ -102,27 +103,12 @@ def _risk_row(instance, point, loss="plain", forward=None):
     return trace_row(instance, point, val, grad, forward)
 
 
-def _balanced(L, R):
-    """The balanced factors (Q1 U S^1/2, Q2 V S^1/2) of L R^T, from its
-    factored_svd.  Non-finite factors are returned as they are."""
-    if not (np.isfinite(L).all() and np.isfinite(R).all()):
-        return L, R
-    Q1, U, s, V, Q2 = factored_svd(L, R)
-    root = np.sqrt(s)
-    return Q1 @ (U * root), Q2 @ (V * root)
-
-
 def _alternate(instance, L, R, cfg, right, left):
     """AltMin rounds as rows 1..cfg.max_outer of core.iterate.  The round
     after row t sets R = right(t, L), then L = left(t, R).  A non-finite
     fixed factor gives an all-NaN half-step, which core.iterate labels
     "diverged", rather than a solve that raises on it.  Returns (L, R,
-    trace), R None if no round ran.
-
-    Alternating least squares leaves (L, R) unbalanced (any invertible r x r
-    mix of a balanced pair), which a rotation cannot undo, so each row's
-    dist and incoh are those of the balanced factors of L R^T; its loss and
-    gradient are those of the iterate.  Its half_loss is the plain risk
+    trace), R None if no round ran.  Each row's half_loss is the plain risk
     after the round's first half-step, at (L, R), from loss_value: no
     gradient is formed for it.
     """
@@ -140,9 +126,7 @@ def _alternate(instance, L, R, cfg, right, left):
         return FactorPoint.derived("asym", (solve(t, R, point.L, left), R))
 
     def evaluate(t, point):
-        val, grad = loss_and_grad(instance, point)
-        balanced = FactorPoint.derived("asym", _balanced(*point.parts))
-        return {**trace_row(instance, balanced, val, grad), "half_loss": half}, None
+        return {**_risk_row(instance, point), "half_loss": half}, None
 
     point, trace = iterate(FactorPoint.asym(L, R), evaluate, step, cfg.max_outer,
                            first=1, stop=falls_to("loss", cfg.tol))
@@ -404,8 +388,7 @@ def svp(instance, config):
     if not isinstance(config, SvpConfig):
         raise ValueError("svp needs an SvpConfig")
     op = linear_operator(instance)
-    n1, n2 = op.shape
-    r = config.r
+    n1, n2, r = _shape(config.r, n1=op.shape[0], n2=op.shape[1])
     eta = config.eta
     if eta is None:  # only a sensing operator has a normalized map to probe
         eta = 1.0 if not hasattr(op, "apply") else 1.0 / (1.0 + estimate_rip(

@@ -140,16 +140,17 @@ def trace_row(instance, point, loss, grad, forward=None):
 
 def dist_to_truth(instance, point):
     """The dist field of trace_row: the distance to the truth modulo the
-    family's ambiguity (rotation, sign, complex scaling, phase or label
-    shift; the last as a mismatch fraction).  A point that equals the truth
-    bitwise reports exactly 0.0."""
+    family's ambiguity (a rotation of X or of the balanced factors of L R^T,
+    sign, complex scaling, phase or label shift; the last as a mismatch
+    fraction).  A point that equals the truth bitwise reports exactly 0.0."""
     return FAMILIES[instance.family].gap(instance, point, None)[0]["dist"]
 
 
 def incoherence_proxy(instance, point):
     """The incoh field of trace_row: max|A x - s A x*| for phase retrieval,
-    the 2,inf norm of the aligned factor error for factor families, the
-    design coherence of h for blind deconvolution, and 0.0 elsewhere."""
+    the 2,inf norm of the aligned factor error (X, or the balanced factors of
+    L R^T) for factor families, the design coherence of h for blind
+    deconvolution, and 0.0 elsewhere."""
     return FAMILIES[instance.family].gap(instance, point, None)[0]["incoh"]
 
 

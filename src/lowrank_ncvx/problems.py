@@ -1072,14 +1072,28 @@ def _hvp_linear(instance, point, direction):
 # d is the aligned difference x - s x* of a phase-retrieval point, else None.
 # A point that equals the truth bitwise reads a dist of exactly 0.
 
+def _balanced(L, R):
+    """The balanced factors (Q1 U S^1/2, Q2 V S^1/2) of L R^T, from its
+    factored_svd.  Non-finite factors are returned as they are."""
+    if not (np.isfinite(L).all() and np.isfinite(R).all()):
+        return L, R
+    Q1, U, s, V, Q2 = factored_svd(L, R)
+    root = np.sqrt(s)
+    return Q1 @ (U * root), Q2 @ (V * root)
+
+
 def _gap_procrustes(instance, point, c):
-    # Procrustes on X (sym) or the stacked [L; R] (asym); incoh is the 2,inf
-    # norm of the aligned factor error.
+    # Procrustes on X (sym) or on the stacked [L; R] (asym) of the balanced
+    # factors of L R^T, which undo the mix (L G, R G^-T) no rotation can;
+    # incoh is the 2,inf norm of the aligned factor error.
     t = instance.truth
     F, Fs = (point.X, t["X"]) if point.kind == "sym" else (
-        np.vstack((point.L, point.R)), np.vstack((t["L"], t["R"])))
+        np.vstack(point.parts), np.vstack((t["L"], t["R"])))
+    exact = np.array_equal(F, Fs)
+    if point.kind == "asym" and not exact:
+        F = np.vstack(_balanced(*point.parts))
     D = F @ procrustes(F, Fs) - Fs
-    dist = 0.0 if np.array_equal(F, Fs) else float(np.linalg.norm(D))
+    dist = 0.0 if exact else float(np.linalg.norm(D))
     return {"dist": dist, "incoh": max_row_norm(D)}, None
 
 
@@ -1182,7 +1196,8 @@ class Family:
     and Borwein 1988, falling back to the last accepted step); and
     gap(instance, point, c) is the distance to the truth modulo the
     family's ambiguity, with its incoherence proxy, that gd.trace_row
-    records (a rotation of the factors unless the record names another).
+    records (unless the record names another, a rotation of X or of the
+    balanced factors of L R^T).
     A power family declares matrix(instance), the L of its loss
     -Re x^H L x, and project(instance, v), the projection onto its
     constraint set, which direct.ppm iterates as x <- project(L x).
@@ -1325,12 +1340,9 @@ def estimate_rip(instance, r, trials, seed):
     the worst deviation of ||A(T)||^2 from 1.  Probe t depends only on
     (seed, t), so the estimate is monotone in the trial count.
     """
-    op = sensing_operator(instance)
-    r, trials = setting("r", r, "positive count"), setting("trials", trials, "positive count")
-    p = instance.params
-    n1, n2 = p["n1"], p["n2"]
-    if r > min(n1, n2):
-        raise ValueError("need 1 <= r <= min(n1, n2)")
+    op, p = sensing_operator(instance), instance.params
+    n1, n2, r = _shape(r, n1=p["n1"], n2=p["n2"])
+    trials = setting("trials", trials, "positive count")
     worst = 0.0
     for t in range(trials):
         rng = make_rng(derive_seed(seed, "rip_probe", t))

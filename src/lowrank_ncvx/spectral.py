@@ -68,6 +68,7 @@ def _start_vector(n):
 
 def _eig_top(Y, r):
     """Leading r eigenpairs of a symmetric/Hermitian matrix, descending."""
+    _, r = problems._shape(r, n=Y.shape[0])
     if _sparse(Y, r + 1):
         from scipy.sparse.linalg import eigsh
         vals, vecs = eigsh(Y, k=r + 1, which="LA", v0=_start_vector(Y.shape[0]))
@@ -82,6 +83,7 @@ def _eig_top(Y, r):
 
 def _svd_top(Y, r):
     """Leading r singular triples as a (left, right) pair of estimates."""
+    _, _, r = problems._shape(r, n1=Y.shape[0], n2=Y.shape[1])
     if _sparse(Y, r + 1):
         from scipy.sparse.linalg import svds
         u, s, vt = svds(Y, k=r + 1, v0=_start_vector(min(Y.shape)))

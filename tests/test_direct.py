@@ -15,7 +15,6 @@ from lowrank_ncvx.direct import (
     _GRAM_CUT,
     AltMinConfig,
     SvpConfig,
-    _balanced,
     _batchable,
     _cond_bound,
     _decoupled_ls,
@@ -29,6 +28,7 @@ from lowrank_ncvx.gd import dist_to_truth, trace_row
 from lowrank_ncvx.problems import (
     EntryGroups,
     ProblemInstance,
+    _balanced,
     estimate_rip,
     gen_identity_sensing,
     gen_joint_alignment,
@@ -584,6 +584,9 @@ def test_svp_guards():
     mc = gen_matrix_completion(8, 8, 2, 0.5, False, seed=1)
     with pytest.raises(ValueError, match="SvpConfig"):
         svp(mc, AltMinConfig())
+    # r above min(n1, n2) used to run, its (8, 9) iterate turning (8, 6)
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= min\(n1, n2\)$"):
+        svp(gen_matrix_completion(8, 6, 2, 0.8, False, 1), SvpConfig(r=9))
 
 
 def test_svp_loss_column_is_twice_the_plain_risk():

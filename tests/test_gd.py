@@ -228,6 +228,50 @@ def test_outcome_labels():
     assert np.all(np.isfinite(np.asarray(tr.loss)[:-1]))  # only the last row may blow up
 
 
+def _solved_at(inst, **fields):
+    # dist_tol 1e-6 ||[L*; R*]|| within 100 rows
+    t = inst.truth
+    return SolverConfig(max_iters=100, dist_tol=1e-6 * np.linalg.norm(np.vstack((t["L"], t["R"]))),
+                        **fields)
+
+
+def _completion_run(seed, loss):
+    inst = gen_matrix_completion(400, 400, 5, 0.1, False, seed)
+    return run_gd(inst, init_matrix_completion(inst, 5).point, _solved_at(inst, loss=loss))[1]
+
+
+def _sensing_run(seed):
+    inst = gen_matrix_sensing(30, 30, 3, 1500, False, seed)
+    return run_gd(inst, init_sensing(inst, 3).point, _solved_at(inst))[1]
+
+
+def _rpca_run():
+    inst = gen_rpca(60, 50, 2, 0.5, 0.02, 1.0, 7)
+    est, S0 = init_rpca(inst, 2)
+    project = make_incoherent_projector(inst, est.point)
+    return run_rpca(inst, est.point, S0, _solved_at(inst, project=project))[2]
+
+
+ASYMMETRIC_RUNS = {
+    "completion-0": lambda: _completion_run(0, "plain"),
+    "completion-1": lambda: _completion_run(1, "plain"),
+    "completion-0-regularized": lambda: _completion_run(0, "regularized"),
+    "completion-1-regularized": lambda: _completion_run(1, "regularized"),
+    "sensing-0": lambda: _sensing_run(0),
+    "sensing-1": lambda: _sensing_run(1),
+    "rpca": _rpca_run,
+}
+
+
+@pytest.mark.parametrize("run", sorted(ASYMMETRIC_RUNS))
+def test_solved_asymmetric_descent_stops_on_dist(run):
+    # A solved asymmetric run keeps some mix (L G, R G^-T) of the truth's
+    # factors.  A rotation-only gap left its dist near 1e-3 ||[L*; R*]||, so
+    # each of these ran to max_iters with L R^T = M* to round-off.
+    tr = ASYMMETRIC_RUNS[run]()
+    assert tr.outcome == "converged" and len(tr) <= 100
+
+
 def test_plateau_and_grad_stops():
     inst = _rank1_factorization_desk()
     x0 = FactorPoint.sym(inst.truth["X"] + 0.03)

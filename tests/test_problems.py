@@ -108,12 +108,15 @@ def test_generator_random_streams_are_pinned(make, digests):
 # along the family's ambiguity by a random element of it.
 
 def _rotated(inst, rng):
+    # A rotation Q of symmetric factors; asymmetric ones take the general
+    # invertible mix (L G, R G^-T), G = Q diag(d), so G^-T = Q diag(1/d).
     t = inst.truth
     key = "X" if "X" in t else "L"
     Q = np.linalg.qr(rng.standard_normal((t[key].shape[1],) * 2))[0]
     if key == "X":
         return FactorPoint.sym(t["X"]), FactorPoint.sym(t["X"] @ Q)
-    return FactorPoint.asym(t["L"], t["R"]), FactorPoint.asym(t["L"] @ Q, t["R"] @ Q)
+    d = rng.uniform(0.5, 2.0, Q.shape[1])
+    return FactorPoint.asym(t["L"], t["R"]), FactorPoint.asym(t["L"] @ Q * d, t["R"] @ Q / d)
 
 
 def _negated(inst, rng):
@@ -138,7 +141,7 @@ def _shifted_labels(inst, rng):
             FactorPoint.vector(lift_assignment(labels + rng.integers(1, m), m)))
 
 
-# The families whose ambiguity is not a rotation of the factors
+# The families whose ambiguity is not _rotated's move of the factors
 AMBIGUITY_MOVES = {"PhaseRetrieval": _negated, "BlindDeconv": _scaled_pair,
                    "PhaseSync": _phased, "JointAlignment": _shifted_labels}
 

@@ -50,12 +50,14 @@ from lowrank_ncvx.problems import (
 )
 from lowrank_ncvx.spectral import (
     Preprocessing,
+    factors_from_surrogate,
     init_matrix_completion,
     init_phase_retrieval,
     init_quadratic_sensing,
     init_rpca,
     init_sensing,
     init_sparse_pr,
+    qs_estimate_from_surrogate,
     rho_vs_alpha_experiment,
 )
 
@@ -166,6 +168,11 @@ def count_calls():
         "init_sparse_pr": ("k", lambda v: init_sparse_pr(pr, k=v)[0].point.x.tolist()),
         "rho_vs_alpha_experiment": (
             "trials", lambda v: rho_vs_alpha_experiment(8, [2.0], Preprocessing.identity(), v, 0)),
+        "factors_from_surrogate": (
+            "r", lambda v: factors_from_surrogate(M, v, False)[0].L.tolist()),
+        "qs_estimate_from_surrogate": (
+            "r", lambda v: qs_estimate_from_surrogate(M, 0.5, v).point.X.tolist()),
+        "incoherence_mu": ("r", lambda v: core.incoherence_mu(M, v)),
     }
 
 
@@ -173,7 +180,9 @@ def count_calls():
                                    "random_init_gd_experiment", "factored_oracle",
                                    "project_sparse_k", "sgd_step", "init_sensing",
                                    "init_quadratic_sensing", "init_matrix_completion",
-                                   "init_rpca", "init_sparse_pr", "rho_vs_alpha_experiment"])
+                                   "init_rpca", "init_sparse_pr", "rho_vs_alpha_experiment",
+                                   "factors_from_surrogate", "qs_estimate_from_surrogate",
+                                   "incoherence_mu"])
 def test_count_arguments_follow_the_one_rule(count_calls, entry):
     name, call = count_calls[entry]
     good = 2 if entry != "ppm" else 3
@@ -185,6 +194,18 @@ def test_count_arguments_follow_the_one_rule(count_calls, entry):
     for value in _BAD_COUNTS + zero + none:
         with pytest.raises(ValueError, match=f"^{name} must "):
             call(value)
+
+
+def test_a_rank_above_the_matrix_is_refused():
+    # r = 4 on a 3 x 3 matrix used to raise IndexError in the surrogate layer
+    M = np.diag([3.0, 2.0, 1.0])
+    for call, top in ((lambda: factors_from_surrogate(M, 4, True), "n"),
+                      (lambda: factors_from_surrogate(M, 4, False), r"min\(n1, n2\)"),
+                      (lambda: qs_estimate_from_surrogate(M, 0.5, 4), "n")):
+        with pytest.raises(ValueError, match=f"^need 1 <= r <= {top}$"):
+            call()
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= min\(n1,n2\), got r=4"):
+        core.incoherence_mu(M, 4)
 
 
 def test_sparse_pr_takes_exactly_one_support_rule():

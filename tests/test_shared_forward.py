@@ -30,7 +30,7 @@ from lowrank_ncvx.core import (
     make_rng,
     max_row_norm,
 )
-from lowrank_ncvx.direct import AltMinConfig, _balanced, altmin_mc, er_phase_retrieval
+from lowrank_ncvx.direct import AltMinConfig, altmin_mc, er_phase_retrieval
 from lowrank_ncvx.gd import (
     DEFAULT_TWF_THRESHOLDS,
     SolverConfig,
@@ -40,6 +40,7 @@ from lowrank_ncvx.gd import (
     twf_mask,
 )
 from lowrank_ncvx.problems import (
+    _balanced,
     corrupt_outliers,
     gen_blind_deconv,
     gen_matrix_completion,
