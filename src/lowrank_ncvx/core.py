@@ -229,12 +229,16 @@ def dist_subspace(U, Ustar):
 
 def dist_vector(x, xstar):
     """Sign/phase-minimized l2 distance: min over unit-modulus c of ||x - c xstar||.
-    Real input returns sqrt(d.d) for d = x -/+ xstar, as gd's rows record."""
+    Real input returns sqrt(d.d) for d = x -/+ xstar, as gd's rows record;
+    where x . xstar is 0, orthogonal or underflowed, the shorter d."""
     x = np.asarray(x).ravel()
     xstar = np.asarray(xstar).ravel()
     if np.isrealobj(x) and np.isrealobj(xstar):
         x, xstar = x.astype(float, copy=False), xstar.astype(float, copy=False)
-        d = x - (-1.0 if float(x @ xstar) < 0.0 else 1.0) * xstar
+        ip = float(x @ xstar)
+        d = x - (-1.0 if ip < 0.0 else 1.0) * xstar
+        if ip == 0.0 and float((x + xstar) @ (x + xstar)) < float(d @ d):
+            d = x + xstar
         return math.sqrt(float(d @ d))
     w = complex(np.vdot(xstar, x))
     c = w / abs(w) if w != 0 else 1.0  # optimal phase; any c ties when orthogonal
@@ -268,7 +272,13 @@ def _split_norm(v):
     return _norm(_ldexp(v, -e)), e
 
 
-def dist_bd(h, x, hstar, xstar):
+def bd_truth_norms(hstar, xstar):
+    """(||hstar||, ||xstar||) as dist_bd takes them, for its truth_norms."""
+    return (_norm(np.asarray(hstar, dtype=complex).ravel()),
+            _norm(np.asarray(xstar, dtype=complex).ravel()))
+
+
+def dist_bd(h, x, hstar, xstar, *, truth_norms=None):
     """Distance modulo the complex scaling ambiguity of a bilinear pair:
 
         min over complex alpha of sqrt(||h / conj(alpha) - hstar||^2 + ||alpha x - xstar||^2)
@@ -306,12 +316,15 @@ def dist_bd(h, x, hstar, xstar):
 
     A zero h or x raises ValueError.  A NaN or infinite entry gives nan,
     and finite entries whose squared norms or residuals overflow give inf.
+    A caller that measures many pairs against one truth passes
+    truth_norms = bd_truth_norms(hstar, xstar), taken once.
     """
     h = np.asarray(h, dtype=complex).ravel()
     x = np.asarray(x, dtype=complex).ravel()
     hstar = np.asarray(hstar, dtype=complex).ravel()
     xstar = np.asarray(xstar, dtype=complex).ravel()
-    nh, nx, nhs, nxs = _norm(h), _norm(x), _norm(hstar), _norm(xstar)
+    nh, nx = _norm(h), _norm(x)
+    nhs, nxs = bd_truth_norms(hstar, xstar) if truth_norms is None else truth_norms
     eh = ex = 0
     if not (_SPLIT < nh * nh < math.inf and _SPLIT < nx * nx < math.inf
             and nhs * nhs + nxs * nxs < math.inf):

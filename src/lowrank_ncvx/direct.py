@@ -211,33 +211,46 @@ def er_phase_retrieval(instance, x0, config=None):
 
 def _cond_bound(gram, limit=np.inf):
     """The bound ||G||_F ||C^-1||_F^2 >= kappa_2(G) for each of a stack of
-    symmetric Grams G = C C^T, shape (groups, r, r), and the stack of C^-1.
+    symmetric Grams G = C C^T, shape (groups, r, r), and C^-1 for each.
 
     The bound holds because lambda_max(G^-1) = ||C^-1||_2^2 <= ||C^-1||_F^2,
-    and it exceeds kappa_2(G) by at most r^1.5.  C and its inverse are built
-    row by row in r vectorized steps of Cholesky and forward substitution.
-    ||C^-1||_F^2 >= 1 / d_j for every pivot d_j = C_jj^2, so a group whose
-    pivot has d_j limit <= ||G||_F, including every group that is not
-    positive definite, gets inf at once and leaves the factorization; its
-    C^-1 is then meaningless.  Returns (bound, C^-1).
+    and it exceeds kappa_2(G) by at most r^1.5.  The groups go last: the
+    stack is copied once into an (r, r, groups) array (no copy if it is a
+    view of one), and each scalar update of Cholesky and forward
+    substitution is one elementwise pass over contiguous rows of all groups.
+    That is O(r^2) passes of at most r rows each, O(r^3) flops per group,
+    with no per-group loop or strided gather; each group's arithmetic, and
+    its order, is the same in any stack.  ||C^-1||_F^2 >= 1 / d_j for every
+    pivot d_j = C_jj^2, so a group whose pivot has d_j limit <= ||G||_F,
+    including every group that is not positive definite, gets inf at once
+    and leaves the factorization; its C^-1 is then meaningless.  Returns
+    (bound, C^-1), C^-1 groups last: row [j, l] of the (r, r, groups) array
+    holds entry (j, l) of every inverse, and the rows above the diagonal
+    are not set.
     """
-    groups, r = gram.shape[0], gram.shape[1]
-    norm = np.sqrt(np.einsum("gij,gij->g", gram, gram))
+    g = np.ascontiguousarray(np.moveaxis(gram, 0, -1))
+    r, groups = g.shape[0], g.shape[2]
+    norm = np.sqrt(sum(g.reshape(r * r, groups) ** 2))
     ok = np.ones(groups, dtype=bool)
-    low = np.zeros_like(gram)  # C below its diagonal
-    inv = np.zeros_like(gram)  # C^-1
-    total = np.zeros(groups)
+    low = np.empty_like(g)  # low[k, i] = C_ik: column k of C, below its diagonal
+    inv = np.empty_like(g)  # inv[j, l] = (C^-1)_jl
+    total = np.zeros(groups)  # ||C^-1||_F^2
     for j in range(r):
-        row = low[:, j, :j]
-        d = gram[:, j, j] - np.einsum("gk,gk->g", row, row)
-        ok &= d * limit > norm
+        rest = g[j:, j].copy()  # G_ij - sum_{k<j} C_ik C_jk for i >= j
+        for k in range(j):
+            rest -= low[k, j:] * low[k, j]
+        ok &= rest[0] * limit > norm
         # An infinite pivot zeroes the rest of a dropped group's factors.
-        piv = np.sqrt(np.where(ok, d, np.inf))[:, None]
-        low[:, j + 1:, j] = (gram[:, j + 1:, j] - np.einsum(
-            "gik,gk->gi", low[:, j + 1:, :j], row)) / piv
-        inv[:, j, :j] = -np.einsum("gk,gkl->gl", row, inv[:, :j, :j]) / piv
-        inv[:, j, j] = 1.0 / piv[:, 0]
-        total += np.einsum("gk,gk->g", inv[:, j, :j + 1], inv[:, j, :j + 1])
+        piv = np.sqrt(np.where(ok, rest[0], np.inf))
+        np.divide(rest[1:], piv, out=low[j, j + 1:])
+        # Row j of C^-1 from rows k < j, each zero right of its diagonal.
+        acc = np.zeros((j, groups))
+        for k in range(j):
+            acc[:k + 1] += low[k, j] * inv[k, :k + 1]
+        np.divide(acc, -piv, out=inv[j, :j])
+        np.divide(1.0, piv, out=inv[j, j])
+        for row in inv[j, :j + 1] ** 2:
+            total += row
     return np.where(ok, norm * total, np.inf), inv
 
 
@@ -245,16 +258,25 @@ def _batchable(gram, rhs, counts, rcond):
     # The groups whose normal equations (gram, rhs) may be solved in one
     # batch: at least r observations (counts), finite and in-range numbers,
     # and a Gram that _cond_bound certifies.  Returns the mask and the
-    # Cholesky inverses C^-1 of the batch's Grams, in group order.
-    r = gram.shape[1]
-    scale = np.max(np.diagonal(gram, axis1=1, axis2=2), axis=1)
-    batch = ((counts >= r) & np.isfinite(gram).all(axis=(1, 2))
-             & np.isfinite(rhs).all(axis=1)
+    # Cholesky inverses C^-1 of the batch's Grams, groups last and in group
+    # order.  Every check reads contiguous rows of the groups-last copies.
+    g = np.ascontiguousarray(np.moveaxis(gram, 0, -1))
+    r = g.shape[0]
+    scale = g[0, 0]
+    for i in range(1, r):
+        scale = np.maximum(scale, g[i, i])
+    batch = ((counts >= r) & np.isfinite(g).all(axis=(0, 1))
+             & np.isfinite(np.ascontiguousarray(rhs.T)).all(axis=0)
              & (scale >= _GRAM_RANGE[0]) & (scale <= _GRAM_RANGE[1]))
     limit = 0.5 / max(_GRAM_CUT, 4.0 * rcond * rcond)
-    bound, inv = _cond_bound(gram[batch], limit)
+    bound, inv = _cond_bound(np.moveaxis(_groups(g, batch), -1, 0), limit)
     batch[batch] = certified = bound < limit
-    return batch, inv[certified]
+    return batch, _groups(inv, certified)
+
+
+def _groups(a, mask):
+    # The groups of a groups-last array that mask keeps; a itself if all.
+    return a if mask.all() else a[..., mask]
 
 
 def _decoupled_ls(basis, groups, axis_name, r, rcond, lam=0.0):
@@ -263,6 +285,9 @@ def _decoupled_ls(basis, groups, axis_name, r, rcond, lam=0.0):
     # 0, and the rows of each group must pin down all r coefficients.  Groups
     # whose Grams the Cholesky bound certifies as well-conditioned solve their
     # normal equations in one batch; lstsq, with its checks, takes the rest.
+    # The batch runs groups last, as the certificate does: its checks, its
+    # Cholesky inverses and its solve C^-T (C^-1 b) are elementwise passes
+    # over contiguous rows of all groups, 2r of them for the solve.
     # The lstsq rank test rejects a group when lambda_min <= rcond^2
     # lambda_max; the batch keeps a factor 4 from that edge, far above the
     # Gram's round-off, and the bound is never below kappa, so the batch never
@@ -273,9 +298,17 @@ def _decoupled_ls(basis, groups, axis_name, r, rcond, lam=0.0):
         gram += lam * np.eye(r)
         counts = counts + r
     batch, inv = _batchable(gram, rhs, counts, rcond)
+    # G^-1 b = C^-T (C^-1 b), with the inverses the certificate built; no
+    # pass reads C^-1 above its diagonal.
+    b = _groups(np.ascontiguousarray(rhs.T), batch)
+    y = inv[:, 0] * b[0]
+    for k in range(1, r):
+        y[k:] += inv[k:, k] * b[k]
+    x = inv[r - 1] * y[r - 1]
+    for k in range(r - 2, -1, -1):
+        x[:k + 1] += inv[k, :k + 1] * y[k]
     sol = np.empty((gram.shape[0], r))
-    # G^-1 b = C^-T (C^-1 b), with the inverses the certificate built.
-    sol[batch] = np.einsum("gji,gj->gi", inv, np.einsum("gij,gj->gi", inv, rhs[batch]))
+    sol[batch] = x.T
     ptr, other, vals = groups.ptr, groups.other, groups.vals
     for j in np.flatnonzero(~batch).tolist():  # ascending: the lowest failure raises
         if counts[j] < r:
@@ -332,9 +365,14 @@ def altmin_mc(instance, L0, config=None):
     and extras["half_loss"] the same risk after each round's R half-step.
 
     A half-step fits each row (or column) of the free factor to its
-    observed entries: O(|Omega| r^2) work for the r x r normal equations
-    G = B^T B + lam I of every group, solved in one batch as C^-T (C^-1 b)
-    with the inverse Cholesky factors of G = C C^T that certify the batch.
+    observed entries.  The r x r normal equations G = B^T B + lam I of
+    every group come from two sparse products over the entries, O(|Omega|
+    r^2) work, with CSR matrices that each part of the mask builds once per
+    run.  They are solved in one batch as C^-T (C^-1 b), with the inverse
+    Cholesky factors of G = C C^T that certify the batch: O(n r^3) more
+    flops for n groups, in O(r^2) elementwise passes over contiguous
+    vectors of all groups (the groups are the last axis), so no per-group
+    Python loop runs on a certified group.
     A group whose Gram is non-finite or out of range, or whose Gram a
     Cholesky bound cannot certify to have condition number below 1e4 (basis
     rows below 100; groups above about 1e4 / (2 r^1.5) may miss the

@@ -52,8 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FactorPoint, bd_incoherence, check_fields, derive_seed, dist_bd,
-                   dist_vector, factored_svd, make_rng, max_row_norm, procrustes, setting)
+from .core import (FactorPoint, bd_incoherence, bd_truth_norms, check_fields, derive_seed,
+                   dist_bd, dist_vector, factored_svd, make_rng, max_row_norm, procrustes,
+                   setting)
 
 @dataclass
 class ProblemInstance:
@@ -566,6 +567,7 @@ class EntryGroups:
     other: np.ndarray
     vals: np.ndarray
     ptr: np.ndarray
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, key, other, vals, n):
@@ -575,10 +577,17 @@ class EntryGroups:
         order = np.argsort(key.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
         return cls(other[order], vals[order], _offsets(key, n))
 
-    def sparse(self, data, n_other):
-        """The len(ptr) - 1 by n_other CSR matrix with ``data`` on the grouped
-        entries."""
-        return csr(data, self.other, self.ptr, (self.ptr.shape[0] - 1, n_other))
+    def operators(self, n_other):
+        """The len(ptr) - 1 by n_other CSR matrices with ones and with ``vals``
+        on the grouped entries, built on the first call for each n_other and
+        kept: the arrays must not be replaced after it."""
+        ops = self._operators.get(n_other)
+        if ops is None:
+            shape = (self.ptr.shape[0] - 1, n_other)
+            ops = self._operators[n_other] = (
+                csr(np.ones(self.other.shape[0]), self.other, self.ptr, shape),
+                csr(self.vals, self.other, self.ptr, shape))
+        return ops
 
     def normal_equations(self, basis):
         """Every group's least-squares normal equations at once.
@@ -587,16 +596,17 @@ class EntryGroups:
         ``basis`` it sees and v_k its ``vals``.  Returns the stacked Grams
         B_k^T B_k, shape (groups, r, r), and right-hand sides B_k^T v_k,
         shape (groups, r): two sparse products over the entries, the Grams'
-        from the r(r + 1)/2 column products of the basis rows.
+        from the r(r + 1)/2 column products of the basis rows.  The Grams
+        are a view of an (r, r, groups) array, whose rows the certified
+        batch solve of the half-steps reads without a copy.
         """
         n_other, r = basis.shape
+        ones, vals = self.operators(n_other)
         iu, ju = np.triu_indices(r)
-        upper = self.sparse(np.ones(self.other.shape[0]), n_other) \
-            @ (basis[:, iu] * basis[:, ju])
-        gram = np.empty((self.ptr.shape[0] - 1, r, r))
-        gram[:, iu, ju] = upper
-        gram[:, ju, iu] = upper
-        return gram, self.sparse(self.vals, n_other) @ basis
+        upper = (ones @ (basis[:, iu] * basis[:, ju])).T
+        gram = np.empty((r, r, self.ptr.shape[0] - 1))
+        gram[iu, ju] = gram[ju, iu] = upper
+        return np.moveaxis(gram, -1, 0), vals @ basis
 
 
 # ---------------------------------------------------------------------------
@@ -1112,8 +1122,9 @@ def _gap_sign(instance, point, c):
 
 
 def _gap_pair(instance, point, u):
-    # dist_bd over the complex scaling (h / conj(a), a x); incoh is
-    # bd_incoherence of h, from the shared u = B h if held.
+    # dist_bd over the complex scaling (h / conj(a), a x), with the truth
+    # norms taken once per instance; incoh is bd_incoherence of h, from the
+    # shared u = B h if held.
     (h, x), (hs, xs) = point.parts, (instance.truth["h"], instance.truth["x"])
     # A collapsed pair makes the scaling ambiguity vacuous.  An exact test:
     # the norm of a tiny nonzero factor underflows to 0.
@@ -1123,7 +1134,8 @@ def _gap_pair(instance, point, u):
     elif h[0] == hs[0] and np.array_equal(h, hs) and np.array_equal(x, xs):
         dist = 0.0  # dist_bd leaves round-off here; h[0] is the cheap reject
     else:
-        dist = dist_bd(h, x, hs, xs)
+        dist = dist_bd(h, x, hs, xs, truth_norms=_memo(
+            instance, "truth_norms", (hs, xs), lambda: bd_truth_norms(hs, xs)))
     incoh = bd_incoherence(h, instance.design["B"], u) if live else 0.0
     return {"dist": dist, "incoh": incoh}, None
 

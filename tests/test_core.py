@@ -265,6 +265,15 @@ def test_dist_vector_real_is_the_nearer_of_x_minus_and_x_plus_xstar(pair):
         assert core.dist_vector(-x, xs) == d
 
 
+def test_dist_vector_real_sign_survives_an_underflowing_inner_product():
+    # x . x underflows to -0.0 for -x, so the sign test alone would keep x + x.
+    x = np.array([9.10704195e-163])
+    assert float(-x @ x) == 0.0
+    assert core.dist_vector(-x, x) == core.dist_vector(x, -x) == 0.0
+    # A truly orthogonal pair keeps x - xstar.
+    assert core.dist_vector(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == math.sqrt(5.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_cvec, _cvec)
 def test_dist_vector_complex_matches_a_dense_phase_grid(x, xs):

@@ -378,6 +378,29 @@ def test_altmin_mc_half_steps_match_per_group_lstsq():
         assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_altmin_mc_half_steps_match_per_group_lstsq_at_other_ranks(r):
+    # r = 1 and r = 6 are the edges of the certificate's and the batch
+    # solve's loops over the Gram entries.
+    inst = gen_matrix_completion(60, 50, r, 0.3, False, seed=17)
+    rows, cols = observed_entries(inst)
+    by_col = EntryGroups.of(cols, rows, inst.y, 50)
+    by_row = EntryGroups.of(rows, cols, inst.y, 60)
+    L = make_rng(derive_seed(17, "L0")).standard_normal((60, r))
+    for _ in range(4):
+        R = _decoupled_ls(L, by_col, "column", r, 1e-10)
+        ref = _lstsq_half_step(L, by_col, r)
+        assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not np.array_equal(R, ref)  # the batched solve did run
+        L = _decoupled_ls(R, by_row, "row", r, 1e-10)
+        ref = _lstsq_half_step(R, by_row, r)
+        assert np.max(np.abs(L - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for scale in (1e150, 1e-150):
+        ref = _lstsq_half_step(scale * L, by_col, r)
+        R = _decoupled_ls(scale * L, by_col, "column", r, 1e-10)
+        assert np.max(np.abs(R - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_ridge_half_step_matches_the_dense_normal_equations():
     # r = 2.  Column 0 sees nothing, column 1 one entry, column 2 two nearly
     # parallel rows (Gram + lam I has condition ~2e4, past the certificate);
@@ -452,6 +475,53 @@ def test_cholesky_bound_brackets_the_condition_number(r, log_kappa, log_scale, s
     assert bound >= kappa * (1.0 - slack)
     if kappa <= 1e8:
         assert bound <= r**1.5 * kappa * (1.0 + slack)
+
+
+def _reference_bound(gram):
+    # ||G||_F ||C^-1||_F^2 for one Gram, from LAPACK's Cholesky factor
+    return np.linalg.norm(gram) * np.linalg.norm(np.linalg.inv(np.linalg.cholesky(gram))) ** 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.lists(st.sampled_from(
+    ["good", "singular", "indefinite", "zero", "nan", "inf", "-inf"]), max_size=8),
+    st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
+@example(1, [], 0.0, 0)
+@example(6, [], 0.0, 0)
+@example(1, ["good", "singular", "indefinite", "zero", "nan", "inf", "-inf", "good"], 0.0, 1)
+def test_groups_last_cholesky_bound_matches_a_per_group_reference(r, kinds, log_scale, seed):
+    # A stack mixing positive-definite Grams (condition at most 10, where
+    # both computations round to a few r eps) with bad ones: each good
+    # Gram's bound agrees with the LAPACK reference, and every bad one,
+    # including a singular Gram's exact zero pivot, gets inf.
+    rng = make_rng(seed)
+    stack = []
+    for kind in kinds:
+        lam = np.exp(rng.uniform(0.0, math.log(10.0), r))
+        if kind == "indefinite":
+            lam[rng.integers(r)] = -1.0
+        Q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        gram = (Q * (lam * 10.0 ** log_scale)) @ Q.T
+        gram = 0.5 * (gram + gram.T)
+        if kind == "singular":
+            k = rng.integers(r)
+            gram[k], gram[:, k] = 0.0, 0.0
+        elif kind == "zero":
+            gram[:] = 0.0
+        elif kind in ("nan", "inf", "-inf"):
+            i, j = rng.integers(r, size=2)
+            gram[i, j] = gram[j, i] = float(kind)
+        stack.append(gram)
+    stack = np.array(stack).reshape(len(kinds), r, r)
+    with np.errstate(all="ignore"):  # a non-finite Gram may raise a RuntimeWarning
+        bound, _ = _cond_bound(stack)
+    assert bound.shape == (len(kinds),)
+    for kind, gram, b in zip(kinds, stack, bound):
+        if kind == "good":
+            ref = _reference_bound(gram)
+            assert abs(b - ref) <= 64 * r * _EPS * ref
+        else:
+            assert b == np.inf
 
 
 def test_cholesky_bound_flags_a_singular_or_indefinite_gram_on_its_own():

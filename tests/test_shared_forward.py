@@ -399,3 +399,49 @@ def test_altmin_row_makes_one_procrustes_rotation(monkeypatch):
     L, R, tr = altmin_mc(inst, L0, AltMinConfig(max_outer=5))
     assert (len(tr), tr.outcome) == (5, "max_iters")
     assert np.array_equal(_assert_rows_align_once(tr, calls), np.vstack(_balanced(L, R)))
+
+
+@pytest.mark.parametrize("splits", [1, 2])
+def test_altmin_half_step_builds_its_csr_once_and_makes_two_sparse_products(monkeypatch, splits):
+    # Every EntryGroups builds its two CSR matrices (ones and vals) through
+    # problems.csr on its first half-step and keeps them; each half-step then
+    # makes exactly two sparse products, the Grams' and the right-hand sides'.
+    # The CSR matrices of the rows' loss are built from other arrays and are
+    # not counted.
+    groups, built, products = [], [], []
+    csr, of = problems.csr, problems.EntryGroups.of.__func__
+
+    class Counted:
+        def __init__(self, matrix, k):
+            self.matrix, self.k = matrix, k
+
+        def __matmul__(self, other):
+            products.append(self.k)
+            return self.matrix @ other
+
+    def counted_csr(data, indices, indptr, shape):
+        matrix = csr(data, indices, indptr, shape)
+        owner = [k for k, g in enumerate(groups) if indices is g.other]
+        if not owner:
+            return matrix
+        built.append((owner[0], "vals" if data is groups[owner[0]].vals else "ones"))
+        return Counted(matrix, len(built) - 1)
+
+    def counted_of(cls, *args):
+        groups.append(of(cls, *args))
+        return groups[-1]
+
+    inst = gen_matrix_completion(30, 24, 2, 0.5, False, seed=37)
+    L0 = init_matrix_completion(inst, 2).point.L
+    monkeypatch.setattr(problems, "csr", counted_csr)
+    monkeypatch.setattr(problems.EntryGroups, "of", classmethod(counted_of))
+    rounds = 5
+    _, _, tr = altmin_mc(inst, L0, AltMinConfig(max_outer=rounds, splits=splits))
+    assert (len(tr), tr.outcome) == (rounds, "max_iters")
+    # Part p's column groups are groups[2p], its row groups groups[2p + 1]:
+    # each built its pair once, on its first half-step.
+    assert len(groups) == 2 * splits
+    assert built == [(k, kind) for k in range(2 * splits) for kind in ("ones", "vals")]
+    # Round t's half-steps use part t mod splits: column groups, then row groups.
+    assert products == [2 * k + j for t in range(rounds)
+                        for k in (2 * (t % splits), 2 * (t % splits) + 1) for j in (0, 1)]
