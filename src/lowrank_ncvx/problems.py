@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FactorPoint, bd_incoherence, bd_truth_norms, check_fields, derive_seed,
-                   dist_bd, dist_vector, factored_svd, make_rng, max_row_norm, procrustes,
-                   setting)
+from .core import (FactorPoint, _bernoulli_mask, bd_incoherence, bd_truth_norms, check_fields,
+                   derive_seed, dist_bd, dist_vector, factored_svd, make_rng, max_row_norm,
+                   procrustes, setting)
 
 @dataclass
 class ProblemInstance:
@@ -161,29 +161,6 @@ def _observed(inst):
     return inst
 
 
-# Doubles per block of the mask draw: 125 KiB, under glibc's default 128 KiB
-# mmap threshold, so the buffer comes from the heap.
-_MASK_BLOCK = 16000
-
-
-def _bernoulli_mask(rng, n1, n2, p):
-    """The n1 x n2 Bernoulli(p) mask ``rng.random((n1, n2)) < p``, bit for bit
-    and leaving rng where that draw leaves it.
-
-    The uniforms are drawn in blocks of consecutive row-major entries into
-    one reused buffer (Philox's stream of doubles does not depend on how the
-    draw is chunked), so no n1 x n2 float array exists.
-    """
-    mask = np.empty((n1, n2), dtype=bool)
-    flat = mask.reshape(-1)
-    buf = np.empty(min(_MASK_BLOCK, flat.size))
-    for start in range(0, flat.size, buf.size):
-        block = buf[:flat.size - start]
-        rng.random(out=block)
-        np.less(block, p, out=flat[start:start + buf.size])
-    return mask
-
-
 def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     """Random Gaussian matrix sensing.
 
@@ -252,12 +229,16 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
 
     Each entry lands in the observed set independently with probability p:
     the mask is drawn in row-major blocks from the same stream as one
-    n1 x n2 uniform draw (_bernoulli_mask), bit for bit.  The boolean mask
-    is the stored form of the design (and of its JSON); every computation
-    reads the sampling operator P_Omega that linear_operator builds on the
-    observed-entry index derived from it, and y = P_Omega(M) lists M on that
-    index in row-major order.  p = 0 is legal and produces an empty
-    observation set.
+    n1 x n2 uniform draw (core._bernoulli_mask), bit for bit.  Philox is
+    counter-based, so the whole blocks of that stream are split into one
+    contiguous range per thread, one thread per CPU this process may run
+    on with at least 2**20 entries each; a smaller mask is drawn on the
+    calling thread.  The instance depends on the seed alone, not on the
+    thread count.  The boolean mask is the stored form of the design (and
+    of its JSON); every computation reads the sampling operator P_Omega
+    that linear_operator builds on the observed-entry index derived from
+    it, and y = P_Omega(M) lists M on that index in row-major order.
+    p = 0 is legal and produces an empty observation set.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     p = _fraction("p", p, closed=True)

@@ -286,10 +286,8 @@ def factors_from_surrogate(Y, r, symmetric):
 
 def _rank(instance, r):
     # r checked as the rank of an estimate of an n1 x n2 matrix instance
-    p, r = instance.params, setting("r", r, "positive count")
-    if r > min(p["n1"], p["n2"]):
-        raise ValueError("r out of range for this instance")
-    if "X" in instance.truth and r >= p["n1"]:
+    n1, _, r = problems._shape(r, n1=instance.params["n1"], n2=instance.params["n2"])
+    if "X" in instance.truth and r >= n1:
         raise ValueError("the symmetric route needs r < n")
     return r
 

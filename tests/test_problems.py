@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import pathlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -438,6 +439,95 @@ def test_blocked_mask_draw_is_the_one_shot_draw(shape, p):
         want = ref.random(shape) < p
         assert mask.dtype == want.dtype and np.array_equal(mask, want)
         assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [0, 0.02, 0.5, 1])
+def test_split_mask_draw_keeps_the_stream(monkeypatch, workers, p):
+    # Prior draws leave Philox's four-double block partly used (buffer_pos
+    # 1 to 4) and, after a float32 draw, a pending 32-bit half; sizes are
+    # multiples of neither 4 nor the worker count, and the worker count
+    # reaches one block each.  The mask and every draw after it are those of
+    # one n1 x n2 draw.
+    monkeypatch.setattr(core, "_mask_workers", lambda size: workers)
+    for k, half, shape in itertools.product(
+            range(6), (False, True), [(1, 1), (7, 11), (13, 17), (1999, 7), (257, 2003)]):
+        rng, ref = core.make_rng(k), core.make_rng(k)
+        for g in (rng, ref):
+            g.standard_normal(k)
+            if half:
+                g.random(dtype=np.float32)
+        mask = core._bernoulli_mask(rng, *shape, p)
+        assert np.array_equal(mask, ref.random(shape) < p), (k, half, shape)
+        assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+        assert rng.random() == ref.random()
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_mask_workers_follow_the_cpus_and_the_draw_floor(monkeypatch):
+    floor = core._MASK_MIN_DRAWS
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert [core._mask_workers(n) for n in (1, floor - 1, floor, 5 * floor + 3, 100 * floor)] \
+        == [1, 1, 1, 5, 8]
+    monkeypatch.delattr(core.os, "sched_getaffinity")
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 3)
+    assert core._mask_workers(100 * floor) == 3
+
+
+@pytest.mark.parametrize("on_caller", [True, False])
+def test_split_mask_draw_joins_its_threads(monkeypatch, on_caller):
+    # The default worker count on a mask of three floors, then a forced
+    # split in which the calling thread's range (skip 0) or the pool's
+    # ranges raise: the exception reaches the caller and no worker thread
+    # outlives the call.
+    before = threading.active_count()
+    rng, ref = core.make_rng(4), core.make_rng(4)
+    shape = (3, core._MASK_MIN_DRAWS)
+    assert np.array_equal(core._bernoulli_mask(rng, *shape, 0.3), ref.random(shape) < 0.3)
+    assert rng.random() == ref.random()
+    assert threading.active_count() == before
+
+    fill = core._fill_mask_range
+
+    def failing(key, counter, skip, *rest):
+        if (skip == 0) == on_caller:
+            raise RuntimeError("worker failed")
+        fill(key, counter, skip, *rest)
+
+    monkeypatch.setattr(core, "_fill_mask_range", failing)
+    monkeypatch.setattr(core, "_mask_workers", lambda size: 3)
+    with pytest.raises(RuntimeError, match="^worker failed$"):
+        core._bernoulli_mask(core.make_rng(4), 50, 50, 0.3)
+    assert threading.active_count() == before
+
+
+def test_split_mask_draw_without_threads_is_the_one_shot_draw(monkeypatch):
+    # No pool thread can start: the calling thread fills every range, and
+    # the mask and the stream are those of one n1 x n2 draw.
+    before = threading.active_count()
+    starts = []
+
+    def refused(thread):
+        starts.append(thread)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    monkeypatch.setattr(core, "_mask_workers", lambda size: 3)
+    rng, ref = core.make_rng(6), core.make_rng(6)
+    assert np.array_equal(core._bernoulli_mask(rng, 50, 50, 0.3), ref.random((50, 50)) < 0.3)
+    assert rng.random() == ref.random()
+    assert len(starts) == 2  # one refused start per pool range
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937])
+def test_mask_from_a_generator_without_counters_is_the_one_shot_draw(monkeypatch, bitgen):
+    # Only Philox can be split; any other generator draws the mask alone.
+    monkeypatch.setattr(core, "_mask_workers", lambda size: 3)
+    rng, ref = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+    rng.standard_normal(3), ref.standard_normal(3)
+    assert np.array_equal(core._bernoulli_mask(rng, 50, 50, 0.3), ref.random((50, 50)) < 0.3)
+    assert rng.random() == ref.random()
 
 
 def test_completion_instance_peak_is_its_truth_and_mask():

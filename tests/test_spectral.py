@@ -496,7 +496,7 @@ def test_init_rpca_refuses_a_bad_rank_before_the_sparse_part(monkeypatch):
     for n2 in (12, 10):  # symmetric and asymmetric truth
         inst = gen_rpca(12, n2, 2, 0.7, 0.05, 3.0, seed=1)
         for r in (0, n2 + 1):
-            with pytest.raises(ValueError, match="^r must be |^r out of range"):
+            with pytest.raises(ValueError, match=r"^r must be |^need 1 <= r <= min\(n1, n2\)$"):
                 init_rpca(inst, r)
     with pytest.raises(ValueError, match="^the symmetric route needs r < n$"):
         init_rpca(gen_rpca(12, 12, 2, 0.7, 0.05, 3.0, seed=1), 12)
