@@ -671,8 +671,8 @@ def iterate(start, evaluate, step, last, first=0, stop=None):
     loss0 by more than 1e6 |loss0| (a loss0 of exactly 0 leaves only the
     finiteness test); it ends "converged" when stop(trace, point) holds, and
     "max_iters" at row `last`.  Steps and evaluations run with NumPy's
-    overflow and invalid-value warnings off, since overflow on the way to a
-    diverged label is expected.
+    overflow, divide-by-zero and invalid-value warnings off, since a
+    non-finite value on the way to a diverged label is expected.
 
     Inputs are validated where they enter the library (the point
     constructors, the solver configs, the public losses, masks and
@@ -684,7 +684,7 @@ def iterate(start, evaluate, step, last, first=0, stop=None):
     trace.start_clock()
     point, aux = start, None
     for t in range(last + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if t > 0:
                 point = step(t - 1, point, aux)
             if t < first:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,8 @@ class ProblemInstance:
     the operator of a linear family from them), and ``y`` the
     observations.  All fields are plain data so an instance can round-trip
     through JSON without loss; ``family`` must name a ``FAMILIES`` entry.
+    A design array that depends only on the size (blind deconvolution's B)
+    may be one read-only array shared by every instance of that size.
     """
 
     family: str
@@ -252,23 +255,38 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     return _observed(ProblemInstance(family, seed, params, truth, {"mask": mask}, None))
 
 
+_DFT = weakref.WeakValueDictionary()  # (m, K) -> B, while an instance holds it
+
+
+def _dft_columns(m, K):
+    # The first K columns of the unitary m-point DFT, built directly so that a
+    # large m never materializes the full m x m transform.  Read-only and
+    # shared while any instance of the size is alive; dropped with the last.
+    B = _DFT.get((m, K))
+    if B is None:
+        jk = np.arange(m)[:, None] * np.arange(K)[None, :]
+        B = np.exp((-2j * np.pi / m) * jk) / np.sqrt(m)
+        B.flags.writeable = False
+        _DFT[m, K] = B
+    return B
+
+
 def gen_blind_deconv(K, N, m, seed, norm=1.0):
     """Blind deconvolution in the lifted bilinear form y_j = b_j^H h (x^H a_j).
 
     B holds the first K columns of the unitary m-point DFT, so B^H B = I_K;
     the a_j are iid CN(0, I_N).  Truth vectors are drawn complex Gaussian and
     rescaled to a common norm, removing the scale ambiguity from the planted
-    pair itself (solvers still have to resolve it).
+    pair itself (solvers still have to resolve it).  B depends only on
+    (m, K) and draws nothing: live instances of one size share one read-only
+    B (``_dft_columns``), so an in-place write into ``design["B"]`` raises.
     """
     K, N, m = (setting(name, v, "positive count") for name, v in (("K", K), ("N", N), ("m", m)))
     if m < K:
         raise ValueError("need m >= K so the subspace map is injective")
     norm = setting("norm", norm, "finite positive bound")
     rng = make_rng(derive_seed(seed, "blind_deconv"))
-    # first K columns of the unitary m-point DFT, built directly so that a
-    # large m never materializes the full m x m transform
-    jk = np.arange(m)[:, None] * np.arange(K)[None, :]
-    B = np.exp((-2j * np.pi / m) * jk) / np.sqrt(m)
+    B = _dft_columns(m, K)
     A = (rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))) / np.sqrt(2.0)
     h = rng.standard_normal(K) + 1j * rng.standard_normal(K)
     x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
@@ -984,9 +1002,15 @@ def _loss_blind_deconv(instance, point, loss, lp, weights, u):
         gh = np.conj(B.T @ np.conj(coef))  # B^H coef, without copying conj(B)
         if loss == "regularized":
             gh += lam * dn / (2.0 * d0) * h
-        # Fold the customary norm scalings into the reported direction.
-        gh /= float((np.abs(x) ** 2).sum())
-        gx /= float((np.abs(h) ** 2).sum())
+        # Fold the customary norm scalings into the reported direction.  A
+        # zero factor leaves its partner's part exactly zero (x = 0 gives c = 0,
+        # h = 0 gives u = 0), which stays 0 rather than 0/0; a nonzero part
+        # over a zero norm (the penalty terms) is still infinite.
+        nx, nh = float((np.abs(x) ** 2).sum()), float((np.abs(h) ** 2).sum())
+        if nx or gh.any():
+            gh /= nx
+        if nh or gx.any():
+            gx /= nh
         return FactorPoint.derived("pair", (gh, gx))
 
     return val, finish

@@ -186,3 +186,39 @@ def test_loss_value_defers_exactly_loss_and_grads_gradient(family, edge, gen):
             for grad in (finish(), finish()):
                 assert grad.kind == ref_grad.kind
                 assert all(map(_same, grad.parts, ref_grad.parts))
+
+
+@pytest.mark.parametrize("zero", ["h", "x", "both"])
+def test_blind_deconv_zero_factor_gets_a_finite_gradient_and_descends(zero):
+    # A zero factor leaves its partner's Wirtinger part exactly zero, and the
+    # norm scaling keeps it 0: the run descends instead of ending "diverged".
+    inst = gen_blind_deconv(8, 8, 64, 3)
+    h, x = inst.truth["h"], inst.truth["x"]
+    h0 = np.zeros_like(h) if zero in ("h", "both") else h
+    x0 = np.zeros_like(x) if zero in ("x", "both") else x
+    init = FactorPoint.pair(h0, x0)
+    _, grad = loss_and_grad(inst, init)
+    gh, gx = grad.parts
+    assert np.isfinite(gh).all() and np.isfinite(gx).all()
+    assert not (gx if zero == "h" else gh).any()
+    if zero == "both":
+        # the plain gradient vanishes at (0, 0): the run stays put
+        point, trace = gd.run_gd(inst, init, gd.SolverConfig(grad_tol=1e-12))
+        assert (trace.outcome, trace.iters[-1]) == ("converged", 0)
+        assert not point.h.any() and not point.x.any()
+        return
+    tol = 1e-6 * np.linalg.norm(np.concatenate([h, x]))
+    _, trace = gd.run_gd(inst, init, gd.SolverConfig(dist_tol=tol))
+    assert trace.outcome == "converged" and trace.iters[-1] < 60
+
+
+def test_blind_deconv_penalty_over_a_zero_factor_still_diverges():
+    # The regularized loss's norm hinge gives the h part a nonzero value at
+    # x = 0; divided by ||x||^2 = 0 it is infinite, and the run says so.
+    inst = gen_blind_deconv(8, 8, 64, 3)
+    init = FactorPoint.pair(3.0 * inst.truth["h"], np.zeros_like(inst.truth["x"]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, grad = loss_and_grad(inst, init, "regularized")
+    assert not np.isfinite(grad.parts[0]).all()
+    _, trace = gd.run_gd(inst, init, gd.SolverConfig(loss="regularized", max_iters=5))
+    assert trace.outcome == "diverged"

@@ -3,6 +3,7 @@ answers, moment checks against closed-form expectations, finite-difference
 validation of every loss gradient, and bit-exact replay/serialization."""
 
 import ast
+import gc
 import hashlib
 import itertools
 import json
@@ -561,6 +562,33 @@ def test_blind_deconv_subspace_is_unitary_and_norms_match():
     np.testing.assert_allclose(B.conj().T @ B, np.eye(4), atol=1e-10)
     assert abs(np.linalg.norm(inst.truth["h"]) - 2.0) < 1e-12
     assert abs(np.linalg.norm(inst.truth["x"]) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("m, K", [(16, 4), (9, 9), (7, 1), (1, 1), (512, 32)])
+def test_blind_deconv_basis_is_the_partial_dft_bit_for_bit(m, K):
+    jk = np.arange(m)[:, None] * np.arange(K)[None, :]
+    B = gen_blind_deconv(K, 2, m, seed=0).design["B"]
+    assert np.array_equal(B, np.exp((-2j * np.pi / m) * jk) / np.sqrt(m))
+
+
+def test_blind_deconv_instances_of_one_size_share_one_read_only_basis():
+    a, b = gen_blind_deconv(6, 3, 23, seed=1), gen_blind_deconv(6, 5, 23, seed=2)
+    other = gen_blind_deconv(6, 3, 24, seed=1)
+    assert a.design["B"] is b.design["B"]
+    assert other.design["B"] is not a.design["B"]
+    with pytest.raises(ValueError, match="read-only"):
+        a.design["B"][0, 0] = 0
+    # nothing is held once the instances are gone
+    del a, b
+    gc.collect()
+    assert (23, 6) not in problems._DFT and (24, 6) in problems._DFT
+
+
+def test_blind_deconv_json_round_trip_gets_its_own_writable_basis():
+    inst = gen_blind_deconv(4, 3, 16, seed=3)
+    back = instance_from_json(instance_to_json(inst))
+    assert instances_equal(inst, back)
+    assert back.design["B"] is not inst.design["B"] and back.design["B"].flags.writeable
 
 
 def test_blind_deconv_scalar_probe():
