@@ -7,9 +7,9 @@ Every completion least-squares half-step, AltMin's (split or not, ridge or
 not) and grassmann_step's, is one call of _decoupled_ls.
 
 SVP takes its measurements, adjoint and default step from the instance's
-linear operator, and the projected power method its matrix and projection
-from the family's problems.FAMILIES record; neither names a family outside
-its input check.
+linear operator, and the projected power method its projection from the
+family's problems.FAMILIES record and L x from the row's gradient; neither
+names a family outside its input check.
 
 The loss column carries the family's plain empirical risk (Error Reduction's
 the amplitude risk), whatever objective the half-steps optimize; SVP's
@@ -100,7 +100,7 @@ class SvpConfig:
 
 def _risk_row(instance, point, loss="plain", forward=None):
     val, grad = loss_and_grad(instance, point, loss=loss, forward=forward)
-    return trace_row(instance, point, val, grad, forward)
+    return trace_row(instance, point, val, grad, forward), grad
 
 
 def _alternate(instance, L, R, cfg, right, left):
@@ -126,7 +126,7 @@ def _alternate(instance, L, R, cfg, right, left):
         return FactorPoint.derived("asym", (solve(t, R, point.L, left), R))
 
     def evaluate(t, point):
-        return {**_risk_row(instance, point), "half_loss": half}, None
+        return {**_risk_row(instance, point)[0], "half_loss": half}, None
 
     point, trace = iterate(FactorPoint.asym(L, R), evaluate, step, cfg.max_outer,
                            first=1, stop=falls_to("loss", cfg.tol))
@@ -162,7 +162,7 @@ def altmin_sensing(instance, L0, config=None):
     L = np.array(L0, dtype=float)
     if L.ndim != 2 or L.shape[0] != n1:
         raise ValueError(f"initial left factor must be {n1} x r")
-    r = L.shape[1]
+    r = _shape(L.shape[1], n1=n1, n2=n2)[2]
 
     def right(t, L):
         return _solve_full_rank(op.rows(L, 1), y, cfg.inner_tol,
@@ -188,12 +188,11 @@ def er_phase_retrieval(instance, x0, config=None):
     cfg = AltMinConfig() if config is None else config
     if cfg.splits != 1 or cfg.lam != 0:
         raise ValueError("Error Reduction has no sampling variants")
-    A, y = instance.design["A"], instance.y
-    root = np.sqrt(y)
+    A, root = instance.design["A"], np.sqrt(instance.y)
 
     def evaluate(t, point):
-        c = A @ point.x  # shared by the row and the step from it
-        return _risk_row(instance, point, "amplitude", c), c
+        c = FAMILIES[instance.family].shared(instance, point)
+        return _risk_row(instance, point, "amplitude", c)[0], c
 
     def step(t, point, c):
         b = np.where(c < 0.0, -1.0, 1.0)
@@ -337,7 +336,7 @@ def grassmann_step(instance, L, eta):
     L = np.asarray(L, dtype=float)
     if L.ndim != 2:
         raise ValueError("expected a 2-d basis matrix")
-    r = L.shape[1]
+    r = _shape(L.shape[1], n1=instance.params["n1"], n2=instance.params["n2"])[2]
     if not np.allclose(L.T @ L, np.eye(r), atol=1e-8):
         raise ValueError("basis columns must be orthonormal within 1e-8")
     op = linear_operator(instance)
@@ -388,7 +387,7 @@ def altmin_mc(instance, L0, config=None):
     L = np.array(L0, dtype=float)
     if L.ndim != 2 or L.shape[0] != n1:
         raise ValueError(f"initial left factor must be {n1} x r")
-    r = L.shape[1]
+    r = _shape(L.shape[1], n1=n1, n2=n2)[2]
     rows, cols = observed_entries(instance)
     T, y = cfg.splits, instance.y
     # Part k takes every T-th observed entry, row-major, from the k-th on.
@@ -466,28 +465,27 @@ def ppm(instance, x0, max_iters=100):
 
     Phase synchronization projects entrywise onto unit modulus (zeros map
     to 1); joint alignment projects each length-m block onto the nearest
-    one-hot vertex.  Both projections are invariant to a positive scaling,
-    so the iteration takes no step size.  The input point is projected
-    before the first step, so every recorded iterate is feasible.  Returns
-    (x, trace).
+    one-hot vertex.  Both ignore a positive scaling, so a step projects the
+    row's negative gradient, L x or 2 L x, and takes no step size.  The
+    input point is projected first, so every recorded iterate is feasible.
+    Returns (x, trace).
     """
     spec = FAMILIES[instance.family]
     if spec.project is None:
         raise ValueError("the projected power method handles phase "
                          "synchronization and joint alignment")
     max_iters = setting("max_iters", max_iters, "count")
-    L = spec.matrix(instance)
     prev = None  # the point the last step started from
 
-    def step(t, point, aux):
+    def step(t, point, grad):
         nonlocal prev
         prev = point.x
-        return FactorPoint.derived("vector", (spec.project(instance, L @ point.x),))
+        return FactorPoint.derived("vector", (spec.project(instance, -grad.x),))
 
     def stop(trace, point):
         return prev is not None and np.array_equal(point.x, prev)
 
     point, trace = iterate(FactorPoint.vector(spec.project(instance, np.asarray(x0).ravel())),
-                           lambda t, point: (_risk_row(instance, point), None),
-                           step, max_iters, stop=stop)
+                           lambda t, point: _risk_row(instance, point), step, max_iters,
+                           stop=stop)
     return point.x, trace

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import FactorPoint, check_fields, derive_seed, factored_svd, iterate, make_rng, setting
-from .problems import FAMILIES, linear_operator, loss_and_grad, loss_value
+from .problems import FAMILIES, loss_and_grad, loss_value
 from .spectral import sparse_part
 
 _LOSS_TAGS = {tag for spec in FAMILIES.values() for tag in spec.losses}
@@ -301,8 +301,9 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     gradient with the variant's weights and loss parameters, and the step
     moves along the negative gradient, then projects.
 
-    A family with a shared product in its FAMILIES record (A x, B h) forms it
-    once per row, for weights_fn(point, c), the loss and trace_row.
+    The shared product c of the family's FAMILIES record (a linear model,
+    A x, B h) is formed once per valued point, for the loss, trace_row,
+    weights_fn(point, c) and loss_params_fn(point, c).
 
     With an explicit cfg.eta, or in mini-batch runs, the step is constant.
     Otherwise it backtracks (Armijo).  The first trial step is the two-point
@@ -336,10 +337,11 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
     gradient.  A plain run (no weights or loss parameters that move with x)
     hands the accepted trial's loss_value pair and shared product to the
     next row, which forms the gradient from it and evaluates nothing again;
-    truncated and robust PCA rows reuse its shared product, value the point
-    again with the gradient under their fresh weights or S, and drop the
-    trial's gradient unformed.  So a run values len(trace) + sum(rejected)
-    points and forms the gradient len(trace) times.
+    truncated and robust PCA rows draw fresh weights or S from its shared
+    product, value the point again with the gradient under them, and drop
+    the trial's gradient unformed.  So a run values len(trace) +
+    sum(rejected) points, one shared product each, and forms len(trace)
+    gradients.
     """
     search = cfg.eta is None and cfg.batch_k is None
     eta = cfg.eta if cfg.eta is not None else default_step_size(instance, init)
@@ -366,7 +368,7 @@ def _descend(instance, init, cfg, weights_fn=None, loss_params_fn=None):
             c = shared(instance, point) if shared is not None else None
             fg = None
         w = weights_fn(point, c) if weights_fn is not None else None
-        lp = loss_params_fn(point) if loss_params_fn is not None else params
+        lp = loss_params_fn(point, c) if loss_params_fn is not None else params
         if fg is None:
             val, grad = loss_and_grad(instance, point, loss=loss, loss_params=lp, weights=w,
                                       forward=c)
@@ -497,23 +499,22 @@ def run_truncated_gd(instance, init, config=None):
 def run_rpca(instance, init, S_init, config=None):
     """Alternating sparse-residual thresholding and projected factor steps.
 
-    Each iteration refreshes the sparse part S from the observed residual
-    by spectral.sparse_part (at its constant c = 3), then takes one (optionally
-    projected) gradient step on the factor at the refreshed S.  The first
-    step uses S_init.  Returns (final point, final S, trace).
+    Each iteration refreshes the sparse part S from the observed residual,
+    y minus the row's shared model (see _descend), by spectral.sparse_part
+    (at its constant c = 3), then takes one (optionally projected) gradient
+    step on the factor at the refreshed S.  The first step uses S_init.
+    Returns (final point, final S, trace).
     """
     if instance.family != "RobustPCA":
         raise ValueError("expected a robust PCA instance")
     cfg = SolverConfig() if config is None else config
     _reads_only(cfg, "run_rpca", _DESCENT_FIELDS)
-    op = linear_operator(instance)
-    state = {"S": np.zeros(op.shape) if S_init is None else np.array(S_init, dtype=float),
-             "fresh": False}
+    state = {"S": np.array(S_init, dtype=float) if S_init is not None
+             else np.zeros(instance.design["mask"].shape), "fresh": False}
 
-    def refresh(point):
+    def refresh(point, c):
         if state["fresh"]:
-            A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
-            state["S"] = sparse_part(instance, instance.y - op.measure_factors(A, B))
+            state["S"] = sparse_part(instance, instance.y - c)
         state["fresh"] = True
         return {"S": state["S"]}
 

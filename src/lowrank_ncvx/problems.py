@@ -15,14 +15,17 @@ name.
 
 The six matrix generators (Gaussian and identity sensing, quadratic sensing,
 completion, robust PCA) plant their low-rank truth, X X^T or L R^T with
-balanced factors, through one function, ``_planted``.  The five linear
-families (sensing, completion, robust PCA) share one forward model and one
-loss, ``_loss_linear``, through their ``linear_operator``: the plain
-least-squares risk, to which the "regularized" tag adds the record's
-penalty (the balancing term of asymmetric sensing, the incoherence hinges of
+balanced factors, through one function, ``_planted``.  A record's ``shared``
+is the design product at a point that its loss, gap and solver rows read:
+the model A(X X^T) or A(L R^T) of the five linear families (sensing,
+completion, robust PCA), A x, A X or B h elsewhere, and none for the power
+families.  The linear families share one forward model and one loss,
+``_loss_linear``, through their ``linear_operator``: the plain least-squares
+risk, to which the "regularized" tag adds the record's penalty (the
+balancing term of asymmetric sensing, the incoherence hinges of
 completion).  Phase retrieval and quadratic sensing share one forward model
-and one risk through their shared product A x or A X; phase synchronization
-and joint alignment share the loss -Re x^H L x.
+and one risk; phase synchronization and joint alignment share the loss
+-Re x^H L x.
 
 Conventions shared by every family:
 
@@ -766,10 +769,10 @@ def loss_and_grad(instance, point, loss="plain", loss_params=None, weights=None,
     the same kind as ``point``.  ``weights`` applies per-sample factors, one
     per observation, to the families that are sample sums; it must be None
     elsewhere.
-    ``forward`` is the product A x (A X) of a phase-retrieval (quadratic
-    sensing) point, or B h of a blind-deconvolution pair, when the caller
-    already holds it, of shape y.shape + the point's trailing shape; it must
-    be None elsewhere.  The family's FAMILIES record decides all of this,
+    ``forward`` is the record's shared product at the point (a linear
+    model, A x, A X or B h) when the caller already holds it, of shape
+    y.shape, plus quadratic sensing's trailing factor shape; the power
+    families take none.  The family's FAMILIES record decides all of this,
     and a call it does not allow raises a ValueError naming the family; so
     does a ``loss_params`` key that the tag's loss does not read.
 
@@ -813,10 +816,11 @@ def loss_value(instance, point, loss="plain", loss_params=None, weights=None, fo
             raise ValueError(f"{fam} takes no forward product")
     elif forward is None:
         forward = spec.shared(instance, point)
-    elif np.asarray(forward).shape != instance.y.shape + point.parts[0].shape[1:]:
-        want = instance.y.shape + point.parts[0].shape[1:]
-        raise ValueError(f"{fam} needs a forward product of shape {want}, "
-                         f"got {np.shape(forward)}")
+    else:  # y.shape, plus the columns of A X on quadratic sensing
+        want = instance.y.shape + (() if spec.operator else point.parts[0].shape[1:])
+        if np.shape(forward) != want:
+            raise ValueError(f"{fam} needs a forward product of shape {want}, "
+                             f"got {np.shape(forward)}")
     return spec.loss(instance, point, loss, dict(loss_params or {}), weights, forward)
 
 
@@ -829,34 +833,29 @@ def loss_value(instance, point, loss="plain", loss_params=None, weights=None, fo
 # without the constructors' checks.  Forcing finish repeats nothing the
 # value did, and forcing it twice gives equal gradients.
 
-def _linear_risk(instance, point, weights=None, offset=None):
-    # The plain risk sum_i w_i e_i^2 / 4s of a linear family, e = A(X X^T)
-    # (sym) or A(L R^T) (asym), plus offset, minus y, and the callable that
-    # forms its gradient parts.  Sensing, completion and robust PCA share
-    # it; unit weights are skipped.
-    op = linear_operator(instance)
-    s = op.scale
+def _linear_model(inst, point):
+    # The shared product of a linear family: its model A(X X^T) (sym) or
+    # A(L R^T) (asym), measured on its operator
     A, B = (point.X, point.X) if point.kind == "sym" else (point.L, point.R)
-    model = op.measure_factors(A, B)
-    e = (model if offset is None else model + offset) - instance.y
-    we = e if weights is None else weights * e
-
-    def parts():
-        S = op.adjoint(we)
-        if point.kind == "sym":
-            return ((S @ A + S.T @ A) / (2.0 * s),)
-        return (S @ B / (2.0 * s), S.T @ A / (2.0 * s))
-
-    return float(we @ e) / (4.0 * s), parts
+    return linear_operator(inst).measure_factors(A, B)
 
 
 def _loss_linear(instance, point, loss, lp, weights, c):
-    # The plain risk, of the model plus the loss parameter "S" if given:
-    # robust PCA's sparse part, measured on the index; "regularized" adds
-    # the record's penalty.
-    S = lp.get("S")
-    S = None if S is None else linear_operator(instance).measure(np.asarray(S, dtype=float))
-    val, parts = _linear_risk(instance, point, weights, S)
+    # The plain risk sum_i w_i e_i^2 / 4s of a linear family, e = c + A(S) - y
+    # for the model c and robust PCA's sparse part S (the loss parameter, if
+    # given); unit weights are skipped.  "regularized" adds the penalty.
+    op = linear_operator(instance)
+    s, S = op.scale, lp.get("S")
+    e = (c if S is None else c + op.measure(np.asarray(S, dtype=float))) - instance.y
+    we = e if weights is None else weights * e
+
+    def parts():
+        G = op.adjoint(we)
+        if point.kind == "sym":
+            return ((G @ point.X + G.T @ point.X) / (2.0 * s),)
+        return (G @ point.R / (2.0 * s), G.T @ point.L / (2.0 * s))
+
+    val = float(we @ e) / (4.0 * s)
     if loss == "regularized":
         val, parts = FAMILIES[instance.family].penalty(instance, point, lp, val, parts)
     return val, lambda: FactorPoint.derived(point.kind, parts())
@@ -1073,7 +1072,7 @@ def _hvp_linear(instance, point, direction):
     # T = A*(A(X Z^T + Z X^T)), on a symmetric linear family's operator
     op = linear_operator(instance)
     (X,), (Z,) = point.parts, direction
-    S = op.adjoint(op.measure_factors(X, X) - instance.y)
+    S = op.adjoint(_linear_model(instance, point) - instance.y)
     T = op.adjoint(op.measure(X @ Z.T + Z @ X.T))
     return ((S @ Z + S.T @ Z + T @ X + T.T @ X) / (2.0 * op.scale),)
 
@@ -1199,8 +1198,8 @@ class Family:
     forward_model replays it; loss takes points of ``kinds``, the tags of
     ``losses`` (each mapped to the loss_params keys its loss reads), and
     per-sample weights if ``sample_sum``; shared(instance, point) is the
-    design product the loss and a solver's row share;
-    operator(instance) builds a linear family's linear_operator;
+    design product the loss, gap and a solver's row share (None: a power
+    family); operator(instance) builds a linear family's linear_operator;
     step(instance, init) is the step gd.default_step_size gives,
     scale-normalized by the init (None: the family has none): where gd's
     backtracking line search starts (see gd._descend), and the constant
@@ -1298,12 +1297,12 @@ _TINY = np.finfo(float).tiny
 
 FAMILIES = {
     "MatrixSensingSym": Family(_observe_linear, _loss_linear, ("sym",),
-                               sample_sum=True, operator=sensing_operator,
+                               sample_sum=True, shared=_linear_model, operator=sensing_operator,
                                step=lambda inst, init: _factor_step(inst, init, 0.4, 3.0),
                                lift=lambda inst: inst, hvp=_hvp_linear),
     "MatrixSensingAsym": Family(_observe_linear, _loss_linear, ("asym",),
-                                {"plain": (), "regularized": ("lam",)},
-                                sample_sum=True, operator=sensing_operator,
+                                {"plain": (), "regularized": ("lam",)}, sample_sum=True,
+                                shared=_linear_model, operator=sensing_operator,
                                 step=lambda inst, init: _factor_step(inst, init, 0.4),
                                 penalty=_balance_penalty),
     "PhaseRetrieval": Family(
@@ -1316,22 +1315,23 @@ FAMILIES = {
                                step=_quadratic_sensing_step, hvp=_hvp_quadratic),
     "MatrixCompletionSym": Family(
         _observe_linear, _loss_linear, ("sym",),
-        {"plain": (), "regularized": ("lam", "alpha")}, operator=_EntrySampling,
-        step=lambda inst, init: _factor_step(
+        {"plain": (), "regularized": ("lam", "alpha")}, shared=_linear_model,
+        operator=_EntrySampling, step=lambda inst, init: _factor_step(
             inst, init, sharp=4.5 if inst.params["p"] == 1.0 else None),
         hvp=_hvp_linear, penalty=_row_hinge_penalty),
     "MatrixCompletionAsym": Family(
         _observe_linear, _loss_linear, ("asym",),
         {"plain": (), "regularized": ("lam", "alpha1", "alpha2", "alpha3", "alpha4")},
-        operator=_EntrySampling, step=_factor_step, penalty=_completion_penalty),
+        shared=_linear_model, operator=_EntrySampling, step=_factor_step,
+        penalty=_completion_penalty),
     "BlindDeconv": Family(
         lambda inst: (inst.design["B"] @ inst.truth["h"])
         * (inst.design["A"] @ np.conj(inst.truth["x"])),
         _loss_blind_deconv, ("pair",), {"plain": (), "regularized": ("lam", "mu", "d0")},
         sample_sum=True, shared=lambda inst, point: inst.design["B"] @ point.h,
         step=lambda inst, init: 0.1, metric=_pair_metric, gap=_gap_pair),
-    "RobustPCA": Family(_observe_linear, _loss_linear, ("sym", "asym"),
-                        {"plain": ("S",)}, operator=_EntrySampling, step=_factor_step),
+    "RobustPCA": Family(_observe_linear, _loss_linear, ("sym", "asym"), {"plain": ("S",)},
+                        shared=_linear_model, operator=_EntrySampling, step=_factor_step),
     "PhaseSync": Family(
         lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
         + inst.params["sigma"] * inst.design["W"],

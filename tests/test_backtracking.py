@@ -284,15 +284,8 @@ def test_truncated_default_step_run_forms_one_gradient_per_row(extra):
     assert log.count("truth") == 1
 
 
-def test_rpca_default_step_run_forms_one_gradient_per_row(monkeypatch):
-    # Products of the sampling operator.  Each trial is valued at the row's
-    # S and each row again at its fresh S, measuring the model on the index
-    # once each; only a row forms a gradient, one adjoint.  Each row after
-    # the first also refreshes S from one residual, one more of each.
-    inst = gen_rpca(60, 60, 2, 0.5, 0.02, 1.0, seed=7)
-    est, S0 = init_rpca(inst, 2)
-    cfg = SolverConfig(max_iters=40, project=make_incoherent_projector(inst, est.point))
-    ref, ref_S, ref_tr = run_rpca(inst, est.point, S0, cfg)
+def _sampling_calls(monkeypatch):
+    # Counts of the sampling operator's model products and adjoints.
     calls = {"measure_factors": 0, "adjoint": 0}
     for name in calls:
         method = getattr(problems._EntrySampling, name)
@@ -302,13 +295,42 @@ def test_rpca_default_step_run_forms_one_gradient_per_row(monkeypatch):
             return method(self, *args)
 
         monkeypatch.setattr(problems._EntrySampling, name, counted)
+    return calls
+
+
+def test_completion_default_step_run_measures_each_valued_point_once(monkeypatch):
+    # The model on the index is completion's shared product: each of the
+    # len(trace) + sum(rejected) evaluations measures it once, and only a
+    # row forms a gradient, one adjoint.
+    inst = gen_matrix_completion(30, 30, 2, 0.5, True, seed=36)
+    x0 = init_matrix_completion(inst, 2).point
+    ref, ref_tr = run_gd(inst, x0, SolverConfig(max_iters=40))
+    calls = _sampling_calls(monkeypatch)
+    final, tr = run_gd(inst, x0, SolverConfig(max_iters=40))
+    assert np.array_equal(final.X, ref.X) and tr.loss == ref_tr.loss
+    assert sum(tr.extras["rejected"]) > 0
+    assert calls["measure_factors"] == len(tr) + sum(tr.extras["rejected"])
+    assert calls["adjoint"] == len(tr)
+
+
+def test_rpca_default_step_run_forms_one_gradient_per_row(monkeypatch):
+    # Products of the sampling operator.  The model is measured once at the
+    # init and once per trial; a row refreshes S from its accepted trial's
+    # model and values the point again at its fresh S from the same model.
+    # Only a row forms a gradient, one adjoint, and each row after the first
+    # refreshes S from the adjoint of one residual.
+    inst = gen_rpca(60, 60, 2, 0.5, 0.02, 1.0, seed=7)
+    est, S0 = init_rpca(inst, 2)
+    cfg = SolverConfig(max_iters=40, project=make_incoherent_projector(inst, est.point))
+    ref, ref_S, ref_tr = run_rpca(inst, est.point, S0, cfg)
+    calls = _sampling_calls(monkeypatch)
     final, S, tr = run_rpca(inst, est.point, S0, cfg)
     assert np.array_equal(final.X, ref.X) and np.array_equal(S, ref_S)
     assert tr.loss == ref_tr.loss
     assert sum(tr.extras["rejected"]) > 0
     refreshes = len(tr) - 1
     trials = len(tr) - 1 + sum(tr.extras["rejected"])
-    assert calls["measure_factors"] == len(tr) + trials + refreshes
+    assert calls["measure_factors"] == 1 + trials
     assert calls["adjoint"] == len(tr) + refreshes
 
 

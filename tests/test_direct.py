@@ -130,6 +130,8 @@ def test_altmin_sensing_guards():
         altmin_sensing(inst, np.ones((6, 2)), AltMinConfig(splits=2))
     with pytest.raises(ValueError, match="6 x r"):
         altmin_sensing(inst, np.ones((5, 2)))
+    with pytest.raises(ValueError, match="r must be a positive integer"):
+        altmin_sensing(inst, np.ones((6, 0)))
 
 
 def test_altmin_sensing_rank_deficient_errors():
@@ -285,6 +287,8 @@ def test_altmin_mc_guards_and_starved_indices():
     sym = gen_matrix_completion(8, 8, 2, 0.9, True, seed=1)
     with pytest.raises(ValueError, match="asymmetric"):
         altmin_mc(sym, np.ones((8, 2)))
+    with pytest.raises(ValueError, match="r must be a positive integer"):
+        altmin_mc(gen_matrix_completion(8, 7, 2, 0.9, False, seed=1), np.ones((8, 0)))
     L0 = make_rng(derive_seed(5, "L0")).standard_normal((8, 2))
     starved_col = gen_matrix_completion(8, 7, 2, 1.0, False, seed=5)
     mask = starved_col.design["mask"].copy()

@@ -852,6 +852,8 @@ def test_grassmann_guards_and_deficient_column():
         grassmann_step(pr, L2, 0.1)
     with pytest.raises(ValueError, match="orthonormal"):
         grassmann_step(inst, np.ones((10, 2)), 0.1)
+    with pytest.raises(ValueError, match="r must be a positive integer"):
+        grassmann_step(inst, np.zeros((10, 0)), 0.1)
     mask = inst.design["mask"].copy()
     mask[:, 3] = False
     mask[0, 3] = True  # one observation cannot determine two coefficients

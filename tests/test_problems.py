@@ -1238,12 +1238,16 @@ def _family_dispatch_sites(package=pathlib.Path(problems.__file__).parent):
 def test_every_linear_family_loss_is_the_one_linear_risk():
     # A linear family's loss is _loss_linear, whose "regularized" tag adds the
     # record's penalty: the tag is listed exactly when a penalty is declared.
-    # A family without a linear operator declares no penalty.
+    # A family without a linear operator declares no penalty.  Its model is
+    # the shared product _linear_model, so a row measures it once; only the
+    # power families (those with a projection) share no product.
     for name, spec in problems.FAMILIES.items():
+        assert (spec.shared is None) == (spec.project is not None), name
         if spec.operator is None:
             assert spec.penalty is None, name
         else:
             assert spec.loss is problems._loss_linear, name
+            assert spec.shared is problems._linear_model, name
             assert ("regularized" in spec.losses) == (spec.penalty is not None), name
 
 

@@ -46,7 +46,10 @@ from lowrank_ncvx.problems import (
     gen_matrix_completion,
     gen_matrix_sensing,
     gen_phase_retrieval,
+    gen_phase_sync,
     gen_quadratic_sensing,
+    gen_rpca,
+    linear_operator,
     loss_and_grad,
 )
 from lowrank_ncvx.spectral import (
@@ -179,9 +182,35 @@ def test_precomputed_forward_product_is_bitwise_neutral(pr):
     np.testing.assert_array_equal(twf_mask(inst, x0.x, DEFAULT_TWF_THRESHOLDS, c), w > 0)
     np.testing.assert_array_equal(median_mask(inst, x0.x, 5.0, c),
                                   median_mask(inst, x0.x, 5.0))
-    sens = gen_matrix_sensing(6, 6, 1, 12, True, seed=0)
-    with pytest.raises(ValueError, match="forward product"):
-        loss_and_grad(sens, FactorPoint.sym(np.ones((6, 1))), forward=np.ones(12))
+    # The power families are the only ones without a shared product.
+    ps = gen_phase_sync(6, 0.5, seed=0)
+    with pytest.raises(ValueError, match="PhaseSync takes no forward product"):
+        loss_and_grad(ps, FactorPoint.vector(np.ones(6, dtype=complex)), forward=np.ones(6))
+
+
+def test_precomputed_linear_model_is_bitwise_neutral():
+    # The model A(X X^T) or A(L R^T) that a caller holds, as gd's row holds
+    # the accepted trial's, gives the loss and gradient of the loss's own
+    # product bit for bit: sensing with weights, completion under the
+    # regularized loss, robust PCA at a sparse part S.
+    rng = make_rng(40)
+    sens = gen_matrix_sensing(6, 5, 2, 40, False, seed=40)
+    mc = gen_matrix_completion(12, 12, 2, 0.6, True, seed=41)
+    rpca = gen_rpca(12, 10, 2, 0.7, 0.05, 1.0, seed=42)
+    cases = [
+        (sens, FactorPoint.asym(rng.standard_normal((6, 2)), rng.standard_normal((5, 2))),
+         {"weights": rng.uniform(0.0, 2.0, 40)}),
+        (mc, FactorPoint.sym(rng.standard_normal((12, 2))), {"loss": "regularized"}),
+        (rpca, FactorPoint.asym(rng.standard_normal((12, 2)), rng.standard_normal((10, 2))),
+         {"loss_params": {"S": rng.standard_normal((12, 10))}}),
+    ]
+    for inst, point, kw in cases:
+        c = linear_operator(inst).measure_factors(
+            *(point.parts if point.kind == "asym" else point.parts * 2))
+        val, g = loss_and_grad(inst, point, **kw)
+        val_c, g_c = loss_and_grad(inst, point, forward=c, **kw)
+        assert val == val_c, inst.family
+        assert all(map(np.array_equal, g.parts, g_c.parts)), inst.family
 
 
 def test_misshapen_forward_product_is_refused():
@@ -197,6 +226,15 @@ def test_misshapen_forward_product_is_refused():
     bd = gen_blind_deconv(3, 4, 9, seed=0)
     with pytest.raises(ValueError, match=r"shape \(9,\), got \(3,\)"):
         loss_and_grad(bd, FactorPoint.pair(np.ones(3), np.ones(4)), forward=np.ones(3))
+    # A linear model has one entry per measurement, whatever the rank: a
+    # (12, 1) product would broadcast the residual into a 12 x 12 matrix.
+    sens = gen_matrix_sensing(6, 6, 1, 12, True, seed=0)
+    with pytest.raises(ValueError, match=r"shape \(12,\), got \(12, 1\)"):
+        loss_and_grad(sens, FactorPoint.sym(np.ones((6, 1))), forward=np.ones((12, 1)))
+    mc = gen_matrix_completion(6, 5, 2, 1.0, False, seed=0)
+    with pytest.raises(ValueError, match=r"shape \(30,\), got \(29,\)"):
+        loss_and_grad(mc, FactorPoint.asym(np.ones((6, 2)), np.ones((5, 2))),
+                      forward=np.ones(29))
 
 
 def test_blind_deconvolution_row_shares_b_h_bitwise():
