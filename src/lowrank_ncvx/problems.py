@@ -15,7 +15,10 @@ name.
 
 The six matrix generators (Gaussian and identity sensing, quadratic sensing,
 completion, robust PCA) plant their low-rank truth, X X^T or L R^T with
-balanced factors, through one function, ``_planted``.  A record's ``shared``
+balanced factors, through one function, ``_planted``, and keep it as those
+factors: ``truth["M"]`` is formed from them on each read, never stored, and
+the linear families observe the truth through their shared product at it,
+so no generator forms the dense n1 x n2 matrix.  A record's ``shared``
 is the design product at a point that its loss, gap and solver rows read:
 the model A(X X^T) or A(L R^T) of the five linear families (sensing,
 completion, robust PCA), A x, A X or B h elsewhere, and none for the power
@@ -65,7 +68,8 @@ class ProblemInstance:
     """One generated problem: truth, measurement design, and observations.
 
     ``params`` holds the scalar knobs the generator was called with,
-    ``truth`` the planted factors (arrays), ``design`` the data of the
+    ``truth`` the planted factors (arrays; a matrix truth keeps X, or L and
+    R, with sigma, and robust PCA's S), ``design`` the data of the
     measurement operator (arrays: the sensing designs with a "kind" tag,
     the boolean mask of the sampled-entry families; linear_operator builds
     the operator of a linear family from them), and ``y`` the
@@ -73,6 +77,12 @@ class ProblemInstance:
     through JSON without loss; ``family`` must name a ``FAMILIES`` entry.
     A design array that depends only on the size (blind deconvolution's B)
     may be one read-only array shared by every instance of that size.
+    The truth dict derives the matrix: ``truth["M"]`` reads X X^T or L R^T,
+    formed on each read and never stored, so ``"M" not in truth`` and the
+    JSON holds the factors alone.  A stored "M" (an explicit matrix, or JSON
+    written when M was stored) is returned as stored.  The instance wraps
+    whatever truth dict it is given, so one built from a copy of another's
+    truth (dict(inst.truth), a JSON reload) derives M too.
     """
 
     family: str
@@ -85,6 +95,21 @@ class ProblemInstance:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not isinstance(self.truth, _Truth):
+            self.truth = _Truth(self.truth)
+
+
+class _Truth(dict):
+    # A truth dict whose missing "M" is the product of its planted factors,
+    # X X^T or L R^T, formed on each read and never stored.
+
+    def __missing__(self, key):
+        if key == "M":
+            if "X" in self:
+                return self["X"] @ self["X"].T
+            if "L" in self:
+                return self["L"] @ self["R"].T
+        raise KeyError(key)
 
 
 @dataclass
@@ -115,7 +140,9 @@ def _planted(rng, n1, n2, r, symmetric, spectrum):
     sigma is the draw's own (squared singular values of the symmetric
     draw, singular values of G) unless ``spectrum`` replaces it: r finite,
     positive, non-increasing values, checked before the first draw.
-    Returns the truth dict, {"X", "M", "sigma"} or {"L", "R", "M", "sigma"}.
+    Returns the truth dict, {"X", "sigma"} or {"L", "R", "sigma"}: the
+    factors alone, O((n1 + n2) r) floats, whose M ProblemInstance derives
+    on read.
     """
     if spectrum is not None:
         spectrum = np.asarray(spectrum, dtype=float)
@@ -129,11 +156,11 @@ def _planted(rng, n1, n2, r, symmetric, spectrum):
         U, s, _ = np.linalg.svd(rng.standard_normal((n1, r)), full_matrices=False)
         sigma = s**2 if spectrum is None else spectrum
         X = U * np.sqrt(sigma)
-        return {"X": X, "M": X @ X.T, "sigma": np.asarray(sigma, dtype=float)}
+        return {"X": X, "sigma": np.asarray(sigma, dtype=float)}
     QA, U, s, V, QB = factored_svd(rng.standard_normal((n1, r)), rng.standard_normal((n2, r)))
     sigma = s if spectrum is None else spectrum
     L, R = (QA @ U) * np.sqrt(sigma), (QB @ V) * np.sqrt(sigma)
-    return {"L": L, "R": R, "M": L @ R.T, "sigma": np.asarray(sigma, dtype=float)}
+    return {"L": L, "R": R, "sigma": np.asarray(sigma, dtype=float)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +270,9 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     thread count.  The boolean mask is the stored form of the design (and
     of its JSON); every computation reads the sampling operator P_Omega
     that linear_operator builds on the observed-entry index derived from
-    it, and y = P_Omega(M) lists M on that index in row-major order.
+    it, and y = P_Omega(L R^T) lists the truth on that index in row-major
+    order, each entry the r-term row dot that the solvers' model forms
+    (X X^T for a symmetric truth); the dense M is never formed.
     p = 0 is legal and produces an empty observation set.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
@@ -348,7 +377,8 @@ def gen_rpca(n1, n2, r, p, alpha_out, magnitude, seed, spectrum=None):
     more than ceil(alpha_out * n1).  Square instances plant a PSD truth.  As
     in gen_matrix_completion, the mask is drawn in row-major blocks from the
     same stream as one n1 x n2 uniform draw; the boolean mask is the stored
-    form, and y = P_Omega(M + S) is read through the same sampling operator.
+    form, and y = P_Omega(M + S) is read through the same sampling operator,
+    M's entries as the row dots of its factors.  S is stored dense.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     p, alpha_out = _fraction("p", p, closed=True), _fraction("alpha_out", alpha_out)
@@ -696,11 +726,17 @@ class _EntrySampling:
 
     def measure_factors(self, A, B):
         """The entries of A B^T on the index as r-term row dots, never the
-        n1 x n2 model.  The index is row-major, so repeating A's columns by
-        the row counts gathers the left side, and the (r, |Omega|) operands
-        make the einsum r passes along the entries, not one short sum each."""
-        return np.einsum("ij,ij->j", np.repeat(A.T, self.counts, axis=1),
-                         np.take(B.T, self.index[1], axis=1))
+        n1 x n2 model.  The index is row-major, so repeating a column of A
+        by the row counts gathers the left side: one pass along the entries
+        per column, summed in column order from zero, with three |Omega|
+        temporaries whatever r is."""
+        cols = self.index[1]
+        out = np.zeros(cols.shape[0])
+        for k in range(A.shape[1]):
+            term = np.repeat(A[:, k], self.counts)
+            term *= np.take(B[:, k], cols)
+            out += term
+        return out
 
     def adjoint(self, e):
         return csr(e, self.index[1], self.indptr, self.shape)
@@ -1248,10 +1284,17 @@ class Family:
 
 
 def _observe_linear(inst):
-    # A(M*), plus A(S) for the sparse part S of robust PCA
-    op = linear_operator(inst)
-    y = op.measure(inst.truth["M"])
-    return y + op.measure(inst.truth["S"]) if "S" in inst.truth else y
+    # A(M*), plus A(S) for the sparse part S of robust PCA.  A stored M is
+    # measured as it stands; planted factors give the record's shared
+    # product at the truth, the model a solver's row forms, so the planted
+    # residual is exactly 0.
+    t, op = inst.truth, linear_operator(inst)
+    if "M" in t:
+        y = op.measure(t["M"])
+    else:
+        kind, parts = ("sym", (t["X"],)) if "X" in t else ("asym", (t["L"], t["R"]))
+        y = FAMILIES[inst.family].shared(inst, FactorPoint.derived(kind, parts))
+    return y + op.measure(t["S"]) if "S" in t else y
 
 
 def _observe_quadratic(inst):

@@ -595,7 +595,8 @@ def test_certified_batch_is_within_the_eigenvalue_rule(n, r, p, seed, moved):
 
 def test_altmin_mc_sample_split_round_uses_its_part():
     # Round one of a T=3 split must match a reuse round on the instance
-    # whose mask is exactly the first round-robin part.
+    # whose mask is exactly the first round-robin part, observing that
+    # part's own entries of y.
     inst = gen_matrix_completion(8, 7, 2, 1.0, False, seed=3)
     L0 = make_rng(derive_seed(3, "L0")).standard_normal((8, 2))
     order = np.argwhere(inst.design["mask"])
@@ -604,7 +605,7 @@ def test_altmin_mc_sample_split_round_uses_its_part():
     part0[pos[:, 0], pos[:, 1]] = True
     sub = gen_matrix_completion(8, 7, 2, 1.0, False, seed=3)
     sub.design["mask"] = part0
-    sub.y = sub.truth["M"][part0]
+    sub.y = inst.y[0::3]
     La, Ra, _ = altmin_mc(inst, L0, AltMinConfig(max_outer=1, splits=3))
     Lb, Rb, _ = altmin_mc(sub, L0, AltMinConfig(max_outer=1))
     assert np.array_equal(La, Lb) and np.array_equal(Ra, Rb)

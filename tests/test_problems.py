@@ -286,6 +286,34 @@ def test_entry_sampling_operator_adjoint_and_factors(design, seed, r):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@settings(deadline=None, max_examples=60)
+@given(n1=st.integers(1, 40), n2=st.integers(1, 40), r=st.integers(1, 8),
+       p=st.sampled_from([0.0, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+@example(n1=5, n2=4, r=3, p=0.0, seed=0)  # an empty index
+@example(n1=14, n2=1, r=3, p=0.05, seed=1)  # a single entry
+@example(n1=300, n2=200, r=8, p=0.3, seed=1)
+def test_entry_row_dots_are_the_einsum_bit_for_bit(n1, n2, r, p, seed):
+    # The per-column row dots equal the einsum over two (r, |Omega|) gathers
+    # to the bit, signed zeros included, with about a third of the rows
+    # unobserved.  On a single entry einsum sums along the rank axis in an
+    # order of its own, so the oracle reads every entry twice, which keeps
+    # it on the one pass per rank column that it makes for longer indices.
+    rng = core.make_rng(seed)
+    mask = rng.random((n1, n2)) < p
+    mask[rng.random(n1) < 0.3] = False
+    params = {"n1": n1, "n2": n2, "r": r, "p": p, "symmetric": False}
+    inst = ProblemInstance("MatrixCompletionAsym", seed, params, {}, {"mask": mask}, None)
+    A, B = rng.standard_normal((n1, r)), rng.standard_normal((n2, r))
+    A[rng.random(A.shape) < 0.1] = -0.0
+    rows, cols = np.nonzero(mask)
+    left = np.repeat(A.T, np.bincount(rows, minlength=n1), axis=1)
+    right = np.take(B.T, cols, axis=1)
+    want = np.einsum("ij,ij->j", np.repeat(left, 2, axis=1), np.repeat(right, 2, axis=1))[::2]
+    got = problems.linear_operator(inst).measure_factors(A, B)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_linear_operator_names_a_family_without_one():
     with pytest.raises(ValueError, match="PhaseRetrieval"):
         problems.linear_operator(gen_phase_retrieval(4, 8, seed=1))
@@ -354,6 +382,43 @@ def test_truth_factors_are_balanced(n1, n2, r, seed):
             np.testing.assert_allclose(F.T @ F, np.diag(sigma), atol=1e-8 * max(1.0, sigma[0]))
 
 
+@pytest.mark.parametrize("k", range(len(MATRIX_GENERATORS)))
+def test_planted_truth_is_kept_as_its_factors(k):
+    # truth["M"] is the factors' product, formed on read: never stored, never
+    # written to JSON, and derived again on every reload and copy.
+    inst = MATRIX_GENERATORS[k](6, 4, 2, 11)
+    t = inst.truth
+    want = t["X"] @ t["X"].T if "X" in t else t["L"] @ t["R"].T
+    assert "M" not in t
+    assert t["M"].shape == want.shape and t["M"].tobytes() == want.tobytes()
+    text = instance_to_json(inst)
+    assert "M" not in json.loads(text)["truth"]
+    back = instance_from_json(text)
+    assert instances_equal(inst, back)
+    copy = ProblemInstance(inst.family, inst.seed, inst.params, dict(t), inst.design, inst.y)
+    for other in (back, copy):
+        assert "M" not in other.truth and other.truth["M"].tobytes() == want.tobytes()
+    with pytest.raises(KeyError):
+        t["N"]
+    with pytest.raises(KeyError):
+        gen_phase_retrieval(4, 8, seed=1).truth["M"]
+
+
+@pytest.mark.parametrize("name", ["completion_6x5_stored_M.json", "rpca_6x6_stored_M.json"])
+def test_json_with_a_stored_M_loads_and_replays(name):
+    # Written when every planted truth stored its dense M: the stored M is
+    # read as stored, so forward_model replays y from it bit for bit, and it
+    # agrees with the factors to within rounding.
+    inst = instance_from_json((pathlib.Path(__file__).parent / "data" / name).read_text())
+    t = inst.truth
+    assert "M" in t
+    assert forward_model(inst).tobytes() == inst.y.tobytes()
+    assert instances_equal(inst, instance_from_json(instance_to_json(inst)))
+    M = t["M"]
+    product = t["X"] @ t["X"].T if "X" in t else t["L"] @ t["R"].T
+    assert np.abs(M - product).max() <= 4 * np.finfo(float).eps * np.abs(M).max()
+
+
 # ---------------------------------------------------------------------------
 # Phase retrieval and quadratic sensing
 # ---------------------------------------------------------------------------
@@ -414,9 +479,14 @@ def test_quadratic_sensing_mean_concentrates():
 # ---------------------------------------------------------------------------
 
 def test_completion_p_edges():
+    # y is the truth's row dots on the index bit for bit, and M's entries to
+    # within rounding
     full = gen_matrix_completion(5, 4, 2, 1.0, False, seed=1)
     assert np.all(full.design["mask"])
-    np.testing.assert_array_equal(full.y, full.truth["M"].ravel())
+    rows, cols = np.nonzero(full.design["mask"])
+    L, R, M = full.truth["L"], full.truth["R"], full.truth["M"]
+    np.testing.assert_array_equal(full.y, np.sum(L[rows] * R[cols], axis=1))
+    assert np.abs(full.y - M.ravel()).max() <= 4 * np.finfo(float).eps * np.abs(M).max()
     empty = gen_matrix_completion(5, 4, 2, 0.0, False, seed=1)
     assert empty.y.size == 0
 
@@ -546,6 +616,21 @@ def test_completion_instance_peak_is_its_truth_and_mask():
     assert peak < 9 * n1 * n2 + 2**21
 
 
+def test_completion_instance_peak_is_its_mask_and_index():
+    # The truth is kept as its factors and y formed from their row dots: no
+    # n1 x n2 float array.  The bound is the mask (n1 n2 bytes) plus 64
+    # bytes per observed entry plus 512 KiB.
+    gen_matrix_completion(20, 20, 5, 0.02, False, 0)  # one-time imports, untraced
+    n1 = n2 = 1000
+    tracemalloc.start()
+    try:
+        inst = gen_matrix_completion(n1, n2, 5, 0.02, False, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n1 * n2 + 64 * inst.y.size + 2**19
+
+
 def test_completion_truth_has_computable_incoherence():
     inst = gen_matrix_completion(30, 30, 2, 0.5, True, seed=2)
     mu = core.incoherence_mu(inst.truth["M"], 2)
@@ -623,8 +708,11 @@ def test_rpca_outlier_support_respects_caps():
 
 def test_rpca_no_outliers_mode():
     inst = gen_rpca(6, 6, 2, 1.0, 0.0, 1.0, seed=3)
-    assert np.count_nonzero(inst.truth["S"]) == 0
-    np.testing.assert_array_equal(inst.y, inst.truth["M"].ravel())
+    S, X, M = inst.truth["S"], inst.truth["X"], inst.truth["M"]
+    assert np.count_nonzero(S) == 0
+    rows, cols = np.nonzero(inst.design["mask"])
+    np.testing.assert_array_equal(inst.y, np.sum(X[rows] * X[cols], axis=1) + S[rows, cols])
+    assert np.abs(inst.y - M.ravel()).max() <= 4 * np.finfo(float).eps * np.abs(M).max()
 
 
 def test_rpca_square_truth_is_psd():
@@ -813,6 +901,19 @@ def test_truth_is_a_global_zero(make, loss, flag):
     scale = max(1.0, float(np.max(np.abs(inst.y)))) if inst.y.size else 1.0
     assert abs(val) < 1e-12 * scale
     assert g.norm() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_planted_truth_has_exactly_zero_plain_loss(seed):
+    # Every matrix generator observes its truth through the model the loss
+    # forms, so the plain risk at the planted factors is exactly 0: robust
+    # PCA's with its S, here with and without outliers.
+    makes = MATRIX_GENERATORS + [lambda n1, n2, r, seed: gen_rpca(n1, n2, r, 0.5, 0.1, 2.0, seed),
+                                 lambda n1, n2, r, seed: gen_rpca(n1, n1, r, 0.5, 0.1, 2.0, seed)]
+    for make in makes:
+        inst = make(9, 7, 2, seed)
+        lp = {"S": inst.truth["S"]} if "S" in inst.truth else None
+        assert problems.loss_value(inst, _truth_point(inst), loss_params=lp)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1138,16 @@ def test_factorization_instance_quarter_frobenius_loss():
     E = x @ x.T - M
     assert abs(val - 0.25 * np.sum(E * E)) < 1e-12
     np.testing.assert_allclose(g.parts[0], E @ x, atol=1e-12)
+
+
+def test_factorization_instance_observes_its_matrix():
+    # The explicit M is data, not X X^T: at r = 1 a full-rank M keeps
+    # y = M.ravel() bit for bit.
+    G = core.make_rng(5).standard_normal((6, 6))
+    M = G + G.T
+    inst = factorization_instance(M, 1)
+    assert np.linalg.matrix_rank(M) == 6
+    assert inst.y.tobytes() == M.ravel().tobytes()
 
 
 def test_factorization_instance_clamps_negative_spectrum():

@@ -126,7 +126,9 @@ def test_observed_entries_are_row_major_in_the_order_of_y():
     rows, cols = observed_entries(inst)
     np.testing.assert_array_equal(np.stack([rows, cols], axis=1),
                                   np.argwhere(inst.design["mask"]))
-    np.testing.assert_array_equal(inst.truth["M"][rows, cols], inst.y)
+    L, R, M = inst.truth["L"], inst.truth["R"], inst.truth["M"]
+    np.testing.assert_array_equal(np.sum(L[rows] * R[cols], axis=1), inst.y)
+    assert np.abs(M[rows, cols] - inst.y).max() <= 4 * np.finfo(float).eps * np.abs(M).max()
 
 
 def test_observed_entries_follow_a_replaced_mask():
