@@ -76,7 +76,9 @@ class ProblemInstance:
     observations.  All fields are plain data so an instance can round-trip
     through JSON without loss; ``family`` must name a ``FAMILIES`` entry.
     A design array that depends only on the size (blind deconvolution's B)
-    may be one read-only array shared by every instance of that size.
+    may be one read-only array shared by every instance of that size; the
+    latest size's is held after its last instance is gone, so at most that
+    one basis outlives its instances.
     The truth dict derives the matrix: ``truth["M"]`` reads X X^T or L R^T,
     formed on each read and never stored, so ``"M" not in truth`` and the
     JSON holds the factors alone.  A stored "M" (an explicit matrix, or JSON
@@ -200,7 +202,9 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     Symmetric instances use symmetrized Gaussian matrices (G + G^T)/2, which
     have unit-variance diagonal and variance-1/2 off-diagonal entries; that
     design is isotropic over symmetric probes.  Asymmetric instances use iid
-    standard Gaussian matrices.
+    standard Gaussian matrices.  Either way the design is the one m x n1 x n2
+    array a call allocates: a symmetric draw is symmetrized in place, a slab
+    of at most 256 KiB of matrices at a time.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     m = setting("m", m, "positive count")
@@ -210,7 +214,13 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     truth = _planted(rng, n1, n2, r, symmetric, spectrum)
     A = rng.standard_normal((m, n1, n2))
     if symmetric:
-        A = 0.5 * (A + np.transpose(A, (0, 2, 1)))
+        # The bits of 0.5 * (A + A^T): NumPy copies each slab's transpose
+        # before the in-place sum, never the whole design.
+        step = max(1, 2**18 // A[0].nbytes)
+        for k in range(0, m, step):
+            slab = A[k:k + step]
+            slab += slab.transpose(0, 2, 1)
+            slab *= 0.5
     family = "MatrixSensingSym" if symmetric else "MatrixSensingAsym"
     params = {"n1": n1, "n2": n2, "r": r, "m": m, "symmetric": bool(symmetric)}
     design = {"kind": "gaussian", "A": A}
@@ -287,20 +297,38 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
     return _observed(ProblemInstance(family, seed, params, truth, {"mask": mask}, None))
 
 
-_DFT = weakref.WeakValueDictionary()  # (m, K) -> B, while an instance holds it
+_DFT = weakref.WeakValueDictionary()  # (m, K) -> B, while anything holds it
+_dft_latest = None  # the B last asked for, held past its instances
 
 
 def _dft_columns(m, K):
     # The first K columns of the unitary m-point DFT, built directly so that a
     # large m never materializes the full m x m transform.  Read-only and
-    # shared while any instance of the size is alive; dropped with the last.
+    # shared while any instance of the size is alive.  The latest size's B is
+    # also held here, so a loop that releases each instance before drawing
+    # the next builds B once; at most that one basis outlives its instances.
+    global _dft_latest
     B = _DFT.get((m, K))
     if B is None:
         jk = np.arange(m)[:, None] * np.arange(K)[None, :]
         B = np.exp((-2j * np.pi / m) * jk) / np.sqrt(m)
         B.flags.writeable = False
         _DFT[m, K] = B
+    _dft_latest = B
     return B
+
+
+def _complex_gaussian(rng, shape, unit_variance):
+    # a + 1j b from two standard normal draws of the shape, a first, divided
+    # by sqrt(2) when unit_variance (E |z|^2 = 1): the bits of a + 1j * b or
+    # (a + 1j * b) / np.sqrt(2.0), signed zeros included, assembled in place
+    # so that z is the only array allocated beyond the two draws.
+    a = rng.standard_normal(shape)
+    z = 1j * rng.standard_normal(shape)
+    z += a
+    if unit_variance:
+        z /= np.sqrt(2.0)
+    return z
 
 
 def gen_blind_deconv(K, N, m, seed, norm=1.0):
@@ -310,8 +338,13 @@ def gen_blind_deconv(K, N, m, seed, norm=1.0):
     the a_j are iid CN(0, I_N).  Truth vectors are drawn complex Gaussian and
     rescaled to a common norm, removing the scale ambiguity from the planted
     pair itself (solvers still have to resolve it).  B depends only on
-    (m, K) and draws nothing: live instances of one size share one read-only
-    B (``_dft_columns``), so an in-place write into ``design["B"]`` raises.
+    (m, K) and draws nothing: instances of one size share one read-only B
+    (``_dft_columns``), so an in-place write into ``design["B"]`` raises.
+    The latest size's B stays held after its last instance is gone, so it is
+    built once per size however the instances are released; at most that one
+    basis outlives its instances.  At its peak a call holds B (built on the
+    first call of a size only, through an m x K index and two m x K complex
+    arrays) and, while A is assembled, A and its two real draws: 2 A.nbytes.
     """
     K, N, m = (setting(name, v, "positive count") for name, v in (("K", K), ("N", N), ("m", m)))
     if m < K:
@@ -319,9 +352,9 @@ def gen_blind_deconv(K, N, m, seed, norm=1.0):
     norm = setting("norm", norm, "finite positive bound")
     rng = make_rng(derive_seed(seed, "blind_deconv"))
     B = _dft_columns(m, K)
-    A = (rng.standard_normal((m, N)) + 1j * rng.standard_normal((m, N))) / np.sqrt(2.0)
-    h = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    A = _complex_gaussian(rng, (m, N), True)
+    h = _complex_gaussian(rng, K, False)
+    x = _complex_gaussian(rng, N, False)
     h *= norm / np.linalg.norm(h)
     x *= norm / np.linalg.norm(x)
     params = {"K": K, "N": N, "m": m, "norm": float(norm)}
@@ -409,14 +442,21 @@ def gen_phase_sync(n, sigma, seed):
 
     W is Hermitian with iid standard complex Gaussian entries above the
     diagonal and standard real Gaussian entries on it, so E ||W||_F^2 = n^2.
-    The observation is the matrix L itself.
+    The observation is the matrix L itself.  W is built in the memory of its
+    complex Gaussian draw G, so the peak, three n x n complex arrays, is the
+    forward model's: W, L and the term it adds to x x^H.
     """
     n, sigma = setting("n", n, "positive count"), setting("sigma", sigma, "finite bound")
     rng = make_rng(derive_seed(seed, "phase_sync"))
     x = np.exp(2j * np.pi * rng.random(n))
-    G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    Wu = np.triu(G, 1)
-    W = Wu + Wu.conj().T + np.diag(rng.standard_normal(n))
+    W = _complex_gaussian(rng, (n, n), True)
+    # Below the diagonal, the conjugate of the mirror entry; on it, a real
+    # draw.  Adding 0.0 turns every -0 into +0, so W has the bits of
+    # triu(G, 1) + triu(G, 1)^H + diag(d).
+    for i in range(1, n):
+        np.conjugate(W[:i, i], out=W[i, :i])
+    np.fill_diagonal(W, rng.standard_normal(n))
+    W += 0.0
     params = {"n": n, "sigma": float(sigma)}
     return _observed(ProblemInstance("PhaseSync", seed, params, {"x": x}, {"W": W}, None))
 

@@ -11,6 +11,7 @@ import math
 import pathlib
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -338,18 +339,74 @@ def test_identity_sensing_and_full_mask_completion_share_one_risk():
             assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def _traced_peak(call):
+    # Every allocation guard: call() once untraced (one-time imports and
+    # caches), then again under tracemalloc.  Returns the second call's
+    # result and the peak bytes it held.
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class _ZeroLadenDraws:
+    # A stand-in generator whose standard normal draws carry signed zeros
+    # (every third entry +0.0, every fifth -0.0), so that bitwise checks see
+    # how an expression treats them.
+
+    def __init__(self, seed):
+        self._rng = core.make_rng(seed)
+
+    def random(self, size=None):
+        return self._rng.random(size)
+
+    def standard_normal(self, size=None):
+        z = np.asarray(self._rng.standard_normal(size))
+        flat = z.reshape(-1)
+        flat[::3], flat[::5] = 0.0, -0.0
+        return z
+
+
 def test_gaussian_right_rows_do_not_copy_the_design():
     # rows(L, 1) contracts the design's middle axis; its peak allocation is
     # its output, not a transposed copy of the (m, n1, n2) design.
     inst = gen_matrix_sensing(30, 30, 2, 1800, False, seed=3)
     op = problems.sensing_operator(inst)
-    tracemalloc.start()
-    try:
-        out = op.rows(inst.truth["L"], 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = _traced_peak(lambda: op.rows(inst.truth["L"], 1))
     assert peak < 2 * out.nbytes
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_sensing_instance_peak_is_its_design(symmetric):
+    # A symmetric draw is symmetrized in place, a slab of matrices at a
+    # time, so neither branch holds a second m x n1 x n2 array: the bound is
+    # the design plus 1 MiB.
+    inst, peak = _traced_peak(lambda: gen_matrix_sensing(40, 40, 2, 2000, symmetric, 1))
+    assert peak < inst.design["A"].nbytes + 2**20
+
+
+@pytest.mark.parametrize("draws", [core.make_rng, _ZeroLadenDraws])
+@pytest.mark.parametrize("n, m, seed", [(1, 3, 0), (4, 50, 1), (40, 45, 5), (90, 9, 29),
+                                        (200, 3, 3)])
+def test_symmetric_sensing_design_is_the_symmetrized_draw_bit_for_bit(monkeypatch, draws,
+                                                                      n, m, seed):
+    # The oracle replays the generator's stream (the truth, then the design
+    # draw) and symmetrizes it out of place.  The sizes span one slab, many
+    # slabs with a partial last one, and slabs of one matrix.
+    monkeypatch.setattr(problems, "make_rng", draws)
+    A = gen_matrix_sensing(n, n, 1, m, True, seed).design["A"]
+    rng = draws(core.derive_seed(seed, "matrix_sensing", 1))
+    problems._planted(rng, n, n, 1, True, None)
+    G = rng.standard_normal((m, n, n))
+    assert _same_bits(A, 0.5 * (G + np.transpose(G, (0, 2, 1))))
 
 
 # Every matrix generator, each symmetric/asymmetric branch, as
@@ -601,33 +658,13 @@ def test_mask_from_a_generator_without_counters_is_the_one_shot_draw(monkeypatch
     assert rng.random() == ref.random()
 
 
-def test_completion_instance_peak_is_its_truth_and_mask():
-    # No n1 x n2 float array besides M: the mask is drawn through one small
-    # reused buffer.  The bound is M (8 n1 n2 bytes) plus the mask (n1 n2)
-    # plus 2 MiB.
-    gen_matrix_completion(20, 20, 5, 0.02, False, 0)  # one-time imports, untraced
-    n1 = n2 = 1000
-    tracemalloc.start()
-    try:
-        gen_matrix_completion(n1, n2, 5, 0.02, False, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 9 * n1 * n2 + 2**21
-
-
 def test_completion_instance_peak_is_its_mask_and_index():
-    # The truth is kept as its factors and y formed from their row dots: no
-    # n1 x n2 float array.  The bound is the mask (n1 n2 bytes) plus 64
-    # bytes per observed entry plus 512 KiB.
-    gen_matrix_completion(20, 20, 5, 0.02, False, 0)  # one-time imports, untraced
+    # The truth is kept as its factors and y formed from their row dots, and
+    # the mask is drawn through small reused buffers: no n1 x n2 float
+    # array.  The bound is the mask (n1 n2 bytes) plus 64 bytes per observed
+    # entry plus 512 KiB.
     n1 = n2 = 1000
-    tracemalloc.start()
-    try:
-        inst = gen_matrix_completion(n1, n2, 5, 0.02, False, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    inst, peak = _traced_peak(lambda: gen_matrix_completion(n1, n2, 5, 0.02, False, 0))
     assert peak < n1 * n2 + 64 * inst.y.size + 2**19
 
 
@@ -663,10 +700,60 @@ def test_blind_deconv_instances_of_one_size_share_one_read_only_basis():
     assert other.design["B"] is not a.design["B"]
     with pytest.raises(ValueError, match="read-only"):
         a.design["B"][0, 0] = 0
-    # nothing is held once the instances are gone
+    # once the instances are gone only the latest size's B is still held
     del a, b
     gc.collect()
     assert (23, 6) not in problems._DFT and (24, 6) in problems._DFT
+
+
+def test_blind_deconv_basis_is_built_once_per_size_however_instances_are_released():
+    # The latest size's B outlives its instances: one drawn after the last of
+    # its size is gone gets the same read-only array.
+    first = weakref.ref(gen_blind_deconv(5, 3, 29, seed=1).design["B"])
+    gc.collect()
+    b = gen_blind_deconv(5, 4, 29, seed=2)
+    assert b.design["B"] is first() and not b.design["B"].flags.writeable
+    # A second size takes the one slot, while live instances of the first
+    # keep sharing theirs through the weak map.
+    second = weakref.ref(gen_blind_deconv(5, 3, 31, seed=1).design["B"])
+    gc.collect()
+    assert second() is not None
+    assert gen_blind_deconv(5, 2, 29, seed=3).design["B"] is b.design["B"]
+    del b
+    gc.collect()
+    assert second() is None and first() is not None
+
+
+def test_blind_deconv_instance_peak_is_its_design():
+    # A second instance of a size builds no B and assembles A in place from
+    # its two real draws, so its peak is A plus those draws, 2 A.nbytes,
+    # which is A + B at K = N.  The bound is A + B plus 512 KiB; building B
+    # again would add B and its build temporaries.
+    inst, peak = _traced_peak(lambda: gen_blind_deconv(64, 64, 4096, 1))
+    assert peak < inst.design["A"].nbytes + inst.design["B"].nbytes + 2**19
+
+
+@pytest.mark.parametrize("draws", [core.make_rng, _ZeroLadenDraws])
+@pytest.mark.parametrize("shape", [(), 1, 7, (3, 5), (512, 32), (96, 300)])
+def test_complex_gaussian_is_the_generators_expression_bit_for_bit(draws, shape):
+    # The oracle is the one-expression form over the same two draws.  NumPy
+    # elides its temporaries above 256 KiB, so (96, 300) checks that path
+    # too.
+    negative_zeros = 0
+    for seed, unit_variance in itertools.product((0, 1, 29), (False, True)):
+        rng, ref = draws(seed), draws(seed)
+        z = problems._complex_gaussian(rng, shape, unit_variance)
+        if unit_variance:
+            want = (ref.standard_normal(shape) + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
+        else:
+            want = ref.standard_normal(shape) + 1j * ref.standard_normal(shape)
+        assert _same_bits(z, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(z)), np.signbit(part(want)))
+        assert rng.random() == ref.random()
+        negative_zeros += sum(np.count_nonzero(np.signbit(p) & (p == 0))
+                              for p in (want.real, want.imag))
+    assert (negative_zeros > 0) == (draws is _ZeroLadenDraws)
 
 
 def test_blind_deconv_json_round_trip_gets_its_own_writable_basis():
@@ -775,6 +862,27 @@ def test_phase_sync_observation_is_hermitian():
     inst = gen_phase_sync(12, 0.8, seed=5)
     L = inst.y
     assert np.max(np.abs(L - L.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("draws", [core.make_rng, _ZeroLadenDraws])
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 3), (9, 1), (40, 7), (130, 29)])
+def test_phase_sync_noise_is_the_triangle_sum_bit_for_bit(monkeypatch, draws, n, seed):
+    # The oracle replays the generator's stream and sums the upper triangle,
+    # its conjugate transpose and the dense diagonal matrix.
+    monkeypatch.setattr(problems, "make_rng", draws)
+    W = gen_phase_sync(n, 0.3, seed).design["W"]
+    rng = draws(core.derive_seed(seed, "phase_sync"))
+    rng.random(n)
+    G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    Wu = np.triu(G, 1)
+    assert _same_bits(W, Wu + Wu.conj().T + np.diag(rng.standard_normal(n)))
+
+
+def test_phase_sync_instance_peak_is_three_of_its_matrices():
+    # W is built in the memory of its complex draw, so the peak is the
+    # forward model's W, L and the term it adds to x x^H, plus 1 MiB.
+    inst, peak = _traced_peak(lambda: gen_phase_sync(800, 0.5, 1))
+    assert peak < 3 * inst.design["W"].nbytes + 2**20
 
 
 def test_phase_sync_noise_mass_matches_model():
