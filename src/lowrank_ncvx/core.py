@@ -1,10 +1,13 @@
-"""Shared numerical plumbing: seeded randomness (with the Bernoulli mask
-drawn from one Philox stream on every core), factor containers, the subspace
-estimate record that spectral's eigensolvers fill, the distance metrics that
-quotient out the global ambiguities (sign, rotation, complex scaling;
-factored_svd balances out the mix (L G, R G^-T) of asymmetric factors first)
-of factored estimates, incoherence measures, the settings check, and the
-iteration driver with its trace that every solver loop runs on.
+"""Shared numerical plumbing: seeded randomness (the Bernoulli mask drawn
+from one Philox stream on every core, and a large standard-normal draw, the
+generators' Gaussian designs, on two cores; both bit for bit with the
+one-thread stream and leaving the generator where it leaves it), factor
+containers, the subspace estimate record that spectral's eigensolvers fill,
+the distance metrics that quotient out the global ambiguities (sign,
+rotation, complex scaling; factored_svd balances out the mix (L G, R G^-T)
+of asymmetric factors first) of factored estimates, incoherence measures,
+the settings check, and the iteration driver with its trace that every
+solver loop runs on.
 
 Everything here is pure and reentrant; workers own their Rng instances.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field, fields
 
@@ -50,14 +54,18 @@ _MASK_BLOCK = 16000
 _MASK_MIN_DRAWS = 2**20
 
 
+def _cpus():
+    # The CPUs this process may run on.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _mask_workers(size):
     # One thread per CPU this process may run on, each with at least
     # _MASK_MIN_DRAWS of the size uniforms.
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, size // _MASK_MIN_DRAWS))
+    return max(1, min(_cpus(), size // _MASK_MIN_DRAWS))
 
 
 def _fill_mask(rng, flat, p, buf):
@@ -137,6 +145,103 @@ def _bernoulli_mask(rng, n1, n2, p):
                     "uinteger": state["uinteger"]}
     _fill_mask(rng, flat[cuts[-1]:], p, buf)
     return mask
+
+
+# Fewest normals a draw is split across two threads at: two threads read
+# 0.96-0.98 of one thread's wall time at 2**16 normals, and 1.26-1.31 at
+# 2**15 (ROADMAP item 2's one- against two-worker table).
+_NORMAL_MIN_DRAWS = 2**16
+# Doubles per copy when the worker's range is moved onto the seam: 256 KiB,
+# which bounds any temporary NumPy takes of an overlapping source.
+_SHIFT_BLOCK = 2**15
+
+
+def _normal_range(key, counter, skip, out):
+    # The worker's range: out filled with the normals that a Philox of its
+    # own decodes from block counter + skip + 1 on.  Returns its generator.
+    bitgen = np.random.Philox(key=key, counter=counter)
+    bitgen.advance(skip)
+    gen = np.random.Generator(bitgen)
+    gen.standard_normal(out=out)
+    return gen
+
+
+def _standard_normal(rng, shape):
+    """``rng.standard_normal(shape)``, bit for bit and leaving rng where that
+    draw leaves it: its counter, buffer, buffer position and pending 32-bit
+    half.
+
+    A draw of at least _NORMAL_MIN_DRAWS normals from a Philox generator, in
+    a process that may run on two CPUs, is split in two.  NumPy's ziggurat
+    takes one 64-bit word per normal or more, so the second half's first
+    normal, at the seam, starts at word (first word) + (half size) or later.
+    A worker thread fills the second half through its own Philox started at
+    the block boundary at or before that word, while the calling thread
+    fills the first.  Most normals take one word, so the worker's decoding
+    falls onto the true word boundaries within a few words, before the seam:
+    its output is the true stream from some normal on, about 2% of a half
+    before the seam.  The two normals at the exact seam, drawn by rng and
+    looked for in the first sixteenth of the worker's output, give that
+    offset.  The worker's range is shifted left by it, its last normals are
+    drawn by the worker's generator, which then stands at the one-shot
+    draw's end state, and that state is handed to rng.  If the probe is not
+    found, the calling thread draws the second half again from the seam.
+    A worker that cannot start leaves the whole draw to the calling thread;
+    a worker's exception reaches the caller; no thread outlives the call.
+    Any other generator, or a smaller draw, is drawn by rng alone.
+    """
+    bitgen = getattr(rng, "bit_generator", None)
+    # Not np.prod, which takes 8 µs a call: with it, the six small draws of
+    # a blind deconvolution instance read bd_deconv setup_s +6% (4 pairs).
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    if size < _NORMAL_MIN_DRAWS or not isinstance(bitgen, np.random.Philox) or _cpus() < 2:
+        return rng.standard_normal(shape)
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    half = size // 2
+    head, tail = flat[:half], flat[half:]
+    state = bitgen.state
+    # The block holding word buffer_pos + half of the current block.
+    skip = (state["buffer_pos"] + half) // 4 - 1
+    done = []
+
+    def work():
+        try:
+            done.append(_normal_range(state["state"]["key"], state["state"]["counter"],
+                                      skip, tail))
+        except BaseException as exc:  # handed to the caller
+            done.append(exc)
+
+    worker = threading.Thread(target=work)
+    try:
+        worker.start()
+    except RuntimeError:  # no thread could start: the whole draw is the caller's
+        rng.standard_normal(out=flat)
+        return out
+    try:
+        rng.standard_normal(out=head)
+    finally:
+        worker.join()
+    if isinstance(done[0], BaseException):
+        raise done[0]
+    gen = done[0]
+    seam = bitgen.state
+    probe = rng.standard_normal(2)
+    window = tail[:min(tail.size, half // 16 + 64)]
+    hits = np.flatnonzero((window[:-1] == probe[0]) & (window[1:] == probe[1]))
+    if hits.size == 0:  # the worker never fell onto the seam's boundary
+        bitgen.state = seam
+        rng.standard_normal(out=tail)
+        return out
+    off = int(hits[0])
+    for a in range(0, tail.size - off, _SHIFT_BLOCK):
+        b = min(a + _SHIFT_BLOCK, tail.size - off)
+        tail[a:b] = tail[a + off:b + off]
+    gen.standard_normal(out=tail[tail.size - off:])
+    # advance dropped the pending 32-bit half, which the one-shot draw keeps.
+    bitgen.state = {**gen.bit_generator.state, "has_uint32": state["has_uint32"],
+                    "uinteger": state["uinteger"]}
+    return out
 
 
 # ---------------------------------------------------------------------------

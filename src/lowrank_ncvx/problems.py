@@ -59,9 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FactorPoint, _bernoulli_mask, bd_incoherence, bd_truth_norms, check_fields,
-                   derive_seed, dist_bd, dist_vector, factored_svd, make_rng, max_row_norm,
-                   procrustes, setting)
+from .core import (FactorPoint, _bernoulli_mask, _standard_normal, bd_incoherence,
+                   bd_truth_norms, check_fields, derive_seed, dist_bd, dist_vector,
+                   factored_svd, make_rng, max_row_norm, procrustes, setting)
 
 @dataclass
 class ProblemInstance:
@@ -204,7 +204,9 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     design is isotropic over symmetric probes.  Asymmetric instances use iid
     standard Gaussian matrices.  Either way the design is the one m x n1 x n2
     array a call allocates: a symmetric draw is symmetrized in place, a slab
-    of at most 256 KiB of matrices at a time.
+    of at most 256 KiB of matrices at a time.  A large design is drawn on two
+    threads before that (core._standard_normal), bit for bit with the
+    one-thread stream.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     m = setting("m", m, "positive count")
@@ -212,7 +214,7 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
         raise ValueError("symmetric sensing needs n1 == n2")
     rng = make_rng(derive_seed(seed, "matrix_sensing", int(symmetric)))
     truth = _planted(rng, n1, n2, r, symmetric, spectrum)
-    A = rng.standard_normal((m, n1, n2))
+    A = _standard_normal(rng, (m, n1, n2))
     if symmetric:
         # The bits of 0.5 * (A + A^T): NumPy copies each slab's transpose
         # before the in-place sum, never the whole design.
@@ -244,25 +246,30 @@ def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
 
 
 def gen_phase_retrieval(n, m, seed, norm=1.0):
-    """Real Gaussian phase retrieval: y_i = (a_i^T x)^2, a_i ~ N(0, I_n)."""
+    """Real Gaussian phase retrieval: y_i = (a_i^T x)^2, a_i ~ N(0, I_n).
+
+    A large design A is drawn on two threads (core._standard_normal), bit for
+    bit with the one-thread stream: the instance depends on the seed alone.
+    """
     n, m = setting("n", n, "positive count"), setting("m", m, "positive count")
     norm = setting("norm", norm, "finite positive bound")
     rng = make_rng(derive_seed(seed, "phase_retrieval"))
     x = rng.standard_normal(n)
     x *= norm / np.linalg.norm(x)
-    A = rng.standard_normal((m, n))
+    A = _standard_normal(rng, (m, n))
     params = {"n": n, "m": m, "norm": float(norm)}
     return _observed(ProblemInstance("PhaseRetrieval", seed, params, {"x": x}, {"A": A}, None))
 
 
 def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
     """Quadratic sensing: y_i = ||a_i^T X||^2.  Rank one recovers the phase
-    retrieval observation model."""
+    retrieval observation model.  As in gen_phase_retrieval, a large design
+    A is drawn on two threads, bit for bit with the one-thread stream."""
     n, r = _shape(r, n=n)
     m = setting("m", m, "positive count")
     rng = make_rng(derive_seed(seed, "quadratic_sensing"))
     truth = _planted(rng, n, n, r, True, spectrum)
-    A = rng.standard_normal((m, n))
+    A = _standard_normal(rng, (m, n))
     params = {"n": n, "r": r, "m": m}
     return _observed(ProblemInstance("QuadraticSensing", seed, params, truth, {"A": A}, None))
 
@@ -322,9 +329,10 @@ def _complex_gaussian(rng, shape, unit_variance):
     # a + 1j b from two standard normal draws of the shape, a first, divided
     # by sqrt(2) when unit_variance (E |z|^2 = 1): the bits of a + 1j * b or
     # (a + 1j * b) / np.sqrt(2.0), signed zeros included, assembled in place
-    # so that z is the only array allocated beyond the two draws.
-    a = rng.standard_normal(shape)
-    z = 1j * rng.standard_normal(shape)
+    # so that z is the only array allocated beyond the two draws.  Each draw
+    # is split across two threads when large, bit for bit.
+    a = _standard_normal(rng, shape)
+    z = 1j * _standard_normal(rng, shape)
     z += a
     if unit_variance:
         z /= np.sqrt(2.0)
@@ -345,6 +353,8 @@ def gen_blind_deconv(K, N, m, seed, norm=1.0):
     basis outlives its instances.  At its peak a call holds B (built on the
     first call of a size only, through an m x K index and two m x K complex
     arrays) and, while A is assembled, A and its two real draws: 2 A.nbytes.
+    Each real draw of A is split across two threads when large
+    (core._standard_normal), bit for bit with the one-thread stream.
     """
     K, N, m = (setting(name, v, "positive count") for name, v in (("K", K), ("N", N), ("m", m)))
     if m < K:
@@ -443,8 +453,11 @@ def gen_phase_sync(n, sigma, seed):
     W is Hermitian with iid standard complex Gaussian entries above the
     diagonal and standard real Gaussian entries on it, so E ||W||_F^2 = n^2.
     The observation is the matrix L itself.  W is built in the memory of its
-    complex Gaussian draw G, so the peak, three n x n complex arrays, is the
-    forward model's: W, L and the term it adds to x x^H.
+    complex Gaussian draw G, whose two n x n real draws are each split
+    across two threads when large (core._standard_normal), bit for bit with
+    the one-thread stream.  The forward model builds L in one n x n array,
+    sigma W plus x x^H a slab of rows at a time, so the peak is two n x n
+    complex arrays, W and L, plus that slab.
     """
     n, sigma = setting("n", n, "positive count"), setting("sigma", sigma, "finite bound")
     rng = make_rng(derive_seed(seed, "phase_sync"))
@@ -1337,6 +1350,19 @@ def _observe_linear(inst):
     return y + op.measure(t["S"]) if "S" in t else y
 
 
+def _observe_sync(inst):
+    # x x^H + sigma W with the bits of that expression (addition commutes
+    # exactly), built in the one n x n array sigma W: x x^H is added a slab
+    # of at most 256 KiB of rows at a time, so the peak is W, L and a slab.
+    x, W = inst.truth["x"], inst.design["W"]
+    L = inst.params["sigma"] * W
+    xc = np.conj(x)
+    step = max(1, 2**18 // L[0].nbytes)
+    for k in range(0, x.size, step):
+        L[k:k + step] += np.outer(x[k:k + step], xc)
+    return L
+
+
 def _observe_quadratic(inst):
     # y_i = ||C_i||^2 for C = A x* (phase retrieval) or A X* (quadratic sensing)
     C = inst.design["A"] @ inst.truth["x" if "x" in inst.truth else "X"]
@@ -1416,9 +1442,7 @@ FAMILIES = {
     "RobustPCA": Family(_observe_linear, _loss_linear, ("sym", "asym"), {"plain": ("S",)},
                         shared=_linear_model, operator=_EntrySampling, step=_factor_step),
     "PhaseSync": Family(
-        lambda inst: np.outer(inst.truth["x"], np.conj(inst.truth["x"]))
-        + inst.params["sigma"] * inst.design["W"],
-        _loss_power, ("vector",), gap=_gap_phase,
+        _observe_sync, _loss_power, ("vector",), gap=_gap_phase,
         matrix=lambda inst: inst.y, project=lambda inst, v: _phase_project(v)),
     "JointAlignment": Family(
         lambda inst: (inst.truth["x"][:, None] - inst.truth["x"][None, :]

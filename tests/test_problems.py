@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import pathlib
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -658,6 +659,186 @@ def test_mask_from_a_generator_without_counters_is_the_one_shot_draw(monkeypatch
     assert rng.random() == ref.random()
 
 
+def _record_normal_ranges(monkeypatch, skew=0):
+    # Forces the two-CPU rule and records the generator of every worker range
+    # drawn, its start moved `skew` blocks later.
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    fill, gens = core._normal_range, []
+
+    def recorded(key, counter, skip, out):
+        gens.append(fill(key, counter, skip + skew, out))
+        return gens[-1]
+
+    monkeypatch.setattr(core, "_normal_range", recorded)
+    return gens
+
+
+def _same_state(a, b):
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return (np.array_equal(sa["state"]["counter"], sb["state"]["counter"])
+            and np.array_equal(sa["buffer"], sb["buffer"])
+            and all(sa[k] == sb[k] for k in ("buffer_pos", "has_uint32", "uinteger")))
+
+
+_FLOOR = core._NORMAL_MIN_DRAWS
+
+
+@pytest.mark.parametrize("shape", [_FLOOR - 1, _FLOOR, _FLOOR + 1, 3 * _FLOOR + 7, (257, 263),
+                                   (5, 19, 1283)])
+def test_split_normal_draw_keeps_the_stream(monkeypatch, shape):
+    # Prior draws leave Philox's four-word block at every in-block offset
+    # (0 to 7 words), with and without a pending 32-bit half.  The draw, the
+    # counter, buffer and pending half after it, and the draws after it are
+    # those of one standard_normal(shape) draw; a draw at the floor or above
+    # is split, and its worker lands on the seam (its generator ends where
+    # rng does), so no range is drawn twice.
+    gens = _record_normal_ranges(monkeypatch)
+    split = int(np.prod(shape)) >= _FLOOR
+    for seed, words, half in itertools.product(range(5), range(8), (False, True)):
+        rng, ref = core.make_rng(seed), core.make_rng(seed)
+        for g in (rng, ref):
+            g.random(words)
+            if half:
+                g.random(dtype=np.float32)
+        z = core._standard_normal(rng, shape)
+        assert _same_bits(z, ref.standard_normal(shape)), (seed, words, half)
+        assert _same_state(rng, ref)
+        if split:
+            assert _same_state(gens[-1], rng) != half  # the worker drew no pending half
+        assert rng.random(dtype=np.float32) == ref.random(dtype=np.float32)
+        assert rng.random() == ref.random()
+        assert rng.standard_normal() == ref.standard_normal()
+    assert len(gens) == (80 if split else 0)
+
+
+def test_split_normal_draw_with_a_worker_past_the_seam_redraws_its_range(monkeypatch):
+    # A worker started half a range's words late never meets the seam's two
+    # probe normals; the calling thread draws its range again from the seam,
+    # with the same bits and end state.
+    gens = _record_normal_ranges(monkeypatch, skew=_FLOOR // 8)
+    for seed in range(4):
+        rng, ref = core.make_rng(seed), core.make_rng(seed)
+        z = core._standard_normal(rng, (3, _FLOOR))
+        assert _same_bits(z, ref.standard_normal((3, _FLOOR)))
+        assert _same_state(rng, ref) and not _same_state(gens[-1], rng)
+        assert rng.standard_normal() == ref.standard_normal()
+    assert len(gens) == 4
+
+
+def test_split_normal_draw_without_a_thread_is_the_one_shot_draw(monkeypatch):
+    # The worker cannot start: the calling thread draws every range.
+    before = threading.active_count()
+    starts = []
+
+    def refused(thread):
+        starts.append(thread)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    gens = _record_normal_ranges(monkeypatch)
+    rng, ref = core.make_rng(6), core.make_rng(6)
+    rng.random(3), ref.random(3)
+    assert _same_bits(core._standard_normal(rng, 3 * _FLOOR), ref.standard_normal(3 * _FLOOR))
+    assert _same_state(rng, ref)
+    assert len(starts) == 1 and not gens
+    assert threading.active_count() == before
+
+
+class _FailingDraws(np.random.Generator):
+    # A Philox generator whose own fill raises.
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        raise KeyboardInterrupt
+
+
+def test_split_normal_draw_joins_its_worker(monkeypatch):
+    # A worker's exception reaches the caller, and the worker is joined when
+    # either thread raises: no thread outlives the call.
+    before = threading.active_count()
+    gens = _record_normal_ranges(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        core._standard_normal(_FailingDraws(np.random.Philox(4)), 2 * _FLOOR)
+    assert len(gens) == 1 and threading.active_count() == before
+
+    def failing(key, counter, skip, out):
+        raise RuntimeError("worker failed")
+
+    monkeypatch.setattr(core, "_normal_range", failing)
+    with pytest.raises(RuntimeError, match="^worker failed$"):
+        core._standard_normal(core.make_rng(4), 2 * _FLOOR)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("make, size, cpus", [
+    (lambda: np.random.Generator(np.random.PCG64(5)), 4 * _FLOOR, 2),
+    (lambda: np.random.Generator(np.random.MT19937(5)), 4 * _FLOOR, 2),
+    (lambda: core.make_rng(5), _FLOOR - 1, 2),
+    (lambda: core.make_rng(5), 4 * _FLOOR, 1),
+])
+def test_normal_draw_that_cannot_split_starts_no_thread(monkeypatch, make, size, cpus):
+    # Only a Philox draw at the floor or above, on two CPUs, is split.
+    starts = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    rng, ref = make(), make()
+    assert _same_bits(core._standard_normal(rng, size), ref.standard_normal(size))
+    assert rng.random() == ref.random()
+    assert not starts
+
+
+def test_split_normal_draws_run_side_by_side(monkeypatch):
+    # Six threads, more than the cores, each split a draw of their own with a
+    # short switch interval: every draw and end state is its one-shot one.
+    _record_normal_ranges(monkeypatch)
+    size = _FLOOR + 5
+    refs = []
+    for seed in range(6):
+        ref = core.make_rng(seed)
+        refs.append((ref.standard_normal(size), ref.random()))
+    got = [None] * 6
+
+    def draw(seed):
+        rng = core.make_rng(seed)
+        got[seed] = (core._standard_normal(rng, size), rng.random())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for (z, u), (zr, ur) in zip(got, refs):
+        assert _same_bits(z, zr) and u == ur
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: gen_phase_retrieval(128, 1280, s),
+    lambda s: gen_quadratic_sensing(64, 2, 1100, s),
+    lambda s: gen_matrix_sensing(12, 12, 2, 500, True, s),
+    lambda s: gen_matrix_sensing(12, 10, 2, 600, False, s),
+    lambda s: gen_blind_deconv(16, 40, 2048, s),
+    lambda s: gen_phase_sync(300, 0.3, s),
+])
+def test_gaussian_generators_split_their_designs_bit_for_bit(monkeypatch, make):
+    # Each large Gaussian design is drawn on two threads, and the instance
+    # is the one drawn on one.
+    gens = _record_normal_ranges(monkeypatch)
+    for seed in (0, 3):
+        split = make(seed)
+        assert gens
+        monkeypatch.setattr(core, "_cpus", lambda: 1)
+        one = make(seed)
+        assert instances_equal(split, one) and _same_bits(split.y, one.y)
+        assert all(_same_bits(v, one.design[k]) for k, v in split.design.items()
+                   if isinstance(v, np.ndarray))
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        gens.clear()
+
+
 def test_completion_instance_peak_is_its_mask_and_index():
     # The truth is kept as its factors and y formed from their row dots, and
     # the mask is drawn through small reused buffers: no n1 x n2 float
@@ -883,6 +1064,22 @@ def test_phase_sync_instance_peak_is_three_of_its_matrices():
     # forward model's W, L and the term it adds to x x^H, plus 1 MiB.
     inst, peak = _traced_peak(lambda: gen_phase_sync(800, 0.5, 1))
     assert peak < 3 * inst.design["W"].nbytes + 2**20
+
+
+def test_phase_sync_instance_peak_is_two_matrices_and_a_slab():
+    # The forward model builds L in the one array sigma W, adding x x^H a
+    # 256 KiB slab of rows at a time: the bound is W, L, a slab and 1 MiB.
+    inst, peak = _traced_peak(lambda: gen_phase_sync(800, 0.5, 1))
+    assert peak < 2 * inst.design["W"].nbytes + 2**18 + 2**20
+
+
+@pytest.mark.parametrize("n, sigma", [(1, 0.0), (7, -0.0), (20, 0.3), (130, 1.5), (300, 2.0)])
+def test_phase_sync_observation_is_the_outer_sum_bit_for_bit(n, sigma):
+    # Up to n = 128, L is one 256 KiB slab of rows; 130 and 300 take
+    # several.  A zero or negative-zero sigma brings signed zeros.
+    inst = gen_phase_sync(n, sigma, seed=n)
+    x = inst.truth["x"]
+    assert _same_bits(inst.y, np.outer(x, np.conj(x)) + sigma * inst.design["W"])
 
 
 def test_phase_sync_noise_mass_matches_model():
