@@ -1,8 +1,8 @@
-"""Shared numerical plumbing: seeded randomness (the Bernoulli mask drawn
-from one Philox stream on every core, and a large standard-normal draw, the
-generators' Gaussian designs, on two cores; both bit for bit with the
-one-thread stream and leaving the generator where it leaves it), factor
-containers, the subspace estimate record that spectral's eigensolvers fill,
+"""Shared numerical plumbing: seeded randomness (the generators' Bernoulli
+masks and Gaussian designs drawn in ranges of one Philox stream side by
+side, bit for bit with the one-thread stream and leaving the generator where
+it leaves it; see "Split draws" below), factor containers, the subspace
+estimate record that spectral's eigensolvers fill,
 the distance metrics that quotient out the global ambiguities (sign,
 rotation, complex scaling; factored_svd balances out the mix (L G, R G^-T)
 of asymmetric factors first) of factored estimates, incoherence measures,
@@ -19,7 +19,9 @@ import math
 import os
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +49,27 @@ def make_rng(seed):
     return np.random.Generator(np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1))))
 
 
+def _slabs(rows, row_bytes):
+    # Slices of rows 0 .. rows - 1 in order, the slabs of an in-place loop
+    # (the seam shift of _standard_normal, and problems' symmetrization and
+    # phase-synchronization sum): each holds the most rows of row_bytes bytes
+    # that fit in 256 KiB, and at least one, which bounds any temporary NumPy
+    # takes of an overlapping or transposed source.
+    step = max(1, 2**18 // row_bytes)
+    return [slice(k, min(k + step, rows)) for k in range(0, rows, step)]
+
+
+# ---------------------------------------------------------------------------
+# Split draws
+#
+# A Philox stream is counter-based: its k-th block of four 64-bit words
+# depends only on (key, counter + k), so any range of a draw can be drawn
+# through a Philox of its own started at the range's block (_philox_at).
+# _bernoulli_mask and _standard_normal cut a large draw into ranges that
+# _launch draws side by side; each docstring states its thread rule, the
+# one place the rule is written.
+# ---------------------------------------------------------------------------
+
 # Doubles per block of the mask draw: 125 KiB, under glibc's default 128 KiB
 # mmap threshold, so each buffer comes from the heap.
 _MASK_BLOCK = 16000
@@ -60,6 +83,52 @@ def _cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+_NOT_RUN = object()  # _launch's result for a job whose thread did not start
+
+
+def _launch(jobs):
+    # Runs jobs[0] on the calling thread and every other job (each a
+    # callable of no arguments) on a thread of its own, and returns their
+    # results in order, _NOT_RUN for a job whose thread could not start.
+    # Every started thread is joined before this returns or raises; a
+    # thread's exception is raised after the join.
+    results, errors = [_NOT_RUN] * len(jobs), []
+
+    def run(k):
+        try:
+            results[k] = jobs[k]()
+        except BaseException as exc:  # handed to the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(jobs))]
+    try:
+        for thread in threads:
+            with suppress(RuntimeError):  # no thread could start: the job stays unrun
+                thread.start()
+        results[0] = jobs[0]()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _philox_at(key, counter, skip):
+    # A generator on a Philox of its own that starts at block counter + skip + 1.
+    bitgen = np.random.Philox(key=key, counter=counter)
+    bitgen.advance(skip)
+    return np.random.Generator(bitgen)
+
+
+def _hand_back(bitgen, state, pending):
+    # Sets bitgen to state, with the pending 32-bit half taken from the state
+    # pending instead: advance drops that half, which the one-thread draw keeps.
+    bitgen.state = {**state, "has_uint32": pending["has_uint32"],
+                    "uinteger": pending["uinteger"]}
 
 
 def _mask_workers(size):
@@ -77,11 +146,8 @@ def _fill_mask(rng, flat, p, buf):
 
 
 def _fill_mask_range(key, counter, skip, flat, p, buf):
-    # One worker's range: the uniforms from Philox block counter + skip + 1
-    # on, drawn through a Philox of its own.
-    bitgen = np.random.Philox(key=key, counter=counter)
-    bitgen.advance(skip)
-    _fill_mask(np.random.Generator(bitgen), flat, p, buf)
+    # One worker's range: the uniforms from Philox block counter + skip + 1 on.
+    _fill_mask(_philox_at(key, counter, skip), flat, p, buf)
 
 
 def _bernoulli_mask(rng, n1, n2, p):
@@ -89,17 +155,16 @@ def _bernoulli_mask(rng, n1, n2, p):
     and leaving rng where that draw leaves it.
 
     The uniforms are drawn in blocks of consecutive row-major entries into
-    reused 125 KiB buffers, so no n1 x n2 float array exists.  A Philox
-    stream is counter-based: its k-th block of four doubles depends only on
-    (key, counter + k).  So rng first draws what is left of its current
-    block; the whole blocks after it are cut into one contiguous range per
-    worker (the calling thread and a pool of threads), each filled through
-    its own Philox moved to the range's start with ``advance``; and rng then
-    advances past them and draws the last partial block itself.  The
-    workers are the CPUs this process may run on, capped so that each draws
-    at least 2**20 uniforms.  A mask with one worker, or from a generator
-    that is not Philox, is drawn by rng alone; a range whose thread cannot
-    start is filled by the calling thread.
+    reused 125 KiB buffers, so no n1 x n2 float array exists.  rng first
+    draws what is left of its current block of four doubles; the whole
+    blocks after it are cut into one contiguous range per worker (_launch's
+    calling thread and threads), each filled through its own Philox at the
+    range's start, the workers being the CPUs this process may run on,
+    capped so that each draws at least _MASK_MIN_DRAWS uniforms; and rng
+    then advances past them and draws the last partial block itself.  A
+    mask with one worker, or from a generator that is not Philox, is drawn
+    by rng alone; a range whose thread cannot start is filled by the
+    calling thread.
     """
     mask = np.empty((n1, n2), dtype=bool)
     flat = mask.reshape(-1)
@@ -113,10 +178,6 @@ def _bernoulli_mask(rng, n1, n2, p):
     if workers < 2:
         _fill_mask(rng, flat, p, buf)
         return mask
-    # Imported here: concurrent.futures loads logging, about 0.6 MB of RSS
-    # that a process drawing no split mask would pay on importing this module.
-    from concurrent.futures import ThreadPoolExecutor
-
     _fill_mask(rng, flat[:head], p, buf)
     state = bitgen.state
     key, counter = state["state"]["key"], state["state"]["counter"]
@@ -125,24 +186,14 @@ def _bernoulli_mask(rng, n1, n2, p):
     ranges = [(key, counter, (a - head) // 4, flat[a:b], p, rbuf)
               for a, b, rbuf in zip(cuts, cuts[1:], bufs)]
     # The calling thread fills the first range itself: with every range on a
-    # pool thread, the n = 2000 mask took a median 10.6 ms against 7.6 ms
-    # (AMD EPYC, 2 cores).
-    with ThreadPoolExecutor(workers - 1) as pool:
-        jobs = []
-        for args in ranges[1:]:
-            try:
-                jobs.append(pool.submit(_fill_mask_range, *args))
-            except RuntimeError:  # no thread could start: fill the range here
-                # A pool thread that frees up may still run the queued job;
-                # it writes the same values.
-                _fill_mask_range(*args)
-        _fill_mask_range(*ranges[0])
-        for job in jobs:
-            job.result()  # re-raises a worker's exception
-    # advance drops a pending 32-bit half, which the one-shot draw keeps.
+    # thread of its own, the n = 2000 mask took a median 10.6 ms against
+    # 7.6 ms (AMD EPYC, 2 cores).
+    done = _launch([partial(_fill_mask_range, *args) for args in ranges])
+    for args, result in zip(ranges, done):
+        if result is _NOT_RUN:
+            _fill_mask_range(*args)
     bitgen.advance(nblk)
-    bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
-                    "uinteger": state["uinteger"]}
+    _hand_back(bitgen, bitgen.state, state)
     _fill_mask(rng, flat[cuts[-1]:], p, buf)
     return mask
 
@@ -151,17 +202,12 @@ def _bernoulli_mask(rng, n1, n2, p):
 # 0.96-0.98 of one thread's wall time at 2**16 normals, and 1.26-1.31 at
 # 2**15 (ROADMAP item 2's one- against two-worker table).
 _NORMAL_MIN_DRAWS = 2**16
-# Doubles per copy when the worker's range is moved onto the seam: 256 KiB,
-# which bounds any temporary NumPy takes of an overlapping source.
-_SHIFT_BLOCK = 2**15
 
 
 def _normal_range(key, counter, skip, out):
     # The worker's range: out filled with the normals that a Philox of its
     # own decodes from block counter + skip + 1 on.  Returns its generator.
-    bitgen = np.random.Philox(key=key, counter=counter)
-    bitgen.advance(skip)
-    gen = np.random.Generator(bitgen)
+    gen = _philox_at(key, counter, skip)
     gen.standard_normal(out=out)
     return gen
 
@@ -175,20 +221,19 @@ def _standard_normal(rng, shape):
     a process that may run on two CPUs, is split in two.  NumPy's ziggurat
     takes one 64-bit word per normal or more, so the second half's first
     normal, at the seam, starts at word (first word) + (half size) or later.
-    A worker thread fills the second half through its own Philox started at
-    the block boundary at or before that word, while the calling thread
-    fills the first.  Most normals take one word, so the worker's decoding
-    falls onto the true word boundaries within a few words, before the seam:
-    its output is the true stream from some normal on, about 2% of a half
-    before the seam.  The two normals at the exact seam, drawn by rng and
-    looked for in the first sixteenth of the worker's output, give that
+    A worker thread (_launch) fills the second half through its own Philox
+    started at the block boundary at or before that word, while the calling
+    thread fills the first.  Most normals take one word, so the worker's
+    decoding falls onto the true word boundaries within a few words, before
+    the seam: its output is the true stream from some normal on, about 2% of
+    a half before the seam.  The two normals at the exact seam, drawn by rng
+    and looked for in the first sixteenth of the worker's output, give that
     offset.  The worker's range is shifted left by it, its last normals are
     drawn by the worker's generator, which then stands at the one-shot
     draw's end state, and that state is handed to rng.  If the probe is not
-    found, the calling thread draws the second half again from the seam.
-    A worker that cannot start leaves the whole draw to the calling thread;
-    a worker's exception reaches the caller; no thread outlives the call.
-    Any other generator, or a smaller draw, is drawn by rng alone.
+    found, or the worker's thread could not start, the calling thread draws
+    the second half from the seam.  Any other generator, or a smaller draw,
+    is drawn by rng alone.
     """
     bitgen = getattr(rng, "bit_generator", None)
     # Not np.prod, which takes 8 µs a call: with it, the six small draws of
@@ -203,44 +248,23 @@ def _standard_normal(rng, shape):
     state = bitgen.state
     # The block holding word buffer_pos + half of the current block.
     skip = (state["buffer_pos"] + half) // 4 - 1
-    done = []
-
-    def work():
-        try:
-            done.append(_normal_range(state["state"]["key"], state["state"]["counter"],
-                                      skip, tail))
-        except BaseException as exc:  # handed to the caller
-            done.append(exc)
-
-    worker = threading.Thread(target=work)
-    try:
-        worker.start()
-    except RuntimeError:  # no thread could start: the whole draw is the caller's
-        rng.standard_normal(out=flat)
-        return out
-    try:
-        rng.standard_normal(out=head)
-    finally:
-        worker.join()
-    if isinstance(done[0], BaseException):
-        raise done[0]
-    gen = done[0]
-    seam = bitgen.state
-    probe = rng.standard_normal(2)
-    window = tail[:min(tail.size, half // 16 + 64)]
-    hits = np.flatnonzero((window[:-1] == probe[0]) & (window[1:] == probe[1]))
-    if hits.size == 0:  # the worker never fell onto the seam's boundary
+    gen = _launch([partial(rng.standard_normal, out=head),
+                   partial(_normal_range, state["state"]["key"], state["state"]["counter"],
+                           skip, tail)])[1]
+    seam, hits = bitgen.state, ()
+    if gen is not _NOT_RUN:
+        probe = rng.standard_normal(2)
+        window = tail[:min(tail.size, half // 16 + 64)]
+        hits = np.flatnonzero((window[:-1] == probe[0]) & (window[1:] == probe[1]))
+    if len(hits) == 0:  # the worker did not run or never fell onto the seam's boundary
         bitgen.state = seam
         rng.standard_normal(out=tail)
         return out
     off = int(hits[0])
-    for a in range(0, tail.size - off, _SHIFT_BLOCK):
-        b = min(a + _SHIFT_BLOCK, tail.size - off)
-        tail[a:b] = tail[a + off:b + off]
+    for s in _slabs(tail.size - off, tail.itemsize):
+        tail[s] = tail[s.start + off:s.stop + off]
     gen.standard_normal(out=tail[tail.size - off:])
-    # advance dropped the pending 32-bit half, which the one-shot draw keeps.
-    bitgen.state = {**gen.bit_generator.state, "has_uint32": state["has_uint32"],
-                    "uinteger": state["uinteger"]}
+    _hand_back(bitgen, gen.bit_generator.state, state)
     return out
 
 
@@ -623,12 +647,18 @@ def incoherence_mu(M, r):
     if r > min(n1, n2):
         raise ValueError("need 1 <= r <= min(n1, n2)")  # problems._shape's message
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    return _basis_mu(U, Vh.T, s, r)
+
+
+def _basis_mu(U, V, s, r):
+    # incoherence_mu from the bases U, V of an SVD (their first r columns)
+    # and its values s: n / r times the largest squared row norm of each
+    # basis, the larger of the two; sigma_r <= 1e-12 sigma_1 is refused.
     if s[r - 1] <= 1e-12 * max(s[0], np.finfo(float).tiny):
         raise ValueError(f"matrix is numerically rank-deficient at rank {r}: "
                          f"sigma_r = {s[r - 1]:.3e}")
-    mu_u = n1 / r * float(np.max(np.sum(np.abs(U[:, :r]) ** 2, axis=1)))
-    mu_v = n2 / r * float(np.max(np.sum(np.abs(Vh[:r]) ** 2, axis=0)))
-    return max(mu_u, mu_v)
+    return max(Q.shape[0] / r * float(np.max(np.sum(np.abs(Q[:, :r]) ** 2, axis=1)))
+               for Q in (U, V))
 
 
 def bd_incoherence(h, B, u=None):
@@ -752,13 +782,15 @@ class Trace:
         return self.dist[-1] if self.dist else float("nan")
 
     def to_csv(self, path, wall_time=False):
-        """Write the trace. wall_time=False zeroes ms for reproducible files."""
-        lines = [",".join(TRACE_COLUMNS)]
-        for i in range(len(self.iters)):
-            ms = self.ms[i] if wall_time else 0.0
-            row = (self.iters[i], self.loss[i], self.grad_norm[i],
-                   self.dist[i], self.incoh[i], ms)
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        """Write the trace: the TRACE_COLUMNS, then the extras in the order
+        they first appeared.  wall_time=False zeroes ms for reproducible
+        files."""
+        columns = (self.iters, self.loss, self.grad_norm, self.dist, self.incoh,
+                   self.ms if wall_time else [0.0] * len(self), *self.extras.values())
+        lines = [",".join((*TRACE_COLUMNS, *self.extras))]
+        for row in zip(*columns, strict=True):
+            lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                  for v in row))
         text = "\n".join(lines) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(text)

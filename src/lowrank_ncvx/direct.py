@@ -48,6 +48,14 @@ _GRAM_CUT = 1e-4
 # digits to underflow or be near overflow; they go through lstsq as well.
 _GRAM_RANGE = (np.finfo(float).tiny / np.finfo(float).eps,
                np.finfo(float).max * np.finfo(float).eps)
+# ppm's stop: a step that moves no entry by more than this.  Noisy
+# synchronization steps shrink about fourfold a step down to a round-off
+# floor of about 1 eps, and round-off keeps some runs from ever repeating an
+# iterate exactly; from the battery starts (sigma = 0.3 sqrt(n / log n)) the
+# steps reach 64 eps within 21 steps at n = 40.  Not larger: the 19th step
+# of gen_phase_sync(30, 1.0, 37) from its spectral start still moves 131
+# eps.  One-hot iterates move by exactly 0 or 1.
+_PPM_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -468,6 +476,8 @@ def ppm(instance, x0, max_iters=100):
     one-hot vertex.  Both ignore a positive scaling, so a step projects the
     row's negative gradient, L x or 2 L x, and takes no step size.  The
     input point is projected first, so every recorded iterate is feasible.
+    The run ends "converged" at the first step that moves no entry of x by
+    more than _PPM_TOL = 64 eps (for joint alignment, one that moves none).
     Returns (x, trace).
     """
     spec = FAMILIES[instance.family]
@@ -483,7 +493,7 @@ def ppm(instance, x0, max_iters=100):
         return FactorPoint.derived("vector", (spec.project(instance, -grad.x),))
 
     def stop(trace, point):
-        return prev is not None and np.array_equal(point.x, prev)
+        return prev is not None and float(np.max(np.abs(point.x - prev))) <= _PPM_TOL
 
     point, trace = iterate(FactorPoint.vector(spec.project(instance, np.asarray(x0).ravel())),
                            lambda t, point: _risk_row(instance, point), step, max_iters,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import FactorPoint, check_fields, derive_seed, factored_svd, iterate, make_rng, setting
+from .core import (FactorPoint, _basis_mu, check_fields, derive_seed, factored_svd, iterate,
+                   make_rng, setting)
 from .problems import FAMILIES, loss_and_grad, loss_value
 from .spectral import sparse_part
 
@@ -221,8 +222,8 @@ def make_incoherent_projector(instance, init, mu=None):
     constraint set is specified relative to the first iterate.  Asymmetric
     points clip each factor against its own row count.  The default mu is
     core.incoherence_mu(M, r), computed from the core.factored_svd of the
-    planted factors (X X^T, or L R^T) instead of a dense SVD of M: the row
-    norms of its bases Q1, Q2 and, for the rank check, its values s.
+    planted factors (X X^T, or L R^T) instead of a dense SVD of M, through
+    incoherence_mu's own rule on its bases Q1, Q2 and values s.
     """
     if init.kind not in ("sym", "asym"):
         raise ValueError("incoherence projection applies to factor points only")
@@ -231,10 +232,7 @@ def make_incoherent_projector(instance, init, mu=None):
     if mu is None:
         factors = (t["X"], t["X"]) if "X" in t else (t["L"], t["R"])
         Q1, _, s, _, Q2 = factored_svd(*factors)
-        if s[-1] <= 1e-12 * max(s[0], _TINY):
-            raise ValueError(f"planted matrix is numerically rank-deficient at rank {r}: "
-                             f"sigma_r = {s[-1]:.3e}")
-        mu = max(Q.shape[0] / r * float(np.max(np.sum(Q * Q, axis=1))) for Q in (Q1, Q2))
+        mu = _basis_mu(Q1, Q2, s, r)
     bounds = [float(np.linalg.norm(F, 2)) for F in init.parts]
 
     def proj(point):
@@ -557,7 +555,9 @@ def fitted_rate(trace):
 def regularity_witness(trace):
     """Best fraction of iterations satisfying the two-point inequality
     2<g, x - x*> >= mu ||g||^2 + lam ||x - x*||^2 over the log grid
-    logspace(-3, 3, 25) of each of mu and lam; the first best pair wins.
+    logspace(-3, 3, 25) of each of mu and lam.  Among the pairs with the
+    best fraction the strongest inequality, the largest mu lam, wins (the
+    first in grid order on ties).
 
     A diagnostic, not a certificate: the constants are unobservable, so the
     fit simply reports how consistently the trajectory behaved like one with
@@ -569,11 +569,11 @@ def regularity_witness(trace):
     g2 = np.asarray(trace.extras["rc_g2"], dtype=float)
     d2 = np.asarray(trace.extras["rc_d2"], dtype=float)
     grid = np.logspace(-3.0, 3.0, 25)
-    best = {"mu": float(grid[0]), "lam": float(grid[0]), "fraction": -1.0}
+    best, rank = None, (-1.0, 0.0)  # rank: (fraction, mu lam) of the best pair
     for mu in grid:
         slack = 2.0 * ip - mu * g2
         for lam in grid:
             frac = float(np.mean(slack - lam * d2 >= 0.0))
-            if frac > best["fraction"]:
-                best = {"mu": float(mu), "lam": float(lam), "fraction": frac}
+            if (frac, mu * lam) > rank:
+                best, rank = {"mu": float(mu), "lam": float(lam), "fraction": frac}, (frac, mu * lam)
     return best

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FactorPoint, _bernoulli_mask, _standard_normal, bd_incoherence,
+from .core import (FactorPoint, _bernoulli_mask, _slabs, _standard_normal, bd_incoherence,
                    bd_truth_norms, check_fields, derive_seed, dist_bd, dist_vector,
                    factored_svd, make_rng, max_row_norm, procrustes, setting)
 
@@ -204,9 +204,8 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     design is isotropic over symmetric probes.  Asymmetric instances use iid
     standard Gaussian matrices.  Either way the design is the one m x n1 x n2
     array a call allocates: a symmetric draw is symmetrized in place, a slab
-    of at most 256 KiB of matrices at a time.  A large design is drawn on two
-    threads before that (core._standard_normal), bit for bit with the
-    one-thread stream.
+    of at most 256 KiB of matrices at a time.  The design is drawn before
+    that by core._standard_normal, bit for bit with the one-thread stream.
     """
     n1, n2, r = _shape(r, n1=n1, n2=n2)
     m = setting("m", m, "positive count")
@@ -218,9 +217,8 @@ def gen_matrix_sensing(n1, n2, r, m, symmetric, seed, spectrum=None):
     if symmetric:
         # The bits of 0.5 * (A + A^T): NumPy copies each slab's transpose
         # before the in-place sum, never the whole design.
-        step = max(1, 2**18 // A[0].nbytes)
-        for k in range(0, m, step):
-            slab = A[k:k + step]
+        for s in _slabs(m, A[0].nbytes):
+            slab = A[s]
             slab += slab.transpose(0, 2, 1)
             slab *= 0.5
     family = "MatrixSensingSym" if symmetric else "MatrixSensingAsym"
@@ -248,8 +246,8 @@ def gen_identity_sensing(n1, n2, r, seed, spectrum=None):
 def gen_phase_retrieval(n, m, seed, norm=1.0):
     """Real Gaussian phase retrieval: y_i = (a_i^T x)^2, a_i ~ N(0, I_n).
 
-    A large design A is drawn on two threads (core._standard_normal), bit for
-    bit with the one-thread stream: the instance depends on the seed alone.
+    A is drawn by core._standard_normal, bit for bit with the one-thread
+    stream: the instance depends on the seed alone.
     """
     n, m = setting("n", n, "positive count"), setting("m", m, "positive count")
     norm = setting("norm", norm, "finite positive bound")
@@ -263,8 +261,8 @@ def gen_phase_retrieval(n, m, seed, norm=1.0):
 
 def gen_quadratic_sensing(n, r, m, seed, spectrum=None):
     """Quadratic sensing: y_i = ||a_i^T X||^2.  Rank one recovers the phase
-    retrieval observation model.  As in gen_phase_retrieval, a large design
-    A is drawn on two threads, bit for bit with the one-thread stream."""
+    retrieval observation model.  As in gen_phase_retrieval, A is drawn by
+    core._standard_normal, bit for bit with the one-thread stream."""
     n, r = _shape(r, n=n)
     m = setting("m", m, "positive count")
     rng = make_rng(derive_seed(seed, "quadratic_sensing"))
@@ -279,13 +277,10 @@ def gen_matrix_completion(n1, n2, r, p, symmetric, seed, spectrum=None):
 
     Each entry lands in the observed set independently with probability p:
     the mask is drawn in row-major blocks from the same stream as one
-    n1 x n2 uniform draw (core._bernoulli_mask), bit for bit.  Philox is
-    counter-based, so the whole blocks of that stream are split into one
-    contiguous range per thread, one thread per CPU this process may run
-    on with at least 2**20 entries each; a smaller mask is drawn on the
-    calling thread.  The instance depends on the seed alone, not on the
-    thread count.  The boolean mask is the stored form of the design (and
-    of its JSON); every computation reads the sampling operator P_Omega
+    n1 x n2 uniform draw (core._bernoulli_mask), bit for bit, so the
+    instance depends on the seed alone, not on the thread count that draws
+    it.  The boolean mask is the stored form of the design (and of its
+    JSON); every computation reads the sampling operator P_Omega
     that linear_operator builds on the observed-entry index derived from
     it, and y = P_Omega(L R^T) lists the truth on that index in row-major
     order, each entry the r-term row dot that the solvers' model forms
@@ -329,8 +324,8 @@ def _complex_gaussian(rng, shape, unit_variance):
     # a + 1j b from two standard normal draws of the shape, a first, divided
     # by sqrt(2) when unit_variance (E |z|^2 = 1): the bits of a + 1j * b or
     # (a + 1j * b) / np.sqrt(2.0), signed zeros included, assembled in place
-    # so that z is the only array allocated beyond the two draws.  Each draw
-    # is split across two threads when large, bit for bit.
+    # so that z is the only array allocated beyond the two draws, each
+    # core._standard_normal's.
     a = _standard_normal(rng, shape)
     z = 1j * _standard_normal(rng, shape)
     z += a
@@ -353,8 +348,8 @@ def gen_blind_deconv(K, N, m, seed, norm=1.0):
     basis outlives its instances.  At its peak a call holds B (built on the
     first call of a size only, through an m x K index and two m x K complex
     arrays) and, while A is assembled, A and its two real draws: 2 A.nbytes.
-    Each real draw of A is split across two threads when large
-    (core._standard_normal), bit for bit with the one-thread stream.
+    Each real draw of A is core._standard_normal's, bit for bit with the
+    one-thread stream.
     """
     K, N, m = (setting(name, v, "positive count") for name, v in (("K", K), ("N", N), ("m", m)))
     if m < K:
@@ -453,11 +448,11 @@ def gen_phase_sync(n, sigma, seed):
     W is Hermitian with iid standard complex Gaussian entries above the
     diagonal and standard real Gaussian entries on it, so E ||W||_F^2 = n^2.
     The observation is the matrix L itself.  W is built in the memory of its
-    complex Gaussian draw G, whose two n x n real draws are each split
-    across two threads when large (core._standard_normal), bit for bit with
-    the one-thread stream.  The forward model builds L in one n x n array,
-    sigma W plus x x^H a slab of rows at a time, so the peak is two n x n
-    complex arrays, W and L, plus that slab.
+    complex Gaussian draw G, whose two n x n real draws are each
+    core._standard_normal's, bit for bit with the one-thread stream.  The
+    forward model builds L in one n x n array, sigma W plus x x^H a slab of
+    rows at a time, so the peak is two n x n complex arrays, W and L, plus
+    that slab.
     """
     n, sigma = setting("n", n, "positive count"), setting("sigma", sigma, "finite bound")
     rng = make_rng(derive_seed(seed, "phase_sync"))
@@ -1357,9 +1352,8 @@ def _observe_sync(inst):
     x, W = inst.truth["x"], inst.design["W"]
     L = inst.params["sigma"] * W
     xc = np.conj(x)
-    step = max(1, 2**18 // L[0].nbytes)
-    for k in range(0, x.size, step):
-        L[k:k + step] += np.outer(x[k:k + step], xc)
+    for s in _slabs(x.size, L[0].nbytes):
+        L[s] += np.outer(x[s], xc)
     return L
 
 

@@ -826,6 +826,27 @@ def test_ppm_sync_battery_settles_near_optimum():
     assert succ >= 85
 
 
+@pytest.mark.parametrize("n, count", [(40, 100), (200, 10), (800, 2)])
+def test_ppm_noisy_sync_stops_at_the_power_fixed_point(n, count):
+    # At the battery noise sigma = 0.3 sqrt(n / log n) round-off keeps some
+    # runs from ever repeating an iterate exactly; the run still ends
+    # "converged" within 22 rows (measured at most 22, 18 and 17 at n = 40,
+    # 200 and 800), at a point that 1000 plain projected power steps from
+    # the same start reach to 1e-13.
+    sig = 0.3 * math.sqrt(n / math.log(n))
+    for t in range(count):
+        inst = gen_phase_sync(n, sig, seed=derive_seed(505, "ps", t) if n == 40
+                              else derive_seed(505, "ps", n, t))
+        x0 = init_phase_sync(inst).x
+        x, tr = ppm(inst, x0, max_iters=1000)
+        assert tr.outcome == "converged" and len(tr) <= 22, t
+        ref = x0 / np.abs(x0)
+        for _ in range(1000):
+            v = inst.y @ ref
+            ref = v / np.abs(v)
+        assert np.max(np.abs(x - ref)) <= 1e-13, t
+
+
 def test_ppm_alignment_battery_exact_recovery():
     # n=12 nodes, 3 symbols, 5% flips; mismatch 0.0 means exact up to
     # the undetermined global shift.  Measured 100/100, typically one

@@ -368,6 +368,47 @@ def test_regularity_witness_is_recorded_for_pr_only():
         regularity_witness(tr2)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_regularity_witness_reports_the_strongest_best_pair(seed):
+    # A brute-force scan of the same grid: among the pairs with the best
+    # fraction, the one with the largest mu lam, the first in grid order on
+    # ties.  On these runs several pairs reach fraction 1.0, and the winner
+    # is not the grid's weakest corner mu = lam = 1e-3.
+    inst = gen_phase_retrieval(6, 60, seed)
+    _, tr = run_gd(inst, init_phase_retrieval(inst).point, SolverConfig(max_iters=79))
+    ip, g2, d2 = (np.asarray(tr.extras[k]) for k in ("rc_ip", "rc_g2", "rc_d2"))
+    grid = np.logspace(-3.0, 3.0, 25)
+    pairs = [(mu, lam) for mu in grid for lam in grid]
+    fracs = [float(np.mean(2.0 * ip - mu * g2 - lam * d2 >= 0.0)) for mu, lam in pairs]
+    top = max(fracs)
+    strongest = max(mu * lam for (mu, lam), f in zip(pairs, fracs) if f == top)
+    mu, lam = next(p for p, f in zip(pairs, fracs) if f == top and p[0] * p[1] == strongest)
+    assert regularity_witness(tr) == {"mu": float(mu), "lam": float(lam), "fraction": top}
+    assert top == 1.0 and mu * lam > 1e-6
+
+
+def test_default_step_trace_csv_keeps_every_column(tmp_path):
+    # The extras (witness terms, eta, rejected) follow the fixed columns in
+    # the order they first appeared, and every column reads back bit for
+    # bit; with ms zeroed, two reruns write the same bytes.
+    inst = gen_phase_retrieval(6, 60, 0)
+    x0 = init_phase_retrieval(inst).point
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        _, tr = run_gd(inst, x0, SolverConfig(max_iters=30))
+        tr.to_csv(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    header, *rows = paths[0].read_text().splitlines()
+    assert header.split(",") == [*core.TRACE_COLUMNS, *tr.extras]
+    assert {"eta", "rejected", "rc_ip", "rc_g2", "rc_d2"} <= set(tr.extras)
+    want = [tr.iters, tr.loss, tr.grad_norm, tr.dist, tr.incoh, [0.0] * len(tr),
+            *tr.extras.values()]
+    cells = zip(*(row.split(",") for row in rows))
+    for column, got in zip(want, cells, strict=True):
+        assert np.array(column, dtype=float).tobytes() == \
+            np.array([float(c) for c in got]).tobytes()
+
+
 def test_fitted_rate_guards():
     inst = gen_phase_retrieval(16, 160, seed=9)
     tr, _ = _pr_run(inst, max_iters=0)

@@ -11,6 +11,7 @@ import math
 import pathlib
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -657,6 +658,46 @@ def test_mask_from_a_generator_without_counters_is_the_one_shot_draw(monkeypatch
     rng.standard_normal(3), ref.standard_normal(3)
     assert np.array_equal(core._bernoulli_mask(rng, 50, 50, 0.3), ref.random((50, 50)) < 0.3)
     assert rng.random() == ref.random()
+
+
+def test_launch_returns_in_order_and_joins_before_raising(monkeypatch):
+    # The first job runs on the calling thread and each other on a thread of
+    # its own, results in job order; a job whose thread is refused is not
+    # run; an exception from the calling thread's job or from a thread's
+    # reaches the caller only once every thread has been joined.
+    before = threading.active_count()
+    assert core._launch([lambda k=k: k * k for k in range(4)]) == [0, 1, 4, 9]
+    threads = core._launch([threading.current_thread] * 3)
+    assert threads[0] is threading.current_thread() and len(set(threads)) == 3
+
+    finished = []
+
+    def slow():
+        time.sleep(0.05)
+        finished.append(True)
+
+    def failing():
+        raise ValueError("job failed")
+
+    for jobs in ([failing, slow], [lambda: None, failing, slow], [slow, slow, failing]):
+        finished.clear()
+        with pytest.raises(ValueError, match="^job failed$"):
+            core._launch(jobs)
+        assert len(finished) == jobs.count(slow) and threading.active_count() == before
+
+    start, starts, ran = threading.Thread.start, [], []
+
+    def second_refused(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", second_refused)
+    jobs = [lambda k=k: ran.append(k) or k for k in range(4)]
+    assert core._launch(jobs) == [0, 1, core._NOT_RUN, 3]
+    assert sorted(ran) == [0, 1, 3] and len(starts) == 3
+    assert threading.active_count() == before
 
 
 def _record_normal_ranges(monkeypatch, skew=0):
